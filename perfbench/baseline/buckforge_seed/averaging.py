@@ -1,0 +1,172 @@
+"""State-space averaging, equilibrium solving, and small-signal extraction.
+
+The switched converter is replaced by the duty-weighted average of its two
+mode models. The averaged system is solved for its DC operating point,
+linearized about it with respect to duty perturbations, and reduced to the
+duty-to-output transfer function. All 2x2 algebra is done in closed form
+(adjugate over determinant) so coefficients are exactly reproducible.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .converter import ConverterParams, StateSpaceModel, validate_params
+from .converter import mode_off_model, mode_on_model
+from .lti import TransferFunction
+
+
+class SingularModelError(ValueError):
+    """The averaged state matrix is singular; no unique equilibrium."""
+
+    def __init__(self, determinant: float):
+        super().__init__(
+            f"averaged state matrix is singular (determinant {determinant!r})"
+        )
+        self.determinant = determinant
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Steady state of the averaged model at a fixed duty and input voltage."""
+
+    duty: float  # D in [0, 1]
+    il: float    # equilibrium inductor current, A
+    vc: float    # equilibrium capacitor voltage, V
+    vg: float    # input voltage at which computed, V
+
+
+@dataclass(frozen=True)
+class SmallSignalModel:
+    """Linearization of the averaged model about an operating point.
+
+    ``b_d`` is the duty-perturbation input column
+    (A_on - A_off) x0 + (B_on - B_off) vg, recomputable from the stored
+    operating point.
+    """
+
+    a: tuple[tuple[float, float], tuple[float, float]]
+    b_d: tuple[float, float]
+    c: tuple[float, float]
+    operating_point: OperatingPoint
+
+
+def _check_duty(d: float) -> None:
+    if not (0.0 <= d <= 1.0):
+        raise ValueError(f"duty cycle must lie in [0, 1], got {d!r}")
+
+
+def averaged_model(
+    on: StateSpaceModel, off: StateSpaceModel, d: float
+) -> StateSpaceModel:
+    """Duty-weighted average d*on + (1-d)*off of the mode models."""
+    _check_duty(d)
+    w = 1.0 - d
+    a = tuple(
+        tuple(d * x + w * y for x, y in zip(row_on, row_off))
+        for row_on, row_off in zip(on.a, off.a)
+    )
+    b = tuple(d * x + w * y for x, y in zip(on.b, off.b))
+    c = tuple(d * x + w * y for x, y in zip(on.c, off.c))
+    return StateSpaceModel(a=a, b=b, c=c, state_labels=on.state_labels)
+
+
+def equilibrium(
+    on: StateSpaceModel, off: StateSpaceModel, d: float, vg: float
+) -> OperatingPoint:
+    """Solve the averaged model's steady state A x + B vg = 0 exactly.
+
+    Direct 2x2 Cramer solve; raises SingularModelError with the
+    determinant value if the averaged matrix has no inverse.
+    """
+    avg = averaged_model(on, off, d)
+    (a11, a12), (a21, a22) = avg.a
+    det = a11 * a22 - a12 * a21
+    if det == 0.0:
+        raise SingularModelError(det)
+    r1 = -avg.b[0] * vg
+    r2 = -avg.b[1] * vg
+    il = (r1 * a22 - r2 * a12) / det
+    vc = (a11 * r2 - a21 * r1) / det
+    return OperatingPoint(duty=d, il=il, vc=vc, vg=vg)
+
+
+def solve_duty(p: ConverterParams) -> OperatingPoint:
+    """Duty cycle that places the averaged output at vo_target.
+
+    The equilibrium output is linear in D (vc = D * vg * R / (R + R_L)),
+    so the duty follows from one division; the full operating point is
+    then recovered from the averaged model.
+    """
+    validate_params(p)
+    gain = p.vg * p.r_load / (p.r_load + p.r_l)
+    d = p.vo_target / gain
+    if not (0.0 <= d <= 1.0):
+        raise ValueError(
+            f"required duty {d!r} is outside [0, 1]; "
+            f"vo_target {p.vo_target!r} is unreachable from vg {p.vg!r} "
+            f"with winding resistance {p.r_l!r}"
+        )
+    return equilibrium(mode_on_model(p), mode_off_model(p), d, p.vg)
+
+
+def small_signal_model(
+    on: StateSpaceModel, off: StateSpaceModel, op: OperatingPoint
+) -> SmallSignalModel:
+    """Jacobian of the averaged dynamics with respect to state and duty."""
+    d = op.duty
+    w = 1.0 - d
+    a = tuple(
+        tuple(d * x + w * y for x, y in zip(row_on, row_off))
+        for row_on, row_off in zip(on.a, off.a)
+    )
+    x0 = (op.il, op.vc)
+    b_d = tuple(
+        (row_on[0] - row_off[0]) * x0[0]
+        + (row_on[1] - row_off[1]) * x0[1]
+        + (b_on - b_off) * op.vg
+        for row_on, row_off, b_on, b_off in zip(on.a, off.a, on.b, off.b)
+    )
+    c = tuple(d * x + w * y for x, y in zip(on.c, off.c))
+    return SmallSignalModel(a=a, b_d=b_d, c=c, operating_point=op)
+
+
+def duty_to_output_tf(ssm: SmallSignalModel) -> TransferFunction:
+    """C (sI - A)^-1 B for the 2-state case, in closed form.
+
+    Denominator is s^2 - trace(A) s + det(A); the numerator comes from the
+    adjugate row, so no numeric inversion is involved.
+    """
+    (a11, a12), (a21, a22) = ssm.a
+    b1, b2 = ssm.b_d
+    c1, c2 = ssm.c
+    num1 = c1 * b1 + c2 * b2
+    num0 = c1 * (a12 * b2 - a22 * b1) + c2 * (a21 * b1 - a11 * b2)
+    den = (1.0, -(a11 + a22), a11 * a22 - a12 * a21)
+    return TransferFunction((num1, num0), den)
+
+
+@dataclass(frozen=True)
+class PlantDerivation:
+    """Full model chain from parameters to the duty-to-output plant."""
+
+    mode_on: StateSpaceModel
+    mode_off: StateSpaceModel
+    operating_point: OperatingPoint
+    small_signal: SmallSignalModel
+    plant: TransferFunction
+
+
+def derive_plant(p: ConverterParams) -> PlantDerivation:
+    """Run the whole modeling chain for a parameter set."""
+    on = mode_on_model(p)
+    off = mode_off_model(p)
+    op = solve_duty(p)
+    ssm = small_signal_model(on, off, op)
+    return PlantDerivation(
+        mode_on=on,
+        mode_off=off,
+        operating_point=op,
+        small_signal=ssm,
+        plant=duty_to_output_tf(ssm),
+    )

@@ -1,0 +1,453 @@
+"""Command-line front end for the modeling, tuning, and simulation pipeline.
+
+Exit codes: 0 success, 2 input or configuration error, 3 tuning target
+infeasible, 4 regulation failure (the report is still written). Numeric
+file output is written at 17 significant digits; console tables round to
+4. All computation is deterministic; the BUCKFORGE_SEED environment
+variable is reserved but unused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import math
+import os
+import sys
+
+from . import __version__
+from .averaging import derive_plant, solve_duty
+from .converter import ConverterParams, ParameterError, load_params
+from .lti import bode_sweep, close_unity_loop, stability_margins
+from .pi_design import (
+    REFERENCE_CASE_STUDIES,
+    LoopConfig,
+    PIGains,
+    TuningError,
+    compensated_loop,
+    design_report,
+    tune_kp_for_pm,
+)
+from .svg import bode_svg, timeseries_svg
+from .switched_sim import (
+    SimConfig,
+    pwm_equivalent_gains,
+    regulation_report,
+    simulate_closed_loop,
+)
+from .timedomain import NotSettledError, step_metrics, step_response
+
+# duty-domain gains assumed when the simulate command gets none; rescaled
+# through vs and the sensor divider before driving the PWM loop
+DEFAULT_ANALYSIS_GAINS = PIGains(0.23, 1.0)
+
+
+def _fmt17(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _fmt4(x: float) -> str:
+    return f"{x:.4g}"
+
+
+def _jsonable(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    if hasattr(obj, "item"):
+        return obj.item()
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, default=_jsonable)
+        fh.write("\n")
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_manifest(args, command: str, resolved: dict, outputs: list[str]) -> str:
+    manifest = {
+        "command": command,
+        "params_source": args.config,
+        "resolved_config": resolved,
+        "outputs": outputs,
+        "tool_version": __version__,
+    }
+    path = os.path.join(args.out_dir, f"{command}_manifest.json")
+    _write_json(path, manifest)
+    return path
+
+
+def _params_dict(p: ConverterParams) -> dict:
+    return dataclasses.asdict(p)
+
+
+def _decimate(xs, ys, max_points: int = 2000):
+    step = max(1, len(xs) // max_points)
+    return xs[::step], ys[::step]
+
+
+def cmd_derive(args) -> int:
+    p = load_params(args.config)
+    derivation = derive_plant(p)
+    op = derivation.operating_point
+    doc = {
+        "converter_params": _params_dict(p),
+        "mode_on": dataclasses.asdict(derivation.mode_on),
+        "mode_off": dataclasses.asdict(derivation.mode_off),
+        "operating_point": dataclasses.asdict(op),
+        "small_signal": {
+            "a": derivation.small_signal.a,
+            "b_d": derivation.small_signal.b_d,
+            "c": derivation.small_signal.c,
+        },
+        "transfer_function": {
+            "num": derivation.plant.num,
+            "den": derivation.plant.den,
+        },
+    }
+    out = os.path.join(args.out_dir, "derive.json")
+    _write_json(out, doc)
+    _write_manifest(args, "derive", _params_dict(p), [out])
+    print(f"duty cycle D = {_fmt4(op.duty)}")
+    print(f"equilibrium: il = {_fmt4(op.il)} A, vc = {_fmt4(op.vc)} V")
+    print(
+        "duty-to-output: "
+        f"{_fmt4(derivation.plant.num[-1])} / "
+        f"(s^2 + {_fmt4(derivation.plant.den[1])} s + {_fmt4(derivation.plant.den[2])})"
+    )
+    print(f"wrote {out}")
+    return 0
+
+
+def _loop_config(args) -> LoopConfig:
+    return LoopConfig(
+        include_modulator_gain=args.include_modulator_gain,
+        include_sensor_gain=args.include_sensor_gain,
+    )
+
+
+def cmd_bode(args) -> int:
+    p = load_params(args.config)
+    gains = PIGains(args.kp, args.ki)
+    cfg = _loop_config(args)
+    loop = compensated_loop(derive_plant(p).plant, gains, cfg, p)
+    points = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
+    margins = stability_margins(loop)
+
+    csv_path = os.path.join(args.out_dir, "bode.csv")
+    _write_csv(
+        csv_path,
+        "omega_rad_s,magnitude_db,phase_deg",
+        (
+            (_fmt17(pt.omega), _fmt17(pt.magnitude_db), _fmt17(pt.phase_deg))
+            for pt in points
+        ),
+    )
+    margins_path = os.path.join(args.out_dir, "margins.json")
+    _write_json(margins_path, dataclasses.asdict(margins))
+    outputs = [csv_path, margins_path]
+    if args.svg:
+        svg_path = os.path.join(args.out_dir, "bode.svg")
+        title = f"open loop, kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            fh.write(bode_svg(points, margins, title))
+        outputs.append(svg_path)
+    resolved = {
+        "converter_params": _params_dict(p),
+        "gains": dataclasses.asdict(gains),
+        "loop_config": dataclasses.asdict(cfg),
+        "omega_min": args.omega_min,
+        "omega_max": args.omega_max,
+        "points_per_decade": args.points_per_decade,
+    }
+    _write_manifest(args, "bode", resolved, outputs)
+    pm = margins.phase_margin_deg
+    gm = margins.gain_margin_db
+    print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
+    print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
+    print(f"stable loop: {margins.stable_loop}")
+    print(f"wrote {', '.join(outputs)}")
+    return 0
+
+
+def cmd_tune(args) -> int:
+    p = load_params(args.config)
+    cfg = _loop_config(args)
+    plant = derive_plant(p).plant
+    result = tune_kp_for_pm(plant, args.ki, args.target_pm, cfg, p)
+    report = design_report(plant, result.gains, cfg, p)
+    doc = {
+        "target_phase_margin_deg": args.target_pm,
+        "gains": dataclasses.asdict(result.gains),
+        "achieved_margins": dataclasses.asdict(result.margins),
+        "design_report": report,
+    }
+    for (ref_kp, ref_ki), claim in REFERENCE_CASE_STUDIES.items():
+        if abs(args.target_pm - claim["phase_margin_deg"]) <= 0.5:
+            doc["published_gain_reference"] = {
+                "kp": ref_kp,
+                "ki": ref_ki,
+                "claimed_phase_margin_deg": claim["phase_margin_deg"],
+                "note": (
+                    "a published design for this plant reports these gains for "
+                    "the same margin target; the bare plant*PI loop reaches the "
+                    "target at the kp tuned here instead"
+                ),
+            }
+    out = os.path.join(args.out_dir, "tune.json")
+    _write_json(out, doc)
+    resolved = {
+        "converter_params": _params_dict(p),
+        "ki": args.ki,
+        "target_pm": args.target_pm,
+        "loop_config": dataclasses.asdict(cfg),
+    }
+    _write_manifest(args, "tune", resolved, [out])
+    print(
+        f"kp = {_fmt4(result.gains.kp)} reaches "
+        f"{_fmt4(result.margins.phase_margin_deg)} deg phase margin "
+        f"(target {_fmt4(args.target_pm)})"
+    )
+    print(f"wrote {out}")
+    return 0
+
+
+def cmd_step(args) -> int:
+    p = load_params(args.config)
+    plant = derive_plant(p).plant
+    if args.uncompensated:
+        loop = plant
+        label = "uncompensated unity feedback"
+    else:
+        if args.kp is None or args.ki is None:
+            raise ParameterError(
+                "kp", "step needs --kp and --ki, or --uncompensated"
+            )
+        gains = PIGains(args.kp, args.ki)
+        loop = compensated_loop(plant, gains, _loop_config(args), p)
+        label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
+    closed = close_unity_loop(loop)
+    traj = step_response(closed, args.t_end, args.samples)
+
+    csv_path = os.path.join(args.out_dir, "step.csv")
+    _write_csv(
+        csv_path,
+        "time_s,output",
+        ((_fmt17(t), _fmt17(y)) for t, y in zip(traj.times, traj.values)),
+    )
+    outputs = [csv_path]
+    metrics_path = os.path.join(args.out_dir, "step_metrics.json")
+    code = 0
+    try:
+        metrics = step_metrics(traj, 1.0)
+        _write_json(metrics_path, dataclasses.asdict(metrics))
+        print(
+            f"{label}: final {_fmt4(metrics.final_value)}, "
+            f"overshoot {_fmt4(metrics.max_overshoot_pct)}%, "
+            f"settling {_fmt4(metrics.settling_time)} s"
+        )
+    except NotSettledError as exc:
+        _write_json(metrics_path, {"error": str(exc)})
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    outputs.append(metrics_path)
+    if args.svg:
+        svg_path = os.path.join(args.out_dir, "step.svg")
+        xs, ys = _decimate(traj.times, traj.values)
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            fh.write(timeseries_svg(xs, ys, "time (s)", "output", label))
+        outputs.append(svg_path)
+    resolved = {
+        "converter_params": _params_dict(p),
+        "uncompensated": args.uncompensated,
+        "kp": args.kp,
+        "ki": args.ki,
+        "t_end": args.t_end,
+        "samples": args.samples,
+    }
+    _write_manifest(args, "step", resolved, outputs)
+    print(f"wrote {', '.join(outputs)}")
+    return code
+
+
+def cmd_simulate(args) -> int:
+    p = load_params(args.config)
+    sensor = args.sensor_gain if args.sensor_gain is not None else p.vref / p.vo_target
+    if args.kp is not None or args.ki is not None:
+        if args.kp is None or args.ki is None:
+            raise ParameterError("kp", "simulate needs both --kp and --ki, or neither")
+        gains = PIGains(args.kp, args.ki)
+        gains_source = "command line"
+    else:
+        gains = pwm_equivalent_gains(DEFAULT_ANALYSIS_GAINS, p, sensor)
+        gains_source = (
+            f"duty-domain defaults (kp={DEFAULT_ANALYSIS_GAINS.kp}, "
+            f"ki={DEFAULT_ANALYSIS_GAINS.ki}) rescaled by vs/sensor_gain"
+        )
+
+    initial = (0.0, 0.0)
+    integrator_init = 0.0
+    if args.from_operating_point:
+        op = solve_duty(p)  # operating point at the configured vg
+        initial = (op.il, op.vc)
+        integrator_init = op.duty * p.vs
+    if args.vg is not None:
+        p = dataclasses.replace(p, vg=args.vg)
+
+    cfg = SimConfig(
+        t_end=args.t_end,
+        gains=gains,
+        sensor_gain=sensor,
+        steps_per_period=args.steps_per_period,
+        initial_state=initial,
+        integrator_init=integrator_init,
+    )
+    traj = simulate_closed_loop(p, cfg)
+    report = regulation_report(traj, p)
+
+    csv_path = os.path.join(args.out_dir, "sim.csv")
+    _write_csv(
+        csv_path,
+        "time_s,il_a,vc_v,duty,switch_state",
+        (
+            (_fmt17(t), _fmt17(il), _fmt17(vc), _fmt17(d), "1" if q else "0")
+            for t, il, vc, d, q in zip(
+                traj.times, traj.il, traj.vc, traj.duty_cmd, traj.switch_state
+            )
+        ),
+    )
+    report_path = os.path.join(args.out_dir, "regulation.json")
+    doc = dataclasses.asdict(report)
+    doc["gains"] = dataclasses.asdict(gains)
+    doc["gains_source"] = gains_source
+    doc["sensor_gain"] = sensor
+    _write_json(report_path, doc)
+    outputs = [csv_path, report_path]
+    if args.svg:
+        svg_path = os.path.join(args.out_dir, "sim.svg")
+        xs, ys = _decimate(traj.times, traj.vc)
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            fh.write(timeseries_svg(xs, ys, "time (s)", "vc (V)", f"vg={_fmt4(p.vg)} V"))
+        outputs.append(svg_path)
+    resolved = {
+        "converter_params": _params_dict(p),
+        "gains": dataclasses.asdict(gains),
+        "sensor_gain": sensor,
+        "t_end": args.t_end,
+        "steps_per_period": args.steps_per_period,
+        "initial_state": list(initial),
+        "integrator_init": integrator_init,
+    }
+    _write_manifest(args, "simulate", resolved, outputs)
+    print(
+        f"vg={_fmt4(p.vg)} V: final-cycle vc = {_fmt4(report.final_vc_mean)} V "
+        f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
+    )
+    print(f"regulation {'PASS' if report.passed else 'FAIL'}; wrote {', '.join(outputs)}")
+    return 0 if report.passed else 4
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="buckforge",
+        description=(
+            "Model a buck converter by state-space averaging, analyze and tune "
+            "PI feedback in the frequency domain, and validate with linear and "
+            "switched-mode PWM simulation."
+        ),
+        epilog=(
+            "Exit codes: 0 success, 2 input/config error, 3 tuning infeasible, "
+            "4 regulation failure."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--config", required=True, help="converter parameter JSON")
+        sp.add_argument("--out-dir", default="./out", help="output directory")
+
+    def loop_flags(sp):
+        sp.add_argument("--include-modulator-gain", action="store_true",
+                        help="divide the loop by the sawtooth peak vs")
+        sp.add_argument("--include-sensor-gain", action="store_true",
+                        help="multiply the loop by vref/vo_target")
+
+    sp = sub.add_parser("derive", help="mode models, equilibrium, duty, plant")
+    common(sp)
+    sp.set_defaults(func=cmd_derive)
+
+    sp = sub.add_parser("bode", help="frequency sweep and stability margins")
+    common(sp)
+    sp.add_argument("--kp", type=float, required=True)
+    sp.add_argument("--ki", type=float, required=True)
+    loop_flags(sp)
+    sp.add_argument("--omega-min", type=float, default=1.0)
+    sp.add_argument("--omega-max", type=float, default=1e6)
+    sp.add_argument("--points-per-decade", type=int, default=200)
+    sp.add_argument("--svg", action="store_true", help="also write a two-panel plot")
+    sp.set_defaults(func=cmd_bode)
+
+    sp = sub.add_parser("tune", help="search kp for a phase-margin target")
+    common(sp)
+    sp.add_argument("--ki", type=float, default=1.0)
+    sp.add_argument("--target-pm", type=float, required=True, help="degrees")
+    loop_flags(sp)
+    sp.set_defaults(func=cmd_tune)
+
+    sp = sub.add_parser("step", help="closed-loop unit step and metrics")
+    common(sp)
+    sp.add_argument("--kp", type=float)
+    sp.add_argument("--ki", type=float)
+    sp.add_argument("--uncompensated", action="store_true",
+                    help="unity feedback around the bare plant")
+    loop_flags(sp)
+    sp.add_argument("--t-end", type=float, default=0.05)
+    sp.add_argument("--samples", type=int, default=20001)
+    sp.add_argument("--svg", action="store_true")
+    sp.set_defaults(func=cmd_step)
+
+    sp = sub.add_parser("simulate", help="switched-mode PWM closed loop")
+    common(sp)
+    sp.add_argument("--kp", type=float, help="PWM-loop proportional gain")
+    sp.add_argument("--ki", type=float, help="PWM-loop integral gain")
+    sp.add_argument("--vg", type=float, help="override the source voltage")
+    sp.add_argument("--sensor-gain", type=float, help="default vref/vo_target")
+    sp.add_argument("--t-end", type=float, default=0.05)
+    sp.add_argument("--steps-per-period", type=int, default=200)
+    sp.add_argument("--from-operating-point", action="store_true",
+                    help="start at the configured-vg operating point "
+                         "(input-step experiment) instead of rest")
+    sp.add_argument("--svg", action="store_true")
+    sp.set_defaults(func=cmd_simulate)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        return args.func(args)
+    except TuningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ParameterError, ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,155 @@
+"""Buck converter parameters and per-switching-mode linear models.
+
+The converter is a two-state system: inductor current and capacitor
+voltage. With the transistor ON the source drives the LC filter; with it
+OFF the freewheel diode carries the inductor current and the source is
+disconnected. Both modes share the same state matrix; only the input
+vector differs. Switches are ideal and conduction is continuous.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, fields
+
+
+class ParameterError(ValueError):
+    """A converter parameter violates a physical constraint.
+
+    ``field`` names the offending parameter.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@dataclass(frozen=True)
+class ConverterParams:
+    """Circuit constants plus regulation targets and PWM settings (all SI)."""
+
+    vg: float         # input voltage, V
+    vo_target: float  # desired output voltage, V
+    r_load: float     # load resistance, ohm
+    r_l: float        # inductor series resistance, ohm
+    l: float          # inductance, H
+    c: float          # capacitance, F
+    fs: float         # switching frequency, Hz
+    vs: float         # PWM sawtooth peak, V
+    vref: float       # controller reference voltage, V
+
+
+@dataclass(frozen=True)
+class StateSpaceModel:
+    """(A, B, C) of a 2-state, single-input, single-output linear system.
+
+    State order is [inductor current (A), capacitor voltage (V)]; the
+    input is the source voltage and the output is the capacitor voltage.
+    """
+
+    a: tuple[tuple[float, float], tuple[float, float]]
+    b: tuple[float, float]
+    c: tuple[float, float]
+    state_labels: tuple[str, str] = ("inductor_current_a", "capacitor_voltage_v")
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(ConverterParams))
+
+
+def validate_physical(raw: ConverterParams) -> ConverterParams:
+    """Check circuit-level constraints only (positivity of elements).
+
+    Simulation accepts any physically buildable source, including one that
+    sags below the regulation target; the design-time step-down constraint
+    is enforced separately by validate_params.
+    """
+    positive = ("vg", "r_load", "l", "c", "fs", "vs")
+    for name in positive:
+        value = getattr(raw, name)
+        if not (value > 0.0):
+            raise ParameterError(name, f"{name} must be positive, got {value!r}")
+    if raw.r_l < 0.0:
+        raise ParameterError("r_l", f"r_l must be non-negative, got {raw.r_l!r}")
+    if not (raw.vo_target > 0.0):
+        raise ParameterError(
+            "vo_target", f"vo_target must be positive, got {raw.vo_target!r}"
+        )
+    if raw.vref < 0.0:
+        raise ParameterError("vref", f"vref must be non-negative, got {raw.vref!r}")
+    return raw
+
+
+def validate_params(raw: ConverterParams) -> ConverterParams:
+    """Check all parameter invariants; return the params unchanged.
+
+    Raises ParameterError naming the first offending field.
+    """
+    validate_physical(raw)
+    if raw.vo_target > raw.vg:
+        raise ParameterError(
+            "vo_target",
+            f"vo_target ({raw.vo_target!r}) exceeds vg ({raw.vg!r}); "
+            "a buck stage can only step down",
+        )
+    return raw
+
+
+def params_from_dict(doc: dict) -> ConverterParams:
+    """Build validated params from a JSON-style mapping.
+
+    The document must contain exactly the ConverterParams field names;
+    unknown keys are rejected so typos in physical constants cannot pass
+    silently.
+    """
+    unknown = sorted(set(doc) - set(PARAM_FIELDS))
+    if unknown:
+        raise ParameterError(unknown[0], f"unknown parameter field {unknown[0]!r}")
+    missing = [name for name in PARAM_FIELDS if name not in doc]
+    if missing:
+        raise ParameterError(missing[0], f"missing parameter field {missing[0]!r}")
+    values = {}
+    for name in PARAM_FIELDS:
+        value = doc[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(name, f"{name} must be a number, got {value!r}")
+        values[name] = float(value)
+    return validate_params(ConverterParams(**values))
+
+
+def load_params(path: str) -> ConverterParams:
+    """Read and validate a converter parameter JSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParameterError("document", "parameter file must hold a JSON object")
+    return params_from_dict(doc)
+
+
+def _shared_a(p: ConverterParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    return (
+        (-p.r_l / p.l, -1.0 / p.l),
+        (1.0 / p.c, -1.0 / (p.r_load * p.c)),
+    )
+
+
+def mode_on_model(p: ConverterParams) -> StateSpaceModel:
+    """State-space model with the transistor conducting."""
+    validate_physical(p)
+    return StateSpaceModel(a=_shared_a(p), b=(1.0 / p.l, 0.0), c=(0.0, 1.0))
+
+
+def mode_off_model(p: ConverterParams) -> StateSpaceModel:
+    """State-space model with the transistor off (freewheel diode conducting).
+
+    The source is disconnected, so the input vector is zero; A and C are
+    shared with the ON mode.
+    """
+    validate_physical(p)
+    return StateSpaceModel(a=_shared_a(p), b=(0.0, 0.0), c=(0.0, 1.0))
+
+
+def ideal_conversion_ratio(d: float, vg: float) -> float:
+    """Lossless steady-state output voltage d*vg from volt-second balance."""
+    if not (0.0 <= d <= 1.0):
+        raise ValueError(f"duty cycle must lie in [0, 1], got {d!r}")
+    return d * vg

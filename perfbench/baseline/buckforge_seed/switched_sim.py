@@ -1,0 +1,455 @@
+"""Switched-mode PWM simulation of the converter, open and closed loop.
+
+The plant is piecewise linear, so each substep advances the state with the
+exact zero-order-hold update of the active mode; no ODE tolerances exist
+anywhere. Within a period the comparator is sampled once per substep, and
+in open loop the ON/OFF transition lands exactly at d*Ts through one pair
+of shortened boundary substeps.
+
+Continuous conduction is assumed; if the inductor current would cross
+zero while freewheeling, it is clamped at zero (diode blocking), the
+capacitor discharges through the load alone, and the trajectory is
+flagged rather than modeling discontinuous-conduction dynamics.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import expm
+
+from .averaging import averaged_model
+from .converter import ConverterParams, validate_physical
+from .converter import mode_off_model, mode_on_model
+from .pi_design import PIGains
+
+
+def sawtooth(t: float, fs: float, vs: float) -> float:
+    """PWM ramp vs*frac(t*fs): 0 at each period start, rising to vs."""
+    if t < 0.0:
+        raise ValueError(f"t must be non-negative, got {t!r}")
+    x = t * fs
+    return vs * (x - math.floor(x))
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Settings for a switched simulation run.
+
+    sensor_gain defaults to vref/vo_target (the divider that makes the
+    reference command the target output). integrator_limit bounds the
+    control voltage; None means [0, vs]. integrator_init preloads the
+    integral state, which lets a run start from an established operating
+    point, e.g. for input-voltage step experiments.
+    """
+
+    t_end: float
+    gains: PIGains | None = None
+    sensor_gain: float | None = None
+    steps_per_period: int = 200
+    initial_state: tuple[float, float] = (0.0, 0.0)
+    integrator_init: float = 0.0
+    integrator_limit: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.steps_per_period < 20:
+            raise ValueError(
+                f"steps_per_period must be at least 20, got {self.steps_per_period!r}"
+            )
+        if self.t_end <= 0.0:
+            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+
+
+@dataclass(frozen=True)
+class SwitchedTrajectory:
+    """Per-substep samples of the switched converter state.
+
+    switch_state[k] and duty_cmd[k] describe the substep starting at
+    times[k] (the last entry repeats its predecessor); duty_cmd holds each
+    period's effective ON fraction.
+    """
+
+    times: np.ndarray
+    il: np.ndarray
+    vc: np.ndarray
+    duty_cmd: np.ndarray
+    switch_state: np.ndarray
+    dcm_encountered: bool = False
+
+    def __post_init__(self):
+        for name in ("times", "il", "vc", "duty_cmd", "switch_state"):
+            arr = getattr(self, name)
+            arr.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class CycleAverages:
+    period_index: int
+    il_avg: float
+    vc_avg: float
+    duty: float
+
+
+def _zoh_pair(a, b_scaled, dt: float):
+    """Exact (Phi, Gamma) for dx/dt = a x + b_scaled over one step."""
+    aug = np.zeros((3, 3))
+    aug[0, 0] = a[0][0] * dt
+    aug[0, 1] = a[0][1] * dt
+    aug[1, 0] = a[1][0] * dt
+    aug[1, 1] = a[1][1] * dt
+    aug[0, 2] = b_scaled[0] * dt
+    aug[1, 2] = b_scaled[1] * dt
+    E = expm(aug)
+    return (
+        (float(E[0, 0]), float(E[0, 1]), float(E[1, 0]), float(E[1, 1])),
+        (float(E[0, 2]), float(E[1, 2])),
+    )
+
+
+def _periods(p: ConverterParams, cfg: SimConfig) -> int:
+    n = int(round(cfg.t_end * p.fs))
+    if n < 10:
+        raise ValueError(
+            f"t_end {cfg.t_end!r} covers fewer than 10 switching periods"
+        )
+    return n
+
+
+def simulate_open_loop(
+    p: ConverterParams, d: float, cfg: SimConfig
+) -> SwitchedTrajectory:
+    """Fixed-duty PWM run with the switch transition exactly at d*Ts.
+
+    Full substeps use precomputed mode maps; when d*Ts falls inside a
+    substep, one shortened ON segment and its OFF completion are applied
+    so every sample stays on the uniform grid.
+    """
+    validate_physical(p)
+    if not (0.0 <= d <= 1.0):
+        raise ValueError(f"duty cycle must lie in [0, 1], got {d!r}")
+    spp = cfg.steps_per_period
+    n_periods = _periods(p, cfg)
+    dt = 1.0 / (p.fs * spp)
+
+    on = mode_on_model(p)
+    a = on.a
+    b_on = (on.b[0] * p.vg, on.b[1] * p.vg)
+    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(a, b_on, dt)
+    k_idle = math.exp(a[1][1] * dt)
+
+    frac = d * spp - math.floor(d * spp)
+    n_on = int(math.floor(d * spp))
+    if frac < 1e-9:
+        frac = 0.0
+    elif frac > 1.0 - 1e-9:
+        frac = 0.0
+        n_on += 1
+    if n_on > spp:
+        n_on = spp
+    has_partial = frac > 0.0
+    if has_partial:
+        (p11, p12, p21, p22), (pg1, pg2) = _zoh_pair(a, b_on, frac * dt)
+        (q11, q12, q21, q22), _ = _zoh_pair(a, (0.0, 0.0), (1.0 - frac) * dt)
+        k_idle_partial = math.exp(a[1][1] * (1.0 - frac) * dt)
+    n_off_full = spp - n_on - (1 if has_partial else 0)
+
+    n_samples = n_periods * spp + 1
+    out_t = np.arange(n_samples) * dt
+    out_il = np.empty(n_samples)
+    out_vc = np.empty(n_samples)
+    out_q = np.zeros(n_samples, dtype=bool)
+    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
+    out_il[0] = il
+    out_vc[0] = vc
+    dcm = False
+    i = 1
+    for _ in range(n_periods):
+        for _ in range(n_on):
+            il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+            out_il[i] = il
+            out_vc[i] = vc
+            out_q[i - 1] = True
+            i += 1
+        if has_partial:
+            il, vc = p11 * il + p12 * vc + pg1, p21 * il + p22 * vc + pg2
+            nil = q11 * il + q12 * vc
+            if il <= 0.0 and nil <= 0.0:
+                nil, nvc = 0.0, k_idle_partial * vc
+                dcm = True
+            else:
+                nvc = q21 * il + q22 * vc
+                if nil < 0.0:
+                    nil = 0.0
+                    dcm = True
+            il, vc = nil, nvc
+            out_il[i] = il
+            out_vc[i] = vc
+            out_q[i - 1] = True
+            i += 1
+        for _ in range(n_off_full):
+            if il == 0.0:
+                nil = f11 * il + f12 * vc
+                if nil <= 0.0:
+                    il, vc = 0.0, k_idle * vc
+                    dcm = True
+                    out_il[i] = il
+                    out_vc[i] = vc
+                    i += 1
+                    continue
+            nil = f11 * il + f12 * vc
+            nvc = f21 * il + f22 * vc
+            if nil < 0.0:
+                nil = 0.0
+                dcm = True
+            il, vc = nil, nvc
+            out_il[i] = il
+            out_vc[i] = vc
+            i += 1
+    if n_samples > 1:
+        out_q[n_samples - 1] = out_q[n_samples - 2]
+    duty = np.full(n_samples, float(d))
+    return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, dcm)
+
+
+def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajectory:
+    """PI-controlled PWM run per the standard voltage-mode loop.
+
+    Each substep: sense the output through the divider, form the PI
+    control voltage (trapezoidal integral), compare against the sawtooth
+    at the substep's exact phase, and advance the state one exact substep
+    under the selected mode. The integrator freezes whenever the control
+    voltage is saturated and the error would deepen saturation.
+    """
+    validate_physical(p)
+    if cfg.gains is None:
+        raise ValueError("closed-loop simulation requires cfg.gains")
+    kp, ki = cfg.gains.kp, cfg.gains.ki
+    H = cfg.sensor_gain if cfg.sensor_gain is not None else p.vref / p.vo_target
+    lim_lo, lim_hi = cfg.integrator_limit if cfg.integrator_limit else (0.0, p.vs)
+    spp = cfg.steps_per_period
+    n_periods = _periods(p, cfg)
+    dt = 1.0 / (p.fs * spp)
+    vref, vs = p.vref, p.vs
+
+    on = mode_on_model(p)
+    a = on.a
+    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(a, (on.b[0] * p.vg, on.b[1] * p.vg), dt)
+    k_idle = math.exp(a[1][1] * dt)
+
+    n_samples = n_periods * spp + 1
+    out_t = np.arange(n_samples) * dt
+    out_il = np.empty(n_samples)
+    out_vc = np.empty(n_samples)
+    out_duty = np.empty(n_samples)
+    out_q = np.zeros(n_samples, dtype=bool)
+    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
+    out_il[0] = il
+    out_vc[0] = vc
+    integ = float(cfg.integrator_init)
+    half_ki_dt = 0.5 * ki * dt
+    saw_step = vs / spp
+    dcm = False
+    i = 1
+    for per in range(n_periods):
+        on_count = 0
+        for k in range(spp):
+            e = vref - H * vc
+            u = kp * e + integ
+            if u > lim_hi:
+                u_sat = lim_hi
+                sat = 1
+            elif u < lim_lo:
+                u_sat = lim_lo
+                sat = -1
+            else:
+                u_sat = u
+                sat = 0
+            q = u_sat > saw_step * k
+            if q:
+                on_count += 1
+                il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+                out_q[i - 1] = True
+            else:
+                if il == 0.0:
+                    nil = f12 * vc
+                    if nil <= 0.0:
+                        vc = k_idle * vc
+                        dcm = True
+                    else:
+                        vc = f22 * vc
+                        il = nil
+                else:
+                    nil = f11 * il + f12 * vc
+                    nvc = f21 * il + f22 * vc
+                    if nil < 0.0:
+                        nil = 0.0
+                        dcm = True
+                    il, vc = nil, nvc
+            s = e + (vref - H * vc)
+            if not ((sat == 1 and s > 0.0) or (sat == -1 and s < 0.0)):
+                integ += half_ki_dt * s
+            out_il[i] = il
+            out_vc[i] = vc
+            i += 1
+        out_duty[per * spp : (per + 1) * spp] = on_count / spp
+    out_duty[n_samples - 1] = out_duty[n_samples - 2]
+    if n_samples > 1:
+        out_q[n_samples - 1] = out_q[n_samples - 2]
+    return SwitchedTrajectory(out_t, out_il, out_vc, out_duty, out_q, dcm)
+
+
+def cycle_average(traj: SwitchedTrajectory, fs: float) -> list[CycleAverages]:
+    """Trapezoidal per-period means; a trailing partial period is dropped."""
+    dt = float(traj.times[1] - traj.times[0])
+    spp = int(round(1.0 / (fs * dt)))
+    n = (len(traj.times) - 1) // spp
+    if n < 1:
+        raise ValueError("trajectory spans less than one full switching period")
+    out = []
+    il, vc = traj.il, traj.vc
+    for per in range(n):
+        lo = per * spp
+        hi = lo + spp
+        il_mean = (il[lo:hi].sum() - 0.5 * il[lo] + 0.5 * il[hi]) / spp
+        vc_mean = (vc[lo:hi].sum() - 0.5 * vc[lo] + 0.5 * vc[hi]) / spp
+        out.append(
+            CycleAverages(per, float(il_mean), float(vc_mean), float(traj.duty_cmd[lo]))
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class AveragingComparison:
+    """Cycle-averaged switched run versus the averaged model, same grid."""
+
+    duty: float
+    max_il_avg_deviation: float
+    max_vc_avg_deviation: float
+    final_switched_il_avg: float
+    final_switched_vc_avg: float
+    final_averaged_il_avg: float
+    final_averaged_vc_avg: float
+    il_ripple_pkpk: float
+    vc_ripple_pkpk: float
+    dcm_encountered: bool
+
+
+def compare_to_averaged(
+    p: ConverterParams, d: float, cfg: SimConfig
+) -> AveragingComparison:
+    """Quantify how well duty-weighted averaging tracks the switched run.
+
+    The averaged model is integrated with the same exact-substep method on
+    the same grid and from the same initial state; both trajectories are
+    then reduced to per-cycle means and compared, alongside the steady
+    ripple amplitudes of the switched states.
+    """
+    traj = simulate_open_loop(p, d, cfg)
+    avg = averaged_model(mode_on_model(p), mode_off_model(p), d)
+    spp = cfg.steps_per_period
+    dt = 1.0 / (p.fs * spp)
+    b_scaled = (avg.b[0] * p.vg, avg.b[1] * p.vg)
+    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(avg.a, b_scaled, dt)
+
+    n_samples = len(traj.times)
+    a_il = np.empty(n_samples)
+    a_vc = np.empty(n_samples)
+    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
+    a_il[0] = il
+    a_vc[0] = vc
+    for i in range(1, n_samples):
+        il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+        a_il[i] = il
+        a_vc[i] = vc
+    averaged = SwitchedTrajectory(
+        traj.times,
+        a_il,
+        a_vc,
+        np.full(n_samples, float(d)),
+        np.zeros(n_samples, dtype=bool),
+    )
+
+    sw = cycle_average(traj, p.fs)
+    av = cycle_average(averaged, p.fs)
+    dev_il = max(abs(s.il_avg - a.il_avg) for s, a in zip(sw, av))
+    dev_vc = max(abs(s.vc_avg - a.vc_avg) for s, a in zip(sw, av))
+    last = len(sw) - 1
+    lo = last * spp
+    hi = lo + spp + 1
+    return AveragingComparison(
+        duty=d,
+        max_il_avg_deviation=float(dev_il),
+        max_vc_avg_deviation=float(dev_vc),
+        final_switched_il_avg=sw[-1].il_avg,
+        final_switched_vc_avg=sw[-1].vc_avg,
+        final_averaged_il_avg=av[-1].il_avg,
+        final_averaged_vc_avg=av[-1].vc_avg,
+        il_ripple_pkpk=float(traj.il[lo:hi].max() - traj.il[lo:hi].min()),
+        vc_ripple_pkpk=float(traj.vc[lo:hi].max() - traj.vc[lo:hi].min()),
+        dcm_encountered=traj.dcm_encountered,
+    )
+
+
+@dataclass(frozen=True)
+class RegulationReport:
+    """Final-cycle regulation verdict for a closed-loop run."""
+
+    target_v: float
+    final_vc_mean: float
+    final_il_mean: float
+    vc_ripple_pkpk: float
+    duty_final: float
+    deviation_pct: float
+    tolerance_pct: float
+    passed: bool
+    duty_saturated: bool
+    dcm_encountered: bool
+
+
+def regulation_report(
+    traj: SwitchedTrajectory, p: ConverterParams, tolerance_pct: float = 2.0
+) -> RegulationReport:
+    """Judge the last full cycle against the output-voltage target.
+
+    duty_final averages the trailing 10 complete cycles, since the
+    comparator quantizes each period's duty to 1/steps_per_period and the
+    integrator dithers between adjacent levels at steady state.
+    """
+    cycles = cycle_average(traj, p.fs)
+    last = cycles[-1]
+    trailing = cycles[-min(10, len(cycles)):]
+    duty_final = sum(cyc.duty for cyc in trailing) / len(trailing)
+    spp = int(round(1.0 / (p.fs * float(traj.times[1] - traj.times[0]))))
+    lo = last.period_index * spp
+    hi = lo + spp + 1
+    deviation = abs(last.vc_avg - p.vo_target) / p.vo_target * 100.0
+    return RegulationReport(
+        target_v=p.vo_target,
+        final_vc_mean=last.vc_avg,
+        final_il_mean=last.il_avg,
+        vc_ripple_pkpk=float(traj.vc[lo:hi].max() - traj.vc[lo:hi].min()),
+        duty_final=duty_final,
+        deviation_pct=deviation,
+        tolerance_pct=tolerance_pct,
+        passed=deviation <= tolerance_pct,
+        duty_saturated=duty_final == 0.0 or duty_final == 1.0,
+        dcm_encountered=traj.dcm_encountered,
+    )
+
+
+def pwm_equivalent_gains(
+    analysis_gains: PIGains, p: ConverterParams, sensor_gain: float | None = None
+) -> PIGains:
+    """Rescale duty-domain PI gains for the physical PWM loop.
+
+    The comparator divides the control voltage by vs and the sensor
+    scales the output by H, so multiplying the gains by vs/H makes the
+    physical loop's frequency response match the duty-domain design.
+    """
+    H = sensor_gain if sensor_gain is not None else p.vref / p.vo_target
+    if H <= 0.0:
+        raise ValueError(f"sensor gain must be positive, got {H!r}")
+    factor = p.vs / H
+    return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)

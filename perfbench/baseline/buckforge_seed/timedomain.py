@@ -1,0 +1,221 @@
+"""Step-response simulation and time-domain performance metrics.
+
+Responses are computed from a controllable-canonical state-space
+realization advanced with the exact zero-order-hold update, so a step
+response is sampled from the true continuous solution; refining the grid
+only changes where it is sampled, not the values.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import expm
+
+from .lti import TransferFunction, poles
+
+
+class NotSettledError(RuntimeError):
+    """Trajectory tail still moving; metrics would be meaningless."""
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Uniformly sampled scalar output record."""
+
+    times: np.ndarray
+    values: np.ndarray
+    unstable: bool = False
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if times.shape != values.shape or times.ndim != 1:
+            raise ValueError("times and values must be 1-D arrays of equal length")
+        if len(times) < 2:
+            raise ValueError("a trajectory needs at least 2 samples")
+        dt = np.diff(times)
+        if dt.min() <= 0.0:
+            raise ValueError("times must be strictly increasing")
+        # allow the representation jitter of a float grid (~eps * t_end)
+        slack = 1e-12 * dt.max() + 8.0 * np.finfo(float).eps * abs(float(times[-1]))
+        if dt.max() - dt.min() > slack:
+            raise ValueError("sample spacing must be uniform")
+        times.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+
+@dataclass(frozen=True)
+class StepMetrics:
+    """Classic unit-step figures of merit (times in seconds)."""
+
+    final_value: float
+    delay_time: float          # first 50% crossing
+    rise_time: float           # 10% -> 90% interval
+    settling_time: float       # last exit from the +/-5% band
+    max_overshoot_pct: float
+    steady_state_error: float  # reference - final value
+
+
+def _canonical_form(tf: TransferFunction):
+    """Controllable canonical (A, B, C, D) with a monic denominator."""
+    a = np.asarray(tf.den, dtype=float)
+    b = np.asarray(tf.num, dtype=float)
+    a = a / a[0]
+    b = b / tf.den[0]
+    n = len(a) - 1
+    b = np.concatenate([np.zeros(n + 1 - len(b)), b])
+    d = b[0]
+    A = np.zeros((n, n))
+    A[0, :] = -a[1:]
+    for i in range(1, n):
+        A[i, i - 1] = 1.0
+    B = np.zeros(n)
+    B[0] = 1.0
+    C = (b[1:] - b[0] * a[1:])[np.newaxis, :]
+    return A, B, C[0], d
+
+
+def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajectory:
+    """Unit-step output on a uniform grid of `samples` points over [0, t_end].
+
+    The per-step transition pair (Phi, Gamma) is computed once from the
+    augmented system matrix, making every step exact for the constant
+    input. An unstable transfer function is simulated anyway but flagged.
+    """
+    if not tf.is_proper:
+        raise ValueError("step response requires a proper transfer function")
+    if len(tf.den) - 1 > 3:
+        raise ValueError("step response supports denominator degree <= 3")
+    if t_end <= 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if samples < 10:
+        raise ValueError(f"need at least 10 samples, got {samples!r}")
+
+    times = np.linspace(0.0, t_end, samples)
+    n = len(tf.den) - 1
+    if n == 0:
+        gain = tf.num[-1] / tf.den[-1]
+        return Trajectory(times, np.full(samples, gain), unstable=False)
+
+    unstable = any(p.real >= 0.0 for p in poles(tf))
+    A, B, C, D = _canonical_form(tf)
+    dt = t_end / (samples - 1)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = A * dt
+    aug[:n, n] = B * dt
+    E = expm(aug)
+    # plain-float copies keep the per-sample loop out of numpy scalar overhead
+    phi = E[:n, :n].tolist()
+    gamma = E[:n, n].tolist()
+    C = C.tolist()
+    D = float(D)
+
+    y = np.empty(samples)
+    if n == 1:
+        f, g = phi[0][0], gamma[0]
+        c0 = C[0]
+        x = 0.0
+        for k in range(samples):
+            y[k] = c0 * x + D
+            x = f * x + g
+    elif n == 2:
+        f11, f12 = phi[0]
+        f21, f22 = phi[1]
+        g1, g2 = gamma
+        c1, c2 = C
+        x1 = x2 = 0.0
+        for k in range(samples):
+            y[k] = c1 * x1 + c2 * x2 + D
+            x1, x2 = f11 * x1 + f12 * x2 + g1, f21 * x1 + f22 * x2 + g2
+    else:
+        f11, f12, f13 = phi[0]
+        f21, f22, f23 = phi[1]
+        f31, f32, f33 = phi[2]
+        g1, g2, g3 = gamma
+        c1, c2, c3 = C
+        x1 = x2 = x3 = 0.0
+        for k in range(samples):
+            y[k] = c1 * x1 + c2 * x2 + c3 * x3 + D
+            x1, x2, x3 = (
+                f11 * x1 + f12 * x2 + f13 * x3 + g1,
+                f21 * x1 + f22 * x2 + f23 * x3 + g2,
+                f31 * x1 + f32 * x2 + f33 * x3 + g3,
+            )
+    return Trajectory(times, y, unstable=unstable)
+
+
+def _cross_time(times: np.ndarray, values: np.ndarray, level: float) -> float:
+    """First upward crossing of `level`, linearly interpolated."""
+    above = values >= level
+    if above[0]:
+        return float(times[0])
+    idx = np.nonzero(above)[0]
+    if len(idx) == 0:
+        raise NotSettledError(f"response never reaches level {level!r}")
+    i = int(idx[0])
+    y0, y1 = values[i - 1], values[i]
+    frac = (level - y0) / (y1 - y0) if y1 != y0 else 1.0
+    return float(times[i - 1] + frac * (times[i] - times[i - 1]))
+
+
+def step_metrics(
+    traj: Trajectory, reference: float, settling_band: float = 0.05
+) -> StepMetrics:
+    """Extract delay, rise, settling, overshoot, and steady-state error.
+
+    The final value is the mean of the trailing 10% of samples (so the
+    same code serves switched-simulation records, where ripple never
+    dies); the tail must itself have stopped moving. Threshold crossings
+    are located by linear interpolation between bracketing samples.
+    """
+    times = traj.times
+    values = traj.values
+    tail = values[-max(2, len(values) // 10):]
+    final = float(tail.mean())
+    wiggle = float(tail.max() - tail.min())
+    if wiggle > 0.01 * abs(final) + 1e-12 * max(1.0, float(np.abs(values).max())):
+        raise NotSettledError(
+            f"trailing samples still vary by {wiggle!r} around {final!r}; "
+            "extend the simulation window"
+        )
+
+    delay = _cross_time(times, values, 0.5 * final)
+    t10 = _cross_time(times, values, 0.1 * final)
+    t90 = _cross_time(times, values, 0.9 * final)
+
+    band = settling_band * abs(final)
+    outside = np.abs(values - final) > band
+    if outside.any():
+        i = int(np.nonzero(outside)[0][-1])
+        if i + 1 >= len(times):
+            raise NotSettledError("response still outside the settling band at t_end")
+        d0 = abs(values[i] - final) - band
+        d1 = abs(values[i + 1] - final) - band
+        frac = d0 / (d0 - d1) if d1 != d0 else 1.0
+        settling = float(times[i] + frac * (times[i + 1] - times[i]))
+    else:
+        settling = 0.0
+
+    peak = float(values.max())
+    overshoot = max(0.0, peak - final)
+    # a peak within the tail's own residual motion is noise, not overshoot
+    if overshoot <= wiggle:
+        overshoot = 0.0
+    overshoot_pct = 100.0 * overshoot / abs(final) if final != 0.0 else 0.0
+
+    return StepMetrics(
+        final_value=final,
+        delay_time=delay,
+        rise_time=t90 - t10,
+        settling_time=settling,
+        max_overshoot_pct=overshoot_pct,
+        steady_state_error=reference - final,
+    )

@@ -17,7 +17,6 @@ from .converter import (
     ConverterParams,
     ParameterError,
     StateSpaceModel,
-    ideal_conversion_ratio,
     load_params,
     mode_off_model,
     mode_on_model,
@@ -53,7 +52,6 @@ from .switched_sim import (
     cycle_average,
     pwm_equivalent_gains,
     regulation_report,
-    sawtooth,
     simulate_closed_loop,
     simulate_open_loop,
 )

@@ -114,12 +114,7 @@ def small_signal_model(
     on: StateSpaceModel, off: StateSpaceModel, op: OperatingPoint
 ) -> SmallSignalModel:
     """Jacobian of the averaged dynamics with respect to state and duty."""
-    d = op.duty
-    w = 1.0 - d
-    a = tuple(
-        tuple(d * x + w * y for x, y in zip(row_on, row_off))
-        for row_on, row_off in zip(on.a, off.a)
-    )
+    avg = averaged_model(on, off, op.duty)
     x0 = (op.il, op.vc)
     b_d = tuple(
         (row_on[0] - row_off[0]) * x0[0]
@@ -127,8 +122,7 @@ def small_signal_model(
         + (b_on - b_off) * op.vg
         for row_on, row_off, b_on, b_off in zip(on.a, off.a, on.b, off.b)
     )
-    c = tuple(d * x + w * y for x, y in zip(on.c, off.c))
-    return SmallSignalModel(a=a, b_d=b_d, c=c, operating_point=op)
+    return SmallSignalModel(a=avg.a, b_d=b_d, c=avg.c, operating_point=op)
 
 
 def duty_to_output_tf(ssm: SmallSignalModel) -> TransferFunction:

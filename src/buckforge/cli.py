@@ -16,9 +16,11 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .averaging import derive_plant, solve_duty
-from .converter import ConverterParams, ParameterError, load_params
+from .converter import ParameterError, load_params
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
     REFERENCE_CASE_STUDIES,
@@ -43,10 +45,6 @@ from .timedomain import NotSettledError, step_metrics, step_response
 DEFAULT_ANALYSIS_GAINS = PIGains(0.23, 1.0)
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _fmt4(x: float) -> str:
     return f"{x:.4g}"
 
@@ -67,11 +65,23 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+# rows turned into Python floats per block: converting whole columns at once
+# multiplies peak memory on long simulations
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str, header: str, *columns) -> None:
+    """One row per index across equal-length columns, each cell "%.17g".
+
+    Booleans print as 1 and 0.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = zip(*(col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in columns))
+            fh.write("".join(map(row.__mod__, block)))
 
 
 def _write_manifest(args, command: str, resolved: dict, outputs: list[str]) -> str:
@@ -87,10 +97,6 @@ def _write_manifest(args, command: str, resolved: dict, outputs: list[str]) -> s
     return path
 
 
-def _params_dict(p: ConverterParams) -> dict:
-    return dataclasses.asdict(p)
-
-
 def _decimate(xs, ys, max_points: int = 2000):
     step = max(1, len(xs) // max_points)
     return xs[::step], ys[::step]
@@ -101,7 +107,7 @@ def cmd_derive(args) -> int:
     derivation = derive_plant(p)
     op = derivation.operating_point
     doc = {
-        "converter_params": _params_dict(p),
+        "converter_params": dataclasses.asdict(p),
         "mode_on": dataclasses.asdict(derivation.mode_on),
         "mode_off": dataclasses.asdict(derivation.mode_off),
         "operating_point": dataclasses.asdict(op),
@@ -117,7 +123,7 @@ def cmd_derive(args) -> int:
     }
     out = os.path.join(args.out_dir, "derive.json")
     _write_json(out, doc)
-    _write_manifest(args, "derive", _params_dict(p), [out])
+    _write_manifest(args, "derive", dataclasses.asdict(p), [out])
     print(f"duty cycle D = {_fmt4(op.duty)}")
     print(f"equilibrium: il = {_fmt4(op.il)} A, vc = {_fmt4(op.vc)} V")
     print(
@@ -148,10 +154,9 @@ def cmd_bode(args) -> int:
     _write_csv(
         csv_path,
         "omega_rad_s,magnitude_db,phase_deg",
-        (
-            (_fmt17(pt.omega), _fmt17(pt.magnitude_db), _fmt17(pt.phase_deg))
-            for pt in points
-        ),
+        [pt.omega for pt in points],
+        [pt.magnitude_db for pt in points],
+        [pt.phase_deg for pt in points],
     )
     margins_path = os.path.join(args.out_dir, "margins.json")
     _write_json(margins_path, dataclasses.asdict(margins))
@@ -163,7 +168,7 @@ def cmd_bode(args) -> int:
             fh.write(bode_svg(points, margins, title))
         outputs.append(svg_path)
     resolved = {
-        "converter_params": _params_dict(p),
+        "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),
         "loop_config": dataclasses.asdict(cfg),
         "omega_min": args.omega_min,
@@ -207,7 +212,7 @@ def cmd_tune(args) -> int:
     out = os.path.join(args.out_dir, "tune.json")
     _write_json(out, doc)
     resolved = {
-        "converter_params": _params_dict(p),
+        "converter_params": dataclasses.asdict(p),
         "ki": args.ki,
         "target_pm": args.target_pm,
         "loop_config": dataclasses.asdict(cfg),
@@ -240,11 +245,7 @@ def cmd_step(args) -> int:
     traj = step_response(closed, args.t_end, args.samples)
 
     csv_path = os.path.join(args.out_dir, "step.csv")
-    _write_csv(
-        csv_path,
-        "time_s,output",
-        ((_fmt17(t), _fmt17(y)) for t, y in zip(traj.times, traj.values)),
-    )
+    _write_csv(csv_path, "time_s,output", traj.times, traj.values)
     outputs = [csv_path]
     metrics_path = os.path.join(args.out_dir, "step_metrics.json")
     code = 0
@@ -268,7 +269,7 @@ def cmd_step(args) -> int:
             fh.write(timeseries_svg(xs, ys, "time (s)", "output", label))
         outputs.append(svg_path)
     resolved = {
-        "converter_params": _params_dict(p),
+        "converter_params": dataclasses.asdict(p),
         "uncompensated": args.uncompensated,
         "kp": args.kp,
         "ki": args.ki,
@@ -319,12 +320,11 @@ def cmd_simulate(args) -> int:
     _write_csv(
         csv_path,
         "time_s,il_a,vc_v,duty,switch_state",
-        (
-            (_fmt17(t), _fmt17(il), _fmt17(vc), _fmt17(d), "1" if q else "0")
-            for t, il, vc, d, q in zip(
-                traj.times, traj.il, traj.vc, traj.duty_cmd, traj.switch_state
-            )
-        ),
+        traj.times,
+        traj.il,
+        traj.vc,
+        traj.duty_cmd,
+        traj.switch_state,
     )
     report_path = os.path.join(args.out_dir, "regulation.json")
     doc = dataclasses.asdict(report)
@@ -340,7 +340,7 @@ def cmd_simulate(args) -> int:
             fh.write(timeseries_svg(xs, ys, "time (s)", "vc (V)", f"vg={_fmt4(p.vg)} V"))
         outputs.append(svg_path)
     resolved = {
-        "converter_params": _params_dict(p),
+        "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),
         "sensor_gain": sensor,
         "t_end": args.t_end,

@@ -147,9 +147,3 @@ def mode_off_model(p: ConverterParams) -> StateSpaceModel:
     validate_physical(p)
     return StateSpaceModel(a=_shared_a(p), b=(0.0, 0.0), c=(0.0, 1.0))
 
-
-def ideal_conversion_ratio(d: float, vg: float) -> float:
-    """Lossless steady-state output voltage d*vg from volt-second balance."""
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"duty cycle must lie in [0, 1], got {d!r}")
-    return d * vg

@@ -278,7 +278,7 @@ def stability_margins(
         ph = phases[i] + _wrap_delta(
             phase_deg(evaluate(loop_tf, gain_crossover)) - phases[i]
         )
-        phase_margin = 180.0 + ph
+        phase_margin = 180.0 + float(ph)
 
     phase_crossover = None
     gain_margin = math.inf

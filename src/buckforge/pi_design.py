@@ -184,10 +184,6 @@ REFERENCE_CASE_STUDIES = {
 }
 
 
-def _margin_dict(report: MarginReport) -> dict:
-    return asdict(report)
-
-
 def _reference_comparison(g: PIGains, computed: MarginReport) -> dict | None:
     for (kp, ki), claim in REFERENCE_CASE_STUDIES.items():
         if math.isclose(g.kp, kp, rel_tol=1e-9) and math.isclose(g.ki, ki, rel_tol=1e-9):
@@ -233,12 +229,12 @@ def design_report(
     """
     selected = stability_margins(compensated_loop(plant, g, cfg, p))
     direct = stability_margins(compensated_loop(plant, g, LoopConfig(), p))
-    variants = {"plant_times_pi": _margin_dict(direct)}
+    variants = {"plant_times_pi": asdict(direct)}
     if p is not None:
         scaled = stability_margins(
             compensated_loop(plant, g, LoopConfig(True, True), p)
         )
-        variants["with_modulator_and_sensor_gains"] = _margin_dict(scaled)
+        variants["with_modulator_and_sensor_gains"] = asdict(scaled)
 
     closed = close_unity_loop(compensated_loop(plant, g, cfg, p))
     closed_poles = poles(closed)
@@ -256,7 +252,7 @@ def design_report(
     report = {
         "gains": {"kp": g.kp, "ki": g.ki},
         "loop_config": asdict(cfg),
-        "selected_loop_margins": _margin_dict(selected),
+        "selected_loop_margins": asdict(selected),
         "loop_variants": variants,
         "closed_loop": {
             "poles": [[z.real, z.imag] for z in closed_poles],

@@ -18,20 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .averaging import averaged_model
 from .converter import ConverterParams, validate_physical
 from .converter import mode_off_model, mode_on_model
 from .pi_design import PIGains
-
-
-def sawtooth(t: float, fs: float, vs: float) -> float:
-    """PWM ramp vs*frac(t*fs): 0 at each period start, rising to vs."""
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
-    x = t * fs
-    return vs * (x - math.floor(x))
+from .timedomain import zoh
 
 
 @dataclass(frozen=True)
@@ -92,22 +84,6 @@ class CycleAverages:
     duty: float
 
 
-def _zoh_pair(a, b_scaled, dt: float):
-    """Exact (Phi, Gamma) for dx/dt = a x + b_scaled over one step."""
-    aug = np.zeros((3, 3))
-    aug[0, 0] = a[0][0] * dt
-    aug[0, 1] = a[0][1] * dt
-    aug[1, 0] = a[1][0] * dt
-    aug[1, 1] = a[1][1] * dt
-    aug[0, 2] = b_scaled[0] * dt
-    aug[1, 2] = b_scaled[1] * dt
-    E = expm(aug)
-    return (
-        (float(E[0, 0]), float(E[0, 1]), float(E[1, 0]), float(E[1, 1])),
-        (float(E[0, 2]), float(E[1, 2])),
-    )
-
-
 def _periods(p: ConverterParams, cfg: SimConfig) -> int:
     n = int(round(cfg.t_end * p.fs))
     if n < 10:
@@ -136,7 +112,7 @@ def simulate_open_loop(
     on = mode_on_model(p)
     a = on.a
     b_on = (on.b[0] * p.vg, on.b[1] * p.vg)
-    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(a, b_on, dt)
+    ((f11, f12), (f21, f22)), (g1, g2) = zoh(a, b_on, dt)
     k_idle = math.exp(a[1][1] * dt)
 
     frac = d * spp - math.floor(d * spp)
@@ -150,8 +126,8 @@ def simulate_open_loop(
         n_on = spp
     has_partial = frac > 0.0
     if has_partial:
-        (p11, p12, p21, p22), (pg1, pg2) = _zoh_pair(a, b_on, frac * dt)
-        (q11, q12, q21, q22), _ = _zoh_pair(a, (0.0, 0.0), (1.0 - frac) * dt)
+        ((p11, p12), (p21, p22)), (pg1, pg2) = zoh(a, b_on, frac * dt)
+        ((q11, q12), (q21, q22)), _ = zoh(a, (0.0, 0.0), (1.0 - frac) * dt)
         k_idle_partial = math.exp(a[1][1] * (1.0 - frac) * dt)
     n_off_full = spp - n_on - (1 if has_partial else 0)
 
@@ -235,7 +211,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
 
     on = mode_on_model(p)
     a = on.a
-    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(a, (on.b[0] * p.vg, on.b[1] * p.vg), dt)
+    ((f11, f12), (f21, f22)), (g1, g2) = zoh(a, (on.b[0] * p.vg, on.b[1] * p.vg), dt)
     k_idle = math.exp(a[1][1] * dt)
 
     n_samples = n_periods * spp + 1
@@ -351,7 +327,7 @@ def compare_to_averaged(
     spp = cfg.steps_per_period
     dt = 1.0 / (p.fs * spp)
     b_scaled = (avg.b[0] * p.vg, avg.b[1] * p.vg)
-    (f11, f12, f21, f22), (g1, g2) = _zoh_pair(avg.a, b_scaled, dt)
+    ((f11, f12), (f21, f22)), (g1, g2) = zoh(avg.a, b_scaled, dt)
 
     n_samples = len(traj.times)
     a_il = np.empty(n_samples)

@@ -83,6 +83,22 @@ def _canonical_form(tf: TransferFunction):
     return A, B, C[0], d
 
 
+def zoh(a, b, dt: float) -> tuple[list[list[float]], list[float]]:
+    """Exact zero-order-hold pair (Phi, Gamma) for dx/dt = a x + b over dt.
+
+    Van Loan's augmented matrix: the exponential of [[a, b], [0, 0]] * dt
+    holds Phi = e^{a dt} in its leading block and Gamma = (integral of
+    e^{a s} over [0, dt]) b in its last column. Both come back as plain
+    floats so per-step loops stay out of numpy scalar overhead.
+    """
+    n = len(b)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = a
+    aug[:n, n] = b
+    E = expm(aug * dt)
+    return E[:n, :n].tolist(), E[:n, n].tolist()
+
+
 def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajectory:
     """Unit-step output on a uniform grid of `samples` points over [0, t_end].
 
@@ -107,48 +123,25 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
 
     unstable = any(p.real >= 0.0 for p in poles(tf))
     A, B, C, D = _canonical_form(tf)
-    dt = t_end / (samples - 1)
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = A * dt
-    aug[:n, n] = B * dt
-    E = expm(aug)
-    # plain-float copies keep the per-sample loop out of numpy scalar overhead
-    phi = E[:n, :n].tolist()
-    gamma = E[:n, n].tolist()
-    C = C.tolist()
+    phi, gamma = zoh(A, B, t_end / (samples - 1))
+    # orders 1 and 2 run in the third-order loop; their zero-padded states
+    # stay exactly 0 while the response is finite (0 * inf is nan)
+    pad = [0.0] * (3 - n)
+    phi = [row + pad for row in phi] + [[0.0] * 3 for _ in pad]
+    (f11, f12, f13), (f21, f22, f23), (f31, f32, f33) = phi
+    g1, g2, g3 = gamma + pad
+    c1, c2, c3 = C.tolist() + pad
     D = float(D)
 
     y = np.empty(samples)
-    if n == 1:
-        f, g = phi[0][0], gamma[0]
-        c0 = C[0]
-        x = 0.0
-        for k in range(samples):
-            y[k] = c0 * x + D
-            x = f * x + g
-    elif n == 2:
-        f11, f12 = phi[0]
-        f21, f22 = phi[1]
-        g1, g2 = gamma
-        c1, c2 = C
-        x1 = x2 = 0.0
-        for k in range(samples):
-            y[k] = c1 * x1 + c2 * x2 + D
-            x1, x2 = f11 * x1 + f12 * x2 + g1, f21 * x1 + f22 * x2 + g2
-    else:
-        f11, f12, f13 = phi[0]
-        f21, f22, f23 = phi[1]
-        f31, f32, f33 = phi[2]
-        g1, g2, g3 = gamma
-        c1, c2, c3 = C
-        x1 = x2 = x3 = 0.0
-        for k in range(samples):
-            y[k] = c1 * x1 + c2 * x2 + c3 * x3 + D
-            x1, x2, x3 = (
-                f11 * x1 + f12 * x2 + f13 * x3 + g1,
-                f21 * x1 + f22 * x2 + f23 * x3 + g2,
-                f31 * x1 + f32 * x2 + f33 * x3 + g3,
-            )
+    x1 = x2 = x3 = 0.0
+    for k in range(samples):
+        y[k] = c1 * x1 + c2 * x2 + c3 * x3 + D
+        x1, x2, x3 = (
+            f11 * x1 + f12 * x2 + f13 * x3 + g1,
+            f21 * x1 + f22 * x2 + f23 * x3 + g2,
+            f31 * x1 + f32 * x2 + f33 * x3 + g3,
+        )
     return Trajectory(times, y, unstable=unstable)
 
 

@@ -5,6 +5,7 @@ imports the package's own analysis paths, so these stay valid oracles for
 them.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -53,6 +54,23 @@ def sweep_margins(num, den, lo=1e-2, hi=1e7, points_per_decade=10_000):
         out["phase_crossover"] = math.sqrt(float(w[i]) * float(w[i + 1]))
         out["gain_margin_db"] = -20.0 * math.log10(float(mag[i]))
     return out
+
+
+def zoh_2x2_cayley_hamilton(a, b, dt):
+    """Exact ZOH pair of a 2x2 system from the Cayley-Hamilton closed form.
+
+    e^{A t} = e^{m t} [cosh(d t) I + sinh(d t)/d (A - m I)] with m the mean
+    eigenvalue and d^2 = m^2 - det(A); Gamma = A^-1 (Phi - I) b, which
+    loses about -log10(|A| dt) digits to cancellation, so keep |A| dt >~ 1.
+    """
+    a = np.asarray(a, dtype=float)
+    m = 0.5 * (a[0, 0] + a[1, 1])
+    d = cmath.sqrt(m * m - (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+    ch = cmath.cosh(d * dt).real
+    sh = (cmath.sinh(d * dt) / d).real if d != 0 else dt
+    phi = math.exp(m * dt) * (ch * np.eye(2) + sh * (a - m * np.eye(2)))
+    gamma = np.linalg.solve(a, (phi - np.eye(2)) @ np.asarray(b, dtype=float))
+    return phi, gamma
 
 
 def second_order_step(t, gain, wn, zeta):

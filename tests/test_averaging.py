@@ -142,6 +142,13 @@ def test_small_signal_linear_in_vg(modes):
     assert ssm.b_d == (60000.0, 0.0)
 
 
+def test_small_signal_rejects_duty_outside_unit_interval(modes):
+    on, off = modes
+    op = dataclasses.replace(equilibrium(on, off, 0.5, 30.0), duty=1.5)
+    with pytest.raises(ValueError, match="duty"):
+        small_signal_model(on, off, op)
+
+
 def test_duty_to_output_nominal(nominal_params):
     tf = derive_plant(nominal_params).plant
     assert len(tf.num) == 1

@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from buckforge import PIGains, compensated_loop, stability_margins
+from buckforge import PIGains, cli, compensated_loop, stability_margins
 from buckforge.cli import main
 
 
@@ -256,3 +257,17 @@ def test_help_exits_zero():
 
 def test_unknown_command_exits_2():
     assert run(["frobnicate"]) == 2
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # more rows than one block, with the float values that format specially
+    n = 2 * cli._CSV_BLOCK_ROWS + 3
+    ramp = np.arange(n) / 7.0
+    special = np.resize([-0.0, math.inf, -math.inf, math.nan, 0.1, 1e-310, -2.5e300], n)
+    flags = np.arange(n) % 3 == 0
+    path = tmp_path / "x.csv"
+    cli._write_csv(str(path), "a,b,c", ramp, special, flags)
+    expect = "a,b,c\n" + "".join(
+        f"{r:.17g},{x:.17g},{'1' if q else '0'}\n" for r, x, q in zip(ramp, special, flags)
+    )
+    assert path.read_bytes() == expect.encode()

@@ -6,7 +6,6 @@ import pytest
 
 from buckforge import (
     ParameterError,
-    ideal_conversion_ratio,
     load_params,
     mode_off_model,
     mode_on_model,
@@ -119,16 +118,6 @@ def test_mode_matrices_strictly_stable():
         assert trace < 0.0 and det > 0.0
         roots = np.roots([1.0, -trace, det])
         assert (roots.real < 0.0).all()
-
-
-def test_ideal_conversion_ratio():
-    assert ideal_conversion_ratio(0.5, 30.0) == 15.0
-    assert ideal_conversion_ratio(0.0, 17.0) == 0.0
-    assert ideal_conversion_ratio(1.0, 17.0) == 17.0
-    with pytest.raises(ValueError):
-        ideal_conversion_ratio(-0.01, 30.0)
-    with pytest.raises(ValueError):
-        ideal_conversion_ratio(1.01, 30.0)
 
 
 NOMINAL_DOC = {

@@ -122,6 +122,12 @@ def test_margins_integrator():
     assert report.phase_crossover_count == 0
 
 
+def test_margins_are_plain_floats(nominal_plant):
+    report = stability_margins(compensated_loop(nominal_plant, PIGains(0.23, 1.0)))
+    assert type(report.phase_margin_deg) is float
+    assert type(report.gain_crossover) is float
+
+
 @pytest.fixture
 def three_pole_loop():
     # 8e6 / ((s+10)(s+100)(s+1000)): phase heads to -270, so both

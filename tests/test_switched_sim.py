@@ -12,22 +12,10 @@ from buckforge import (
     cycle_average,
     pwm_equivalent_gains,
     regulation_report,
-    sawtooth,
     simulate_closed_loop,
     simulate_open_loop,
     solve_duty,
 )
-
-
-def test_sawtooth_shape():
-    # dyadic frequency so the wrap points are exact in binary floats
-    fs, vs = 64.0, 10.0
-    assert sawtooth(0.0, fs, vs) == 0.0
-    assert sawtooth(0.5 / fs, fs, vs) == 5.0
-    assert sawtooth(1.0 / fs, fs, vs) == 0.0
-    assert sawtooth(3.25 / fs, fs, vs) == 2.5
-    with pytest.raises(ValueError):
-        sawtooth(-1e-9, fs, vs)
 
 
 def test_sim_config_validation(nominal_params):

@@ -8,19 +8,42 @@ from buckforge import (
     Trajectory,
     TransferFunction,
     close_unity_loop,
+    mode_on_model,
     step_metrics,
     step_response,
 )
 from buckforge.lti import dc_gain
+from buckforge.timedomain import zoh
 
 from oracles import (
     refined_peak_time,
     second_order_overshoot_pct,
     second_order_peak_time,
     second_order_step,
+    zoh_2x2_cayley_hamilton,
 )
 
 FIRST_ORDER = TransferFunction((1.0,), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("a", [-800.0, -3.5, 2.0])
+@pytest.mark.parametrize("dt", [1.0 / 12e6, 1e-3, 0.25])
+def test_zoh_scalar_closed_form(a, dt):
+    b = 7.0
+    phi, gamma = zoh([[a]], [b], dt)
+    assert phi[0][0] == pytest.approx(math.exp(a * dt), rel=1e-14)
+    assert gamma[0] == pytest.approx(b * math.expm1(a * dt) / a, rel=1e-14)
+    assert type(phi[0][0]) is float and type(gamma[0]) is float
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4e-3, 1e-2])
+def test_zoh_nominal_2x2_against_cayley_hamilton(nominal_params, dt):
+    on = mode_on_model(nominal_params)
+    b = (on.b[0] * nominal_params.vg, on.b[1] * nominal_params.vg)
+    phi, gamma = zoh(on.a, b, dt)
+    phi_ch, gamma_ch = zoh_2x2_cayley_hamilton(on.a, b, dt)
+    np.testing.assert_allclose(phi, phi_ch, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(gamma, gamma_ch, rtol=1e-13, atol=0.0)
 
 
 def test_first_order_matches_analytic():

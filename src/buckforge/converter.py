@@ -10,6 +10,7 @@ vector differs. Switches are ideal and conduction is continuous.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 
@@ -57,12 +58,16 @@ PARAM_FIELDS = tuple(f.name for f in fields(ConverterParams))
 
 
 def validate_physical(raw: ConverterParams) -> ConverterParams:
-    """Check circuit-level constraints only (positivity of elements).
+    """Check circuit-level constraints only (finite values, positive elements).
 
     Simulation accepts any physically buildable source, including one that
     sags below the regulation target; the design-time step-down constraint
     is enforced separately by validate_params.
     """
+    for name in PARAM_FIELDS:
+        value = getattr(raw, name)
+        if not math.isfinite(value):
+            raise ParameterError(name, f"{name} must be finite, got {value!r}")
     positive = ("vg", "r_load", "l", "c", "fs", "vs")
     for name in positive:
         value = getattr(raw, name)

@@ -50,8 +50,8 @@ class SimConfig:
             raise ValueError(
                 f"steps_per_period must be at least 20, got {self.steps_per_period!r}"
             )
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
 
 
 @dataclass(frozen=True)
@@ -226,74 +226,95 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     integ = float(cfg.integrator_init)
     half_ki_dt = 0.5 * ki * dt
     saw_step = vs / spp
+    thresholds = [saw_step * k for k in range(spp)]
+    # one period of samples is buffered in lists and stored with three slice
+    # assignments; whole-run lists would cost ~67 MB each at 2.1M samples
+    buf_il = [0.0] * spp
+    buf_vc = [0.0] * spp
+    buf_q = [False] * spp
     dcm = False
-    i = 1
-    for per in range(n_periods):
+    e = vref - H * vc
+    for lo in range(0, n_samples - 1, spp):
         on_count = 0
-        for k in range(spp):
-            e = vref - H * vc
+        for k, thr in enumerate(thresholds):
             u = kp * e + integ
             if u > lim_hi:
-                u_sat = lim_hi
+                q = lim_hi > thr
                 sat = 1
             elif u < lim_lo:
-                u_sat = lim_lo
+                q = lim_lo > thr
                 sat = -1
             else:
-                u_sat = u
+                q = u > thr
                 sat = 0
-            q = u_sat > saw_step * k
             if q:
                 on_count += 1
                 il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
-                out_q[i - 1] = True
-            else:
-                if il == 0.0:
-                    nil = f12 * vc
-                    if nil <= 0.0:
-                        vc = k_idle * vc
-                        dcm = True
-                    else:
-                        vc = f22 * vc
-                        il = nil
+            elif il == 0.0:
+                nil = f12 * vc
+                if nil <= 0.0:
+                    vc = k_idle * vc
+                    dcm = True
                 else:
-                    nil = f11 * il + f12 * vc
-                    nvc = f21 * il + f22 * vc
-                    if nil < 0.0:
-                        nil = 0.0
-                        dcm = True
-                    il, vc = nil, nvc
-            s = e + (vref - H * vc)
-            if not ((sat == 1 and s > 0.0) or (sat == -1 and s < 0.0)):
+                    vc = f22 * vc
+                    il = nil
+            else:
+                nil = f11 * il + f12 * vc
+                vc = f21 * il + f22 * vc
+                if nil < 0.0:
+                    nil = 0.0
+                    dcm = True
+                il = nil
+            # the sensed error after this substep is the next substep's error
+            e_next = vref - H * vc
+            s = e + e_next
+            if not sat or not (s > 0.0 if sat == 1 else s < 0.0):
                 integ += half_ki_dt * s
-            out_il[i] = il
-            out_vc[i] = vc
-            i += 1
-        out_duty[per * spp : (per + 1) * spp] = on_count / spp
+            e = e_next
+            buf_il[k] = il
+            buf_vc[k] = vc
+            buf_q[k] = q
+        hi = lo + spp
+        out_il[lo + 1 : hi + 1] = buf_il
+        out_vc[lo + 1 : hi + 1] = buf_vc
+        out_q[lo:hi] = buf_q
+        out_duty[lo:hi] = on_count / spp
     out_duty[n_samples - 1] = out_duty[n_samples - 2]
     if n_samples > 1:
         out_q[n_samples - 1] = out_q[n_samples - 2]
     return SwitchedTrajectory(out_t, out_il, out_vc, out_duty, out_q, dcm)
 
 
-def cycle_average(traj: SwitchedTrajectory, fs: float) -> list[CycleAverages]:
-    """Trapezoidal per-period means; a trailing partial period is dropped."""
+def _cycle_means(
+    traj: SwitchedTrajectory, fs: float
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Substeps per period and the per-period il mean, vc mean and duty.
+
+    Means are trapezoidal over each full period; a trailing partial period
+    is dropped. Each row sum takes the same pairwise order as summing that
+    period's 1-D slice, so the means match a per-period loop bit for bit.
+    """
     dt = float(traj.times[1] - traj.times[0])
     spp = int(round(1.0 / (fs * dt)))
     n = (len(traj.times) - 1) // spp
     if n < 1:
         raise ValueError("trajectory spans less than one full switching period")
-    out = []
-    il, vc = traj.il, traj.vc
-    for per in range(n):
-        lo = per * spp
-        hi = lo + spp
-        il_mean = (il[lo:hi].sum() - 0.5 * il[lo] + 0.5 * il[hi]) / spp
-        vc_mean = (vc[lo:hi].sum() - 0.5 * vc[lo] + 0.5 * vc[hi]) / spp
-        out.append(
-            CycleAverages(per, float(il_mean), float(vc_mean), float(traj.duty_cmd[lo]))
-        )
-    return out
+    end = n * spp
+
+    def means(x: np.ndarray) -> np.ndarray:
+        rows = x[:end].reshape(n, spp).sum(axis=1)
+        return (rows - 0.5 * x[:end:spp] + 0.5 * x[spp : end + 1 : spp]) / spp
+
+    return spp, means(traj.il), means(traj.vc), traj.duty_cmd[:end:spp]
+
+
+def cycle_average(traj: SwitchedTrajectory, fs: float) -> list[CycleAverages]:
+    """Trapezoidal per-period means; a trailing partial period is dropped."""
+    _, il, vc, duty = _cycle_means(traj, fs)
+    return [
+        CycleAverages(per, *vals)
+        for per, vals in enumerate(zip(il.tolist(), vc.tolist(), duty.tolist()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -393,18 +414,17 @@ def regulation_report(
     comparator quantizes each period's duty to 1/steps_per_period and the
     integrator dithers between adjacent levels at steady state.
     """
-    cycles = cycle_average(traj, p.fs)
-    last = cycles[-1]
-    trailing = cycles[-min(10, len(cycles)):]
-    duty_final = sum(cyc.duty for cyc in trailing) / len(trailing)
-    spp = int(round(1.0 / (p.fs * float(traj.times[1] - traj.times[0]))))
-    lo = last.period_index * spp
+    spp, il, vc, duty = _cycle_means(traj, p.fs)
+    trailing = duty[-10:].tolist()
+    duty_final = sum(trailing) / len(trailing)
+    final_vc_mean = float(vc[-1])
+    lo = (len(vc) - 1) * spp
     hi = lo + spp + 1
-    deviation = abs(last.vc_avg - p.vo_target) / p.vo_target * 100.0
+    deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
     return RegulationReport(
         target_v=p.vo_target,
-        final_vc_mean=last.vc_avg,
-        final_il_mean=last.il_avg,
+        final_vc_mean=final_vc_mean,
+        final_il_mean=float(il[-1]),
         vc_ripple_pkpk=float(traj.vc[lo:hi].max() - traj.vc[lo:hi].min()),
         duty_final=duty_final,
         deviation_pct=deviation,

@@ -104,3 +104,103 @@ def refined_peak_time(times, values):
     shift = 0.5 * (y0 - y2) / denom
     dt = times[1] - times[0]
     return float(times[i] + shift * dt)
+
+
+def closed_loop_reference(p, cfg, zoh):
+    """Substep-by-substep closed-loop PWM run, written as plainly as possible.
+
+    This is the package's earlier per-sample loop, kept as the reference for
+    ``simulate_closed_loop``: the two must agree bit for bit. ``p`` and
+    ``cfg`` are a ConverterParams and a SimConfig (read by attribute only);
+    ``zoh(a, b, dt)`` is the exact ZOH map under test elsewhere. Returns
+    (times, il, vc, duty, switch_state, dcm_encountered).
+    """
+    kp, ki = cfg.gains.kp, cfg.gains.ki
+    H = cfg.sensor_gain if cfg.sensor_gain is not None else p.vref / p.vo_target
+    lim_lo, lim_hi = cfg.integrator_limit if cfg.integrator_limit else (0.0, p.vs)
+    spp = cfg.steps_per_period
+    n_periods = int(round(cfg.t_end * p.fs))
+    dt = 1.0 / (p.fs * spp)
+    vref, vs = p.vref, p.vs
+
+    a = ((-p.r_l / p.l, -1.0 / p.l), (1.0 / p.c, -1.0 / (p.r_load * p.c)))
+    ((f11, f12), (f21, f22)), (g1, g2) = zoh(a, (1.0 / p.l * p.vg, 0.0 * p.vg), dt)
+    k_idle = math.exp(a[1][1] * dt)
+
+    n_samples = n_periods * spp + 1
+    out_t = np.arange(n_samples) * dt
+    out_il = np.empty(n_samples)
+    out_vc = np.empty(n_samples)
+    out_duty = np.empty(n_samples)
+    out_q = np.zeros(n_samples, dtype=bool)
+    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
+    out_il[0] = il
+    out_vc[0] = vc
+    integ = float(cfg.integrator_init)
+    half_ki_dt = 0.5 * ki * dt
+    saw_step = vs / spp
+    dcm = False
+    i = 1
+    for per in range(n_periods):
+        on_count = 0
+        for k in range(spp):
+            e = vref - H * vc
+            u = kp * e + integ
+            if u > lim_hi:
+                u_sat = lim_hi
+                sat = 1
+            elif u < lim_lo:
+                u_sat = lim_lo
+                sat = -1
+            else:
+                u_sat = u
+                sat = 0
+            q = u_sat > saw_step * k
+            if q:
+                on_count += 1
+                il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+                out_q[i - 1] = True
+            else:
+                if il == 0.0:
+                    nil = f12 * vc
+                    if nil <= 0.0:
+                        vc = k_idle * vc
+                        dcm = True
+                    else:
+                        vc = f22 * vc
+                        il = nil
+                else:
+                    nil = f11 * il + f12 * vc
+                    nvc = f21 * il + f22 * vc
+                    if nil < 0.0:
+                        nil = 0.0
+                        dcm = True
+                    il, vc = nil, nvc
+            s = e + (vref - H * vc)
+            if not ((sat == 1 and s > 0.0) or (sat == -1 and s < 0.0)):
+                integ += half_ki_dt * s
+            out_il[i] = il
+            out_vc[i] = vc
+            i += 1
+        out_duty[per * spp : (per + 1) * spp] = on_count / spp
+    out_duty[n_samples - 1] = out_duty[n_samples - 2]
+    if n_samples > 1:
+        out_q[n_samples - 1] = out_q[n_samples - 2]
+    return out_t, out_il, out_vc, out_duty, out_q, dcm
+
+
+def cycle_means_reference(il, vc, duty, spp):
+    """Per-period trapezoidal means, one 1-D slice sum per period.
+
+    Returns a list of (il_mean, vc_mean, duty) tuples of plain floats; a
+    trailing partial period is dropped.
+    """
+    n = (len(il) - 1) // spp
+    out = []
+    for per in range(n):
+        lo = per * spp
+        hi = lo + spp
+        il_mean = (il[lo:hi].sum() - 0.5 * il[lo] + 0.5 * il[hi]) / spp
+        vc_mean = (vc[lo:hi].sum() - 0.5 * vc[lo] + 0.5 * vc[hi]) / spp
+        out.append((float(il_mean), float(vc_mean), float(duty[lo])))
+    return out

@@ -251,6 +251,29 @@ def test_simulate_requires_gain_pair(nominal_config_path, tmp_path, capsys):
     assert "--kp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_simulate_non_finite_t_end_is_exit_2(nominal_config_path, tmp_path, capsys, t_end):
+    assert run([
+        "simulate", "--config", nominal_config_path,
+        "--out-dir", str(tmp_path / "out"), "--t-end", t_end,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "t_end must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_non_finite_config_is_exit_2(nominal_config_path, tmp_path, capsys):
+    doc = read_json(nominal_config_path)
+    doc["l"] = math.inf
+    config = tmp_path / "inf_l.json"
+    config.write_text(json.dumps(doc))  # json writes the value as Infinity
+    assert run([
+        "simulate", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+        "--t-end", "0.01",
+    ]) == 2
+    assert "l must be finite" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
 

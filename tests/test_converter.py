@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from buckforge import (
+    ConverterParams,
     ParameterError,
     load_params,
     mode_off_model,
@@ -38,6 +40,16 @@ def test_rejections_name_the_field(nominal_params, field, value):
         validate_params(bad)
     assert exc.value.field == field
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ConverterParams)])
+def test_non_finite_field_rejected(nominal_params, field, value):
+    bad = dataclasses.replace(nominal_params, **{field: value})
+    with pytest.raises(ParameterError) as exc:
+        validate_params(bad)
+    assert exc.value.field == field
+    assert f"{field} must be finite" in str(exc.value)
 
 
 def test_step_up_target_rejected(nominal_params):

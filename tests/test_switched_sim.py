@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from buckforge import (
     PIGains,
@@ -16,6 +19,8 @@ from buckforge import (
     simulate_open_loop,
     solve_duty,
 )
+from buckforge.timedomain import zoh
+from oracles import closed_loop_reference, cycle_means_reference
 
 
 def test_sim_config_validation(nominal_params):
@@ -23,6 +28,9 @@ def test_sim_config_validation(nominal_params):
         SimConfig(t_end=0.01, steps_per_period=19)
     with pytest.raises(ValueError):
         SimConfig(t_end=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            SimConfig(t_end=bad)
     # fewer than 10 periods
     with pytest.raises(ValueError):
         simulate_open_loop(nominal_params, 0.5, SimConfig(t_end=1e-4))
@@ -297,3 +305,141 @@ def test_trajectory_arrays_read_only(nominal_params):
     traj = simulate_open_loop(nominal_params, 0.5, SimConfig(t_end=0.001))
     with pytest.raises(ValueError):
         traj.vc[0] = 99.0
+
+
+def _assert_same_run(traj, ref):
+    names = ("times", "il", "vc", "duty_cmd", "switch_state")
+    for name, want in zip(names, ref[:5]):
+        got = getattr(traj, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert traj.dcm_encountered is ref[5]
+
+
+def _default_gains(p, **kw):
+    return SimConfig(gains=pwm_equivalent_gains(PIGains(0.23, 1.0), p), **kw)
+
+
+def _from_operating_point(p, **kw):
+    op = solve_duty(p)
+    return _default_gains(
+        p, initial_state=(op.il, op.vc), integrator_init=op.duty * p.vs, **kw
+    )
+
+
+KERNEL_CASES = {
+    # 30 V operating point stepped to 500 V: the diode clamp engages
+    "dcm_vg500_spp50": lambda p: (
+        dataclasses.replace(p, vg=500.0),
+        _from_operating_point(p, t_end=0.005, steps_per_period=50),
+    ),
+    # a stiff loop inside a tight window on a fast (small-C) filter, started
+    # above the target, bangs between both limits
+    "saturation_both_limits": lambda p: (
+        dataclasses.replace(p, c=30e-6),
+        SimConfig(
+            t_end=0.005, gains=PIGains(500.0, 2000.0), steps_per_period=40,
+            initial_state=(0.0, 20.0), integrator_limit=(1.0, 6.0),
+        ),
+    ),
+    "integrator_init": lambda p: (p, _from_operating_point(p, t_end=0.003)),
+    "sensor_gain": lambda p: (
+        p, _default_gains(p, t_end=0.003, sensor_gain=0.1, integrator_init=3.0)
+    ),
+    "zero_state_spp20": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=20)),
+    "zero_state_spp37": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=37)),
+    "zero_state_spp200": lambda p: (p, _default_gains(p, t_end=0.003)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_closed_loop_matches_reference_loop(nominal_params, case):
+    p, cfg = KERNEL_CASES[case](nominal_params)
+    traj = simulate_closed_loop(p, cfg)
+    _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
+    if case == "dcm_vg500_spp50":
+        assert traj.dcm_encountered
+    if case == "saturation_both_limits":
+        # ON substeps per period when the control voltage sits at each limit
+        saw_step = p.vs / cfg.steps_per_period
+        at_hi = sum(6.0 > saw_step * k for k in range(cfg.steps_per_period))
+        at_lo = sum(1.0 > saw_step * k for k in range(cfg.steps_per_period))
+        duties = set((traj.duty_cmd * cfg.steps_per_period).round().astype(int).tolist())
+        assert {at_hi, at_lo} <= duties
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    vg=st.floats(16.0, 500.0),
+    r_load=st.floats(1.0, 100.0),
+    kp=st.floats(0.01, 200.0),
+    ki=st.floats(0.0, 5000.0),
+    spp=st.integers(20, 64),
+    integrator_init=st.floats(-5.0, 15.0),
+)
+def test_closed_loop_matches_reference_property(
+    nominal_params, vg, r_load, kp, ki, spp, integrator_init
+):
+    p = dataclasses.replace(nominal_params, vg=vg, r_load=r_load)
+    cfg = SimConfig(
+        t_end=12.0 / p.fs, gains=PIGains(kp, ki), steps_per_period=spp,
+        initial_state=(0.5, 10.0), integrator_init=integrator_init,
+    )
+    _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
+
+
+def _random_trajectory(spp, n_samples, fs, seed):
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / (fs * spp)
+    return SwitchedTrajectory(
+        times=np.arange(n_samples) * dt,
+        il=2.0 + rng.standard_normal(n_samples),
+        vc=15.0 + 0.1 * rng.standard_normal(n_samples),
+        duty_cmd=rng.random(n_samples),
+        switch_state=np.zeros(n_samples, dtype=bool),
+    )
+
+
+def _bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+# (steps per period, full periods, extra samples past the last full period);
+# 8 and 128 sit on numpy's pairwise-summation block edges
+CYCLE_CASES = [
+    (40, 1, 0),
+    (129, 5, 0),
+    (128, 7, 60),
+    (4, 300, 2),
+    (8, 3, 0),
+    (129, 130, 17),
+    (200, 12, 0),
+]
+
+
+@pytest.mark.parametrize("spp,periods,extra", CYCLE_CASES)
+def test_cycle_means_match_per_period_loop(nominal_params, spp, periods, extra):
+    p = nominal_params
+    traj = _random_trajectory(spp, periods * spp + 1 + extra, p.fs, seed=spp + periods)
+    ref = cycle_means_reference(traj.il, traj.vc, traj.duty_cmd, spp)
+    cycles = cycle_average(traj, p.fs)
+    assert len(cycles) == periods == len(ref)
+    for per, (cyc, want) in enumerate(zip(cycles, ref)):
+        assert cyc.period_index == per
+        assert _bits(cyc.il_avg, cyc.vc_avg, cyc.duty) == _bits(*want)
+
+    report = regulation_report(traj, p)
+    trailing = ref[-min(10, len(ref)):]
+    lo = (len(ref) - 1) * spp
+    last_vc = traj.vc[lo : lo + spp + 1]
+    assert _bits(
+        report.final_il_mean, report.final_vc_mean, report.vc_ripple_pkpk,
+        report.duty_final, report.deviation_pct,
+    ) == _bits(
+        ref[-1][0], ref[-1][1], float(last_vc.max() - last_vc.min()),
+        sum(t[2] for t in trailing) / len(trailing),
+        abs(ref[-1][1] - p.vo_target) / p.vo_target * 100.0,
+    )

@@ -84,13 +84,16 @@ def _write_csv(path: str, header: str, *columns) -> None:
             fh.write("".join(map(row.__mod__, block)))
 
 
-def _write_manifest(args, command: str, resolved: dict, outputs: list[str]) -> str:
+def _write_manifest(
+    args, command: str, resolved: dict, outputs: list[str], extra: dict | None = None
+) -> str:
     manifest = {
         "command": command,
         "params_source": args.config,
         "resolved_config": resolved,
         "outputs": outputs,
         "tool_version": __version__,
+        **(extra or {}),
     }
     path = os.path.join(args.out_dir, f"{command}_manifest.json")
     _write_json(path, manifest)
@@ -189,7 +192,19 @@ def cmd_tune(args) -> int:
     p = load_params(args.config)
     cfg = _loop_config(args)
     plant = derive_plant(p).plant
-    result = tune_kp_for_pm(plant, args.ki, args.target_pm, cfg, p)
+    resolved = {
+        "converter_params": dataclasses.asdict(p),
+        "ki": args.ki,
+        "target_pm": args.target_pm,
+        "loop_config": dataclasses.asdict(cfg),
+    }
+    try:
+        result = tune_kp_for_pm(plant, args.ki, args.target_pm, cfg, p)
+    except TuningError as exc:
+        # the failed search still explains itself in the manifest
+        trace = {"tuning_trace": dataclasses.asdict(exc.trace)} if exc.trace else None
+        _write_manifest(args, "tune", resolved, [], trace)
+        raise
     report = design_report(plant, result.gains, cfg, p)
     doc = {
         "target_phase_margin_deg": args.target_pm,
@@ -211,13 +226,9 @@ def cmd_tune(args) -> int:
             }
     out = os.path.join(args.out_dir, "tune.json")
     _write_json(out, doc)
-    resolved = {
-        "converter_params": dataclasses.asdict(p),
-        "ki": args.ki,
-        "target_pm": args.target_pm,
-        "loop_config": dataclasses.asdict(cfg),
-    }
-    _write_manifest(args, "tune", resolved, [out])
+    _write_manifest(
+        args, "tune", resolved, [out], {"tuning_trace": dataclasses.asdict(result.trace)}
+    )
     print(
         f"kp = {_fmt4(result.gains.kp)} reaches "
         f"{_fmt4(result.margins.phase_margin_deg)} deg phase margin "

@@ -77,22 +77,20 @@ class MarginReport:
     phase_crossover_count: int = 0
 
 
-def _polyval(coeffs: tuple[float, ...], s: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * s + c
-    return acc
-
-
 def evaluate(tf: TransferFunction, omega: float) -> complex:
     """Frequency response num(j*omega)/den(j*omega) by Horner evaluation."""
     if omega < 0.0:
         raise ValueError(f"omega must be non-negative, got {omega!r}")
     s = 1j * omega
-    d = _polyval(tf.den, s)
+    d = 0j
+    for c in tf.den:
+        d = d * s + c
     if d == 0:
         raise PoleOnAxisError(f"pole on the imaginary axis at omega={omega!r} rad/s")
-    return _polyval(tf.num, s) / d
+    n = 0j
+    for c in tf.num:
+        n = n * s + c
+    return n / d
 
 
 def magnitude_db(z: complex) -> float:
@@ -243,6 +241,59 @@ def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
     return hits
 
 
+def margin_grid(
+    omega_min: float = MARGIN_OMEGA_MIN,
+    omega_max: float = MARGIN_OMEGA_MAX,
+    points_per_decade: int = MARGIN_POINTS_PER_DECADE,
+) -> np.ndarray:
+    """The log-spaced frequencies (rad/s) the margin scan samples."""
+    decades = math.log10(omega_max / omega_min)
+    n = max(2, int(round(decades * points_per_decade)) + 1)
+    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+
+
+def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
+    """Anchored unwrapped phase (degrees) of `resp` at index i.
+
+    np.unwrap is elementwise work plus a sequential running sum, so the
+    unwrap of resp[:i+1] ends in element i of the full unwrap, bit for bit.
+    """
+    angles = np.unwrap(np.angle(resp[: i + 1]))
+    first = np.degrees(angles[0])
+    shift = _anchor(first, _low_frequency_phase_asymptote(tf)) - first
+    return float(np.degrees(angles[i]) + shift)
+
+
+def _crossover_and_phase_margin(
+    tf: TransferFunction, omegas: np.ndarray, resp: np.ndarray, hit: tuple[bool, int]
+) -> tuple[float, float]:
+    """Gain crossover and phase margin from the lowest grid crossing `hit`."""
+    exact, i = hit
+    if exact:
+        crossover = float(omegas[i])
+    else:
+        crossover = _refine_gain_crossover(tf, float(omegas[i]), float(omegas[i + 1]))
+    ph_i = _unwrapped_phase_at(tf, resp, i)
+    ph = ph_i + _wrap_delta(phase_deg(evaluate(tf, crossover)) - ph_i)
+    return crossover, 180.0 + ph
+
+
+def phase_margin(
+    loop_tf: TransferFunction, omegas: np.ndarray, resp: np.ndarray
+) -> float | None:
+    """Phase margin (deg) of `loop_tf` from its response `resp` on the grid
+    `omegas`, with no phase-crossover or gain-margin work.
+
+    On `omegas = margin_grid(...)` this equals the `phase_margin_deg` of
+    `stability_margins(loop_tf, ...)` on the same window. Returns None when
+    |L| never crosses 1 on the grid.
+    """
+    gain_hits = _find_crossings(np.abs(resp) - 1.0)
+    if not gain_hits:
+        return None
+    return _crossover_and_phase_margin(loop_tf, omegas, resp, gain_hits[0])[1]
+
+
 def stability_margins(
     loop_tf: TransferFunction,
     omega_min: float = MARGIN_OMEGA_MIN,
@@ -254,10 +305,9 @@ def stability_margins(
     With multiple crossings the lowest-frequency one of each kind is
     reported and the totals are recorded in the count fields.
     """
-    decades = math.log10(omega_max / omega_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
-    omegas = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-    resp = np.polyval(loop_tf.num, 1j * omegas) / np.polyval(loop_tf.den, 1j * omegas)
+    omegas = margin_grid(omega_min, omega_max, points_per_decade)
+    s = 1j * omegas
+    resp = np.polyval(loop_tf.num, s) / np.polyval(loop_tf.den, s)
     mags = np.abs(resp)
     phases = np.degrees(np.unwrap(np.angle(resp)))
     phases += _anchor(phases[0], _low_frequency_phase_asymptote(loop_tf)) - phases[0]
@@ -266,19 +316,11 @@ def stability_margins(
     phase_hits = _find_crossings(phases + 180.0)
 
     gain_crossover = None
-    phase_margin = None
+    pm = None
     if gain_hits:
-        exact, i = gain_hits[0]
-        if exact:
-            gain_crossover = float(omegas[i])
-        else:
-            gain_crossover = _refine_gain_crossover(
-                loop_tf, float(omegas[i]), float(omegas[i + 1])
-            )
-        ph = phases[i] + _wrap_delta(
-            phase_deg(evaluate(loop_tf, gain_crossover)) - phases[i]
+        gain_crossover, pm = _crossover_and_phase_margin(
+            loop_tf, omegas, resp, gain_hits[0]
         )
-        phase_margin = 180.0 + float(ph)
 
     phase_crossover = None
     gain_margin = math.inf
@@ -292,13 +334,13 @@ def stability_margins(
             )
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))
 
-    pm_ok = phase_margin > 0.0 if phase_margin is not None else True
+    pm_ok = pm > 0.0 if pm is not None else True
     gm_ok = gain_margin > 0.0
     return MarginReport(
         gain_crossover=gain_crossover,
         phase_crossover=phase_crossover,
         gain_margin_db=gain_margin,
-        phase_margin_deg=phase_margin,
+        phase_margin_deg=pm,
         stable_loop=pm_ok and gm_ok,
         gain_crossover_count=len(gain_hits),
         phase_crossover_count=len(phase_hits),

@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .converter import ConverterParams
 from .lti import (
     MarginReport,
     TransferFunction,
     close_unity_loop,
     dc_gain,
+    margin_grid,
+    phase_margin,
     poles,
     series,
     stability_margins,
@@ -26,17 +30,28 @@ from .timedomain import NotSettledError, step_metrics, step_response
 
 
 class TuningError(RuntimeError):
-    """The requested phase margin cannot be met inside the kp bracket."""
+    """The requested phase margin cannot be met inside the kp bracket.
+
+    `trace` holds the search that failed (a TuningTrace), when there is one.
+    """
+
+    def __init__(self, message: str, trace: "TuningTrace | None" = None):
+        super().__init__(message)
+        self.trace = trace
 
 
 @dataclass(frozen=True)
 class PIGains:
-    """Proportional and integral gains; both non-negative, not both zero."""
+    """Proportional and integral gains; finite, non-negative, not both zero."""
 
     kp: float
     ki: float
 
     def __post_init__(self):
+        for name in ("kp", "ki"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kp < 0.0 or self.ki < 0.0:
             raise ValueError(f"gains must be non-negative, got ({self.kp}, {self.ki})")
         if self.kp == 0.0 and self.ki == 0.0:
@@ -84,9 +99,29 @@ def compensated_loop(
 
 
 @dataclass(frozen=True)
+class TuningTrace:
+    """How `tune_kp_for_pm` reached its answer.
+
+    `pm_grid[i]` is the phase margin at `kp_grid[i]` (None: |L| never
+    reaches 1). `bracket` is the grid interval the bisection started from,
+    None on an exact grid hit or when no interval brackets the target.
+    `bisection` lists each midpoint as (kp, phase margin). `pm_evals`
+    counts phase-margin evaluations; the final full margin report of the
+    chosen kp is not one of them.
+    """
+
+    kp_grid: tuple[float, ...]
+    pm_grid: tuple[float | None, ...]
+    bracket: tuple[float, float] | None
+    bisection: tuple[tuple[float, float | None], ...]
+    pm_evals: int
+
+
+@dataclass(frozen=True)
 class TuningResult:
     gains: PIGains
     margins: MarginReport
+    trace: TuningTrace | None = None
 
 
 KP_BRACKET = (1e-6, 1e3)
@@ -106,31 +141,44 @@ def tune_kp_for_pm(
     Scans a log grid over the kp bracket for a sign change of
     PM(kp) - target, preferring the change at the largest satisfying kp,
     then bisects to `tolerance_deg`. Raises TuningError with the observed
-    margin range when no bracket exists.
+    margin range when no bracket exists. The result and the error carry a
+    TuningTrace of the search.
     """
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
-    if ki <= 0.0:
-        raise ValueError(f"ki must be positive for PI tuning, got {ki!r}")
+    if not (0.0 < ki < math.inf):
+        raise ValueError(f"ki must be positive and finite for PI tuning, got {ki!r}")
 
-    def pm_of(kp: float) -> float:
-        report = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
-        if report.phase_margin_deg is None:
-            # no gain crossover: the loop never reaches unit magnitude
-            return math.inf
-        return report.phase_margin_deg
+    # kp scales only the numerator, so every loop shares one den(j*omega)
+    omegas = margin_grid()
+    s = 1j * omegas
+    den_resp = np.polyval(compensated_loop(plant, PIGains(1.0, ki), cfg, p).den, s)
+
+    def pm_of(kp: float) -> float | None:
+        loop = compensated_loop(plant, PIGains(kp, ki), cfg, p)
+        return phase_margin(loop, omegas, np.polyval(loop.num, s) / den_resp)
+
+    def excess(pm: float | None) -> float:
+        # no gain crossover: the loop never reaches unit magnitude
+        return math.inf if pm is None else pm - target_pm
 
     lo, hi = KP_BRACKET
     n = int(round(math.log10(hi / lo) * KP_GRID_PER_DECADE)) + 1
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    f = [pm_of(k) - target_pm for k in grid]
+    pms = [pm_of(k) for k in grid]
+    f = [excess(pm) for pm in pms]
+    steps: list[tuple[float, float | None]] = []
+
+    def trace(bracket: tuple[float, float] | None) -> TuningTrace:
+        return TuningTrace(tuple(grid), tuple(pms), bracket, tuple(steps), n + len(steps))
+
+    def result(kp: float, bracket: tuple[float, float] | None) -> TuningResult:
+        margins = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        return TuningResult(PIGains(kp, ki), margins, trace(bracket))
 
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
     if hit is not None:
-        kp = grid[hit]
-        return TuningResult(
-            PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
-        )
+        return result(grid[hit], None)
 
     bracket = None
     for i in reversed(range(n - 1)):
@@ -140,18 +188,21 @@ def tune_kp_for_pm(
                 # falling edge: largest kp still satisfying the target
                 break
     if bracket is None:
-        pms = [x + target_pm for x in f if math.isfinite(x)]
+        finite = [x + target_pm for x in f if math.isfinite(x)]
         raise TuningError(
             f"phase margin target {target_pm!r} deg not bracketed for "
             f"kp in [{lo!r}, {hi!r}]; observed margins span "
-            f"[{min(pms):.3f}, {max(pms):.3f}] deg"
+            f"[{min(finite):.3f}, {max(finite):.3f}] deg",
+            trace(None),
         )
 
     a, b = grid[bracket], grid[bracket + 1]
     fa = f[bracket]
     for _ in range(100):
         mid = math.sqrt(a * b)
-        fm = pm_of(mid) - target_pm
+        pm = pm_of(mid)
+        steps.append((mid, pm))
+        fm = excess(pm)
         if abs(fm) <= tolerance_deg:
             a = b = mid
             break
@@ -161,11 +212,7 @@ def tune_kp_for_pm(
             a, fa = mid, fm
         if b - a <= 1e-12 * b:
             break
-    kp = math.sqrt(a * b)
-    return TuningResult(
-        PIGains(kp, ki),
-        stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p)),
-    )
+    return result(math.sqrt(a * b), (grid[bracket], grid[bracket + 1]))
 
 
 # Margin values reported in the published case studies for this plant,

@@ -52,6 +52,13 @@ class SimConfig:
             )
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
+        if self.sensor_gain is not None:
+            _check_sensor_gain(self.sensor_gain)
+
+
+def _check_sensor_gain(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"sensor_gain must be positive and finite, got {h!r}")
 
 
 @dataclass(frozen=True)
@@ -445,7 +452,6 @@ def pwm_equivalent_gains(
     physical loop's frequency response match the duty-domain design.
     """
     H = sensor_gain if sensor_gain is not None else p.vref / p.vo_target
-    if H <= 0.0:
-        raise ValueError(f"sensor gain must be positive, got {H!r}")
+    _check_sensor_gain(H)
     factor = p.vs / H
     return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)

@@ -8,6 +8,7 @@ only changes where it is sampled, not the values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,8 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
         raise ValueError("step response requires a proper transfer function")
     if len(tf.den) - 1 > 3:
         raise ValueError("step response supports denominator degree <= 3")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples!r}")
 

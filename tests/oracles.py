@@ -204,3 +204,76 @@ def cycle_means_reference(il, vc, duty, spp):
         vc_mean = (vc[lo:hi].sum() - 0.5 * vc[lo] + 0.5 * vc[hi]) / spp
         out.append((float(il_mean), float(vc_mean), float(duty[lo])))
     return out
+
+
+def tune_kp_for_pm_reference(
+    pi_design, plant, ki, target_pm, cfg, p=None, tolerance_deg=0.05
+):
+    """The package's earlier kp search, one full margin report per kp.
+
+    Kept as the reference for ``tune_kp_for_pm``: the two must return the
+    same kp and margins bit for bit and raise the same errors. ``pi_design``
+    is the module under test, read by attribute only for its loop assembly,
+    margin scan, gain and result types; the search itself is this copy.
+    """
+    stability_margins = pi_design.stability_margins
+    compensated_loop = pi_design.compensated_loop
+    PIGains = pi_design.PIGains
+    if not (0.0 < target_pm < 180.0):
+        raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
+    if ki <= 0.0:
+        raise ValueError(f"ki must be positive for PI tuning, got {ki!r}")
+
+    def pm_of(kp: float) -> float:
+        report = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        if report.phase_margin_deg is None:
+            # no gain crossover: the loop never reaches unit magnitude
+            return math.inf
+        return report.phase_margin_deg
+
+    lo, hi = (1e-6, 1e3)
+    n = int(round(math.log10(hi / lo) * 10)) + 1
+    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    f = [pm_of(k) - target_pm for k in grid]
+
+    hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
+    if hit is not None:
+        kp = grid[hit]
+        return pi_design.TuningResult(
+            PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        )
+
+    bracket = None
+    for i in reversed(range(n - 1)):
+        if f[i] * f[i + 1] < 0.0:
+            bracket = i
+            if f[i] > 0.0:
+                # falling edge: largest kp still satisfying the target
+                break
+    if bracket is None:
+        pms = [x + target_pm for x in f if math.isfinite(x)]
+        raise pi_design.TuningError(
+            f"phase margin target {target_pm!r} deg not bracketed for "
+            f"kp in [{lo!r}, {hi!r}]; observed margins span "
+            f"[{min(pms):.3f}, {max(pms):.3f}] deg"
+        )
+
+    a, b = grid[bracket], grid[bracket + 1]
+    fa = f[bracket]
+    for _ in range(100):
+        mid = math.sqrt(a * b)
+        fm = pm_of(mid) - target_pm
+        if abs(fm) <= tolerance_deg:
+            a = b = mid
+            break
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a <= 1e-12 * b:
+            break
+    kp = math.sqrt(a * b)
+    return pi_design.TuningResult(
+        PIGains(kp, ki),
+        stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p)),
+    )

@@ -158,6 +158,58 @@ def test_tune_unreachable_is_exit_3(nominal_config_path, tmp_path, capsys):
     assert "not bracketed" in capsys.readouterr().err
 
 
+def test_tune_manifest_records_search(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(out),
+        "--target-pm", "50",
+    ]) == 0
+    kp = read_json(out / "tune.json")["gains"]["kp"]
+    trace = read_json(out / "tune_manifest.json")["tuning_trace"]
+    assert len(trace["kp_grid"]) == len(trace["pm_grid"]) == 91
+    lo, hi = trace["bracket"]
+    assert lo <= kp <= hi
+    assert trace["pm_evals"] == 91 + len(trace["bisection"])
+    assert abs(trace["bisection"][-1][1] - 50.0) <= 0.05
+
+
+def test_tune_unreachable_manifest_keeps_trace(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(out),
+        "--target-pm", "179.9",
+    ]) == 3
+    assert not (out / "tune.json").exists()
+    manifest = read_json(out / "tune_manifest.json")
+    assert manifest["outputs"] == []
+    trace = manifest["tuning_trace"]
+    assert trace["bracket"] is None and trace["bisection"] == []
+    assert trace["pm_evals"] == 91
+
+
+@pytest.mark.parametrize("ki", ["nan", "inf"])
+def test_tune_non_finite_ki_is_exit_2(nominal_config_path, tmp_path, capsys, ki):
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(tmp_path / "out"),
+        "--ki", ki, "--target-pm", "50",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "ki must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_step_non_finite_t_end_is_exit_2(nominal_config_path, tmp_path, capsys, t_end):
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.23", "--ki", "1", "--t-end", t_end,
+    ]) == 2
+    assert "t_end must be positive and finite" in capsys.readouterr().err
+    assert not (out / "step.csv").exists()
+    assert not (out / "step_metrics.json").exists()
+
+
 def test_step_uncompensated(nominal_config_path, tmp_path):
     out = tmp_path / "out"
     assert run([
@@ -260,6 +312,35 @@ def test_simulate_non_finite_t_end_is_exit_2(nominal_config_path, tmp_path, caps
     err = capsys.readouterr().err
     assert "t_end must be positive and finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kp,ki,name", [
+    ("nan", "1", "kp"), ("inf", "1", "kp"), ("1", "nan", "ki"), ("1", "-inf", "ki"),
+])
+def test_simulate_non_finite_gain_is_exit_2(
+    nominal_config_path, tmp_path, capsys, kp, ki, name
+):
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        f"--kp={kp}", f"--ki={ki}", "--t-end", "0.001",
+    ]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("gains", [[], ["--kp", "17.25", "--ki", "75"]])
+@pytest.mark.parametrize("sensor", ["inf", "nan", "0", "-0.5"])
+def test_simulate_bad_sensor_gain_is_exit_2(
+    nominal_config_path, tmp_path, capsys, gains, sensor
+):
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--sensor-gain", sensor, "--t-end", "0.001", *gains,
+    ]) == 2
+    assert "sensor_gain must be positive and finite" in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
 
 
 def test_simulate_non_finite_config_is_exit_2(nominal_config_path, tmp_path, capsys):

@@ -13,7 +13,21 @@ from buckforge import (
     series,
     stability_margins,
 )
-from buckforge.lti import PoleOnAxisError, dc_gain, magnitude_db, phase_deg
+from buckforge.lti import (
+    MARGIN_OMEGA_MAX,
+    MARGIN_OMEGA_MIN,
+    MARGIN_POINTS_PER_DECADE,
+    PoleOnAxisError,
+    _anchor,
+    _low_frequency_phase_asymptote,
+    _refine_gain_crossover,
+    _unwrapped_phase_at,
+    dc_gain,
+    magnitude_db,
+    margin_grid,
+    phase_deg,
+    phase_margin,
+)
 from buckforge.pi_design import PIGains, compensated_loop
 
 from oracles import sweep_margins
@@ -161,6 +175,76 @@ def test_margins_three_pole_against_oracle(three_pole_loop):
         oracle["phase_margin_deg"], abs=0.1
     )
     assert report.gain_margin_db == pytest.approx(oracle["gain_margin_db"], abs=0.05)
+
+
+def _scaled(tf, k):
+    return TransferFunction(tuple(k * x for x in tf.num), tf.den)
+
+
+def _margin_grid_response(tf):
+    lo, hi = MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX
+    n = int(round(math.log10(hi / lo) * MARGIN_POINTS_PER_DECADE)) + 1
+    w = np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.polyval(tf.num, 1j * w) / np.polyval(tf.den, 1j * w)
+
+
+def _full_unwrap(tf, resp):
+    phases = np.degrees(np.unwrap(np.angle(resp)))
+    phases += _anchor(phases[0], _low_frequency_phase_asymptote(tf)) - phases[0]
+    return phases
+
+
+def _principal_wraps_before_crossing(tf):
+    resp = _margin_grid_response(tf)
+    i = int(np.nonzero(np.diff(np.abs(resp) > 1.0))[0][0])
+    return bool(np.any(np.abs(np.diff(np.angle(resp[: i + 1]))) > math.pi))
+
+
+def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
+    hump = TransferFunction(
+        tuple(5.0 * np.polymul([1.0, 1.0], [1.0, 1.0])),
+        tuple(np.polymul([1.0, 0.1], np.polymul([1.0, 100.0], [1.0, 100.0]))),
+    )
+    loops = [compensated_loop(nominal_plant, PIGains(1.0, 1.0)), three_pole_loop, hump]
+    seen = {"none": 0, "wrapped": 0, "value": 0, "several": 0}
+    omegas = margin_grid()
+    for base in loops:
+        for k in np.logspace(-7, 4, 45):
+            loop = _scaled(base, float(k))
+            want = stability_margins(loop).phase_margin_deg
+            got = phase_margin(loop, omegas, _margin_grid_response(loop))
+            assert repr(got) == repr(want)
+            if want is None:
+                seen["none"] += 1
+            else:
+                seen["value"] += 1
+                seen["wrapped"] += _principal_wraps_before_crossing(loop)
+                seen["several"] += stability_margins(loop).gain_crossover_count > 1
+    # the sweep covers loops without a crossover, with a wrap before it and
+    # with more than one crossing
+    assert min(seen.values()) > 0
+
+
+def test_refine_gain_crossover_stops_at_axis_pole():
+    # poles at +-2j; the first log midpoint of [1, 4] lands on omega = 2
+    tf = TransferFunction((1.0,), (1.0, 0.0, 4.0))
+    with pytest.raises(PoleOnAxisError):
+        _refine_gain_crossover(tf, 1.0, 4.0)
+
+
+def test_unwrapped_phase_prefix_matches_full_unwrap(three_pole_loop):
+    tf = _scaled(three_pole_loop, 1e3)
+    rng = np.random.default_rng(7)
+    noisy = np.exp(1j * np.cumsum(rng.uniform(-5.0, 5.0, 400)))
+    noisy[300] = complex(math.nan, 0.0)
+    # every step a wrap the same way: the running correction grows to
+    # hundreds of turns, where the order of summation shows in the bits
+    rolling = 3.0 * np.exp(-1j * np.cumsum(rng.uniform(3.2, 6.0, 400)))
+    for resp in (_margin_grid_response(tf), noisy, rolling):
+        full = _full_unwrap(tf, resp)
+        assert np.any(np.abs(np.diff(np.angle(resp))) > math.pi)
+        for i in range(len(resp)):
+            assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(float(full[i]))
 
 
 def test_margins_report_lowest_of_multiple_crossings():

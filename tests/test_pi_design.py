@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from buckforge import (
     LoopConfig,
@@ -9,13 +12,17 @@ from buckforge import (
     TuningError,
     close_unity_loop,
     compensated_loop,
+    derive_plant,
     design_report,
     evaluate,
+    pi_design,
     pi_tf,
     stability_margins,
     tune_kp_for_pm,
 )
 from buckforge.lti import dc_gain
+
+from oracles import tune_kp_for_pm_reference
 
 
 def test_gain_validation():
@@ -27,6 +34,11 @@ def test_gain_validation():
         PIGains(0.0, 0.0)
     PIGains(0.0, 1.0)
     PIGains(1.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kp must be finite"):
+            PIGains(bad, 1.0)
+        with pytest.raises(ValueError, match="ki must be finite"):
+            PIGains(1.0, bad)
 
 
 def test_pi_tf_forms():
@@ -132,6 +144,89 @@ def test_tune_validation(nominal_plant):
         tune_kp_for_pm(nominal_plant, 1.0, 0.0)
     with pytest.raises(ValueError):
         tune_kp_for_pm(nominal_plant, 0.0, 50.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="ki must be positive and finite"):
+            tune_kp_for_pm(nominal_plant, bad, 50.0)
+
+
+def test_tune_trace_records_the_search(nominal_plant):
+    target = 50.0
+    result = tune_kp_for_pm(nominal_plant, 1.0, target)
+    trace = result.trace
+    assert len(trace.kp_grid) == len(trace.pm_grid) == 91
+    assert trace.kp_grid[0] == 1e-6 and trace.kp_grid[-1] == pytest.approx(1e3)
+    for kp, pm in zip(trace.kp_grid[::15], trace.pm_grid[::15]):
+        loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
+        assert pm == stability_margins(loop).phase_margin_deg
+    lo, hi = trace.bracket
+    assert trace.kp_grid.index(lo) + 1 == trace.kp_grid.index(hi)
+    assert lo <= result.gains.kp <= hi
+    assert trace.bisection
+    assert trace.pm_evals == 91 + len(trace.bisection)
+    last_kp, last_pm = trace.bisection[-1]
+    assert abs(last_pm - target) <= 0.05
+    assert last_kp == pytest.approx(result.gains.kp, rel=1e-15)
+    assert result.margins.phase_margin_deg == pytest.approx(last_pm, abs=1e-9)
+
+
+def test_tune_error_carries_trace(nominal_plant):
+    with pytest.raises(TuningError) as info:
+        tune_kp_for_pm(nominal_plant, 1.0, 179.9)
+    trace = info.value.trace
+    assert trace.bracket is None and trace.bisection == ()
+    assert trace.pm_evals == len(trace.pm_grid) == 91
+    assert max(pm for pm in trace.pm_grid if pm is not None) < 179.9
+
+
+def _tune_outcome(tune, plant, ki, target, cfg, p):
+    """kp bits and margins of a tune, or the type and text of its error."""
+    try:
+        result = tune(plant, ki, target, cfg, p)
+    except (TuningError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.gains.kp.hex(), result.gains.ki, result.margins
+
+
+def _assert_tune_matches_reference(plant, ki, target, cfg, p):
+    def reference(*args):
+        return tune_kp_for_pm_reference(pi_design, *args)
+
+    got = _tune_outcome(tune_kp_for_pm, plant, ki, target, cfg, p)
+    want = _tune_outcome(reference, plant, ki, target, cfg, p)
+    assert got == want
+
+
+@pytest.mark.parametrize("full_loop", [False, True])
+@pytest.mark.parametrize(
+    "ki,target", [(1.0, 50.0), (1.0, 75.0), (3.0, 30.0), (1.0, 179.9)]
+)
+def test_tune_matches_reference(nominal_plant, nominal_params, full_loop, ki, target):
+    cfg = LoopConfig(full_loop, full_loop)
+    _assert_tune_matches_reference(nominal_plant, ki, target, cfg, nominal_params)
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    scale=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    ki=st.floats(0.05, 20.0),
+    target=st.floats(5.0, 120.0),
+    full_loop=st.booleans(),
+)
+def test_tune_matches_reference_property(nominal_params, scale, ki, target, full_loop):
+    base = nominal_params
+    p = dataclasses.replace(
+        base, vg=base.vg * scale[0], r_load=base.r_load * scale[1],
+        l=base.l * scale[2], c=base.c * scale[3],
+    )
+    try:
+        plant = derive_plant(p).plant
+    except ValueError:
+        assume(False)  # the scaled source cannot reach the target output
+    cfg = LoopConfig(full_loop, full_loop)
+    _assert_tune_matches_reference(plant, ki, target, cfg, p)
 
 
 def test_design_report_structure(nominal_plant, nominal_params):

@@ -31,6 +31,9 @@ def test_sim_config_validation(nominal_params):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="t_end"):
             SimConfig(t_end=bad)
+    for bad in (math.inf, -math.inf, math.nan, 0.0, -0.1):
+        with pytest.raises(ValueError, match="sensor_gain"):
+            SimConfig(t_end=0.01, sensor_gain=bad)
     # fewer than 10 periods
     with pytest.raises(ValueError):
         simulate_open_loop(nominal_params, 0.5, SimConfig(t_end=1e-4))
@@ -211,8 +214,9 @@ def test_pwm_equivalent_gains(nominal_params):
     g = pwm_equivalent_gains(PIGains(0.23, 1.0), nominal_params)
     assert g.kp == pytest.approx(0.23 * 75.0, rel=1e-12)
     assert g.ki == pytest.approx(75.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        pwm_equivalent_gains(PIGains(1.0, 1.0), nominal_params, sensor_gain=0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sensor_gain"):
+            pwm_equivalent_gains(PIGains(1.0, 1.0), nominal_params, sensor_gain=bad)
 
 
 def _manual_trajectory(values, spp=40, fs=1000.0):

@@ -154,6 +154,9 @@ def test_input_validation(nominal_plant):
         step_response(nominal_plant, 0.0, 100)
     with pytest.raises(ValueError):
         step_response(nominal_plant, 1.0, 9)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            step_response(nominal_plant, bad, 100)
 
 
 def test_trajectory_validation():

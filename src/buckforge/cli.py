@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 input or configuration error, 3 tuning target
 infeasible, 4 regulation failure (the report is still written). Numeric
 file output is written at 17 significant digits; console tables round to
-4. All computation is deterministic; the BUCKFORGE_SEED environment
-variable is reserved but unused.
+4. All computation is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import derive_plant, solve_duty
-from .converter import ParameterError, load_params
+from .converter import ParameterError, default_sensor_gain, load_params
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
     REFERENCE_CASE_STUDIES,
@@ -100,8 +99,12 @@ def _write_manifest(
     return path
 
 
-def _decimate(xs, ys, max_points: int = 2000):
-    step = max(1, len(xs) // max_points)
+# most points a time-series plot draws
+_SVG_MAX_POINTS = 2000
+
+
+def _decimate(xs, ys):
+    step = max(1, len(xs) // _SVG_MAX_POINTS)
     return xs[::step], ys[::step]
 
 
@@ -294,7 +297,7 @@ def cmd_step(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = load_params(args.config)
-    sensor = args.sensor_gain if args.sensor_gain is not None else p.vref / p.vo_target
+    sensor = default_sensor_gain(p) if args.sensor_gain is None else args.sensor_gain
     if args.kp is not None or args.ki is not None:
         if args.kp is None or args.ki is None:
             raise ParameterError("kp", "simulate needs both --kp and --ki, or neither")

@@ -130,6 +130,11 @@ def load_params(path: str) -> ConverterParams:
     return params_from_dict(doc)
 
 
+def default_sensor_gain(p: ConverterParams) -> float:
+    """vref/vo_target, the sensing divider that makes vref command vo_target."""
+    return p.vref / p.vo_target
+
+
 def _shared_a(p: ConverterParams) -> tuple[tuple[float, float], tuple[float, float]]:
     return (
         (-p.r_l / p.l, -1.0 / p.l),

@@ -142,6 +142,17 @@ def _wrap_delta(delta: float) -> float:
     return delta - 360.0 * math.floor((delta + 180.0) / 360.0)
 
 
+def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.ndarray:
+    """Log-spaced frequencies (rad/s) from omega_min to omega_max inclusive."""
+    if not (0.0 < omega_min < omega_max):
+        raise ValueError("require 0 < omega_min < omega_max")
+    if points_per_decade < 1:
+        raise ValueError("points_per_decade must be at least 1")
+    decades = math.log10(omega_max / omega_min)
+    n = max(2, int(round(decades * points_per_decade)) + 1)
+    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+
+
 def bode_sweep(
     tf: TransferFunction,
     omega_min: float,
@@ -154,13 +165,7 @@ def bode_sweep(
     asymptote (origin poles contribute -90 degrees each), so loops with
     integrators unwrap from the correct branch.
     """
-    if not (0.0 < omega_min < omega_max):
-        raise ValueError("require 0 < omega_min < omega_max")
-    if points_per_decade < 1:
-        raise ValueError("points_per_decade must be at least 1")
-    decades = math.log10(omega_max / omega_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
-    omegas = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    omegas = log_grid(omega_min, omega_max, points_per_decade)
     points: list[FrequencyPoint] = []
     prev_phase = 0.0
     for i, w in enumerate(omegas):
@@ -175,9 +180,9 @@ def bode_sweep(
     return points
 
 
-# Default crossover-search window: two decades of guard band around the
-# slowest (~3 rad/s) and fastest (~1e4 rad/s) dynamics of the loops this
-# package produces.
+# The crossover-search window, fixed at 1e-2 to 1e7 rad/s with 400 points
+# per decade: two decades of guard band around the slowest (~3 rad/s) and
+# fastest (~1e4 rad/s) dynamics of the loops this package produces.
 MARGIN_OMEGA_MIN = 1e-2
 MARGIN_OMEGA_MAX = 1e7
 MARGIN_POINTS_PER_DECADE = 400
@@ -241,17 +246,6 @@ def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
     return hits
 
 
-def margin_grid(
-    omega_min: float = MARGIN_OMEGA_MIN,
-    omega_max: float = MARGIN_OMEGA_MAX,
-    points_per_decade: int = MARGIN_POINTS_PER_DECADE,
-) -> np.ndarray:
-    """The log-spaced frequencies (rad/s) the margin scan samples."""
-    decades = math.log10(omega_max / omega_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-
-
 def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
     """Anchored unwrapped phase (degrees) of `resp` at index i.
 
@@ -284,9 +278,9 @@ def phase_margin(
     """Phase margin (deg) of `loop_tf` from its response `resp` on the grid
     `omegas`, with no phase-crossover or gain-margin work.
 
-    On `omegas = margin_grid(...)` this equals the `phase_margin_deg` of
-    `stability_margins(loop_tf, ...)` on the same window. Returns None when
-    |L| never crosses 1 on the grid.
+    On the margin window's grid this equals the `phase_margin_deg` of
+    `stability_margins(loop_tf)`. Returns None when |L| never crosses 1 on
+    the grid.
     """
     gain_hits = _find_crossings(np.abs(resp) - 1.0)
     if not gain_hits:
@@ -294,18 +288,14 @@ def phase_margin(
     return _crossover_and_phase_margin(loop_tf, omegas, resp, gain_hits[0])[1]
 
 
-def stability_margins(
-    loop_tf: TransferFunction,
-    omega_min: float = MARGIN_OMEGA_MIN,
-    omega_max: float = MARGIN_OMEGA_MAX,
-    points_per_decade: int = MARGIN_POINTS_PER_DECADE,
-) -> MarginReport:
+def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     """Locate gain/phase crossovers by grid scan plus bisection.
 
-    With multiple crossings the lowest-frequency one of each kind is
-    reported and the totals are recorded in the count fields.
+    The scan covers the fixed margin window, 1e-2 to 1e7 rad/s with 400
+    points per decade. With multiple crossings the lowest-frequency one of
+    each kind is reported and the totals are recorded in the count fields.
     """
-    omegas = margin_grid(omega_min, omega_max, points_per_decade)
+    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     s = 1j * omegas
     resp = np.polyval(loop_tf.num, s) / np.polyval(loop_tf.den, s)
     mags = np.abs(resp)

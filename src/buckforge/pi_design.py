@@ -14,13 +14,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .converter import ConverterParams
+from .converter import ConverterParams, default_sensor_gain
 from .lti import (
+    MARGIN_OMEGA_MAX,
+    MARGIN_OMEGA_MIN,
+    MARGIN_POINTS_PER_DECADE,
     MarginReport,
     TransferFunction,
     close_unity_loop,
     dc_gain,
-    margin_grid,
+    log_grid,
     phase_margin,
     poles,
     series,
@@ -92,7 +95,7 @@ def compensated_loop(
     if cfg.include_sensor_gain:
         if p is None:
             raise ValueError("loop config needs converter params for vref/vo_target")
-        scale *= p.vref / p.vo_target
+        scale *= default_sensor_gain(p)
     if scale == 1.0:
         return loop
     return TransferFunction(tuple(x * scale for x in loop.num), loop.den)
@@ -126,6 +129,8 @@ class TuningResult:
 
 KP_BRACKET = (1e-6, 1e3)
 KP_GRID_PER_DECADE = 10
+# bisection stops once the phase margin is this close to the target
+PM_TOLERANCE_DEG = 0.05
 
 
 def tune_kp_for_pm(
@@ -134,15 +139,15 @@ def tune_kp_for_pm(
     target_pm: float,
     cfg: LoopConfig = LoopConfig(),
     p: ConverterParams | None = None,
-    tolerance_deg: float = 0.05,
 ) -> TuningResult:
     """Find kp whose compensated loop hits the phase-margin target.
 
     Scans a log grid over the kp bracket for a sign change of
     PM(kp) - target, preferring the change at the largest satisfying kp,
-    then bisects to `tolerance_deg`. Raises TuningError with the observed
-    margin range when no bracket exists. The result and the error carry a
-    TuningTrace of the search.
+    then bisects to within PM_TOLERANCE_DEG. Raises TuningError with the
+    observed margin range, or the absence of any gain crossover, when no
+    bracket exists. The result and the error carry a TuningTrace of the
+    search.
     """
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
@@ -150,7 +155,7 @@ def tune_kp_for_pm(
         raise ValueError(f"ki must be positive and finite for PI tuning, got {ki!r}")
 
     # kp scales only the numerator, so every loop shares one den(j*omega)
-    omegas = margin_grid()
+    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     s = 1j * omegas
     den_resp = np.polyval(compensated_loop(plant, PIGains(1.0, ki), cfg, p).den, s)
 
@@ -189,10 +194,15 @@ def tune_kp_for_pm(
                 break
     if bracket is None:
         finite = [x + target_pm for x in f if math.isfinite(x)]
+        observed = (
+            f"observed margins span [{min(finite):.3f}, {max(finite):.3f}] deg"
+            if finite
+            else "no kp gives a gain crossover (|L| never crosses 1 on the "
+            "margin window)"
+        )
         raise TuningError(
             f"phase margin target {target_pm!r} deg not bracketed for "
-            f"kp in [{lo!r}, {hi!r}]; observed margins span "
-            f"[{min(finite):.3f}, {max(finite):.3f}] deg",
+            f"kp in [{lo!r}, {hi!r}]; {observed}",
             trace(None),
         )
 
@@ -203,7 +213,7 @@ def tune_kp_for_pm(
         pm = pm_of(mid)
         steps.append((mid, pm))
         fm = excess(pm)
-        if abs(fm) <= tolerance_deg:
+        if abs(fm) <= PM_TOLERANCE_DEG:
             a = b = mid
             break
         if fa * fm <= 0.0:
@@ -258,13 +268,16 @@ def _reference_comparison(g: PIGains, computed: MarginReport) -> dict | None:
     return None
 
 
+# window and resolution of the closed-loop step in a design report
+DESIGN_STEP_T_END = 0.05
+DESIGN_STEP_SAMPLES = 20001
+
+
 def design_report(
     plant: TransferFunction,
     g: PIGains,
     cfg: LoopConfig = LoopConfig(),
     p: ConverterParams | None = None,
-    step_t_end: float = 0.05,
-    step_samples: int = 20001,
 ) -> dict:
     """Margins, closed-loop poles, and step metrics in one JSON-ready dict.
 
@@ -290,7 +303,7 @@ def design_report(
     metrics = None
     metrics_note = None
     try:
-        traj = step_response(closed, step_t_end, step_samples)
+        traj = step_response(closed, DESIGN_STEP_T_END, DESIGN_STEP_SAMPLES)
         m = step_metrics(traj, 1.0)
         metrics = asdict(m)
     except NotSettledError as exc:
@@ -305,7 +318,7 @@ def design_report(
             "poles": [[z.real, z.imag] for z in closed_poles],
             "dc_gain": closed_dc,
             "model_steady_state_error": 1.0 - closed_dc,
-            "step_window_s": step_t_end,
+            "step_window_s": DESIGN_STEP_T_END,
             "step_metrics": metrics,
             "step_metrics_note": metrics_note,
         },

@@ -6,10 +6,14 @@ anywhere. Within a period the comparator is sampled once per substep, and
 in open loop the ON/OFF transition lands exactly at d*Ts through one pair
 of shortened boundary substeps.
 
-Continuous conduction is assumed; if the inductor current would cross
-zero while freewheeling, it is clamped at zero (diode blocking), the
-capacitor discharges through the load alone, and the trajectory is
-flagged rather than modeling discontinuous-conduction dynamics.
+Continuous conduction is assumed. Both simulators apply one diode rule
+to every OFF substep (and to the OFF completion of a boundary substep):
+if the inductor current is exactly zero and the OFF map would not drive
+it positive (f12*vc <= 0), the diode stays blocked, the current stays
+zero and the capacitor discharges through the load alone; otherwise the
+full OFF map is applied and a negative current is clamped to zero. Either
+clamp flags the trajectory (dcm_encountered) rather than modeling
+discontinuous-conduction dynamics.
 """
 
 from __future__ import annotations
@@ -20,10 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import averaged_model
-from .converter import ConverterParams, validate_physical
+from .converter import ConverterParams, default_sensor_gain, validate_physical
 from .converter import mode_off_model, mode_on_model
 from .pi_design import PIGains
-from .timedomain import zoh
+from .timedomain import MAX_SAMPLES, zoh
+
+# regulation passes when the final-cycle mean is this close to the target
+REGULATION_TOLERANCE_PCT = 2.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,17 @@ class CycleAverages:
 
 
 def _periods(p: ConverterParams, cfg: SimConfig) -> int:
-    n = int(round(cfg.t_end * p.fs))
+    """Whole switching periods in cfg.t_end, refused beyond MAX_SAMPLES."""
+    spp = cfg.steps_per_period
+    periods = cfg.t_end * p.fs
+    # clamped so that an infinite product never reaches round(); any
+    # period count at the clamp is over budget
+    n = int(round(periods)) if periods < MAX_SAMPLES else MAX_SAMPLES
+    if n * spp + 1 > MAX_SAMPLES:
+        raise ValueError(
+            f"t_end {cfg.t_end!r} at steps_per_period {spp!r} needs "
+            f"{periods * spp + 1:.3g} samples, over the budget of {MAX_SAMPLES}"
+        )
     if n < 10:
         raise ValueError(
             f"t_end {cfg.t_end!r} covers fewer than 10 switching periods"
@@ -105,9 +122,11 @@ def simulate_open_loop(
 ) -> SwitchedTrajectory:
     """Fixed-duty PWM run with the switch transition exactly at d*Ts.
 
-    Full substeps use precomputed mode maps; when d*Ts falls inside a
-    substep, one shortened ON segment and its OFF completion are applied
-    so every sample stays on the uniform grid.
+    Full substeps use precomputed mode maps. When d*Ts falls inside a
+    substep, that substep is a shortened ON segment followed by its OFF
+    completion, so every sample stays on the uniform grid; the substep
+    counts as ON. The OFF completion and the full OFF substeps run through
+    one loop under the diode rule.
     """
     validate_physical(p)
     if not (0.0 <= d <= 1.0):
@@ -120,7 +139,6 @@ def simulate_open_loop(
     a = on.a
     b_on = (on.b[0] * p.vg, on.b[1] * p.vg)
     ((f11, f12), (f21, f22)), (g1, g2) = zoh(a, b_on, dt)
-    k_idle = math.exp(a[1][1] * dt)
 
     frac = d * spp - math.floor(d * spp)
     n_on = int(math.floor(d * spp))
@@ -129,20 +147,18 @@ def simulate_open_loop(
     elif frac > 1.0 - 1e-9:
         frac = 0.0
         n_on += 1
-    if n_on > spp:
-        n_on = spp
     has_partial = frac > 0.0
+    # one period's OFF maps (m11, m12, m21, m22, idle decay), in order
+    off_maps = [(f11, f12, f21, f22, math.exp(a[1][1] * dt))] * (spp - n_on)
     if has_partial:
         ((p11, p12), (p21, p22)), (pg1, pg2) = zoh(a, b_on, frac * dt)
         ((q11, q12), (q21, q22)), _ = zoh(a, (0.0, 0.0), (1.0 - frac) * dt)
-        k_idle_partial = math.exp(a[1][1] * (1.0 - frac) * dt)
-    n_off_full = spp - n_on - (1 if has_partial else 0)
+        off_maps[0] = (q11, q12, q21, q22, math.exp(a[1][1] * (1.0 - frac) * dt))
 
     n_samples = n_periods * spp + 1
     out_t = np.arange(n_samples) * dt
     out_il = np.empty(n_samples)
     out_vc = np.empty(n_samples)
-    out_q = np.zeros(n_samples, dtype=bool)
     il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
     out_il[0] = il
     out_vc[0] = vc
@@ -153,46 +169,31 @@ def simulate_open_loop(
             il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
             out_il[i] = il
             out_vc[i] = vc
-            out_q[i - 1] = True
             i += 1
         if has_partial:
             il, vc = p11 * il + p12 * vc + pg1, p21 * il + p22 * vc + pg2
-            nil = q11 * il + q12 * vc
-            if il <= 0.0 and nil <= 0.0:
-                nil, nvc = 0.0, k_idle_partial * vc
-                dcm = True
+        for m11, m12, m21, m22, k_idle in off_maps:
+            if il == 0.0:
+                nil = m12 * vc
+                if nil <= 0.0:
+                    vc = k_idle * vc
+                    dcm = True
+                else:
+                    vc = m22 * vc
+                    il = nil
             else:
-                nvc = q21 * il + q22 * vc
+                nil = m11 * il + m12 * vc
+                vc = m21 * il + m22 * vc
                 if nil < 0.0:
                     nil = 0.0
                     dcm = True
-            il, vc = nil, nvc
-            out_il[i] = il
-            out_vc[i] = vc
-            out_q[i - 1] = True
-            i += 1
-        for _ in range(n_off_full):
-            if il == 0.0:
-                nil = f11 * il + f12 * vc
-                if nil <= 0.0:
-                    il, vc = 0.0, k_idle * vc
-                    dcm = True
-                    out_il[i] = il
-                    out_vc[i] = vc
-                    i += 1
-                    continue
-            nil = f11 * il + f12 * vc
-            nvc = f21 * il + f22 * vc
-            if nil < 0.0:
-                nil = 0.0
-                dcm = True
-            il, vc = nil, nvc
+                il = nil
             out_il[i] = il
             out_vc[i] = vc
             i += 1
-    if n_samples > 1:
-        out_q[n_samples - 1] = out_q[n_samples - 2]
     duty = np.full(n_samples, float(d))
+    switch = np.tile(np.arange(spp) < n_on + has_partial, n_periods)
+    out_q = np.append(switch, switch[-1])
     return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, dcm)
 
 
@@ -209,7 +210,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
     kp, ki = cfg.gains.kp, cfg.gains.ki
-    H = cfg.sensor_gain if cfg.sensor_gain is not None else p.vref / p.vo_target
+    H = cfg.sensor_gain if cfg.sensor_gain is not None else default_sensor_gain(p)
     lim_lo, lim_hi = cfg.integrator_limit if cfg.integrator_limit else (0.0, p.vs)
     spp = cfg.steps_per_period
     n_periods = _periods(p, cfg)
@@ -292,18 +293,16 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     return SwitchedTrajectory(out_t, out_il, out_vc, out_duty, out_q, dcm)
 
 
-def _cycle_means(
-    traj: SwitchedTrajectory, fs: float
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Substeps per period and the per-period il mean, vc mean and duty.
+def _cycle_means(times: np.ndarray, fs: float, *series: np.ndarray) -> tuple:
+    """Substeps per period, full-period count, and each series' period means.
 
     Means are trapezoidal over each full period; a trailing partial period
     is dropped. Each row sum takes the same pairwise order as summing that
     period's 1-D slice, so the means match a per-period loop bit for bit.
     """
-    dt = float(traj.times[1] - traj.times[0])
+    dt = float(times[1] - times[0])
     spp = int(round(1.0 / (fs * dt)))
-    n = (len(traj.times) - 1) // spp
+    n = (len(times) - 1) // spp
     if n < 1:
         raise ValueError("trajectory spans less than one full switching period")
     end = n * spp
@@ -312,12 +311,19 @@ def _cycle_means(
         rows = x[:end].reshape(n, spp).sum(axis=1)
         return (rows - 0.5 * x[:end:spp] + 0.5 * x[spp : end + 1 : spp]) / spp
 
-    return spp, means(traj.il), means(traj.vc), traj.duty_cmd[:end:spp]
+    return (spp, n, *map(means, series))
+
+
+def _last_period_pkpk(x: np.ndarray, spp: int, n: int) -> float:
+    """Peak-to-peak of x over the last of n full periods, both ends included."""
+    last = x[(n - 1) * spp : n * spp + 1]
+    return float(last.max() - last.min())
 
 
 def cycle_average(traj: SwitchedTrajectory, fs: float) -> list[CycleAverages]:
     """Trapezoidal per-period means; a trailing partial period is dropped."""
-    _, il, vc, duty = _cycle_means(traj, fs)
+    spp, n, il, vc = _cycle_means(traj.times, fs, traj.il, traj.vc)
+    duty = traj.duty_cmd[: n * spp : spp]
     return [
         CycleAverages(per, *vals)
         for per, vals in enumerate(zip(il.tolist(), vc.tolist(), duty.tolist()))
@@ -352,8 +358,7 @@ def compare_to_averaged(
     """
     traj = simulate_open_loop(p, d, cfg)
     avg = averaged_model(mode_on_model(p), mode_off_model(p), d)
-    spp = cfg.steps_per_period
-    dt = 1.0 / (p.fs * spp)
+    dt = 1.0 / (p.fs * cfg.steps_per_period)
     b_scaled = (avg.b[0] * p.vg, avg.b[1] * p.vg)
     ((f11, f12), (f21, f22)), (g1, g2) = zoh(avg.a, b_scaled, dt)
 
@@ -367,31 +372,19 @@ def compare_to_averaged(
         il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
         a_il[i] = il
         a_vc[i] = vc
-    averaged = SwitchedTrajectory(
-        traj.times,
-        a_il,
-        a_vc,
-        np.full(n_samples, float(d)),
-        np.zeros(n_samples, dtype=bool),
+    spp, n, sw_il, sw_vc, av_il, av_vc = _cycle_means(
+        traj.times, p.fs, traj.il, traj.vc, a_il, a_vc
     )
-
-    sw = cycle_average(traj, p.fs)
-    av = cycle_average(averaged, p.fs)
-    dev_il = max(abs(s.il_avg - a.il_avg) for s, a in zip(sw, av))
-    dev_vc = max(abs(s.vc_avg - a.vc_avg) for s, a in zip(sw, av))
-    last = len(sw) - 1
-    lo = last * spp
-    hi = lo + spp + 1
     return AveragingComparison(
         duty=d,
-        max_il_avg_deviation=float(dev_il),
-        max_vc_avg_deviation=float(dev_vc),
-        final_switched_il_avg=sw[-1].il_avg,
-        final_switched_vc_avg=sw[-1].vc_avg,
-        final_averaged_il_avg=av[-1].il_avg,
-        final_averaged_vc_avg=av[-1].vc_avg,
-        il_ripple_pkpk=float(traj.il[lo:hi].max() - traj.il[lo:hi].min()),
-        vc_ripple_pkpk=float(traj.vc[lo:hi].max() - traj.vc[lo:hi].min()),
+        max_il_avg_deviation=float(np.abs(sw_il - av_il).max()),
+        max_vc_avg_deviation=float(np.abs(sw_vc - av_vc).max()),
+        final_switched_il_avg=float(sw_il[-1]),
+        final_switched_vc_avg=float(sw_vc[-1]),
+        final_averaged_il_avg=float(av_il[-1]),
+        final_averaged_vc_avg=float(av_vc[-1]),
+        il_ripple_pkpk=_last_period_pkpk(traj.il, spp, n),
+        vc_ripple_pkpk=_last_period_pkpk(traj.vc, spp, n),
         dcm_encountered=traj.dcm_encountered,
     )
 
@@ -412,31 +405,29 @@ class RegulationReport:
     dcm_encountered: bool
 
 
-def regulation_report(
-    traj: SwitchedTrajectory, p: ConverterParams, tolerance_pct: float = 2.0
-) -> RegulationReport:
+def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> RegulationReport:
     """Judge the last full cycle against the output-voltage target.
 
-    duty_final averages the trailing 10 complete cycles, since the
-    comparator quantizes each period's duty to 1/steps_per_period and the
-    integrator dithers between adjacent levels at steady state.
+    The run passes when the final-cycle mean is within
+    REGULATION_TOLERANCE_PCT of the target. duty_final averages the
+    trailing 10 complete cycles, since the comparator quantizes each
+    period's duty to 1/steps_per_period and the integrator dithers between
+    adjacent levels at steady state.
     """
-    spp, il, vc, duty = _cycle_means(traj, p.fs)
-    trailing = duty[-10:].tolist()
+    spp, n, il, vc = _cycle_means(traj.times, p.fs, traj.il, traj.vc)
+    trailing = traj.duty_cmd[: n * spp : spp][-10:].tolist()
     duty_final = sum(trailing) / len(trailing)
     final_vc_mean = float(vc[-1])
-    lo = (len(vc) - 1) * spp
-    hi = lo + spp + 1
     deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
     return RegulationReport(
         target_v=p.vo_target,
         final_vc_mean=final_vc_mean,
         final_il_mean=float(il[-1]),
-        vc_ripple_pkpk=float(traj.vc[lo:hi].max() - traj.vc[lo:hi].min()),
+        vc_ripple_pkpk=_last_period_pkpk(traj.vc, spp, n),
         duty_final=duty_final,
         deviation_pct=deviation,
-        tolerance_pct=tolerance_pct,
-        passed=deviation <= tolerance_pct,
+        tolerance_pct=REGULATION_TOLERANCE_PCT,
+        passed=deviation <= REGULATION_TOLERANCE_PCT,
         duty_saturated=duty_final == 0.0 or duty_final == 1.0,
         dcm_encountered=traj.dcm_encountered,
     )
@@ -451,7 +442,7 @@ def pwm_equivalent_gains(
     scales the output by H, so multiplying the gains by vs/H makes the
     physical loop's frequency response match the duty-domain design.
     """
-    H = sensor_gain if sensor_gain is not None else p.vref / p.vo_target
+    H = sensor_gain if sensor_gain is not None else default_sensor_gain(p)
     _check_sensor_gain(H)
     factor = p.vs / H
     return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)

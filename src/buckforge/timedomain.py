@@ -17,6 +17,15 @@ from scipy.linalg import expm
 from .lti import TransferFunction, poles
 
 
+# Most samples one run may hold, step response or PWM trajectory (a PWM
+# sample costs 33 bytes across its five arrays, so this is about 0.66 GB);
+# larger requests are refused before anything is allocated.
+MAX_SAMPLES = 20_000_000
+
+# half-width of the settling band, as a fraction of the final value
+SETTLING_BAND = 0.05
+
+
 class NotSettledError(RuntimeError):
     """Trajectory tail still moving; metrics would be meaningless."""
 
@@ -115,6 +124,8 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples {samples!r} is over the budget of {MAX_SAMPLES}")
 
     times = np.linspace(0.0, t_end, samples)
     n = len(tf.den) - 1
@@ -160,9 +171,7 @@ def _cross_time(times: np.ndarray, values: np.ndarray, level: float) -> float:
     return float(times[i - 1] + frac * (times[i] - times[i - 1]))
 
 
-def step_metrics(
-    traj: Trajectory, reference: float, settling_band: float = 0.05
-) -> StepMetrics:
+def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     """Extract delay, rise, settling, overshoot, and steady-state error.
 
     The final value is the mean of the trailing 10% of samples (so the
@@ -185,7 +194,7 @@ def step_metrics(
     t10 = _cross_time(times, values, 0.1 * final)
     t90 = _cross_time(times, values, 0.9 * final)
 
-    band = settling_band * abs(final)
+    band = SETTLING_BAND * abs(final)
     outside = np.abs(values - final) > band
     if outside.any():
         i = int(np.nonzero(outside)[0][-1])

@@ -189,6 +189,79 @@ def closed_loop_reference(p, cfg, zoh):
     return out_t, out_il, out_vc, out_duty, out_q, dcm
 
 
+def open_loop_reference(p, d, cfg, zoh):
+    """Substep-by-substep fixed-duty PWM run, written as plainly as possible.
+
+    The reference for ``simulate_open_loop``: the two must agree bit for
+    bit. Substep k of a period is ON for k < n_on; when d*spp has a
+    fractional part, substep n_on is ON for frac*dt and OFF for the rest
+    (and counts as ON); every other substep is OFF. Every OFF segment obeys
+    one diode rule: with il == 0 and m12*vc <= 0 the current stays at zero
+    and vc decays through the load alone; otherwise the OFF map runs and a
+    negative il is clamped to zero. The full OFF map is the state part of
+    the full ON map, as in the simulator. Returns (times, il, vc, duty,
+    switch_state, dcm_encountered).
+    """
+    spp = cfg.steps_per_period
+    n_periods = int(round(cfg.t_end * p.fs))
+    dt = 1.0 / (p.fs * spp)
+    a = ((-p.r_l / p.l, -1.0 / p.l), (1.0 / p.c, -1.0 / (p.r_load * p.c)))
+    b_on = (1.0 / p.l * p.vg, 0.0 * p.vg)
+
+    n_on = math.floor(d * spp)
+    frac = d * spp - n_on
+    if frac < 1e-9:
+        frac = 0.0
+    elif frac > 1.0 - 1e-9:
+        frac, n_on = 0.0, n_on + 1
+    full_on = zoh(a, b_on, dt)
+    full_off, full_decay = full_on[0], math.exp(a[1][1] * dt)
+    if frac:
+        part_on = zoh(a, b_on, frac * dt)
+        part_off = zoh(a, (0.0, 0.0), (1.0 - frac) * dt)[0]
+        part_decay = math.exp(a[1][1] * (1.0 - frac) * dt)
+
+    def on(m, il, vc):
+        ((m11, m12), (m21, m22)), (g1, g2) = m
+        return m11 * il + m12 * vc + g1, m21 * il + m22 * vc + g2
+
+    def off(m, decay, il, vc):
+        (m11, m12), (m21, m22) = m
+        if il == 0.0 and m12 * vc <= 0.0:
+            return il, decay * vc, True
+        nil, nvc = m11 * il + m12 * vc, m21 * il + m22 * vc
+        return max(nil, 0.0), nvc, nil < 0.0
+
+    n_samples = n_periods * spp + 1
+    out_il = np.empty(n_samples)
+    out_vc = np.empty(n_samples)
+    out_q = np.zeros(n_samples, dtype=bool)
+    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
+    out_il[0] = il
+    out_vc[0] = vc
+    dcm = False
+    i = 1
+    for _ in range(n_periods):
+        for k in range(spp):
+            if k < n_on:
+                il, vc = on(full_on, il, vc)
+                out_q[i - 1] = True
+            elif k == n_on and frac:
+                il, vc = on(part_on, il, vc)
+                il, vc, clamped = off(part_off, part_decay, il, vc)
+                dcm = dcm or clamped
+                out_q[i - 1] = True
+            else:
+                il, vc, clamped = off(full_off, full_decay, il, vc)
+                dcm = dcm or clamped
+            out_il[i] = il
+            out_vc[i] = vc
+            i += 1
+    out_q[n_samples - 1] = out_q[n_samples - 2]
+    out_t = np.arange(n_samples) * dt
+    return out_t, out_il, out_vc, np.full(n_samples, float(d)), out_q, dcm
+
+
 def cycle_means_reference(il, vc, duty, spp):
     """Per-period trapezoidal means, one 1-D slice sum per period.
 

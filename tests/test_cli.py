@@ -187,6 +187,19 @@ def test_tune_unreachable_manifest_keeps_trace(nominal_config_path, tmp_path):
     assert trace["pm_evals"] == 91
 
 
+def test_tune_without_gain_crossover_is_exit_3(nominal_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(out),
+        "--target-pm", "50", "--ki", "1e300",
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "no kp gives a gain crossover" in err and "kp in [1e-06, 1000.0]" in err
+    assert not (out / "tune.json").exists()
+    trace = read_json(out / "tune_manifest.json")["tuning_trace"]
+    assert trace["pm_grid"] == [None] * 91
+
+
 @pytest.mark.parametrize("ki", ["nan", "inf"])
 def test_tune_non_finite_ki_is_exit_2(nominal_config_path, tmp_path, capsys, ki):
     assert run([
@@ -241,6 +254,25 @@ def test_step_rejects_bad_window(nominal_config_path, tmp_path):
         "step", "--config", nominal_config_path,
         "--out-dir", str(tmp_path / "out"), "--uncompensated", "--t-end", "0",
     ]) == 2
+
+
+@pytest.mark.parametrize("command,flags,names", [
+    # about 1.2e13 samples: refused before anything is allocated
+    ("simulate", ["--t-end", "1e6"], ["t_end", "steps_per_period"]),
+    ("step", ["--uncompensated", "--samples", "100000000000"], ["samples"]),
+])
+def test_over_sample_budget_is_exit_2(
+    nominal_config_path, tmp_path, capsys, command, flags, names
+):
+    out = tmp_path / "out"
+    assert run([
+        command, "--config", nominal_config_path, "--out-dir", str(out), *flags,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+    for name in names:
+        assert name in err
+    assert list(out.iterdir()) == []
 
 
 def test_step_needs_gains_or_uncompensated(nominal_config_path, tmp_path, capsys):

@@ -23,8 +23,8 @@ from buckforge.lti import (
     _refine_gain_crossover,
     _unwrapped_phase_at,
     dc_gain,
+    log_grid,
     magnitude_db,
-    margin_grid,
     phase_deg,
     phase_margin,
 )
@@ -207,7 +207,7 @@ def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
     )
     loops = [compensated_loop(nominal_plant, PIGains(1.0, 1.0)), three_pole_loop, hump]
     seen = {"none": 0, "wrapped": 0, "value": 0, "several": 0}
-    omegas = margin_grid()
+    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     for base in loops:
         for k in np.logspace(-7, 4, 45):
             loop = _scaled(base, float(k))

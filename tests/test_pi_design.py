@@ -139,6 +139,17 @@ def test_tune_unreachable(nominal_plant):
         tune_kp_for_pm(nominal_plant, 1.0, 179.9)
 
 
+def test_tune_without_gain_crossover(nominal_plant):
+    # |L| stays above 1 across the margin window for every kp on the grid
+    with pytest.raises(TuningError) as info:
+        tune_kp_for_pm(nominal_plant, 1e300, 50.0)
+    assert "kp in [1e-06, 1000.0]" in str(info.value)
+    assert "no kp gives a gain crossover" in str(info.value)
+    trace = info.value.trace
+    assert trace.pm_evals == 91
+    assert set(trace.pm_grid) == {None}
+
+
 def test_tune_validation(nominal_plant):
     with pytest.raises(ValueError):
         tune_kp_for_pm(nominal_plant, 1.0, 0.0)

@@ -11,16 +11,20 @@ from buckforge import (
     PIGains,
     SimConfig,
     SwitchedTrajectory,
+    averaged_model,
     compare_to_averaged,
     cycle_average,
+    mode_off_model,
+    mode_on_model,
     pwm_equivalent_gains,
     regulation_report,
     simulate_closed_loop,
     simulate_open_loop,
     solve_duty,
 )
-from buckforge.timedomain import zoh
-from oracles import closed_loop_reference, cycle_means_reference
+from buckforge.switched_sim import _periods
+from buckforge.timedomain import MAX_SAMPLES, zoh
+from oracles import closed_loop_reference, cycle_means_reference, open_loop_reference
 
 
 def test_sim_config_validation(nominal_params):
@@ -37,6 +41,25 @@ def test_sim_config_validation(nominal_params):
     # fewer than 10 periods
     with pytest.raises(ValueError):
         simulate_open_loop(nominal_params, 0.5, SimConfig(t_end=1e-4))
+
+
+def test_sample_budget_refused_before_allocation(nominal_params):
+    p = nominal_params
+    # about 1.2e13 samples: a missing check would try to allocate them
+    huge = SimConfig(t_end=1e6, gains=PIGains(17.25, 75.0))
+    with pytest.raises(ValueError, match="t_end .* steps_per_period"):
+        simulate_open_loop(p, 0.5, huge)
+    with pytest.raises(ValueError, match="t_end .* steps_per_period"):
+        simulate_closed_loop(p, huge)
+    # t_end*fs overflows to inf, which must not reach round()
+    fast = dataclasses.replace(p, fs=1e300)
+    with pytest.raises(ValueError, match="budget"):
+        simulate_open_loop(fast, 0.5, SimConfig(t_end=1e10))
+    # the edge of the budget, checked without allocating anything
+    n_max = (MAX_SAMPLES - 1) // 20
+    assert _periods(p, SimConfig(t_end=n_max / p.fs, steps_per_period=20)) == n_max
+    with pytest.raises(ValueError, match="budget"):
+        _periods(p, SimConfig(t_end=(n_max + 1) / p.fs, steps_per_period=20))
 
 
 def test_open_loop_zero_duty_stays_at_rest(nominal_params):
@@ -393,6 +416,84 @@ def test_closed_loop_matches_reference_property(
         initial_state=(0.5, 10.0), integrator_init=integrator_init,
     )
     _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
+
+
+# (vg, duty, steps per period, initial state)
+OPEN_LOOP_CASES = {
+    # duties without (0, 1) and with (0.37, 0.123456) a boundary substep
+    **{
+        f"duty{d}_spp{spp}": (30.0, d, spp, (0.0, 0.0))
+        for d in (0.0, 0.37, 0.123456, 1.0)
+        for spp in (20, 37, 200)
+    },
+    # the diode blocks: a charged capacitor above the duty's output level,
+    # and a current that runs down to zero
+    "dcm_from_0_20": (30.0, 0.37, 37, (0.0, 20.0)),
+    "dcm_from_1_5": (30.0, 0.0, 37, (1.0, 5.0)),
+    # vc above vg drives il negative during ON time, so il < 0 enters
+    # boundary substeps; the OFF completion clamps it like any OFF substep
+    "negative_il_at_boundary": (20.0, 0.37, 20, (0.5, 40.0)),
+    # one OFF segment per period, the boundary's completion or a full
+    # substep, so the clamp acts with no idle substep after it
+    "clamp_only_boundary": (20.0, 0.97, 20, (0.5, 40.0)),
+    "clamp_only_full": (20.0, 0.95, 20, (0.5, 40.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPEN_LOOP_CASES))
+def test_open_loop_matches_reference_loop(nominal_params, case):
+    vg, d, spp, initial = OPEN_LOOP_CASES[case]
+    p = dataclasses.replace(nominal_params, vg=vg)
+    cfg = SimConfig(t_end=0.002, steps_per_period=spp, initial_state=initial)
+    traj = simulate_open_loop(p, d, cfg)
+    _assert_same_run(traj, open_loop_reference(p, d, cfg, zoh))
+    if not case.startswith("duty"):
+        assert traj.dcm_encountered
+    if case in ("negative_il_at_boundary", "clamp_only_boundary", "clamp_only_full"):
+        assert traj.il.min() < 0.0
+
+
+def _averaged_run(p, d, cfg, n_samples):
+    """The averaged model stepped on the switched run's grid."""
+    avg = averaged_model(mode_on_model(p), mode_off_model(p), d)
+    dt = 1.0 / (p.fs * cfg.steps_per_period)
+    ((f11, f12), (f21, f22)), (g1, g2) = zoh(
+        avg.a, (avg.b[0] * p.vg, avg.b[1] * p.vg), dt
+    )
+    states = [tuple(map(float, cfg.initial_state))]
+    for _ in range(n_samples - 1):
+        il, vc = states[-1]
+        states.append((f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2))
+    return np.array([s[0] for s in states]), np.array([s[1] for s in states])
+
+
+@pytest.mark.parametrize("case", [
+    "duty0.123456_spp37", "dcm_from_0_20", "dcm_from_1_5", "negative_il_at_boundary",
+])
+def test_compare_to_averaged_matches_cycle_means_reference(nominal_params, case):
+    vg, d, spp, initial = OPEN_LOOP_CASES[case]
+    p = dataclasses.replace(nominal_params, vg=vg)
+    cfg = SimConfig(t_end=0.002, steps_per_period=spp, initial_state=initial)
+    cmp = compare_to_averaged(p, d, cfg)
+    traj = simulate_open_loop(p, d, cfg)
+    a_il, a_vc = _averaged_run(p, d, cfg, len(traj.times))
+    sw = cycle_means_reference(traj.il, traj.vc, traj.duty_cmd, spp)
+    av = cycle_means_reference(a_il, a_vc, traj.duty_cmd, spp)
+    lo = (len(sw) - 1) * spp
+    last_il = traj.il[lo : lo + spp + 1]
+    last_vc = traj.vc[lo : lo + spp + 1]
+    assert _bits(
+        cmp.max_il_avg_deviation, cmp.max_vc_avg_deviation,
+        cmp.final_switched_il_avg, cmp.final_switched_vc_avg,
+        cmp.final_averaged_il_avg, cmp.final_averaged_vc_avg,
+        cmp.il_ripple_pkpk, cmp.vc_ripple_pkpk,
+    ) == _bits(
+        max(abs(s[0] - a[0]) for s, a in zip(sw, av)),
+        max(abs(s[1] - a[1]) for s, a in zip(sw, av)),
+        sw[-1][0], sw[-1][1], av[-1][0], av[-1][1],
+        float(last_il.max() - last_il.min()), float(last_vc.max() - last_vc.min()),
+    )
+    assert cmp.dcm_encountered is traj.dcm_encountered
 
 
 def _random_trajectory(spp, n_samples, fs, seed):

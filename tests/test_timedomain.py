@@ -13,7 +13,7 @@ from buckforge import (
     step_response,
 )
 from buckforge.lti import dc_gain
-from buckforge.timedomain import zoh
+from buckforge.timedomain import MAX_SAMPLES, zoh
 
 from oracles import (
     refined_peak_time,
@@ -154,6 +154,8 @@ def test_input_validation(nominal_plant):
         step_response(nominal_plant, 0.0, 100)
     with pytest.raises(ValueError):
         step_response(nominal_plant, 1.0, 9)
+    with pytest.raises(ValueError, match="samples .* budget"):
+        step_response(nominal_plant, 1.0, MAX_SAMPLES + 1)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             step_response(nominal_plant, bad, 100)

@@ -22,12 +22,14 @@ from .averaging import derive_plant, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
-    REFERENCE_CASE_STUDIES,
+    DESIGN_STEP_SAMPLES,
+    DESIGN_STEP_T_END,
     LoopConfig,
     PIGains,
     TuningError,
     compensated_loop,
     design_report,
+    published_gain_reference,
     tune_kp_for_pm,
 )
 from .svg import bode_svg, timeseries_svg
@@ -48,19 +50,9 @@ def _fmt4(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    if hasattr(obj, "item"):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, default=_jsonable)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
@@ -83,9 +75,17 @@ def _write_csv(path: str, header: str, *columns) -> None:
             fh.write("".join(map(row.__mod__, block)))
 
 
+def _write_svg(args, name: str, svg: str) -> str:
+    path = os.path.join(args.out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return path
+
+
 def _write_manifest(
     args, command: str, resolved: dict, outputs: list[str], extra: dict | None = None
-) -> str:
+) -> None:
+    """Write `<command>_manifest.json` and name the outputs on stdout."""
     manifest = {
         "command": command,
         "params_source": args.config,
@@ -94,18 +94,9 @@ def _write_manifest(
         "tool_version": __version__,
         **(extra or {}),
     }
-    path = os.path.join(args.out_dir, f"{command}_manifest.json")
-    _write_json(path, manifest)
-    return path
-
-
-# most points a time-series plot draws
-_SVG_MAX_POINTS = 2000
-
-
-def _decimate(xs, ys):
-    step = max(1, len(xs) // _SVG_MAX_POINTS)
-    return xs[::step], ys[::step]
+    _write_json(os.path.join(args.out_dir, f"{command}_manifest.json"), manifest)
+    if outputs:
+        print(f"wrote {', '.join(outputs)}")
 
 
 def cmd_derive(args) -> int:
@@ -122,14 +113,10 @@ def cmd_derive(args) -> int:
             "b_d": derivation.small_signal.b_d,
             "c": derivation.small_signal.c,
         },
-        "transfer_function": {
-            "num": derivation.plant.num,
-            "den": derivation.plant.den,
-        },
+        "transfer_function": dataclasses.asdict(derivation.plant),
     }
     out = os.path.join(args.out_dir, "derive.json")
     _write_json(out, doc)
-    _write_manifest(args, "derive", dataclasses.asdict(p), [out])
     print(f"duty cycle D = {_fmt4(op.duty)}")
     print(f"equilibrium: il = {_fmt4(op.il)} A, vc = {_fmt4(op.vc)} V")
     print(
@@ -137,7 +124,7 @@ def cmd_derive(args) -> int:
         f"{_fmt4(derivation.plant.num[-1])} / "
         f"(s^2 + {_fmt4(derivation.plant.den[1])} s + {_fmt4(derivation.plant.den[2])})"
     )
-    print(f"wrote {out}")
+    _write_manifest(args, "derive", dataclasses.asdict(p), [out])
     return 0
 
 
@@ -168,11 +155,8 @@ def cmd_bode(args) -> int:
     _write_json(margins_path, dataclasses.asdict(margins))
     outputs = [csv_path, margins_path]
     if args.svg:
-        svg_path = os.path.join(args.out_dir, "bode.svg")
         title = f"open loop, kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(bode_svg(points, margins, title))
-        outputs.append(svg_path)
+        outputs.append(_write_svg(args, "bode.svg", bode_svg(points, margins, title)))
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),
@@ -181,13 +165,12 @@ def cmd_bode(args) -> int:
         "omega_max": args.omega_max,
         "points_per_decade": args.points_per_decade,
     }
-    _write_manifest(args, "bode", resolved, outputs)
     pm = margins.phase_margin_deg
     gm = margins.gain_margin_db
     print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
     print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
     print(f"stable loop: {margins.stable_loop}")
-    print(f"wrote {', '.join(outputs)}")
+    _write_manifest(args, "bode", resolved, outputs)
     return 0
 
 
@@ -215,29 +198,19 @@ def cmd_tune(args) -> int:
         "achieved_margins": dataclasses.asdict(result.margins),
         "design_report": report,
     }
-    for (ref_kp, ref_ki), claim in REFERENCE_CASE_STUDIES.items():
-        if abs(args.target_pm - claim["phase_margin_deg"]) <= 0.5:
-            doc["published_gain_reference"] = {
-                "kp": ref_kp,
-                "ki": ref_ki,
-                "claimed_phase_margin_deg": claim["phase_margin_deg"],
-                "note": (
-                    "a published design for this plant reports these gains for "
-                    "the same margin target; the bare plant*PI loop reaches the "
-                    "target at the kp tuned here instead"
-                ),
-            }
+    published = published_gain_reference(args.target_pm)
+    if published is not None:
+        doc["published_gain_reference"] = published
     out = os.path.join(args.out_dir, "tune.json")
     _write_json(out, doc)
-    _write_manifest(
-        args, "tune", resolved, [out], {"tuning_trace": dataclasses.asdict(result.trace)}
-    )
     print(
         f"kp = {_fmt4(result.gains.kp)} reaches "
         f"{_fmt4(result.margins.phase_margin_deg)} deg phase margin "
         f"(target {_fmt4(args.target_pm)})"
     )
-    print(f"wrote {out}")
+    _write_manifest(
+        args, "tune", resolved, [out], {"tuning_trace": dataclasses.asdict(result.trace)}
+    )
     return 0
 
 
@@ -277,11 +250,8 @@ def cmd_step(args) -> int:
         code = 2
     outputs.append(metrics_path)
     if args.svg:
-        svg_path = os.path.join(args.out_dir, "step.svg")
-        xs, ys = _decimate(traj.times, traj.values)
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(timeseries_svg(xs, ys, "time (s)", "output", label))
-        outputs.append(svg_path)
+        svg = timeseries_svg(traj.times, traj.values, "time (s)", "output", label)
+        outputs.append(_write_svg(args, "step.svg", svg))
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "uncompensated": args.uncompensated,
@@ -291,7 +261,6 @@ def cmd_step(args) -> int:
         "samples": args.samples,
     }
     _write_manifest(args, "step", resolved, outputs)
-    print(f"wrote {', '.join(outputs)}")
     return code
 
 
@@ -348,11 +317,9 @@ def cmd_simulate(args) -> int:
     _write_json(report_path, doc)
     outputs = [csv_path, report_path]
     if args.svg:
-        svg_path = os.path.join(args.out_dir, "sim.svg")
-        xs, ys = _decimate(traj.times, traj.vc)
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(timeseries_svg(xs, ys, "time (s)", "vc (V)", f"vg={_fmt4(p.vg)} V"))
-        outputs.append(svg_path)
+        title = f"vg={_fmt4(p.vg)} V"
+        svg = timeseries_svg(traj.times, traj.vc, "time (s)", "vc (V)", title)
+        outputs.append(_write_svg(args, "sim.svg", svg))
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),
@@ -362,12 +329,12 @@ def cmd_simulate(args) -> int:
         "initial_state": list(initial),
         "integrator_init": integrator_init,
     }
-    _write_manifest(args, "simulate", resolved, outputs)
     print(
         f"vg={_fmt4(p.vg)} V: final-cycle vc = {_fmt4(report.final_vc_mean)} V "
         f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
     )
-    print(f"regulation {'PASS' if report.passed else 'FAIL'}; wrote {', '.join(outputs)}")
+    print(f"regulation {'PASS' if report.passed else 'FAIL'}")
+    _write_manifest(args, "simulate", resolved, outputs)
     return 0 if report.passed else 4
 
 
@@ -425,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--uncompensated", action="store_true",
                     help="unity feedback around the bare plant")
     loop_flags(sp)
-    sp.add_argument("--t-end", type=float, default=0.05)
-    sp.add_argument("--samples", type=int, default=20001)
+    sp.add_argument("--t-end", type=float, default=DESIGN_STEP_T_END)
+    sp.add_argument("--samples", type=int, default=DESIGN_STEP_SAMPLES)
     sp.add_argument("--svg", action="store_true")
     sp.set_defaults(func=cmd_step)
 

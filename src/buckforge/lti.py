@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most samples one run may hold, Bode grid, step response or PWM trajectory
+# (a PWM sample costs 33 bytes across its five arrays, so this is about
+# 0.66 GB); larger requests are refused before anything is allocated.
+MAX_SAMPLES = 20_000_000
+
 
 class PoleOnAxisError(ValueError):
     """Evaluation requested exactly on an imaginary-axis pole."""
@@ -143,13 +148,23 @@ def _wrap_delta(delta: float) -> float:
 
 
 def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.ndarray:
-    """Log-spaced frequencies (rad/s) from omega_min to omega_max inclusive."""
-    if not (0.0 < omega_min < omega_max):
-        raise ValueError("require 0 < omega_min < omega_max")
-    if points_per_decade < 1:
-        raise ValueError("points_per_decade must be at least 1")
+    """Log-spaced frequencies (rad/s) from omega_min to omega_max inclusive.
+
+    A grid of more than MAX_SAMPLES points is refused before it is built.
+    """
+    if not (0.0 < omega_min < omega_max and omega_max / omega_min < math.inf):
+        raise ValueError("require 0 < omega_min < omega_max, with a finite ratio")
+    # capped so that decades * points_per_decade cannot overflow a float
+    if not (1 <= points_per_decade <= MAX_SAMPLES):
+        raise ValueError(f"points_per_decade must be between 1 and {MAX_SAMPLES}")
     decades = math.log10(omega_max / omega_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
+    if n > MAX_SAMPLES:
+        raise ValueError(
+            f"omega_min {omega_min!r} to omega_max {omega_max!r} at "
+            f"points_per_decade {points_per_decade!r} needs {n} points, over "
+            f"the budget of {MAX_SAMPLES}"
+        )
     return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
 
 
@@ -388,8 +403,6 @@ def poles(tf: TransferFunction) -> list[complex]:
     bisecting for one real root and deflating to a quadratic.
     """
     den = list(tf.den)
-    while len(den) > 1 and den[0] == 0.0:
-        den.pop(0)
     roots: list[complex] = []
     while len(den) > 1 and den[-1] == 0.0:
         roots.append(0j)

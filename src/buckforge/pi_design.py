@@ -241,6 +241,24 @@ REFERENCE_CASE_STUDIES = {
 }
 
 
+def published_gain_reference(target_pm: float) -> dict | None:
+    """The published gains whose claimed phase margin is within 0.5 deg of
+    `target_pm`, for a tuning result to cite; None when there are none."""
+    for (kp, ki), claim in REFERENCE_CASE_STUDIES.items():
+        if abs(target_pm - claim["phase_margin_deg"]) <= 0.5:
+            return {
+                "kp": kp,
+                "ki": ki,
+                "claimed_phase_margin_deg": claim["phase_margin_deg"],
+                "note": (
+                    "a published design for this plant reports these gains for "
+                    "the same margin target; the bare plant*PI loop reaches the "
+                    "target at the kp tuned here instead"
+                ),
+            }
+    return None
+
+
 def _reference_comparison(g: PIGains, computed: MarginReport) -> dict | None:
     for (kp, ki), claim in REFERENCE_CASE_STUDIES.items():
         if math.isclose(g.kp, kp, rel_tol=1e-9) and math.isclose(g.ki, ki, rel_tol=1e-9):

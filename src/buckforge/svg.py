@@ -13,12 +13,17 @@ from .lti import FrequencyPoint, MarginReport
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 28, 40
 _PANEL_W, _PANEL_H = 560, 220
+# vertical space between stacked panels, room for the upper panel's x labels
+_PANEL_GAP = 60
+# a time-series plot draws fewer than 2 * _MAX_POINTS points
+_MAX_POINTS = 2000
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six ticks at 1, 2 or 5 times a power of ten."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -33,27 +38,38 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-class _Panel:
-    """One x/y plot area with linear y and linear-or-log x."""
+def _line(x1, y1, x2, y2, stroke: str, dashed: bool) -> str:
+    dash = ' stroke-dasharray="4 3"' if dashed else ""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="1"{dash}/>'
+    )
 
-    def __init__(self, x0, y0, xlim, ylim, log_x):
-        self.x0, self.y0 = x0, y0
-        self.xlim, self.ylim = xlim, ylim
+
+class _Panel:
+    """The plot area of one curve, top edge at y0: linear y, linear-or-log x.
+
+    It spans the curve's x range and its padded y range.
+    """
+
+    def __init__(self, y0, xs, ys, log_x):
+        self.x0, self.y0 = _MARGIN_L, y0
+        self.xs, self.ys = xs, ys
+        self.xlim, self.ylim = (xs[0], xs[-1]), _pad(min(ys), max(ys))
         self.log_x = log_x
 
     def px(self, x: float) -> float:
+        f = math.log10 if self.log_x else float
         lo, hi = self.xlim
-        if self.log_x:
-            frac = (math.log10(x) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-        else:
-            frac = (x - lo) / (hi - lo)
-        return self.x0 + frac * _PANEL_W
+        return self.x0 + (f(x) - f(lo)) / (f(hi) - f(lo)) * _PANEL_W
 
     def py(self, y: float) -> float:
         lo, hi = self.ylim
         return self.y0 + _PANEL_H * (1.0 - (y - lo) / (hi - lo))
 
-    def frame(self, out, xlabel, ylabel):
+    def draw(self, out, xlabel, ylabel, color, level):
+        """Frame, grid, tick and axis labels, the curve, and a dashed line at
+        y = level (None: no line)."""
         out.append(
             f'<rect x="{self.x0}" y="{self.y0}" width="{_PANEL_W}" height="{_PANEL_H}" '
             'fill="none" stroke="#333" stroke-width="1"/>'
@@ -61,32 +77,20 @@ class _Panel:
         if self.log_x:
             d0 = math.ceil(math.log10(self.xlim[0]))
             d1 = math.floor(math.log10(self.xlim[1]))
-            for d in range(d0, d1 + 1):
-                x = self.px(10.0 ** d)
-                out.append(
-                    f'<line x1="{x:.1f}" y1="{self.y0}" x2="{x:.1f}" '
-                    f'y2="{self.y0 + _PANEL_H}" stroke="#ddd" stroke-width="1"/>'
-                )
-                out.append(
-                    f'<text x="{x:.1f}" y="{self.y0 + _PANEL_H + 16}" font-size="11" '
-                    f'text-anchor="middle">1e{d}</text>'
-                )
+            xticks = [(10.0 ** d, f"1e{d}") for d in range(d0, d1 + 1)]
         else:
-            for t in _nice_ticks(*self.xlim):
-                x = self.px(t)
-                out.append(
-                    f'<line x1="{x:.1f}" y1="{self.y0}" x2="{x:.1f}" '
-                    f'y2="{self.y0 + _PANEL_H}" stroke="#ddd" stroke-width="1"/>'
-                )
-                out.append(
-                    f'<text x="{x:.1f}" y="{self.y0 + _PANEL_H + 16}" font-size="11" '
-                    f'text-anchor="middle">{t:g}</text>'
-                )
+            xticks = [(t, f"{t:g}") for t in _nice_ticks(*self.xlim)]
+        for t, label in xticks:
+            x = f"{self.px(t):.1f}"
+            out.append(_line(x, self.y0, x, self.y0 + _PANEL_H, "#ddd", False))
+            out.append(
+                f'<text x="{x}" y="{self.y0 + _PANEL_H + 16}" font-size="11" '
+                f'text-anchor="middle">{label}</text>'
+            )
         for t in _nice_ticks(*self.ylim):
             y = self.py(t)
             out.append(
-                f'<line x1="{self.x0}" y1="{y:.1f}" x2="{self.x0 + _PANEL_W}" '
-                f'y2="{y:.1f}" stroke="#eee" stroke-width="1"/>'
+                _line(self.x0, f"{y:.1f}", self.x0 + _PANEL_W, f"{y:.1f}", "#eee", False)
             )
             out.append(
                 f'<text x="{self.x0 - 6}" y="{y + 4:.1f}" font-size="11" '
@@ -101,36 +105,28 @@ class _Panel:
             f'text-anchor="middle" transform="rotate(-90 {self.x0 - 48} '
             f'{self.y0 + _PANEL_H / 2})">{ylabel}</text>'
         )
-
-    def polyline(self, out, xs, ys, color="#1f4e9c"):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(
+            f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(self.xs, self.ys)
+        )
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
+        if level is not None and self.ylim[0] <= level <= self.ylim[1]:
+            yp = f"{self.py(level):.1f}"
+            out.append(_line(self.x0, yp, self.x0 + _PANEL_W, yp, "#888", True))
 
-    def vline(self, out, x, color, label=None):
+    def vline(self, out, x, color, label):
         if not (self.xlim[0] <= x <= self.xlim[1]):
             return
         xp = self.px(x)
         out.append(
-            f'<line x1="{xp:.1f}" y1="{self.y0}" x2="{xp:.1f}" '
-            f'y2="{self.y0 + _PANEL_H}" stroke="{color}" stroke-width="1" '
-            'stroke-dasharray="4 3"/>'
+            _line(f"{xp:.1f}", self.y0, f"{xp:.1f}", self.y0 + _PANEL_H, color, True)
         )
         if label:
             out.append(
                 f'<text x="{xp + 4:.1f}" y="{self.y0 + 14}" font-size="11" '
                 f'fill="{color}">{label}</text>'
             )
-
-    def hline(self, out, y, color):
-        if not (self.ylim[0] <= y <= self.ylim[1]):
-            return
-        yp = self.py(y)
-        out.append(
-            f'<line x1="{self.x0}" y1="{yp:.1f}" x2="{self.x0 + _PANEL_W}" '
-            f'y2="{yp:.1f}" stroke="{color}" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
 
 
 def _pad(lo: float, hi: float) -> tuple[float, float]:
@@ -140,67 +136,57 @@ def _pad(lo: float, hi: float) -> tuple[float, float]:
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-def bode_svg(
-    points: list[FrequencyPoint], margins: MarginReport | None = None, title: str = ""
-) -> str:
+def _figure(title: str, curves, markers) -> str:
+    """SVG document of panels stacked top to bottom, one per curve.
+
+    `curves` holds (xs, ys, log_x, xlabel, ylabel, color, level) per panel,
+    `level` being the y of a dashed reference line (None: no line).
+    `markers` holds (x, color, labels): a dashed vertical line across
+    every panel, labeled labels[i] on panel i (None: no label).
+    """
+    width = _MARGIN_L + _PANEL_W + _MARGIN_R
+    height = _MARGIN_T + len(curves) * (_PANEL_H + _PANEL_GAP) - _PANEL_GAP + _MARGIN_B
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2}" y="18" font-size="13" text-anchor="middle">{title}</text>',
+    ]
+    panels = []
+    for i, (xs, ys, log_x, xlabel, ylabel, color, level) in enumerate(curves):
+        panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
+        panel.draw(out, xlabel, ylabel, color, level)
+        panels.append(panel)
+    for x, color, labels in markers:
+        for panel, label in zip(panels, labels):
+            panel.vline(out, x, color, label)
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def bode_svg(points: list[FrequencyPoint], margins: MarginReport, title: str) -> str:
     """Two-panel magnitude/phase plot with crossover markers."""
     omegas = [pt.omega for pt in points]
+    markers = []
+    if margins.gain_crossover is not None:
+        # stability_margins finds the phase margin wherever it finds this crossover
+        label = f"PM {margins.phase_margin_deg:.1f} deg"
+        markers.append((margins.gain_crossover, "#1a7a3c", (None, label)))
+    if margins.phase_crossover is not None:
+        label = f"GM {margins.gain_margin_db:.2f} dB"
+        markers.append((margins.phase_crossover, "#b06e10", (label, None)))
     mags = [pt.magnitude_db for pt in points]
     phases = [pt.phase_deg for pt in points]
-    width = _MARGIN_L + _PANEL_W + _MARGIN_R
-    height = _MARGIN_T + 2 * _PANEL_H + 60 + _MARGIN_B
-    mag_panel = _Panel(
-        _MARGIN_L, _MARGIN_T, (omegas[0], omegas[-1]), _pad(min(mags), max(mags)), True
-    )
-    ph_panel = _Panel(
-        _MARGIN_L,
-        _MARGIN_T + _PANEL_H + 60,
-        (omegas[0], omegas[-1]),
-        _pad(min(phases), max(phases)),
-        True,
-    )
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="18" font-size="13" text-anchor="middle">{title}</text>',
-    ]
-    mag_panel.frame(out, "omega (rad/s)", "magnitude (dB)")
-    mag_panel.polyline(out, omegas, mags)
-    mag_panel.hline(out, 0.0, "#888")
-    ph_panel.frame(out, "omega (rad/s)", "phase (deg)")
-    ph_panel.polyline(out, omegas, phases, color="#9c2f1f")
-    ph_panel.hline(out, -180.0, "#888")
-    if margins is not None:
-        if margins.gain_crossover is not None:
-            pm = margins.phase_margin_deg
-            label = f"PM {pm:.1f} deg" if pm is not None else "gain crossover"
-            mag_panel.vline(out, margins.gain_crossover, "#1a7a3c")
-            ph_panel.vline(out, margins.gain_crossover, "#1a7a3c", label)
-        if margins.phase_crossover is not None:
-            gm = margins.gain_margin_db
-            mag_panel.vline(out, margins.phase_crossover, "#b06e10", f"GM {gm:.2f} dB")
-            ph_panel.vline(out, margins.phase_crossover, "#b06e10")
-    out.append("</svg>")
-    return "\n".join(out)
+    return _figure(title, [
+        (omegas, mags, True, "omega (rad/s)", "magnitude (dB)", "#1f4e9c", 0.0),
+        (omegas, phases, True, "omega (rad/s)", "phase (deg)", "#9c2f1f", -180.0),
+    ], markers)
 
 
-def timeseries_svg(times, values, xlabel: str, ylabel: str, title: str = "") -> str:
-    """Single-panel line plot on linear axes."""
-    xs = [float(x) for x in times]
-    ys = [float(y) for y in values]
-    width = _MARGIN_L + _PANEL_W + _MARGIN_R
-    height = _MARGIN_T + _PANEL_H + _MARGIN_B
-    panel = _Panel(
-        _MARGIN_L, _MARGIN_T, (xs[0], xs[-1]), _pad(min(ys), max(ys)), False
-    )
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="18" font-size="13" text-anchor="middle">{title}</text>',
-    ]
-    panel.frame(out, xlabel, ylabel)
-    panel.polyline(out, xs, ys)
-    out.append("</svg>")
-    return "\n".join(out)
+def timeseries_svg(times, values, xlabel: str, ylabel: str, title: str) -> str:
+    """Single-panel line plot on linear axes; a series longer than
+    _MAX_POINTS is drawn at a stride of len // _MAX_POINTS samples."""
+    step = max(1, len(times) // _MAX_POINTS)
+    xs = [float(x) for x in times[::step]]
+    ys = [float(y) for y in values[::step]]
+    return _figure(title, [(xs, ys, False, xlabel, ylabel, "#1f4e9c", None)], [])

@@ -26,8 +26,9 @@ import numpy as np
 from .averaging import averaged_model
 from .converter import ConverterParams, default_sensor_gain, validate_physical
 from .converter import mode_off_model, mode_on_model
+from .lti import MAX_SAMPLES
 from .pi_design import PIGains
-from .timedomain import MAX_SAMPLES, zoh
+from .timedomain import zoh
 
 # regulation passes when the final-cycle mean is this close to the target
 REGULATION_TOLERANCE_PCT = 2.0

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lti import TransferFunction, poles
-
-
-# Most samples one run may hold, step response or PWM trajectory (a PWM
-# sample costs 33 bytes across its five arrays, so this is about 0.66 GB);
-# larger requests are refused before anything is allocated.
-MAX_SAMPLES = 20_000_000
+from .lti import MAX_SAMPLES, TransferFunction, poles
 
 # half-width of the settling band, as a fraction of the final value
 SETTLING_BAND = 0.05
@@ -56,10 +50,6 @@ class Trajectory:
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 from buckforge import PIGains, cli, compensated_loop, stability_margins
 from buckforge.cli import main
+from oracles import decimate_reference, timeseries_svg_reference
 
 
 def run(args):
@@ -111,6 +112,20 @@ def test_bode_modulator_gain_shift(nominal_config_path, tmp_path):
     for ra, rb in zip(rows_a, rows_b):
         shift = float(rb[1]) - float(ra[1])
         assert shift == pytest.approx(-20.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("omega_min,omega_max", [("1e-300", "1e300"), ("1", "inf")])
+def test_bode_infinite_omega_ratio_is_exit_2(
+    nominal_config_path, tmp_path, capsys, omega_min, omega_max
+):
+    out = tmp_path / "out"
+    assert run([
+        "bode", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.23", "--ki", "1", "--omega-min", omega_min, "--omega-max", omega_max,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "finite ratio" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_bode_reruns_byte_identical(nominal_config_path, tmp_path):
@@ -237,6 +252,41 @@ def test_step_uncompensated(nominal_config_path, tmp_path):
     assert len(rows) == 20001
 
 
+def read_columns(path, *names):
+    header, rows = read_csv(path)
+    return [np.array([float(r[header.index(n)]) for r in rows]) for n in names]
+
+
+def test_step_svg_plots_the_written_trajectory(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--uncompensated", "--svg",
+    ]) == 0
+    assert read_json(out / "step_manifest.json")["outputs"][-1] == str(out / "step.svg")
+    times, values = read_columns(out / "step.csv", "time_s", "output")
+    xs, ys = decimate_reference(times, values)
+    assert (out / "step.svg").read_text() == timeseries_svg_reference(
+        xs, ys, "time (s)", "output", "uncompensated unity feedback"
+    )
+
+
+def test_step_not_settled_is_exit_2(nominal_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--uncompensated", "--t-end", "1e-4",
+    ]) == 2
+    doc = read_json(out / "step_metrics.json")
+    assert list(doc) == ["error"] and "extend the simulation window" in doc["error"]
+    assert "extend the simulation window" in capsys.readouterr().err
+    # the trajectory and the manifest are still written
+    assert len(read_csv(out / "step.csv")[1]) == 20001
+    assert read_json(out / "step_manifest.json")["outputs"] == [
+        str(out / "step.csv"), str(out / "step_metrics.json")
+    ]
+
+
 def test_step_overshoot_grows_with_kp(nominal_config_path, tmp_path):
     outs = {}
     for kp in ("0.23", "10"):
@@ -260,6 +310,11 @@ def test_step_rejects_bad_window(nominal_config_path, tmp_path):
     # about 1.2e13 samples: refused before anything is allocated
     ("simulate", ["--t-end", "1e6"], ["t_end", "steps_per_period"]),
     ("step", ["--uncompensated", "--samples", "100000000000"], ["samples"]),
+    # 3e8 frequencies
+    ("bode", [
+        "--kp", "0.23", "--ki", "1", "--omega-min", "1e-150", "--omega-max", "1e150",
+        "--points-per-decade", "1000000",
+    ], ["points_per_decade"]),
 ])
 def test_over_sample_budget_is_exit_2(
     nominal_config_path, tmp_path, capsys, command, flags, names
@@ -296,6 +351,21 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "sim.csv")
     assert header == ["time_s", "il_a", "vc_v", "duty", "switch_state"]
     assert rows[0][4] in ("0", "1")
+
+
+def test_simulate_svg_plots_the_written_trajectory(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--t-end", "0.002", "--svg",
+    ]) == 4  # still rising from rest after 2 ms
+    assert read_json(out / "simulate_manifest.json")["outputs"][-1] == str(out / "sim.svg")
+    times, vc = read_columns(out / "sim.csv", "time_s", "vc_v")
+    xs, ys = decimate_reference(times, vc)
+    assert len(xs) < len(times)
+    assert (out / "sim.svg").read_text() == timeseries_svg_reference(
+        xs, ys, "time (s)", "vc (V)", "vg=30 V"
+    )
 
 
 def test_simulate_input_step_to_500(nominal_config_path, tmp_path):

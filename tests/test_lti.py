@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from buckforge import (
     bode_sweep,
     close_unity_loop,
     evaluate,
+    lti,
     poles,
     series,
     stability_margins,
@@ -17,6 +19,7 @@ from buckforge.lti import (
     MARGIN_OMEGA_MAX,
     MARGIN_OMEGA_MIN,
     MARGIN_POINTS_PER_DECADE,
+    MAX_SAMPLES,
     PoleOnAxisError,
     _anchor,
     _low_frequency_phase_asymptote,
@@ -109,6 +112,26 @@ def test_bode_range_validation(nominal_plant):
         bode_sweep(nominal_plant, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         bode_sweep(nominal_plant, 1.0, 10.0, 0)
+    # omega_max / omega_min overflows to inf, or omega_max is inf
+    for lo, hi in [(1e-300, 1e300), (5e-324, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite ratio"):
+            bode_sweep(nominal_plant, lo, hi, 10)
+
+
+def test_log_grid_budget_refused_before_allocation(monkeypatch):
+    # the fake returns the point count instead of allocating the grid
+    monkeypatch.setattr(lti, "np", SimpleNamespace(logspace=lambda a, b, n: n))
+    assert log_grid(1.0, 10.0, MAX_SAMPLES - 1) == MAX_SAMPLES
+    for lo, hi, ppd in [
+        (1.0, 10.0, MAX_SAMPLES),
+        (1e-150, 1e150, 1_000_000),
+        # per-decade counts over the budget, up to ints no float can hold
+        (1.0, 1.0 + 1e-9, MAX_SAMPLES + 1),
+        (1.0, 10.0, 10**400),
+    ]:
+        with pytest.raises(ValueError, match="points_per_decade") as err:
+            log_grid(lo, hi, ppd)
+        assert str(MAX_SAMPLES) in str(err.value)
 
 
 def test_phase_unwrap_continuity(nominal_plant):

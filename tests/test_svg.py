@@ -1,0 +1,70 @@
+import numpy as np
+import pytest
+
+from buckforge import (
+    PIGains,
+    TransferFunction,
+    bode_sweep,
+    close_unity_loop,
+    compensated_loop,
+    stability_margins,
+    step_response,
+)
+from buckforge.pi_design import DESIGN_STEP_SAMPLES, DESIGN_STEP_T_END
+from buckforge.svg import bode_svg, timeseries_svg
+from oracles import bode_svg_reference, decimate_reference, timeseries_svg_reference
+
+
+def _same_bode(loop, title):
+    points = bode_sweep(loop, 1.0, 1e6, 200)
+    margins = stability_margins(loop)
+    got = bode_svg(points, margins, title)
+    assert got == bode_svg_reference(points, margins, title)
+    return got
+
+
+@pytest.mark.parametrize("kp", [0.23, 10.0, 1e-3])
+def test_bode_svg_matches_reference_on_pi_loop(nominal_plant, kp):
+    svg = _same_bode(compensated_loop(nominal_plant, PIGains(kp, 1.0)), f"kp={kp}")
+    assert "PM " in svg
+
+
+def test_bode_svg_matches_reference_with_phase_crossover():
+    # 4e3/(s+10)^3: phase -180 deg at 10*sqrt(3) rad/s, where |L| is 1/2
+    loop = TransferFunction((4e3,), (1.0, 30.0, 300.0, 1000.0))
+    margins = stability_margins(loop)
+    assert margins.phase_crossover is not None and margins.gain_crossover is not None
+    svg = _same_bode(loop, "three poles")
+    assert "GM " in svg and "PM " in svg
+
+
+def test_timeseries_svg_matches_reference_on_decimated_step(nominal_plant):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    traj = step_response(close_unity_loop(loop), DESIGN_STEP_T_END, DESIGN_STEP_SAMPLES)
+    got = timeseries_svg(traj.times, traj.values, "time (s)", "output", "step")
+    xs, ys = decimate_reference(traj.times, traj.values)
+    assert len(xs) < len(traj.times)
+    assert got == timeseries_svg_reference(xs, ys, "time (s)", "output", "step")
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 1e-3, 50),
+    # a falling time axis gives the x ticks an empty range
+    np.linspace(1e-3, 0.0, 50),
+])
+@pytest.mark.parametrize("level", [0.0, -3.5, 42.0])
+def test_timeseries_svg_matches_reference_on_flat_series(times, level):
+    values = np.full(len(times), level)
+    got = timeseries_svg(times, values, "t", "y", "flat")
+    assert got == timeseries_svg_reference(times, values, "t", "y", "flat")
+
+
+@pytest.mark.parametrize("n", [3999, 4000])
+def test_timeseries_svg_matches_reference_at_stride_edges(n):
+    # 3999 samples are all drawn; 4000 are drawn at a stride of 2
+    times = np.linspace(0.0, 1.0, n)
+    values = np.sin(40.0 * times)
+    got = timeseries_svg(times, values, "t", "y", "ramp")
+    xs, ys = decimate_reference(times, values)
+    assert got == timeseries_svg_reference(xs, ys, "t", "y", "ramp")
+    assert got.count(",") == len(xs) == (n if n < 4000 else n // 2)

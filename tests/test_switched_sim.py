@@ -22,8 +22,9 @@ from buckforge import (
     simulate_open_loop,
     solve_duty,
 )
+from buckforge.lti import MAX_SAMPLES
 from buckforge.switched_sim import _periods
-from buckforge.timedomain import MAX_SAMPLES, zoh
+from buckforge.timedomain import zoh
 from oracles import closed_loop_reference, cycle_means_reference, open_loop_reference
 
 
@@ -376,6 +377,14 @@ KERNEL_CASES = {
     "zero_state_spp20": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=20)),
     "zero_state_spp37": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=37)),
     "zero_state_spp200": lambda p: (p, _default_gains(p, t_end=0.003)),
+    # a zero control-voltage window keeps the switch OFF, and a negative vc
+    # makes the diode conduct again from il == 0
+    "reconduct_integrator_limit_0": lambda p: (
+        p,
+        _default_gains(
+            p, t_end=0.002, initial_state=(0.0, -5.0), integrator_limit=(0.0, 0.0)
+        ),
+    ),
 }
 
 
@@ -386,6 +395,9 @@ def test_closed_loop_matches_reference_loop(nominal_params, case):
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
     if case == "dcm_vg500_spp50":
         assert traj.dcm_encountered
+    if case == "reconduct_integrator_limit_0":
+        assert traj.duty_cmd.max() == 0.0
+        assert traj.il[1] > 0.0 and not traj.dcm_encountered
     if case == "saturation_both_limits":
         # ON substeps per period when the control voltage sits at each limit
         saw_step = p.vs / cfg.steps_per_period
@@ -430,6 +442,8 @@ OPEN_LOOP_CASES = {
     # and a current that runs down to zero
     "dcm_from_0_20": (30.0, 0.37, 37, (0.0, 20.0)),
     "dcm_from_1_5": (30.0, 0.0, 37, (1.0, 5.0)),
+    # a negative vc makes the diode conduct again from il == 0
+    "reconduct_from_0_m5": (30.0, 0.0, 37, (0.0, -5.0)),
     # vc above vg drives il negative during ON time, so il < 0 enters
     # boundary substeps; the OFF completion clamps it like any OFF substep
     "negative_il_at_boundary": (20.0, 0.37, 20, (0.5, 40.0)),
@@ -447,7 +461,9 @@ def test_open_loop_matches_reference_loop(nominal_params, case):
     cfg = SimConfig(t_end=0.002, steps_per_period=spp, initial_state=initial)
     traj = simulate_open_loop(p, d, cfg)
     _assert_same_run(traj, open_loop_reference(p, d, cfg, zoh))
-    if not case.startswith("duty"):
+    if case == "reconduct_from_0_m5":
+        assert traj.il[1] > 0.0 and not traj.dcm_encountered
+    elif not case.startswith("duty"):
         assert traj.dcm_encountered
     if case in ("negative_il_at_boundary", "clamp_only_boundary", "clamp_only_full"):
         assert traj.il.min() < 0.0

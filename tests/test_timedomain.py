@@ -12,8 +12,8 @@ from buckforge import (
     step_metrics,
     step_response,
 )
-from buckforge.lti import dc_gain
-from buckforge.timedomain import MAX_SAMPLES, zoh
+from buckforge.lti import MAX_SAMPLES, dc_gain
+from buckforge.timedomain import zoh
 
 from oracles import (
     refined_peak_time,

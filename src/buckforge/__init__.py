@@ -24,7 +24,6 @@ from .converter import (
     validate_params,
 )
 from .lti import (
-    FrequencyPoint,
     MarginReport,
     TransferFunction,
     bode_sweep,
@@ -45,7 +44,6 @@ from .pi_design import (
     tune_kp_for_pm,
 )
 from .switched_sim import (
-    CycleAverages,
     SimConfig,
     SwitchedTrajectory,
     compare_to_averaged,

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .averaging import derive_plant, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
@@ -62,11 +60,10 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: str, header: str, *columns) -> None:
-    """One row per index across equal-length columns, each cell "%.17g".
+    """One row per index across equal-length 1-D arrays, each cell "%.17g".
 
     Booleans print as 1 and 0.
     """
-    columns = [np.asarray(col) for col in columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -140,23 +137,17 @@ def cmd_bode(args) -> int:
     gains = PIGains(args.kp, args.ki)
     cfg = _loop_config(args)
     loop = compensated_loop(derive_plant(p).plant, gains, cfg, p)
-    points = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
+    sweep = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
     margins = stability_margins(loop)
 
     csv_path = os.path.join(args.out_dir, "bode.csv")
-    _write_csv(
-        csv_path,
-        "omega_rad_s,magnitude_db,phase_deg",
-        [pt.omega for pt in points],
-        [pt.magnitude_db for pt in points],
-        [pt.phase_deg for pt in points],
-    )
+    _write_csv(csv_path, "omega_rad_s,magnitude_db,phase_deg", *sweep)
     margins_path = os.path.join(args.out_dir, "margins.json")
     _write_json(margins_path, dataclasses.asdict(margins))
     outputs = [csv_path, margins_path]
     if args.svg:
         title = f"open loop, kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
-        outputs.append(_write_svg(args, "bode.svg", bode_svg(points, margins, title)))
+        outputs.append(_write_svg(args, "bode.svg", bode_svg(sweep, margins, title)))
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),

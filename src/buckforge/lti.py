@@ -58,13 +58,6 @@ class TransferFunction:
 
 
 @dataclass(frozen=True)
-class FrequencyPoint:
-    omega: float          # rad/s
-    magnitude_db: float
-    phase_deg: float      # unwrapped
-
-
-@dataclass(frozen=True)
 class MarginReport:
     """Stability margins of an open-loop transfer function.
 
@@ -78,12 +71,15 @@ class MarginReport:
     gain_margin_db: float
     phase_margin_deg: float | None
     stable_loop: bool
-    gain_crossover_count: int = 0
-    phase_crossover_count: int = 0
+    gain_crossover_count: int
+    phase_crossover_count: int
 
 
 def evaluate(tf: TransferFunction, omega: float) -> complex:
-    """Frequency response num(j*omega)/den(j*omega) by Horner evaluation."""
+    """Frequency response num(j*omega)/den(j*omega) by Horner evaluation.
+
+    Raises ValueError when num(j*omega) or den(j*omega) overflows.
+    """
     if omega < 0.0:
         raise ValueError(f"omega must be non-negative, got {omega!r}")
     s = 1j * omega
@@ -95,6 +91,8 @@ def evaluate(tf: TransferFunction, omega: float) -> complex:
     n = 0j
     for c in tf.num:
         n = n * s + c
+    if not (cmath.isfinite(n) and cmath.isfinite(d)):
+        raise ValueError(f"frequency response overflows at omega={omega!r} rad/s")
     return n / d
 
 
@@ -173,15 +171,17 @@ def bode_sweep(
     omega_min: float,
     omega_max: float,
     points_per_decade: int,
-) -> list[FrequencyPoint]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-spaced frequency response with continuously unwrapped phase.
 
-    The first point's phase is anchored to the analytic low-frequency
-    asymptote (origin poles contribute -90 degrees each), so loops with
-    integrators unwrap from the correct branch.
+    Returns the columns (omega in rad/s, magnitude in dB, phase in
+    degrees), 24 bytes per frequency. The first point's phase is anchored
+    to the analytic low-frequency asymptote (origin poles contribute -90
+    degrees each), so loops with integrators unwrap from the correct branch.
     """
     omegas = log_grid(omega_min, omega_max, points_per_decade)
-    points: list[FrequencyPoint] = []
+    mags = np.empty(len(omegas))
+    phases = np.empty(len(omegas))
     prev_phase = 0.0
     for i, w in enumerate(omegas):
         z = evaluate(tf, float(w))
@@ -191,8 +191,9 @@ def bode_sweep(
         else:
             ph = prev_phase + _wrap_delta(ph - prev_phase)
         prev_phase = ph
-        points.append(FrequencyPoint(float(w), magnitude_db(z), ph))
-    return points
+        mags[i] = magnitude_db(z)
+        phases[i] = ph
+    return omegas, mags, phases
 
 
 # The crossover-search window, fixed at 1e-2 to 1e7 rad/s with 400 points
@@ -219,7 +220,7 @@ def _refine_gain_crossover(tf: TransferFunction, lo: float, hi: float) -> float:
 
 def _refine_phase_crossover(
     tf: TransferFunction, lo: float, hi: float, phase_lo: float
-) -> tuple[float, float]:
+) -> float:
     """Bisect for unwrapped phase = -180 inside [lo, hi].
 
     `phase_lo` is the unwrapped phase at `lo`; phases inside the bracket
@@ -237,9 +238,7 @@ def _refine_phase_crossover(
             lo, phase_lo, f_lo = mid, ph_mid, f_mid
         if (hi - lo <= 1e-10 * hi and abs(f_mid) <= 1e-7) or hi - lo <= 1e-15 * hi:
             break
-    mid = math.sqrt(lo * hi)
-    ph_mid = phase_lo + _wrap_delta(phase_deg(evaluate(tf, mid)) - phase_lo)
-    return mid, ph_mid
+    return math.sqrt(lo * hi)
 
 
 def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
@@ -334,7 +333,7 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
         if exact:
             phase_crossover = float(omegas[i])
         else:
-            phase_crossover, _ = _refine_phase_crossover(
+            phase_crossover = _refine_phase_crossover(
                 loop_tf, float(omegas[i]), float(omegas[i + 1]), float(phases[i])
             )
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 
-from .lti import FrequencyPoint, MarginReport
+from .lti import MarginReport
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 28, 40
 _PANEL_W, _PANEL_H = 560, 220
 # vertical space between stacked panels, room for the upper panel's x labels
 _PANEL_GAP = 60
-# a time-series plot draws fewer than 2 * _MAX_POINTS points
+# every panel draws fewer than 2 * _MAX_POINTS points: a curve of n samples
+# is drawn at a stride of n // _MAX_POINTS
 _MAX_POINTS = 2000
 
 
@@ -140,7 +141,8 @@ def _figure(title: str, curves, markers) -> str:
     """SVG document of panels stacked top to bottom, one per curve.
 
     `curves` holds (xs, ys, log_x, xlabel, ylabel, color, level) per panel,
-    `level` being the y of a dashed reference line (None: no line).
+    `level` being the y of a dashed reference line (None: no line); xs and
+    ys are sequences of numbers, decimated here to the point budget.
     `markers` holds (x, color, labels): a dashed vertical line across
     every panel, labeled labels[i] on panel i (None: no label).
     """
@@ -154,6 +156,9 @@ def _figure(title: str, curves, markers) -> str:
     ]
     panels = []
     for i, (xs, ys, log_x, xlabel, ylabel, color, level) in enumerate(curves):
+        step = max(1, len(xs) // _MAX_POINTS)
+        xs = [float(x) for x in xs[::step]]
+        ys = [float(y) for y in ys[::step]]
         panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
         panel.draw(out, xlabel, ylabel, color, level)
         panels.append(panel)
@@ -164,9 +169,9 @@ def _figure(title: str, curves, markers) -> str:
     return "\n".join(out)
 
 
-def bode_svg(points: list[FrequencyPoint], margins: MarginReport, title: str) -> str:
-    """Two-panel magnitude/phase plot with crossover markers."""
-    omegas = [pt.omega for pt in points]
+def bode_svg(sweep, margins: MarginReport, title: str) -> str:
+    """Two-panel magnitude/phase plot of bode_sweep's columns, crossover markers."""
+    omegas, mags, phases = sweep
     markers = []
     if margins.gain_crossover is not None:
         # stability_margins finds the phase margin wherever it finds this crossover
@@ -175,8 +180,6 @@ def bode_svg(points: list[FrequencyPoint], margins: MarginReport, title: str) ->
     if margins.phase_crossover is not None:
         label = f"GM {margins.gain_margin_db:.2f} dB"
         markers.append((margins.phase_crossover, "#b06e10", (label, None)))
-    mags = [pt.magnitude_db for pt in points]
-    phases = [pt.phase_deg for pt in points]
     return _figure(title, [
         (omegas, mags, True, "omega (rad/s)", "magnitude (dB)", "#1f4e9c", 0.0),
         (omegas, phases, True, "omega (rad/s)", "phase (deg)", "#9c2f1f", -180.0),
@@ -184,9 +187,5 @@ def bode_svg(points: list[FrequencyPoint], margins: MarginReport, title: str) ->
 
 
 def timeseries_svg(times, values, xlabel: str, ylabel: str, title: str) -> str:
-    """Single-panel line plot on linear axes; a series longer than
-    _MAX_POINTS is drawn at a stride of len // _MAX_POINTS samples."""
-    step = max(1, len(times) // _MAX_POINTS)
-    xs = [float(x) for x in times[::step]]
-    ys = [float(y) for y in values[::step]]
-    return _figure(title, [(xs, ys, False, xlabel, ylabel, "#1f4e9c", None)], [])
+    """Single-panel line plot on linear axes."""
+    return _figure(title, [(times, values, False, xlabel, ylabel, "#1f4e9c", None)], [])

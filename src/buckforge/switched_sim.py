@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import averaged_model
+from .averaging import _check_duty, averaged_model
 from .converter import ConverterParams, default_sensor_gain, validate_physical
 from .converter import mode_off_model, mode_on_model
 from .lti import MAX_SAMPLES
@@ -91,14 +91,6 @@ class SwitchedTrajectory:
             arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CycleAverages:
-    period_index: int
-    il_avg: float
-    vc_avg: float
-    duty: float
-
-
 def _periods(p: ConverterParams, cfg: SimConfig) -> int:
     """Whole switching periods in cfg.t_end, refused beyond MAX_SAMPLES."""
     spp = cfg.steps_per_period
@@ -130,8 +122,7 @@ def simulate_open_loop(
     one loop under the diode rule.
     """
     validate_physical(p)
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"duty cycle must lie in [0, 1], got {d!r}")
+    _check_duty(d)
     spp = cfg.steps_per_period
     n_periods = _periods(p, cfg)
     dt = 1.0 / (p.fs * spp)
@@ -321,14 +312,13 @@ def _last_period_pkpk(x: np.ndarray, spp: int, n: int) -> float:
     return float(last.max() - last.min())
 
 
-def cycle_average(traj: SwitchedTrajectory, fs: float) -> list[CycleAverages]:
-    """Trapezoidal per-period means; a trailing partial period is dropped."""
+def cycle_average(
+    traj: SwitchedTrajectory, fs: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoidal per-period means of il and vc, and each period's duty;
+    a trailing partial period is dropped."""
     spp, n, il, vc = _cycle_means(traj.times, fs, traj.il, traj.vc)
-    duty = traj.duty_cmd[: n * spp : spp]
-    return [
-        CycleAverages(per, *vals)
-        for per, vals in enumerate(zip(il.tolist(), vc.tolist(), duty.tolist()))
-    ]
+    return il, vc, traj.duty_cmd[: n * spp : spp]
 
 
 @dataclass(frozen=True)

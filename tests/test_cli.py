@@ -128,6 +128,26 @@ def test_bode_infinite_omega_ratio_is_exit_2(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("omega_min,omega_max", [
+    # num(j*omega) overflows first, so the old phase step was NaN
+    ("1", "1e200"),
+    # every frequency overflows; the old sweep wrote -inf dB rows
+    ("1e110", "1e150"),
+])
+def test_bode_overflowing_response_is_exit_2(
+    nominal_config_path, tmp_path, capsys, omega_min, omega_max
+):
+    out = tmp_path / "out"
+    assert run([
+        "bode", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.23", "--ki", "1", "--omega-min", omega_min, "--omega-max", omega_max,
+        "--svg",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "overflows at omega=" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_bode_reruns_byte_identical(nominal_config_path, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,32 +79,30 @@ def test_evaluate_errors():
 
 def test_bode_constant_gain():
     one = TransferFunction((1.0,), (1.0,))
-    for pt in bode_sweep(one, 0.1, 1000.0, 10):
-        assert pt.magnitude_db == 0.0
-        assert pt.phase_deg == 0.0
+    _, mags, phases = bode_sweep(one, 0.1, 1000.0, 10)
+    assert (mags == 0.0).all()
+    assert (phases == 0.0).all()
 
 
 def test_bode_integrator_asymptotes():
-    points = bode_sweep(INTEGRATOR, 1.0, 1e4, 100)
-    for pt in points:
-        assert pt.phase_deg == pytest.approx(-90.0, abs=1e-9)
+    omegas, mags, phases = bode_sweep(INTEGRATOR, 1.0, 1e4, 100)
+    for ph in phases:
+        assert ph == pytest.approx(-90.0, abs=1e-9)
     # -20 dB per decade: compare points one decade apart
-    assert points[100].magnitude_db - points[0].magnitude_db == pytest.approx(
-        -20.0, abs=1e-9
-    )
-    omegas = [pt.omega for pt in points]
-    assert omegas == sorted(omegas)
+    assert mags[100] - mags[0] == pytest.approx(-20.0, abs=1e-9)
+    assert (np.diff(omegas) > 0.0).all()
 
 
 def test_bode_low_frequency_gain(nominal_plant):
-    first = bode_sweep(nominal_plant, 1.0, 1e6, 10)[0]
+    _, mags, _ = bode_sweep(nominal_plant, 1.0, 1e6, 10)
     # frozen: 20*log10 |G(j*1)| for the nominal plant
-    assert first.magnitude_db == pytest.approx(29.3704, abs=2e-3)
+    assert mags[0] == pytest.approx(29.3704, abs=2e-3)
 
 
 def test_bode_magnitude_definition(nominal_plant):
-    for pt in bode_sweep(nominal_plant, 0.5, 2e4, 31):
-        assert pt.magnitude_db == magnitude_db(evaluate(nominal_plant, pt.omega))
+    omegas, mags, _ = bode_sweep(nominal_plant, 0.5, 2e4, 31)
+    for w, mag in zip(omegas.tolist(), mags.tolist()):
+        assert mag == magnitude_db(evaluate(nominal_plant, w))
 
 
 def test_bode_range_validation(nominal_plant):
@@ -116,6 +116,30 @@ def test_bode_range_validation(nominal_plant):
     for lo, hi in [(1e-300, 1e300), (5e-324, 1.0), (1.0, math.inf)]:
         with pytest.raises(ValueError, match="finite ratio"):
             bode_sweep(nominal_plant, lo, hi, 10)
+
+
+def test_bode_sweep_memory_per_frequency(nominal_plant):
+    # three float64 columns, 24 B per frequency; per-point records took 184 B
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    tracemalloc.start()
+    try:
+        omegas, _, _ = bode_sweep(loop, 1.0, 1e6, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(omegas) == 60_001
+    assert peak <= 32 * len(omegas)
+
+
+@pytest.mark.parametrize("tf,omega", [
+    # den(j*omega) overflows; the quotient would be 0, i.e. -inf dB
+    (TransferFunction((1.0,), (1.0, 1.0, 1.0, 1.0)), 1e110),
+    # num(j*omega) overflows, den(j*omega) does not
+    (TransferFunction((1e300, 1.0), (1.0, 1.0)), 1e10),
+])
+def test_evaluate_overflow_names_omega(tf, omega):
+    with pytest.raises(ValueError, match=re.escape(f"omega={omega!r}")):
+        evaluate(tf, omega)
 
 
 def test_log_grid_budget_refused_before_allocation(monkeypatch):
@@ -142,8 +166,7 @@ def test_phase_unwrap_continuity(nominal_plant):
         close_unity_loop(nominal_plant),
     ]
     for loop in loops:
-        points = bode_sweep(loop, 1e-2, 1e7, 100)
-        phases = [pt.phase_deg for pt in points]
+        _, _, phases = bode_sweep(loop, 1e-2, 1e7, 100)
         deltas = np.abs(np.diff(phases))
         assert deltas.max() < 180.0
 
@@ -290,15 +313,15 @@ def test_margins_report_lowest_of_multiple_crossings():
 
 def test_bode_anchor_negative_dc_gain():
     inverting = TransferFunction((-1.0,), (1.0, 1.0))
-    first = bode_sweep(inverting, 1e-3, 1.0, 10)[0]
-    assert first.phase_deg == pytest.approx(-180.0, abs=0.5)
+    _, _, phases = bode_sweep(inverting, 1e-3, 1.0, 10)
+    assert phases[0] == pytest.approx(-180.0, abs=0.5)
 
 
 def test_bode_anchor_integrator_loop(nominal_plant):
     loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
-    first = bode_sweep(loop, 1e-3, 1e3, 50)[0]
+    _, _, phases = bode_sweep(loop, 1e-3, 1e3, 50)
     # one origin pole dominates well below the plant dynamics
-    assert first.phase_deg == pytest.approx(-90.0, abs=1.0)
+    assert phases[0] == pytest.approx(-90.0, abs=1.0)
 
 
 def test_margins_unstable_high_gain():

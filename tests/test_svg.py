@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,19 @@ from buckforge.svg import bode_svg, timeseries_svg
 from oracles import bode_svg_reference, decimate_reference, timeseries_svg_reference
 
 
+def _points(sweep):
+    """The reference's per-frequency records, rebuilt from the columns."""
+    return [
+        SimpleNamespace(omega=w, magnitude_db=m, phase_deg=ph)
+        for w, m, ph in zip(*(col.tolist() for col in sweep))
+    ]
+
+
 def _same_bode(loop, title):
-    points = bode_sweep(loop, 1.0, 1e6, 200)
+    sweep = bode_sweep(loop, 1.0, 1e6, 200)
     margins = stability_margins(loop)
-    got = bode_svg(points, margins, title)
-    assert got == bode_svg_reference(points, margins, title)
+    got = bode_svg(sweep, margins, title)
+    assert got == bode_svg_reference(_points(sweep), margins, title)
     return got
 
 
@@ -68,3 +78,30 @@ def test_timeseries_svg_matches_reference_at_stride_edges(n):
     xs, ys = decimate_reference(times, values)
     assert got == timeseries_svg_reference(xs, ys, "t", "y", "ramp")
     assert got.count(",") == len(xs) == (n if n < 4000 else n // 2)
+
+
+def test_bode_svg_decimates_a_dense_grid(nominal_plant):
+    # 9 decades at 1000 per decade: 9001 frequencies, drawn at a stride of 4
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    sweep = bode_sweep(loop, 1e-2, 1e7, 1000)
+    assert len(sweep[0]) == 9001
+    svg = bode_svg(sweep, stability_margins(loop), "dense")
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert len(polylines) == 2
+    for line in polylines:
+        assert line.count(",") == len(range(0, 9001, 4)) < 4000
+    # each panel's curve is the one the reference draws from the same stride
+    drawn = _points([col[::4] for col in sweep])
+    assert svg == bode_svg_reference(drawn, stability_margins(loop), "dense")
+
+
+@pytest.mark.parametrize("n", [3999, 4000])
+def test_bode_svg_stride_edges(n):
+    # a Bode grid of up to 3999 points is drawn whole, 4000 at a stride of 2
+    loop = TransferFunction((1.0,), (1.0, 1.0))
+    sweep = bode_sweep(loop, 1.0, 10.0 ** ((n - 1) / 1000), 1000)
+    assert len(sweep[0]) == n
+    margins = stability_margins(loop)
+    got = bode_svg(sweep, margins, "edge")
+    drawn = _points([col[:: 1 if n < 4000 else 2] for col in sweep])
+    assert got == bode_svg_reference(drawn, margins, "edge")

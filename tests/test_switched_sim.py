@@ -82,11 +82,17 @@ def test_open_loop_converges_to_averaged_equilibrium(nominal_params):
     p = nominal_params
     op = solve_duty(p)
     traj = simulate_open_loop(p, op.duty, SimConfig(t_end=0.06))
-    cycles = cycle_average(traj, p.fs)
-    assert cycles[-1].vc_avg == pytest.approx(op.vc, rel=0.005)
-    assert cycles[-1].il_avg == pytest.approx(op.il, rel=0.02)
-    assert cycles[-1].duty == op.duty
+    il_avg, vc_avg, duty = cycle_average(traj, p.fs)
+    assert vc_avg[-1] == pytest.approx(op.vc, rel=0.005)
+    assert il_avg[-1] == pytest.approx(op.il, rel=0.02)
+    assert duty[-1] == op.duty
     assert not traj.dcm_encountered
+
+
+@pytest.mark.parametrize("d", [-0.1, 1.5, math.nan])
+def test_open_loop_rejects_duty_outside_unit_interval(nominal_params, d):
+    with pytest.raises(ValueError, match=r"duty cycle must lie in \[0, 1\]"):
+        simulate_open_loop(nominal_params, d, SimConfig(t_end=0.001))
 
 
 def test_open_loop_sample_grid(nominal_params):
@@ -257,11 +263,11 @@ def _manual_trajectory(values, spp=40, fs=1000.0):
 
 def test_cycle_average_constant():
     traj = _manual_trajectory([3.0] * 81)
-    cycles = cycle_average(traj, 1000.0)
-    assert len(cycles) == 2
-    assert cycles[0].il_avg == 3.0
-    assert cycles[1].vc_avg == 3.0
-    assert cycles[0].duty == 0.5
+    il_avg, vc_avg, duty = cycle_average(traj, 1000.0)
+    assert len(il_avg) == len(vc_avg) == len(duty) == 2
+    assert il_avg[0] == 3.0
+    assert vc_avg[1] == 3.0
+    assert duty[0] == 0.5
 
 
 def test_cycle_average_symmetric_ripple():
@@ -271,9 +277,9 @@ def test_cycle_average_symmetric_ripple():
     values = 7.0 + np.tile(ramp, 2)
     values = np.append(values, 7.0 - 1.0)
     traj = _manual_trajectory(values, spp=spp)
-    cycles = cycle_average(traj, 1000.0)
-    for cyc in cycles:
-        assert cyc.il_avg == pytest.approx(7.0, abs=0.05)
+    il_avg, _, _ = cycle_average(traj, 1000.0)
+    for mean in il_avg:
+        assert mean == pytest.approx(7.0, abs=0.05)
 
 
 def test_cycle_average_too_short(nominal_params):
@@ -546,11 +552,11 @@ def test_cycle_means_match_per_period_loop(nominal_params, spp, periods, extra):
     p = nominal_params
     traj = _random_trajectory(spp, periods * spp + 1 + extra, p.fs, seed=spp + periods)
     ref = cycle_means_reference(traj.il, traj.vc, traj.duty_cmd, spp)
-    cycles = cycle_average(traj, p.fs)
-    assert len(cycles) == periods == len(ref)
-    for per, (cyc, want) in enumerate(zip(cycles, ref)):
-        assert cyc.period_index == per
-        assert _bits(cyc.il_avg, cyc.vc_avg, cyc.duty) == _bits(*want)
+    columns = cycle_average(traj, p.fs)
+    assert [len(col) for col in columns] == [periods] * 3
+    assert len(ref) == periods
+    for cyc, want in zip(zip(*(col.tolist() for col in columns)), ref):
+        assert _bits(*cyc) == _bits(*want)
 
     report = regulation_report(traj, p)
     trailing = ref[-min(10, len(ref)):]

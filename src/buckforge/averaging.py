@@ -9,6 +9,7 @@ duty-to-output transfer function. All 2x2 algebra is done in closed form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .converter import ConverterParams, StateSpaceModel, validate_params
@@ -41,14 +42,12 @@ class SmallSignalModel:
     """Linearization of the averaged model about an operating point.
 
     ``b_d`` is the duty-perturbation input column
-    (A_on - A_off) x0 + (B_on - B_off) vg, recomputable from the stored
-    operating point.
+    (A_on - A_off) x0 + (B_on - B_off) vg at the operating point x0.
     """
 
     a: tuple[tuple[float, float], tuple[float, float]]
     b_d: tuple[float, float]
     c: tuple[float, float]
-    operating_point: OperatingPoint
 
 
 def _check_duty(d: float) -> None:
@@ -100,10 +99,12 @@ def solve_duty(p: ConverterParams) -> OperatingPoint:
     """
     validate_params(p)
     gain = p.vg * p.r_load / (p.r_load + p.r_l)
-    d = p.vo_target / gain
-    if not (0.0 <= d <= 1.0):
+    # vo_target > 0, so a zero gain or a zero duty comes only from float
+    # underflow or overflow
+    d = p.vo_target / gain if gain > 0.0 else math.inf
+    if not (0.0 < d <= 1.0):
         raise ValueError(
-            f"required duty {d!r} is outside [0, 1]; "
+            f"required duty {d!r} is outside (0, 1]; "
             f"vo_target {p.vo_target!r} is unreachable from vg {p.vg!r} "
             f"with winding resistance {p.r_l!r}"
         )
@@ -122,7 +123,7 @@ def small_signal_model(
         + (b_on - b_off) * op.vg
         for row_on, row_off, b_on, b_off in zip(on.a, off.a, on.b, off.b)
     )
-    return SmallSignalModel(a=avg.a, b_d=b_d, c=avg.c, operating_point=op)
+    return SmallSignalModel(a=avg.a, b_d=b_d, c=avg.c)
 
 
 def duty_to_output_tf(ssm: SmallSignalModel) -> TransferFunction:

@@ -105,11 +105,7 @@ def cmd_derive(args) -> int:
         "mode_on": dataclasses.asdict(derivation.mode_on),
         "mode_off": dataclasses.asdict(derivation.mode_off),
         "operating_point": dataclasses.asdict(op),
-        "small_signal": {
-            "a": derivation.small_signal.a,
-            "b_d": derivation.small_signal.b_d,
-            "c": derivation.small_signal.c,
-        },
+        "small_signal": dataclasses.asdict(derivation.small_signal),
         "transfer_function": dataclasses.asdict(derivation.plant),
     }
     out = os.path.join(args.out_dir, "derive.json")
@@ -416,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except TuningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

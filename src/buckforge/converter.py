@@ -27,7 +27,12 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ConverterParams:
-    """Circuit constants plus regulation targets and PWM settings (all SI)."""
+    """Circuit constants plus regulation targets and PWM settings (all SI).
+
+    Construction checks circuit-level validity: finite values, positive
+    elements and a finite mode model. Simulation accepts a source that sags
+    below vo_target; validate_params adds that design-time constraint.
+    """
 
     vg: float         # input voltage, V
     vo_target: float  # desired output voltage, V
@@ -38,6 +43,29 @@ class ConverterParams:
     fs: float         # switching frequency, Hz
     vs: float         # PWM sawtooth peak, V
     vref: float       # controller reference voltage, V
+
+    def __post_init__(self):
+        for name in PARAM_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(name, f"{name} must be finite, got {value!r}")
+        for name in ("vg", "r_load", "l", "c", "fs", "vs", "r_l", "vo_target", "vref"):
+            value = getattr(self, name)
+            sign = "non-negative" if name in ("r_l", "vref") else "positive"
+            if value < 0.0 or (value == 0.0 and sign == "positive"):
+                raise ParameterError(name, f"{name} must be {sign}, got {value!r}")
+        # every mode-model entry, the input column scaled by vg, must be finite
+        rc = self.r_load * self.c
+        for name, term, entry in (
+            ("l", "1/l", 1.0 / self.l),
+            ("c", "1/c", 1.0 / self.c),
+            ("r_load", "1/(r_load*c)", 1.0 / rc if rc > 0.0 else math.inf),
+            ("r_l", "r_l/l", self.r_l / self.l),
+            ("vg", "vg/l", self.vg * (1.0 / self.l)),
+        ):
+            if not math.isfinite(entry):
+                value = getattr(self, name)
+                raise ParameterError(name, f"{name} {value!r} makes {term} overflow")
 
 
 @dataclass(frozen=True)
@@ -57,39 +85,8 @@ class StateSpaceModel:
 PARAM_FIELDS = tuple(f.name for f in fields(ConverterParams))
 
 
-def validate_physical(raw: ConverterParams) -> ConverterParams:
-    """Check circuit-level constraints only (finite values, positive elements).
-
-    Simulation accepts any physically buildable source, including one that
-    sags below the regulation target; the design-time step-down constraint
-    is enforced separately by validate_params.
-    """
-    for name in PARAM_FIELDS:
-        value = getattr(raw, name)
-        if not math.isfinite(value):
-            raise ParameterError(name, f"{name} must be finite, got {value!r}")
-    positive = ("vg", "r_load", "l", "c", "fs", "vs")
-    for name in positive:
-        value = getattr(raw, name)
-        if not (value > 0.0):
-            raise ParameterError(name, f"{name} must be positive, got {value!r}")
-    if raw.r_l < 0.0:
-        raise ParameterError("r_l", f"r_l must be non-negative, got {raw.r_l!r}")
-    if not (raw.vo_target > 0.0):
-        raise ParameterError(
-            "vo_target", f"vo_target must be positive, got {raw.vo_target!r}"
-        )
-    if raw.vref < 0.0:
-        raise ParameterError("vref", f"vref must be non-negative, got {raw.vref!r}")
-    return raw
-
-
 def validate_params(raw: ConverterParams) -> ConverterParams:
-    """Check all parameter invariants; return the params unchanged.
-
-    Raises ParameterError naming the first offending field.
-    """
-    validate_physical(raw)
+    """Refuse vo_target > vg, the design-time step-down rule; return raw unchanged."""
     if raw.vo_target > raw.vg:
         raise ParameterError(
             "vo_target",
@@ -144,7 +141,6 @@ def _shared_a(p: ConverterParams) -> tuple[tuple[float, float], tuple[float, flo
 
 def mode_on_model(p: ConverterParams) -> StateSpaceModel:
     """State-space model with the transistor conducting."""
-    validate_physical(p)
     return StateSpaceModel(a=_shared_a(p), b=(1.0 / p.l, 0.0), c=(0.0, 1.0))
 
 
@@ -154,6 +150,5 @@ def mode_off_model(p: ConverterParams) -> StateSpaceModel:
     The source is disconnected, so the input vector is zero; A and C are
     shared with the ON mode.
     """
-    validate_physical(p)
     return StateSpaceModel(a=_shared_a(p), b=(0.0, 0.0), c=(0.0, 1.0))
 

@@ -78,7 +78,8 @@ class MarginReport:
 def evaluate(tf: TransferFunction, omega: float) -> complex:
     """Frequency response num(j*omega)/den(j*omega) by Horner evaluation.
 
-    Raises ValueError when num(j*omega) or den(j*omega) overflows.
+    Raises ValueError when num(j*omega), den(j*omega) or their quotient
+    overflows, and when a nonzero quotient underflows to zero.
     """
     if omega < 0.0:
         raise ValueError(f"omega must be non-negative, got {omega!r}")
@@ -91,9 +92,12 @@ def evaluate(tf: TransferFunction, omega: float) -> complex:
     n = 0j
     for c in tf.num:
         n = n * s + c
-    if not (cmath.isfinite(n) and cmath.isfinite(d)):
+    z = n / d if cmath.isfinite(n) and cmath.isfinite(d) else complex(math.inf)
+    if not cmath.isfinite(z):
         raise ValueError(f"frequency response overflows at omega={omega!r} rad/s")
-    return n / d
+    if z == 0 and n != 0:
+        raise ValueError(f"frequency response underflows at omega={omega!r} rad/s")
+    return z
 
 
 def magnitude_db(z: complex) -> float:

@@ -179,6 +179,15 @@ def tune_kp_for_pm(
 
     def result(kp: float, bracket: tuple[float, float] | None) -> TuningResult:
         margins = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        pm = margins.phase_margin_deg
+        if pm is None or abs(pm - target_pm) > PM_TOLERANCE_DEG:
+            # the bracket straddled a jump of PM(kp) or the margin window's edge
+            reached = "no gain crossover" if pm is None else f"{pm!r} deg"
+            raise TuningError(
+                f"phase margin target {target_pm!r} deg not met: the search "
+                f"ended at kp {kp!r} with {reached}",
+                trace(bracket),
+            )
         return TuningResult(PIGains(kp, ki), margins, trace(bracket))
 
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
@@ -305,14 +314,15 @@ def design_report(
     Step metrics are relative to the simulated window; the model-exact
     steady-state error comes from the closed-loop DC gain.
     """
-    selected = stability_margins(compensated_loop(plant, g, cfg, p))
-    direct = stability_margins(compensated_loop(plant, g, LoopConfig(), p))
-    variants = {"plant_times_pi": asdict(direct)}
+    variant_configs = {"plant_times_pi": LoopConfig()}
     if p is not None:
-        scaled = stability_margins(
-            compensated_loop(plant, g, LoopConfig(True, True), p)
-        )
-        variants["with_modulator_and_sensor_gains"] = asdict(scaled)
+        variant_configs["with_modulator_and_sensor_gains"] = LoopConfig(True, True)
+    # one report per distinct loop: the selected config is often a variant
+    margins = {
+        c: stability_margins(compensated_loop(plant, g, c, p))
+        for c in dict.fromkeys((cfg, *variant_configs.values()))
+    }
+    variants = {name: asdict(margins[c]) for name, c in variant_configs.items()}
 
     closed = close_unity_loop(compensated_loop(plant, g, cfg, p))
     closed_poles = poles(closed)
@@ -330,7 +340,7 @@ def design_report(
     report = {
         "gains": {"kp": g.kp, "ki": g.ki},
         "loop_config": asdict(cfg),
-        "selected_loop_margins": asdict(selected),
+        "selected_loop_margins": asdict(margins[cfg]),
         "loop_variants": variants,
         "closed_loop": {
             "poles": [[z.real, z.imag] for z in closed_poles],
@@ -340,7 +350,7 @@ def design_report(
             "step_metrics": metrics,
             "step_metrics_note": metrics_note,
         },
-        "reference_comparison": _reference_comparison(g, direct),
+        "reference_comparison": _reference_comparison(g, margins[LoopConfig()]),
     }
     if p is not None:
         report["converter_params"] = asdict(p)

@@ -8,6 +8,7 @@ crossover markers. No plotting library is involved.
 from __future__ import annotations
 
 import math
+import sys
 
 from .lti import MarginReport
 
@@ -132,7 +133,8 @@ class _Panel:
 
 def _pad(lo: float, hi: float) -> tuple[float, float]:
     span = hi - lo
-    if span <= 0.0:
+    # a subnormal span counts as flat: its tick step would underflow to 0
+    if span < sys.float_info.min:
         span = max(abs(hi), 1.0)
     return lo - 0.05 * span, hi + 0.05 * span
 

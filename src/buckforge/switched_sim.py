@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import _check_duty, averaged_model
-from .converter import ConverterParams, default_sensor_gain, validate_physical
+from .converter import ConverterParams, default_sensor_gain
 from .converter import mode_off_model, mode_on_model
 from .lti import MAX_SAMPLES
 from .pi_design import PIGains
@@ -121,7 +121,6 @@ def simulate_open_loop(
     counts as ON. The OFF completion and the full OFF substeps run through
     one loop under the diode rule.
     """
-    validate_physical(p)
     _check_duty(d)
     spp = cfg.steps_per_period
     n_periods = _periods(p, cfg)
@@ -198,7 +197,6 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     under the selected mode. The integrator freezes whenever the control
     voltage is saturated and the error would deepen saturation.
     """
-    validate_physical(p)
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
     kp, ki = cfg.gains.kp, cfg.gains.ki
@@ -280,8 +278,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
         out_q[lo:hi] = buf_q
         out_duty[lo:hi] = on_count / spp
     out_duty[n_samples - 1] = out_duty[n_samples - 2]
-    if n_samples > 1:
-        out_q[n_samples - 1] = out_q[n_samples - 2]
+    out_q[n_samples - 1] = out_q[n_samples - 2]
     return SwitchedTrajectory(out_t, out_il, out_vc, out_duty, out_q, dcm)
 
 

@@ -89,13 +89,17 @@ def zoh(a, b, dt: float) -> tuple[list[list[float]], list[float]]:
     Van Loan's augmented matrix: the exponential of [[a, b], [0, 0]] * dt
     holds Phi = e^{a dt} in its leading block and Gamma = (integral of
     e^{a s} over [0, dt]) b in its last column. Both come back as plain
-    floats so per-step loops stay out of numpy scalar overhead.
+    floats so per-step loops stay out of numpy scalar overhead. Raises
+    ValueError when the exponential overflows.
     """
     n = len(b)
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = a
     aug[:n, n] = b
-    E = expm(aug * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = expm(aug * dt)
+    if not np.isfinite(E).all():
+        raise ValueError(f"the zero-order-hold map over dt={dt!r} s overflows")
     return E[:n, :n].tolist(), E[:n, n].tolist()
 
 

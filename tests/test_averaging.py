@@ -119,6 +119,18 @@ def test_solve_duty_unreachable(nominal_params):
         solve_duty(p)
 
 
+@pytest.mark.parametrize("changes,duty", [
+    # vg*r_load/(r_load+r_l) underflows to 0
+    ({"vg": 3e-149, "vo_target": 1e-150, "r_l": 1e300}, "inf"),
+    # vg*r_load overflows, so vo_target/gain reads 0
+    ({"vg": 1e300, "r_load": 1e10}, "0.0"),
+])
+def test_solve_duty_out_of_float_range(nominal_params, changes, duty):
+    p = dataclasses.replace(nominal_params, **changes)
+    with pytest.raises(ValueError, match=rf"required duty {duty} is outside \(0, 1\]"):
+        solve_duty(p)
+
+
 def test_small_signal_input_column(modes, nominal_params):
     on, off = modes
     op = solve_duty(nominal_params)

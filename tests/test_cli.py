@@ -1,12 +1,18 @@
+import io
 import json
 import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from buckforge import PIGains, cli, compensated_loop, stability_margins
 from buckforge.cli import main
+from buckforge.converter import PARAM_FIELDS
 from oracles import decimate_reference, timeseries_svg_reference
 
 
@@ -128,23 +134,46 @@ def test_bode_infinite_omega_ratio_is_exit_2(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("omega_min,omega_max", [
+@pytest.mark.parametrize("omega_min,omega_max,points_per_decade", [
     # num(j*omega) overflows first, so the old phase step was NaN
-    ("1", "1e200"),
+    pytest.param("1", "1e200", "200", id="1-1e200"),
     # every frequency overflows; the old sweep wrote -inf dB rows
-    ("1e110", "1e150"),
+    pytest.param("1e110", "1e150", "200", id="1e110-1e150"),
+    # num and den are finite, their quotient is not; the old sweep wrote inf dB rows
+    pytest.param("1e-320", "1e-300", "1", id="1e-320-1e-300"),
 ])
 def test_bode_overflowing_response_is_exit_2(
-    nominal_config_path, tmp_path, capsys, omega_min, omega_max
+    nominal_config_path, tmp_path, capsys, omega_min, omega_max, points_per_decade
 ):
     out = tmp_path / "out"
     assert run([
         "bode", "--config", nominal_config_path, "--out-dir", str(out),
         "--kp", "0.23", "--ki", "1", "--omega-min", omega_min, "--omega-max", omega_max,
-        "--svg",
+        "--points-per-decade", points_per_decade, "--svg",
     ]) == 2
     err = capsys.readouterr().err
     assert "overflows at omega=" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def _config(tmp_path, nominal_config_path, **changes) -> str:
+    """A copy of the nominal config with `changes` applied; returns its path."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(dict(read_json(nominal_config_path), **changes)))
+    return str(path)
+
+
+def test_bode_underflowing_response_is_exit_2(nominal_config_path, tmp_path, capsys):
+    # every |L| underflows to 0; the old sweep wrote -inf dB rows, and the SVG
+    # raised OverflowError on them
+    config = _config(tmp_path, nominal_config_path, vo_target=5e-324, r_load=5e-324, c=1e300)
+    out = tmp_path / "out"
+    assert run([
+        "bode", "--config", config, "--out-dir", str(out), "--kp", "0.23", "--ki", "1",
+        "--svg",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "underflows at omega=" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 
@@ -233,6 +262,23 @@ def test_tune_without_gain_crossover_is_exit_3(nominal_config_path, tmp_path, ca
     assert not (out / "tune.json").exists()
     trace = read_json(out / "tune_manifest.json")["tuning_trace"]
     assert trace["pm_grid"] == [None] * 91
+
+
+@pytest.mark.parametrize("changes,flags", [
+    ({"vg": 1e6}, ["--target-pm", "50"]),
+    ({"l": 250.0, "c": 30000.0}, ["--target-pm", "75", "--include-modulator-gain"]),
+])
+def test_tune_off_target_is_exit_3(nominal_config_path, tmp_path, capsys, changes, flags):
+    # the old search returned the bracket's edge, with no phase margin, and
+    # then raised TypeError printing it
+    config = _config(tmp_path, nominal_config_path, **changes)
+    out = tmp_path / "out"
+    assert run(["tune", "--config", config, "--out-dir", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "not met" in err and "no gain crossover" in err and "Traceback" not in err
+    assert not (out / "tune.json").exists()
+    trace = read_json(out / "tune_manifest.json")["tuning_trace"]
+    assert trace["bracket"] is not None and trace["bisection"]
 
 
 @pytest.mark.parametrize("ki", ["nan", "inf"])
@@ -475,6 +521,78 @@ def test_simulate_non_finite_config_is_exit_2(nominal_config_path, tmp_path, cap
         "--t-end", "0.01",
     ]) == 2
     assert "l must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,changes,message", [
+    # r_load*c underflows; the old derive raised ZeroDivisionError
+    (["derive"], {"r_load": 5e-324}, "r_load 5e-324 makes 1/(r_load*c) overflow"),
+    # 1/l overflows; the old run judged a NaN trajectory "regulation FAIL"
+    (["simulate", "--t-end", "0.001"], {"l": 5e-324}, "l 5e-324 makes 1/l overflow"),
+    # the --vg override is checked like the config
+    (["simulate", "--vg", "1.7e308", "--t-end", "0.001"], {},
+     "vg 1.7e+308 makes vg/l overflow"),
+    # vg*r_load/(r_load+r_l) underflows; the old derive raised ZeroDivisionError
+    (["derive"], {"vg": 3e-149, "vo_target": 1e-150, "r_l": 1e300},
+     "required duty inf is outside (0, 1]"),
+    # a finite mode model whose exact ZOH map overflows
+    (["simulate", "--from-operating-point", "--t-end", "0.0005", "--steps-per-period", "20"],
+     {"vg": 1e300},
+     "zero-order-hold map over dt="),
+])
+def test_out_of_range_model_is_exit_2(
+    nominal_config_path, tmp_path, capsys, argv, changes, message
+):
+    config = _config(tmp_path, nominal_config_path, **changes)
+    out = tmp_path / "out"
+    assert run([argv[0], "--config", config, "--out-dir", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+# values at or beyond the edges of physics and of the float range, set as a
+# field's value or multiplied into it
+CONTRACT_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308)
+CONTRACT_COMMANDS = (
+    ("derive",),
+    ("bode", "--kp", "0.23", "--ki", "1", "--svg"),
+    ("tune", "--target-pm", "50"),
+    ("step", "--kp", "0.23", "--ki", "1", "--samples", "1001", "--svg"),
+    ("simulate", "--from-operating-point", "--t-end", "0.0005",
+     "--steps-per-period", "20", "--svg"),
+)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    changes=st.dictionaries(
+        st.sampled_from(PARAM_FIELDS),
+        st.tuples(st.booleans(), st.sampled_from(CONTRACT_VALUES)),
+        min_size=1, max_size=3,
+    ),
+    command=st.sampled_from(CONTRACT_COMMANDS),
+)
+def test_exit_code_contract(nominal_config_path, changes, command):
+    doc = read_json(nominal_config_path)
+    for name, (scale, value) in changes.items():
+        doc[name] = doc[name] * value if scale else value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "params.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        argv = [command[0], "--config", config, "--out-dir", out, *command[1:]]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code in (0, 4):
+            for name in os.listdir(out):
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name)) as fh:
+                        assert "NaN" not in fh.read(), name
 
 
 def test_help_exits_zero():

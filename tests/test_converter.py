@@ -35,9 +35,8 @@ def test_nominal_params_accepted(nominal_params):
     ],
 )
 def test_rejections_name_the_field(nominal_params, field, value):
-    bad = dataclasses.replace(nominal_params, **{field: value})
     with pytest.raises(ParameterError) as exc:
-        validate_params(bad)
+        dataclasses.replace(nominal_params, **{field: value})
     assert exc.value.field == field
     assert field in str(exc.value)
 
@@ -45,11 +44,39 @@ def test_rejections_name_the_field(nominal_params, field, value):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ConverterParams)])
 def test_non_finite_field_rejected(nominal_params, field, value):
-    bad = dataclasses.replace(nominal_params, **{field: value})
     with pytest.raises(ParameterError) as exc:
-        validate_params(bad)
+        dataclasses.replace(nominal_params, **{field: value})
     assert exc.value.field == field
     assert f"{field} must be finite" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "changes,field,term",
+    [
+        ({"l": 5e-324}, "l", "1/l"),
+        ({"c": 5e-324}, "c", "1/c"),
+        # r_load*c underflows to 0
+        ({"r_load": 5e-324}, "r_load", "1/(r_load*c)"),
+        # r_load*c is subnormal and its reciprocal overflows
+        ({"r_load": 1e-300, "c": 1e-10}, "r_load", "1/(r_load*c)"),
+        ({"r_l": 1e306}, "r_l", "r_l/l"),
+        ({"vg": 1.7e308}, "vg", "vg/l"),
+    ],
+)
+def test_non_finite_mode_model_rejected(nominal_params, changes, field, term):
+    doc = dict(dataclasses.asdict(nominal_params), **changes)
+    for build in (lambda: ConverterParams(**doc), lambda: params_from_dict(doc)):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.field == field
+        assert f"makes {term} overflow" in str(exc.value)
+
+
+def test_extreme_but_finite_mode_model_accepted(nominal_params):
+    # every mode-model entry is finite, however far from the nominal design
+    p = dataclasses.replace(nominal_params, vg=1e300, l=1e-3, r_load=1e-150, c=1e-150)
+    m = mode_on_model(p)
+    assert all(math.isfinite(x) for x in (*m.a[0], *m.a[1], p.vg * m.b[0]))
 
 
 def test_step_up_target_rejected(nominal_params):

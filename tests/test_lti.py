@@ -136,10 +136,19 @@ def test_bode_sweep_memory_per_frequency(nominal_plant):
     (TransferFunction((1.0,), (1.0, 1.0, 1.0, 1.0)), 1e110),
     # num(j*omega) overflows, den(j*omega) does not
     (TransferFunction((1e300, 1.0), (1.0, 1.0)), 1e10),
+    # both are finite, their quotient overflows
+    (TransferFunction((1.0,), (1.0, 0.0)), 1e-320),
 ])
 def test_evaluate_overflow_names_omega(tf, omega):
-    with pytest.raises(ValueError, match=re.escape(f"omega={omega!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"overflows at omega={omega!r}")):
         evaluate(tf, omega)
+
+
+def test_evaluate_underflow_names_omega():
+    with pytest.raises(ValueError, match=re.escape("underflows at omega=1e+30")):
+        evaluate(TransferFunction((1e-300,), (1.0, 0.0)), 1e30)
+    # an exact zero of the numerator is a response, not an underflow
+    assert evaluate(TransferFunction((1.0, 0.0), (1.0, 1.0)), 0.0) == 0
 
 
 def test_log_grid_budget_refused_before_allocation(monkeypatch):

@@ -21,6 +21,7 @@ from buckforge import (
     tune_kp_for_pm,
 )
 from buckforge.lti import dc_gain
+from buckforge.pi_design import PM_TOLERANCE_DEG
 
 from oracles import tune_kp_for_pm_reference
 
@@ -189,6 +190,23 @@ def test_tune_error_carries_trace(nominal_plant):
     assert max(pm for pm in trace.pm_grid if pm is not None) < 179.9
 
 
+@pytest.mark.parametrize("changes,target,modulator", [
+    # the bracket's upper kp has no gain crossover; bisection ends at its edge
+    ({"vg": 1e6}, 50.0, False),
+    ({"l": 250.0, "c": 30000.0}, 75.0, True),
+    # lossless plant: PM(kp) jumps from about 159 to -3 deg, skipping 50
+    ({"r_l": 0.0}, 50.0, False),
+])
+def test_tune_refuses_a_kp_off_target(nominal_params, changes, target, modulator):
+    p = dataclasses.replace(nominal_params, **changes)
+    cfg = LoopConfig(include_modulator_gain=modulator)
+    with pytest.raises(TuningError, match="not met") as info:
+        tune_kp_for_pm(derive_plant(p).plant, 1.0, target, cfg, p)
+    trace = info.value.trace
+    assert trace.bracket is not None and trace.bisection
+    assert trace.pm_evals == 91 + len(trace.bisection)
+
+
 def _tune_outcome(tune, plant, ki, target, cfg, p):
     """kp bits and margins of a tune, or the type and text of its error."""
     try:
@@ -204,6 +222,13 @@ def _assert_tune_matches_reference(plant, ki, target, cfg, p):
 
     got = _tune_outcome(tune_kp_for_pm, plant, ki, target, cfg, p)
     want = _tune_outcome(reference, plant, ki, target, cfg, p)
+    if len(want) == 3:
+        pm = want[2].phase_margin_deg
+        if pm is None or abs(pm - target) > PM_TOLERANCE_DEG:
+            # the reference returns wherever its bisection ended; the
+            # package refuses a kp that misses the target
+            assert got[0] == "TuningError" and "not met" in got[1]
+            return
     assert got == want
 
 

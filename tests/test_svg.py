@@ -69,6 +69,14 @@ def test_timeseries_svg_matches_reference_on_flat_series(times, level):
     assert got == timeseries_svg_reference(times, values, "t", "y", "flat")
 
 
+def test_timeseries_svg_draws_a_subnormal_span_as_flat():
+    # the old tick step underflowed to 0 and raised ZeroDivisionError
+    times = np.linspace(0.0, 1e-3, 50)
+    values = np.linspace(0.0, 4e-323, 50)
+    got = timeseries_svg(times, values, "t", "y", "tiny")
+    assert got == timeseries_svg(times, np.zeros(50), "t", "y", "tiny")
+
+
 @pytest.mark.parametrize("n", [3999, 4000])
 def test_timeseries_svg_matches_reference_at_stride_edges(n):
     # 3999 samples are all drawn; 4000 are drawn at a stride of 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,14 @@ def test_zoh_nominal_2x2_against_cayley_hamilton(nominal_params, dt):
     phi_ch, gamma_ch = zoh_2x2_cayley_hamilton(on.a, b, dt)
     np.testing.assert_allclose(phi, phi_ch, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(gamma, gamma_ch, rtol=1e-13, atol=0.0)
+
+
+def test_zoh_overflow_is_refused(nominal_params):
+    # every mode-model entry is finite, but expm's squaring overflows
+    p = dataclasses.replace(nominal_params, vg=1e300)
+    on = mode_on_model(p)
+    with pytest.raises(ValueError, match="zero-order-hold map over dt="):
+        zoh(on.a, (on.b[0] * p.vg, 0.0), 1.0 / (p.fs * 20))
 
 
 def test_first_order_matches_analytic():

@@ -40,7 +40,7 @@ from .switched_sim import (
 from .timedomain import NotSettledError, step_metrics, step_response
 
 # duty-domain gains assumed when the simulate command gets none; rescaled
-# through vs and the sensor divider before driving the PWM loop
+# by vs*vo_target/vref (vs over the sensor divider) before driving the PWM loop
 DEFAULT_ANALYSIS_GAINS = PIGains(0.23, 1.0)
 
 
@@ -253,14 +253,14 @@ def cmd_step(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = load_params(args.config)
-    sensor = default_sensor_gain(p) if args.sensor_gain is None else args.sensor_gain
+    sensor = default_sensor_gain(p)
     if args.kp is not None or args.ki is not None:
         if args.kp is None or args.ki is None:
             raise ParameterError("kp", "simulate needs both --kp and --ki, or neither")
         gains = PIGains(args.kp, args.ki)
         gains_source = "command line"
     else:
-        gains = pwm_equivalent_gains(DEFAULT_ANALYSIS_GAINS, p, sensor)
+        gains = pwm_equivalent_gains(DEFAULT_ANALYSIS_GAINS, p)
         gains_source = (
             f"duty-domain defaults (kp={DEFAULT_ANALYSIS_GAINS.kp}, "
             f"ki={DEFAULT_ANALYSIS_GAINS.ki}) rescaled by vs/sensor_gain"
@@ -278,7 +278,6 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         t_end=args.t_end,
         gains=gains,
-        sensor_gain=sensor,
         steps_per_period=args.steps_per_period,
         initial_state=initial,
         integrator_init=integrator_init,
@@ -389,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kp", type=float, help="PWM-loop proportional gain")
     sp.add_argument("--ki", type=float, help="PWM-loop integral gain")
     sp.add_argument("--vg", type=float, help="override the source voltage")
-    sp.add_argument("--sensor-gain", type=float, help="default vref/vo_target")
     sp.add_argument("--t-end", type=float, default=0.05)
     sp.add_argument("--steps-per-period", type=int, default=200)
     sp.add_argument("--from-operating-point", action="store_true",

@@ -29,9 +29,9 @@ class ParameterError(ValueError):
 class ConverterParams:
     """Circuit constants plus regulation targets and PWM settings (all SI).
 
-    Construction checks circuit-level validity: finite values, positive
-    elements and a finite mode model. Simulation accepts a source that sags
-    below vo_target; validate_params adds that design-time constraint.
+    Construction checks finite values, positive elements, a finite mode
+    model and finite vref/vo_target and vo_target/vref. Simulation accepts
+    a source that sags below vo_target; validate_params adds that rule.
     """
 
     vg: float         # input voltage, V
@@ -51,10 +51,10 @@ class ConverterParams:
                 raise ParameterError(name, f"{name} must be finite, got {value!r}")
         for name in ("vg", "r_load", "l", "c", "fs", "vs", "r_l", "vo_target", "vref"):
             value = getattr(self, name)
-            sign = "non-negative" if name in ("r_l", "vref") else "positive"
+            sign = "non-negative" if name == "r_l" else "positive"
             if value < 0.0 or (value == 0.0 and sign == "positive"):
                 raise ParameterError(name, f"{name} must be {sign}, got {value!r}")
-        # every mode-model entry, the input column scaled by vg, must be finite
+        # finite mode model (vg-scaled input column), sensor gain and its inverse
         rc = self.r_load * self.c
         for name, term, entry in (
             ("l", "1/l", 1.0 / self.l),
@@ -62,6 +62,8 @@ class ConverterParams:
             ("r_load", "1/(r_load*c)", 1.0 / rc if rc > 0.0 else math.inf),
             ("r_l", "r_l/l", self.r_l / self.l),
             ("vg", "vg/l", self.vg * (1.0 / self.l)),
+            ("vo_target", "vref/vo_target", self.vref / self.vo_target),
+            ("vref", "vo_target/vref", self.vo_target / self.vref),
         ):
             if not math.isfinite(entry):
                 value = getattr(self, name)

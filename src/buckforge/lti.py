@@ -208,6 +208,17 @@ MARGIN_OMEGA_MAX = 1e7
 MARGIN_POINTS_PER_DECADE = 400
 
 
+def window_response(coeffs: tuple, s: np.ndarray, den_resp) -> np.ndarray:
+    """`coeffs` at s, divided by den_resp unless None; ValueError if not finite."""
+    # finite inputs turn non-finite only through a floating-point error
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            resp = np.polyval(coeffs, s)
+            return resp if den_resp is None else resp / den_resp
+    except FloatingPointError:
+        raise ValueError("loop response is not finite on the margin window") from None
+
+
 def _refine_gain_crossover(tf: TransferFunction, lo: float, hi: float) -> float:
     f_lo = abs(evaluate(tf, lo)) - 1.0
     for _ in range(200):
@@ -312,10 +323,11 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     The scan covers the fixed margin window, 1e-2 to 1e7 rad/s with 400
     points per decade. With multiple crossings the lowest-frequency one of
     each kind is reported and the totals are recorded in the count fields.
+    Raises ValueError when the response leaves the float range there.
     """
     omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     s = 1j * omegas
-    resp = np.polyval(loop_tf.num, s) / np.polyval(loop_tf.den, s)
+    resp = window_response(loop_tf.num, s, window_response(loop_tf.den, s, None))
     mags = np.abs(resp)
     phases = np.degrees(np.unwrap(np.angle(resp)))
     phases += _anchor(phases[0], _low_frequency_phase_asymptote(loop_tf)) - phases[0]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .converter import ConverterParams, default_sensor_gain
 from .lti import (
     MARGIN_OMEGA_MAX,
@@ -28,6 +26,7 @@ from .lti import (
     poles,
     series,
     stability_margins,
+    window_response,
 )
 from .timedomain import NotSettledError, step_metrics, step_response
 
@@ -145,9 +144,10 @@ def tune_kp_for_pm(
     Scans a log grid over the kp bracket for a sign change of
     PM(kp) - target, preferring the change at the largest satisfying kp,
     then bisects to within PM_TOLERANCE_DEG. Raises TuningError with the
-    observed margin range, or the absence of any gain crossover, when no
-    bracket exists. The result and the error carry a TuningTrace of the
-    search.
+    observed margins when no bracket exists, and with the final bracket and
+    its end margins when bisection stops at a jump of PM(kp); the result
+    and the error carry a TuningTrace of the search. Raises ValueError when
+    a loop's response is not finite on the margin window.
     """
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
@@ -157,11 +157,12 @@ def tune_kp_for_pm(
     # kp scales only the numerator, so every loop shares one den(j*omega)
     omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     s = 1j * omegas
-    den_resp = np.polyval(compensated_loop(plant, PIGains(1.0, ki), cfg, p).den, s)
+    unit_kp = compensated_loop(plant, PIGains(1.0, ki), cfg, p)
+    den_resp = window_response(unit_kp.den, s, None)
 
     def pm_of(kp: float) -> float | None:
         loop = compensated_loop(plant, PIGains(kp, ki), cfg, p)
-        return phase_margin(loop, omegas, np.polyval(loop.num, s) / den_resp)
+        return phase_margin(loop, omegas, window_response(loop.num, s, den_resp))
 
     def excess(pm: float | None) -> float:
         # no gain crossover: the loop never reaches unit magnitude
@@ -177,22 +178,24 @@ def tune_kp_for_pm(
     def trace(bracket: tuple[float, float] | None) -> TuningTrace:
         return TuningTrace(tuple(grid), tuple(pms), bracket, tuple(steps), n + len(steps))
 
-    def result(kp: float, bracket: tuple[float, float] | None) -> TuningResult:
+    def reached(pm: float | None) -> str:
+        return "no gain crossover" if pm is None else f"{pm!r} deg"
+
+    def result(kp: float, bracket: tuple | None, jump: str) -> TuningResult:
         margins = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
         pm = margins.phase_margin_deg
         if pm is None or abs(pm - target_pm) > PM_TOLERANCE_DEG:
             # the bracket straddled a jump of PM(kp) or the margin window's edge
-            reached = "no gain crossover" if pm is None else f"{pm!r} deg"
             raise TuningError(
                 f"phase margin target {target_pm!r} deg not met: the search "
-                f"ended at kp {kp!r} with {reached}",
+                f"ended at kp {kp!r} with {reached(pm)}{jump}",
                 trace(bracket),
             )
         return TuningResult(PIGains(kp, ki), margins, trace(bracket))
 
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
     if hit is not None:
-        return result(grid[hit], None)
+        return result(grid[hit], None, "")
 
     bracket = None
     for i in reversed(range(n - 1)):
@@ -216,7 +219,7 @@ def tune_kp_for_pm(
         )
 
     a, b = grid[bracket], grid[bracket + 1]
-    fa = f[bracket]
+    pm_a, pm_b = pms[bracket], pms[bracket + 1]
     for _ in range(100):
         mid = math.sqrt(a * b)
         pm = pm_of(mid)
@@ -225,13 +228,17 @@ def tune_kp_for_pm(
         if abs(fm) <= PM_TOLERANCE_DEG:
             a = b = mid
             break
-        if fa * fm <= 0.0:
-            b = mid
+        if excess(pm_a) * fm <= 0.0:
+            b, pm_b = mid, pm
         else:
-            a, fa = mid, fm
+            a, pm_a = mid, pm
         if b - a <= 1e-12 * b:
             break
-    return result(math.sqrt(a * b), (grid[bracket], grid[bracket + 1]))
+    jump = "" if a == b else (
+        f"; PM(kp) jumps from {reached(pm_a)} at kp {a!r} to {reached(pm_b)} "
+        f"at kp {b!r}, across the target"
+    )
+    return result(math.sqrt(a * b), (grid[bracket], grid[bracket + 1]), jump)
 
 
 # Margin values reported in the published case studies for this plant,

@@ -4,7 +4,10 @@ The plant is piecewise linear, so each substep advances the state with the
 exact zero-order-hold update of the active mode; no ODE tolerances exist
 anywhere. Within a period the comparator is sampled once per substep, and
 in open loop the ON/OFF transition lands exactly at d*Ts through one pair
-of shortened boundary substeps.
+of shortened boundary substeps. In closed loop the output is sensed
+through vref/vo_target and the control voltage is compared with a 0..vs
+sawtooth: the control window is [0, vs], and saturation on either side of
+it freezes the integrator.
 
 Continuous conduction is assumed. Both simulators apply one diode rule
 to every OFF substep (and to the OFF completion of a boundary substep):
@@ -38,20 +41,16 @@ REGULATION_TOLERANCE_PCT = 2.0
 class SimConfig:
     """Settings for a switched simulation run.
 
-    sensor_gain defaults to vref/vo_target (the divider that makes the
-    reference command the target output). integrator_limit bounds the
-    control voltage; None means [0, vs]. integrator_init preloads the
-    integral state, which lets a run start from an established operating
-    point, e.g. for input-voltage step experiments.
+    The divider vref/vo_target and the control window [0, vs] come from the
+    ConverterParams. integrator_init preloads the integral state, so that a
+    run can start from an operating point, e.g. for input-voltage steps.
     """
 
     t_end: float
     gains: PIGains | None = None
-    sensor_gain: float | None = None
     steps_per_period: int = 200
     initial_state: tuple[float, float] = (0.0, 0.0)
     integrator_init: float = 0.0
-    integrator_limit: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.steps_per_period < 20:
@@ -60,13 +59,6 @@ class SimConfig:
             )
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if self.sensor_gain is not None:
-            _check_sensor_gain(self.sensor_gain)
-
-
-def _check_sensor_gain(h: float) -> None:
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"sensor_gain must be positive and finite, got {h!r}")
 
 
 @dataclass(frozen=True)
@@ -192,16 +184,16 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     """PI-controlled PWM run per the standard voltage-mode loop.
 
     Each substep: sense the output through the divider, form the PI
-    control voltage (trapezoidal integral), compare against the sawtooth
+    control voltage u (trapezoidal integral), compare it with the sawtooth
     at the substep's exact phase, and advance the state one exact substep
-    under the selected mode. The integrator freezes whenever the control
-    voltage is saturated and the error would deepen saturation.
+    under the selected mode. As every threshold lies in [0, vs) (vs above
+    1e-318), u > threshold decides a saturated u too; saturation freezes
+    the integrator while the error would deepen it.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
     kp, ki = cfg.gains.kp, cfg.gains.ki
-    H = cfg.sensor_gain if cfg.sensor_gain is not None else default_sensor_gain(p)
-    lim_lo, lim_hi = cfg.integrator_limit if cfg.integrator_limit else (0.0, p.vs)
+    H = default_sensor_gain(p)
     spp = cfg.steps_per_period
     n_periods = _periods(p, cfg)
     dt = 1.0 / (p.fs * spp)
@@ -236,15 +228,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
         on_count = 0
         for k, thr in enumerate(thresholds):
             u = kp * e + integ
-            if u > lim_hi:
-                q = lim_hi > thr
-                sat = 1
-            elif u < lim_lo:
-                q = lim_lo > thr
-                sat = -1
-            else:
-                q = u > thr
-                sat = 0
+            q = u > thr
             if q:
                 on_count += 1
                 il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
@@ -266,7 +250,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
             # the sensed error after this substep is the next substep's error
             e_next = vref - H * vc
             s = e + e_next
-            if not sat or not (s > 0.0 if sat == 1 else s < 0.0):
+            if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
                 integ += half_ki_dt * s
             e = e_next
             buf_il[k] = il
@@ -421,16 +405,13 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     )
 
 
-def pwm_equivalent_gains(
-    analysis_gains: PIGains, p: ConverterParams, sensor_gain: float | None = None
-) -> PIGains:
+def pwm_equivalent_gains(analysis_gains: PIGains, p: ConverterParams) -> PIGains:
     """Rescale duty-domain PI gains for the physical PWM loop.
 
     The comparator divides the control voltage by vs and the sensor
-    scales the output by H, so multiplying the gains by vs/H makes the
-    physical loop's frequency response match the duty-domain design.
+    scales the output by H = vref/vo_target, so multiplying the gains by
+    vs/H = vs*vo_target/vref makes the physical loop's frequency response
+    match the duty-domain design.
     """
-    H = sensor_gain if sensor_gain is not None else default_sensor_gain(p)
-    _check_sensor_gain(H)
-    factor = p.vs / H
+    factor = p.vs / default_sensor_gain(p)
     return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)

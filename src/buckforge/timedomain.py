@@ -168,10 +168,9 @@ def _cross_time(times: np.ndarray, values: np.ndarray, level: float) -> float:
 def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     """Extract delay, rise, settling, overshoot, and steady-state error.
 
-    The final value is the mean of the trailing 10% of samples (so the
-    same code serves switched-simulation records, where ripple never
-    dies); the tail must itself have stopped moving. Threshold crossings
-    are located by linear interpolation between bracketing samples.
+    The final value is the mean of the trailing 10% of samples; the tail
+    must itself have stopped moving. Threshold crossings are located by
+    linear interpolation between bracketing samples.
     """
     times = traj.times
     values = traj.values

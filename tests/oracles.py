@@ -118,8 +118,8 @@ def closed_loop_reference(p, cfg, zoh):
     (times, il, vc, duty, switch_state, dcm_encountered).
     """
     kp, ki = cfg.gains.kp, cfg.gains.ki
-    H = cfg.sensor_gain if cfg.sensor_gain is not None else p.vref / p.vo_target
-    lim_lo, lim_hi = cfg.integrator_limit if cfg.integrator_limit else (0.0, p.vs)
+    H = p.vref / p.vo_target
+    lim_lo, lim_hi = (0.0, p.vs)
     spp = cfg.steps_per_period
     n_periods = int(round(cfg.t_end * p.fs))
     dt = 1.0 / (p.fs * spp)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -166,7 +167,10 @@ def _config(tmp_path, nominal_config_path, **changes) -> str:
 def test_bode_underflowing_response_is_exit_2(nominal_config_path, tmp_path, capsys):
     # every |L| underflows to 0; the old sweep wrote -inf dB rows, and the SVG
     # raised OverflowError on them
-    config = _config(tmp_path, nominal_config_path, vo_target=5e-324, r_load=5e-324, c=1e300)
+    # (vref = vo_target keeps the sensor gain vref/vo_target at 1)
+    config = _config(
+        tmp_path, nominal_config_path, vo_target=5e-324, vref=5e-324, r_load=5e-324, c=1e300
+    )
     out = tmp_path / "out"
     assert run([
         "bode", "--config", config, "--out-dir", str(out), "--kp", "0.23", "--ki", "1",
@@ -498,17 +502,34 @@ def test_simulate_non_finite_gain_is_exit_2(
 
 
 @pytest.mark.parametrize("gains", [[], ["--kp", "17.25", "--ki", "75"]])
-@pytest.mark.parametrize("sensor", ["inf", "nan", "0", "-0.5"])
+@pytest.mark.parametrize("sensor", ["inf", "nan", "0", "-0.5", "0.2"])
 def test_simulate_bad_sensor_gain_is_exit_2(
     nominal_config_path, tmp_path, capsys, gains, sensor
 ):
+    # the sensor gain is vref/vo_target of the config; no option sets it
     out = tmp_path / "out"
     assert run([
         "simulate", "--config", nominal_config_path, "--out-dir", str(out),
         "--sensor-gain", sensor, "--t-end", "0.001", *gains,
     ]) == 2
-    assert "sensor_gain must be positive and finite" in capsys.readouterr().err
-    assert not (out / "sim.csv").exists()
+    assert "unrecognized arguments: --sensor-gain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_overflowing_loop_variant_is_exit_2(nominal_config_path, tmp_path, capsys):
+    # vref/vo_target = 1.3e299: the design report's variant with modulator and
+    # sensor gains overflows on the margin window; the old report called it
+    # stable, with no crossovers, after numpy's overflow warning
+    config = _config(tmp_path, nominal_config_path, vo_target=1.5e-299)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["tune", "--config", config, "--out-dir", str(out), "--target-pm", "50"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "loop response is not finite on the margin window" in err
+    assert "Traceback" not in err
+    assert not (out / "tune.json").exists()
 
 
 def test_simulate_non_finite_config_is_exit_2(nominal_config_path, tmp_path, capsys):
@@ -593,6 +614,23 @@ def test_exit_code_contract(nominal_config_path, changes, command):
                 if name.endswith(".json"):
                     with open(os.path.join(out, name)) as fh:
                         assert "NaN" not in fh.read(), name
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"vref": 0.0}, "vref must be positive, got 0.0"),
+    ({"vref": 5e-324}, "vref 5e-324 makes vo_target/vref overflow"),
+    ({"vo_target": 5e-324}, "vo_target 5e-324 makes vref/vo_target overflow"),
+])
+@pytest.mark.parametrize("command", CONTRACT_COMMANDS, ids=lambda c: c[0])
+def test_sensor_gain_out_of_range_is_exit_2(
+    nominal_config_path, tmp_path, capsys, command, changes, message
+):
+    config = _config(tmp_path, nominal_config_path, **changes)
+    out = tmp_path / "out"
+    assert run([command[0], "--config", config, "--out-dir", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_help_exits_zero():

@@ -32,6 +32,8 @@ def test_nominal_params_accepted(nominal_params):
         ("vg", -5.0),
         ("r_l", -0.1),
         ("vo_target", 0.0),
+        ("vref", 0.0),
+        ("vref", -1.0),
     ],
 )
 def test_rejections_name_the_field(nominal_params, field, value):
@@ -70,6 +72,27 @@ def test_non_finite_mode_model_rejected(nominal_params, changes, field, term):
             build()
         assert exc.value.field == field
         assert f"makes {term} overflow" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "changes,field,message",
+    [
+        # vref/vo_target underflows to 0
+        ({"vref": 5e-324}, "vref", "vref 5e-324 makes vo_target/vref overflow"),
+        # vref/vo_target is subnormal, and the PWM gain factor vs/(vref/vo_target)
+        # would overflow
+        ({"vref": 1e-310}, "vref", "vref 1e-310 makes vo_target/vref overflow"),
+        ({"vo_target": 5e-324}, "vo_target", "vo_target 5e-324 makes vref/vo_target overflow"),
+        ({"vref": 1e300, "vo_target": 1e-10}, "vo_target", "makes vref/vo_target overflow"),
+    ],
+)
+def test_sensor_gain_out_of_range_rejected(nominal_params, changes, field, message):
+    doc = dict(dataclasses.asdict(nominal_params), **changes)
+    for build in (lambda: ConverterParams(**doc), lambda: params_from_dict(doc)):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.field == field
+        assert message in str(exc.value)
 
 
 def test_extreme_but_finite_mode_model_accepted(nominal_params):

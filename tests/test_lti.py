@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,7 @@ from buckforge.lti import (
     phase_deg,
     phase_margin,
 )
-from buckforge.pi_design import PIGains, compensated_loop
+from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
 from oracles import sweep_margins
 
@@ -340,6 +341,28 @@ def test_margins_unstable_high_gain():
     report = stability_margins(loop)
     assert report.gain_margin_db < 0.0
     assert not report.stable_loop
+
+
+@pytest.mark.parametrize("loop", [
+    # num(j*omega) overflows at the top of the window
+    TransferFunction((1e300, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+    # den(j*omega) overflows there, which would read as |L| = 0
+    TransferFunction((1.0,), (1e300, 1.0, 1.0)),
+])
+def test_margins_refuse_an_overflowing_response(loop):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not finite on the margin window"):
+            stability_margins(loop)
+
+
+def test_tuner_refuses_an_overflowing_response():
+    # the loop's numerator overflows at the grid's larger kp
+    plant = TransferFunction((1e300,), (1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not finite on the margin window"):
+            tune_kp_for_pm(plant, 1.0, 50.0)
 
 
 def test_close_unity_loop(nominal_plant):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ def test_tune_refuses_a_kp_off_target(nominal_params, changes, target, modulator
     trace = info.value.trace
     assert trace.bracket is not None and trace.bisection
     assert trace.pm_evals == 91 + len(trace.bisection)
+    # the message names the final bracket and the margin at each end, as
+    # evaluated in the search, on opposite sides of the target
+    message = str(info.value)
+    ends = re.search(r"jumps from .* at kp (\S+) to .* at kp (\S+), across", message)
+    a, b = float(ends[1]), float(ends[2])
+    assert trace.bracket[0] <= a < b <= trace.bracket[1]
+    evaluated = dict(zip(trace.kp_grid, trace.pm_grid)) | dict(trace.bisection)
+    excess = []
+    for kp in (a, b):
+        pm = evaluated[kp]
+        reached = "no gain crossover" if pm is None else f"{pm!r} deg"
+        assert f"{reached} at kp {kp!r}" in message
+        excess.append(math.inf if pm is None else pm - target)
+    assert excess[0] * excess[1] < 0.0
+    if changes == {"r_l": 0.0}:
+        assert evaluated[a] > 150.0 and evaluated[b] < 0.0
 
 
 def _tune_outcome(tune, plant, ki, target, cfg, p):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -29,9 +30,10 @@ class ParameterError(ValueError):
 class ConverterParams:
     """Circuit constants plus regulation targets and PWM settings (all SI).
 
-    Construction checks finite values, positive elements, a finite mode
-    model and finite vref/vo_target and vo_target/vref. Simulation accepts
-    a source that sags below vo_target; validate_params adds that rule.
+    Construction checks finite values, positive elements, a normal vs (so PWM
+    thresholds vs/spp*k stay below vs), a finite mode model and finite
+    vref/vo_target and vo_target/vref. A simulated source may sag below
+    vo_target; validate_params adds that rule.
     """
 
     vg: float         # input voltage, V
@@ -54,6 +56,8 @@ class ConverterParams:
             sign = "non-negative" if name == "r_l" else "positive"
             if value < 0.0 or (value == 0.0 and sign == "positive"):
                 raise ParameterError(name, f"{name} must be {sign}, got {value!r}")
+        if self.vs < sys.float_info.min:
+            raise ParameterError("vs", f"vs must be a normal float, got {self.vs!r}")
         # finite mode model (vg-scaled input column), sensor gain and its inverse
         rc = self.r_load * self.c
         for name, term, entry in (

@@ -156,6 +156,12 @@ def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.n
     """
     if not (0.0 < omega_min < omega_max and omega_max / omega_min < math.inf):
         raise ValueError("require 0 < omega_min < omega_max, with a finite ratio")
+    log_min, log_max = math.log10(omega_min), math.log10(omega_max)
+    if log_min == log_max:
+        # logspace would repeat one frequency, and a log axis would have no width
+        raise ValueError(
+            f"omega_min {omega_min!r} and omega_max {omega_max!r} have the same log10"
+        )
     # capped so that decades * points_per_decade cannot overflow a float
     if not (1 <= points_per_decade <= MAX_SAMPLES):
         raise ValueError(f"points_per_decade must be between 1 and {MAX_SAMPLES}")
@@ -167,7 +173,7 @@ def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.n
             f"points_per_decade {points_per_decade!r} needs {n} points, over "
             f"the budget of {MAX_SAMPLES}"
         )
-    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    return np.logspace(log_min, log_max, n)
 
 
 def bode_sweep(
@@ -206,14 +212,19 @@ def bode_sweep(
 MARGIN_OMEGA_MIN = 1e-2
 MARGIN_OMEGA_MAX = 1e7
 MARGIN_POINTS_PER_DECADE = 400
+# the one margin grid, built at import; every margin search runs on it
+MARGIN_OMEGAS = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
+MARGIN_OMEGAS.flags.writeable = False
+_MARGIN_S = 1j * MARGIN_OMEGAS
 
 
-def window_response(coeffs: tuple, s: np.ndarray, den_resp) -> np.ndarray:
-    """`coeffs` at s, divided by den_resp unless None; ValueError if not finite."""
+def window_response(coeffs: tuple, den_resp) -> np.ndarray:
+    """`coeffs` on the margin window, over den_resp unless None; ValueError if
+    not finite."""
     # finite inputs turn non-finite only through a floating-point error
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            resp = np.polyval(coeffs, s)
+            resp = np.polyval(coeffs, _MARGIN_S)
             return resp if den_resp is None else resp / den_resp
     except FloatingPointError:
         raise ValueError("loop response is not finite on the margin window") from None
@@ -288,46 +299,45 @@ def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float
 
 
 def _crossover_and_phase_margin(
-    tf: TransferFunction, omegas: np.ndarray, resp: np.ndarray, hit: tuple[bool, int]
+    tf: TransferFunction, hit: tuple[bool, int], phase_at_hit: float
 ) -> tuple[float, float]:
-    """Gain crossover and phase margin from the lowest grid crossing `hit`."""
+    """Gain crossover and phase margin from the lowest window crossing `hit`;
+    `phase_at_hit` is the unwrapped phase (deg) at its grid point."""
     exact, i = hit
     if exact:
-        crossover = float(omegas[i])
+        crossover = float(MARGIN_OMEGAS[i])
     else:
-        crossover = _refine_gain_crossover(tf, float(omegas[i]), float(omegas[i + 1]))
-    ph_i = _unwrapped_phase_at(tf, resp, i)
-    ph = ph_i + _wrap_delta(phase_deg(evaluate(tf, crossover)) - ph_i)
+        lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
+        crossover = _refine_gain_crossover(tf, lo, hi)
+    ph = phase_at_hit + _wrap_delta(phase_deg(evaluate(tf, crossover)) - phase_at_hit)
     return crossover, 180.0 + ph
 
 
-def phase_margin(
-    loop_tf: TransferFunction, omegas: np.ndarray, resp: np.ndarray
-) -> float | None:
-    """Phase margin (deg) of `loop_tf` from its response `resp` on the grid
-    `omegas`, with no phase-crossover or gain-margin work.
+def phase_margin(loop_tf: TransferFunction, resp: np.ndarray) -> float | None:
+    """Phase margin (deg) of `loop_tf` from its response `resp` on the margin
+    window, with no phase-crossover or gain-margin work.
 
-    On the margin window's grid this equals the `phase_margin_deg` of
-    `stability_margins(loop_tf)`. Returns None when |L| never crosses 1 on
-    the grid.
+    This equals the `phase_margin_deg` of `stability_margins(loop_tf)`: the
+    phase is unwrapped only up to the crossing. Returns None when |L| never
+    crosses 1 on the window.
     """
     gain_hits = _find_crossings(np.abs(resp) - 1.0)
     if not gain_hits:
         return None
-    return _crossover_and_phase_margin(loop_tf, omegas, resp, gain_hits[0])[1]
+    hit = gain_hits[0]
+    phase_at_hit = _unwrapped_phase_at(loop_tf, resp, hit[1])
+    return _crossover_and_phase_margin(loop_tf, hit, phase_at_hit)[1]
 
 
 def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     """Locate gain/phase crossovers by grid scan plus bisection.
 
-    The scan covers the fixed margin window, 1e-2 to 1e7 rad/s with 400
-    points per decade. With multiple crossings the lowest-frequency one of
-    each kind is reported and the totals are recorded in the count fields.
-    Raises ValueError when the response leaves the float range there.
+    The scan covers the margin window, MARGIN_OMEGAS (1e-2 to 1e7 rad/s
+    with 400 points per decade). With multiple crossings the lowest-frequency
+    one of each kind is reported and the totals are recorded in the count
+    fields. Raises ValueError when the response leaves the float range there.
     """
-    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
-    s = 1j * omegas
-    resp = window_response(loop_tf.num, s, window_response(loop_tf.den, s, None))
+    resp = window_response(loop_tf.num, window_response(loop_tf.den, None))
     mags = np.abs(resp)
     phases = np.degrees(np.unwrap(np.angle(resp)))
     phases += _anchor(phases[0], _low_frequency_phase_asymptote(loop_tf)) - phases[0]
@@ -338,20 +348,19 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     gain_crossover = None
     pm = None
     if gain_hits:
-        gain_crossover, pm = _crossover_and_phase_margin(
-            loop_tf, omegas, resp, gain_hits[0]
-        )
+        hit = gain_hits[0]
+        phase_at_hit = float(phases[hit[1]])
+        gain_crossover, pm = _crossover_and_phase_margin(loop_tf, hit, phase_at_hit)
 
     phase_crossover = None
     gain_margin = math.inf
     if phase_hits:
         exact, i = phase_hits[0]
         if exact:
-            phase_crossover = float(omegas[i])
+            phase_crossover = float(MARGIN_OMEGAS[i])
         else:
-            phase_crossover = _refine_phase_crossover(
-                loop_tf, float(omegas[i]), float(omegas[i + 1]), float(phases[i])
-            )
+            lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
+            phase_crossover = _refine_phase_crossover(loop_tf, lo, hi, float(phases[i]))
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))
 
     pm_ok = pm > 0.0 if pm is not None else True

@@ -14,14 +14,10 @@ from dataclasses import asdict, dataclass
 
 from .converter import ConverterParams, default_sensor_gain
 from .lti import (
-    MARGIN_OMEGA_MAX,
-    MARGIN_OMEGA_MIN,
-    MARGIN_POINTS_PER_DECADE,
     MarginReport,
     TransferFunction,
     close_unity_loop,
     dc_gain,
-    log_grid,
     phase_margin,
     poles,
     series,
@@ -79,21 +75,14 @@ def pi_tf(g: PIGains) -> TransferFunction:
 
 
 def compensated_loop(
-    plant: TransferFunction,
-    g: PIGains,
-    cfg: LoopConfig = LoopConfig(),
-    p: ConverterParams | None = None,
+    plant: TransferFunction, g: PIGains, cfg: LoopConfig, p: ConverterParams
 ) -> TransferFunction:
-    """Open loop plant * PI, optionally scaled by modulator/sensor gains."""
+    """Open loop plant * PI, scaled by 1/vs and vref/vo_target as `cfg` selects."""
     loop = series(plant, pi_tf(g))
     scale = 1.0
     if cfg.include_modulator_gain:
-        if p is None:
-            raise ValueError("loop config needs converter params for 1/vs")
         scale /= p.vs
     if cfg.include_sensor_gain:
-        if p is None:
-            raise ValueError("loop config needs converter params for vref/vo_target")
         scale *= default_sensor_gain(p)
     if scale == 1.0:
         return loop
@@ -136,8 +125,8 @@ def tune_kp_for_pm(
     plant: TransferFunction,
     ki: float,
     target_pm: float,
-    cfg: LoopConfig = LoopConfig(),
-    p: ConverterParams | None = None,
+    cfg: LoopConfig,
+    p: ConverterParams,
 ) -> TuningResult:
     """Find kp whose compensated loop hits the phase-margin target.
 
@@ -155,14 +144,12 @@ def tune_kp_for_pm(
         raise ValueError(f"ki must be positive and finite for PI tuning, got {ki!r}")
 
     # kp scales only the numerator, so every loop shares one den(j*omega)
-    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
-    s = 1j * omegas
     unit_kp = compensated_loop(plant, PIGains(1.0, ki), cfg, p)
-    den_resp = window_response(unit_kp.den, s, None)
+    den_resp = window_response(unit_kp.den, None)
 
     def pm_of(kp: float) -> float | None:
         loop = compensated_loop(plant, PIGains(kp, ki), cfg, p)
-        return phase_margin(loop, omegas, window_response(loop.num, s, den_resp))
+        return phase_margin(loop, window_response(loop.num, den_resp))
 
     def excess(pm: float | None) -> float:
         # no gain crossover: the loop never reaches unit magnitude
@@ -308,10 +295,7 @@ DESIGN_STEP_SAMPLES = 20001
 
 
 def design_report(
-    plant: TransferFunction,
-    g: PIGains,
-    cfg: LoopConfig = LoopConfig(),
-    p: ConverterParams | None = None,
+    plant: TransferFunction, g: PIGains, cfg: LoopConfig, p: ConverterParams
 ) -> dict:
     """Margins, closed-loop poles, and step metrics in one JSON-ready dict.
 
@@ -321,9 +305,10 @@ def design_report(
     Step metrics are relative to the simulated window; the model-exact
     steady-state error comes from the closed-loop DC gain.
     """
-    variant_configs = {"plant_times_pi": LoopConfig()}
-    if p is not None:
-        variant_configs["with_modulator_and_sensor_gains"] = LoopConfig(True, True)
+    variant_configs = {
+        "plant_times_pi": LoopConfig(),
+        "with_modulator_and_sensor_gains": LoopConfig(True, True),
+    }
     # one report per distinct loop: the selected config is often a variant
     margins = {
         c: stability_margins(compensated_loop(plant, g, c, p))
@@ -344,7 +329,7 @@ def design_report(
     except NotSettledError as exc:
         metrics_note = str(exc)
 
-    report = {
+    return {
         "gains": {"kp": g.kp, "ki": g.ki},
         "loop_config": asdict(cfg),
         "selected_loop_margins": asdict(margins[cfg]),
@@ -358,7 +343,5 @@ def design_report(
             "step_metrics_note": metrics_note,
         },
         "reference_comparison": _reference_comparison(g, margins[LoopConfig()]),
+        "converter_params": asdict(p),
     }
-    if p is not None:
-        report["converter_params"] = asdict(p)
-    return report

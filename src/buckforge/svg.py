@@ -133,8 +133,9 @@ class _Panel:
 
 def _pad(lo: float, hi: float) -> tuple[float, float]:
     span = hi - lo
-    # a subnormal span counts as flat: its tick step would underflow to 0
-    if span < sys.float_info.min:
+    # a subnormal span counts as flat: its tick step would underflow to 0;
+    # so does one too narrow for a tick step to advance a tick value
+    if span < sys.float_info.min or span < 1e-12 * max(abs(lo), abs(hi)):
         span = max(abs(hi), 1.0)
     return lo - 0.05 * span, hi + 0.05 * span
 

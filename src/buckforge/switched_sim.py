@@ -186,9 +186,9 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     Each substep: sense the output through the divider, form the PI
     control voltage u (trapezoidal integral), compare it with the sawtooth
     at the substep's exact phase, and advance the state one exact substep
-    under the selected mode. As every threshold lies in [0, vs) (vs above
-    1e-318), u > threshold decides a saturated u too; saturation freezes
-    the integrator while the error would deepen it.
+    under the selected mode. As every threshold lies in [0, vs) (a normal
+    vs, spp below 2e6), u > threshold decides a saturated u too; saturation
+    freezes the integrator while the error would deepen it.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")

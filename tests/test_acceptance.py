@@ -100,7 +100,7 @@ def test_criterion_2_uncompensated_step(nominal_plant):
 
 def test_criterion_3_high_gain_margin_case(nominal_plant, nominal_params):
     with criterion("3. kp=10, ki=1 margin case study"):
-        loop = compensated_loop(nominal_plant, PIGains(10.0, 1.0))
+        loop = compensated_loop(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params)
         report = stability_margins(loop)
         assert 6.0 <= report.phase_margin_deg <= 12.0
 
@@ -124,7 +124,7 @@ def test_criterion_3_high_gain_margin_case(nominal_plant, nominal_params):
 
 def test_criterion_4_low_gain_margin_case(nominal_plant, nominal_params):
     with criterion("4. kp=0.23, ki=1 margin agrees with the sweep oracle"):
-        loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+        loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
         report = stability_margins(loop)
         oracle = sweep_margins(loop.num, loop.den)
         assert report.phase_margin_deg == pytest.approx(
@@ -139,7 +139,7 @@ def test_criterion_4_low_gain_margin_case(nominal_plant, nominal_params):
         assert "do not reproduce" in ref["note"]
 
 
-def test_criterion_5_integral_action_dc_gain(nominal_plant):
+def test_criterion_5_integral_action_dc_gain(nominal_plant, nominal_params):
     with criterion("5. closed-loop DC gain is exactly 1 for any ki > 0"):
         for gains in (
             PIGains(0.23, 1.0),
@@ -147,18 +147,22 @@ def test_criterion_5_integral_action_dc_gain(nominal_plant):
             PIGains(0.0, 0.5),
             PIGains(3.0, 40.0),
         ):
-            closed = close_unity_loop(compensated_loop(nominal_plant, gains))
+            closed = close_unity_loop(
+                compensated_loop(nominal_plant, gains, LoopConfig(), nominal_params)
+            )
             assert closed.num[-1] == closed.den[-1]
             assert dc_gain(closed) == 1.0
 
 
-def test_criterion_6_tuning_round_trip(nominal_plant):
+def test_criterion_6_tuning_round_trip(nominal_plant, nominal_params):
     with criterion("6. tuning round-trip recovers kp within 5%"):
         for kp_star in (0.1, 0.23, 1.0, 10.0):
             achieved = stability_margins(
-                compensated_loop(nominal_plant, PIGains(kp_star, 1.0))
+                compensated_loop(
+                    nominal_plant, PIGains(kp_star, 1.0), LoopConfig(), nominal_params
+                )
             ).phase_margin_deg
-            result = tune_kp_for_pm(nominal_plant, 1.0, achieved)
+            result = tune_kp_for_pm(nominal_plant, 1.0, achieved, LoopConfig(), nominal_params)
             assert result.gains.kp == pytest.approx(kp_star, rel=0.05)
 
 
@@ -248,7 +252,7 @@ def test_criterion_9_numerical_properties(nominal_params, nominal_plant):
 
     with criterion("9b. |L| = 1 at the reported gain crossover within 1e-8"):
         for kp in (0.23, 10.0):
-            loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
+            loop = compensated_loop(nominal_plant, PIGains(kp, 1.0), LoopConfig(), nominal_params)
             report = stability_margins(loop)
             assert abs(abs(evaluate(loop, report.gain_crossover)) - 1.0) < 1e-8
 

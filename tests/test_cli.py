@@ -2,6 +2,9 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from buckforge import PIGains, cli, compensated_loop, stability_margins
+from buckforge import LoopConfig, PIGains, cli, compensated_loop, stability_margins
 from buckforge.cli import main
 from buckforge.converter import PARAM_FIELDS
 from oracles import decimate_reference, timeseries_svg_reference
@@ -121,18 +124,52 @@ def test_bode_modulator_gain_shift(nominal_config_path, tmp_path):
         assert shift == pytest.approx(-20.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("omega_min,omega_max", [("1e-300", "1e300"), ("1", "inf")])
+@pytest.mark.parametrize("omega_min,omega_max,message", [
+    pytest.param("1e-300", "1e300", "finite ratio", id="1e-300-1e300"),
+    pytest.param("1", "inf", "finite ratio", id="1-inf"),
+    # equal log10 endpoints: two equal omega rows, and the SVG divided by 0
+    pytest.param(
+        "1e6", "1000000.0000000001",
+        "omega_min 1000000.0 and omega_max 1000000.0000000001 have the same log10",
+        id="1e6-next-float",
+    ),
+])
 def test_bode_infinite_omega_ratio_is_exit_2(
-    nominal_config_path, tmp_path, capsys, omega_min, omega_max
+    nominal_config_path, tmp_path, capsys, omega_min, omega_max, message
 ):
     out = tmp_path / "out"
     assert run([
         "bode", "--config", nominal_config_path, "--out-dir", str(out),
         "--kp", "0.23", "--ki", "1", "--omega-min", omega_min, "--omega-max", omega_max,
+        "--svg",
     ]) == 2
     err = capsys.readouterr().err
-    assert "finite ratio" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def _cap_memory():
+    # a run stuck appending ticks fails with MemoryError, not by filling the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_bode_svg_of_an_ulp_wide_range_finishes(nominal_config_path, tmp_path):
+    # the magnitude panel's y range is a few ulps wide; its tick loop never
+    # advanced, so the run never returned (hence a subprocess with a timeout)
+    out = tmp_path / "out"
+    argv = [
+        "bode", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.23", "--ki", "1", "--omega-min", "1", "--omega-max",
+        "1.0000000000000002", "--svg",
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "buckforge.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    svg = (out / "bode.svg").read_text()
+    assert svg.endswith("</svg>") and svg.count("<polyline") == 2
 
 
 @pytest.mark.parametrize("omega_min,omega_max,points_per_decade", [
@@ -191,9 +228,9 @@ def test_bode_reruns_byte_identical(nominal_config_path, tmp_path):
     assert (out_a / "margins.json").read_bytes() == (out_b / "margins.json").read_bytes()
 
 
-def test_tune_round_trip(nominal_config_path, tmp_path, nominal_plant):
+def test_tune_round_trip(nominal_config_path, tmp_path, nominal_plant, nominal_params):
     target = stability_margins(
-        compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     ).phase_margin_deg
     out = tmp_path / "out"
     assert run([
@@ -559,6 +596,8 @@ def test_simulate_non_finite_config_is_exit_2(nominal_config_path, tmp_path, cap
     (["simulate", "--from-operating-point", "--t-end", "0.0005", "--steps-per-period", "20"],
      {"vg": 1e300},
      "zero-order-hold map over dt="),
+    # PWM thresholds vs/spp*k would round to or above a subnormal vs
+    (["derive"], {"vs": 5.5e-323}, "vs must be a normal float"),
 ])
 def test_out_of_range_model_is_exit_2(
     nominal_config_path, tmp_path, capsys, argv, changes, message

@@ -34,6 +34,7 @@ def test_nominal_params_accepted(nominal_params):
         ("vo_target", 0.0),
         ("vref", 0.0),
         ("vref", -1.0),
+        ("vs", 5.5e-323),
     ],
 )
 def test_rejections_name_the_field(nominal_params, field, value):

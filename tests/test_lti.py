@@ -21,6 +21,7 @@ from buckforge import (
 from buckforge.lti import (
     MARGIN_OMEGA_MAX,
     MARGIN_OMEGA_MIN,
+    MARGIN_OMEGAS,
     MARGIN_POINTS_PER_DECADE,
     MAX_SAMPLES,
     PoleOnAxisError,
@@ -34,7 +35,7 @@ from buckforge.lti import (
     phase_deg,
     phase_margin,
 )
-from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
+from buckforge.pi_design import LoopConfig, PIGains, compensated_loop, tune_kp_for_pm
 
 from oracles import sweep_margins
 
@@ -117,11 +118,14 @@ def test_bode_range_validation(nominal_plant):
     for lo, hi in [(1e-300, 1e300), (5e-324, 1.0), (1.0, math.inf)]:
         with pytest.raises(ValueError, match="finite ratio"):
             bode_sweep(nominal_plant, lo, hi, 10)
+    # the next float above 1e6 has the same log10: logspace would repeat 1e6
+    with pytest.raises(ValueError, match="have the same log10"):
+        bode_sweep(nominal_plant, 1e6, 1000000.0000000001, 10)
 
 
-def test_bode_sweep_memory_per_frequency(nominal_plant):
+def test_bode_sweep_memory_per_frequency(nominal_plant, nominal_params):
     # three float64 columns, 24 B per frequency; per-point records took 184 B
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     tracemalloc.start()
     try:
         omegas, _, _ = bode_sweep(loop, 1.0, 1e6, 10_000)
@@ -168,11 +172,29 @@ def test_log_grid_budget_refused_before_allocation(monkeypatch):
         assert str(MAX_SAMPLES) in str(err.value)
 
 
-def test_phase_unwrap_continuity(nominal_plant):
+def test_margin_grid_is_built_once_and_read_only():
+    want = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
+    assert MARGIN_OMEGAS.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        MARGIN_OMEGAS[0] = 1.0
+
+
+def test_stability_margins_unwraps_once_on_the_built_grid(
+    monkeypatch, nominal_plant, nominal_params
+):
+    unwrap, calls = np.unwrap, []
+    monkeypatch.setattr(np, "unwrap", lambda x: calls.append(len(x)) or unwrap(x))
+    monkeypatch.setattr(lti, "log_grid", None)
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    assert stability_margins(loop).gain_crossover is not None
+    assert calls == [len(MARGIN_OMEGAS)]
+
+
+def test_phase_unwrap_continuity(nominal_plant, nominal_params):
     loops = [
         nominal_plant,
-        compensated_loop(nominal_plant, PIGains(0.23, 1.0)),
-        compensated_loop(nominal_plant, PIGains(10.0, 1.0)),
+        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params),
+        compensated_loop(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params),
         close_unity_loop(nominal_plant),
     ]
     for loop in loops:
@@ -192,8 +214,10 @@ def test_margins_integrator():
     assert report.phase_crossover_count == 0
 
 
-def test_margins_are_plain_floats(nominal_plant):
-    report = stability_margins(compensated_loop(nominal_plant, PIGains(0.23, 1.0)))
+def test_margins_are_plain_floats(nominal_plant, nominal_params):
+    report = stability_margins(
+        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    )
     assert type(report.phase_margin_deg) is float
     assert type(report.gain_crossover) is float
 
@@ -256,19 +280,22 @@ def _principal_wraps_before_crossing(tf):
     return bool(np.any(np.abs(np.diff(np.angle(resp[: i + 1]))) > math.pi))
 
 
-def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
+def test_phase_margin_matches_stability_margins(nominal_plant, nominal_params, three_pole_loop):
     hump = TransferFunction(
         tuple(5.0 * np.polymul([1.0, 1.0], [1.0, 1.0])),
         tuple(np.polymul([1.0, 0.1], np.polymul([1.0, 100.0], [1.0, 100.0]))),
     )
-    loops = [compensated_loop(nominal_plant, PIGains(1.0, 1.0)), three_pole_loop, hump]
+    loops = [
+        compensated_loop(nominal_plant, PIGains(1.0, 1.0), LoopConfig(), nominal_params),
+        three_pole_loop,
+        hump,
+    ]
     seen = {"none": 0, "wrapped": 0, "value": 0, "several": 0}
-    omegas = log_grid(MARGIN_OMEGA_MIN, MARGIN_OMEGA_MAX, MARGIN_POINTS_PER_DECADE)
     for base in loops:
         for k in np.logspace(-7, 4, 45):
             loop = _scaled(base, float(k))
             want = stability_margins(loop).phase_margin_deg
-            got = phase_margin(loop, omegas, _margin_grid_response(loop))
+            got = phase_margin(loop, _margin_grid_response(loop))
             assert repr(got) == repr(want)
             if want is None:
                 seen["none"] += 1
@@ -327,8 +354,8 @@ def test_bode_anchor_negative_dc_gain():
     assert phases[0] == pytest.approx(-180.0, abs=0.5)
 
 
-def test_bode_anchor_integrator_loop(nominal_plant):
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+def test_bode_anchor_integrator_loop(nominal_plant, nominal_params):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     _, _, phases = bode_sweep(loop, 1e-3, 1e3, 50)
     # one origin pole dominates well below the plant dynamics
     assert phases[0] == pytest.approx(-90.0, abs=1.0)
@@ -356,13 +383,13 @@ def test_margins_refuse_an_overflowing_response(loop):
             stability_margins(loop)
 
 
-def test_tuner_refuses_an_overflowing_response():
+def test_tuner_refuses_an_overflowing_response(nominal_params):
     # the loop's numerator overflows at the grid's larger kp
     plant = TransferFunction((1e300,), (1.0, 1.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="not finite on the margin window"):
-            tune_kp_for_pm(plant, 1.0, 50.0)
+            tune_kp_for_pm(plant, 1.0, 50.0, LoopConfig(), nominal_params)
 
 
 def test_close_unity_loop(nominal_plant):

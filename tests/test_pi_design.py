@@ -60,15 +60,15 @@ def test_pi_magnitude_blows_up_at_dc():
         assert abs(evaluate(tf, 1e-6)) > 1e5 * ki
 
 
-def test_compensated_loop_coefficients(nominal_plant):
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+def test_compensated_loop_coefficients(nominal_plant, nominal_params):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     k = nominal_plant.num[0]
     assert loop.num == (0.23 * k, k)
     assert loop.den == (1.0, nominal_plant.den[1], nominal_plant.den[2], 0.0)
 
 
-def test_unity_proportional_equals_plant(nominal_plant):
-    loop = compensated_loop(nominal_plant, PIGains(1.0, 0.0))
+def test_unity_proportional_equals_plant(nominal_plant, nominal_params):
+    loop = compensated_loop(nominal_plant, PIGains(1.0, 0.0), LoopConfig(), nominal_params)
     for omega in (1.0, 50.0, 368.0, 5e3, 1e5):
         zl = evaluate(loop, omega)
         zp = evaluate(nominal_plant, omega)
@@ -76,7 +76,7 @@ def test_unity_proportional_equals_plant(nominal_plant):
 
 
 def test_modulator_gain_shifts_magnitude(nominal_plant, nominal_params):
-    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     scaled = compensated_loop(
         nominal_plant,
         PIGains(0.23, 1.0),
@@ -95,56 +95,54 @@ def test_sensor_gain_scaling(nominal_plant, nominal_params):
         LoopConfig(include_sensor_gain=True),
         nominal_params,
     )
-    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
     h = nominal_params.vref / nominal_params.vo_target
     assert abs(evaluate(scaled, 10.0)) == pytest.approx(
         h * abs(evaluate(base, 10.0)), rel=1e-12
     )
 
 
-def test_loop_config_requires_params(nominal_plant):
-    with pytest.raises(ValueError):
-        compensated_loop(
-            nominal_plant, PIGains(1.0, 1.0), LoopConfig(include_modulator_gain=True)
-        )
-
-
-def test_integral_action_kills_steady_state_error(nominal_plant):
+def test_integral_action_kills_steady_state_error(nominal_plant, nominal_params):
     # symbolic constant-term check: closed-loop DC gain is exactly 1
     for gains in (PIGains(0.23, 1.0), PIGains(10.0, 1.0), PIGains(2.0, 17.0)):
-        closed = close_unity_loop(compensated_loop(nominal_plant, gains))
+        closed = close_unity_loop(
+            compensated_loop(nominal_plant, gains, LoopConfig(), nominal_params)
+        )
         assert closed.num[-1] == closed.den[-1]
         assert dc_gain(closed) == 1.0
 
 
-def test_margin_monotone_in_kp_above_case_study(nominal_plant):
+def test_margin_monotone_in_kp_above_case_study(nominal_plant, nominal_params):
     kps = np.logspace(math.log10(0.23), math.log10(10.0), 50)
     pms = []
     for kp in kps:
-        report = stability_margins(compensated_loop(nominal_plant, PIGains(float(kp), 1.0)))
+        loop = compensated_loop(
+            nominal_plant, PIGains(float(kp), 1.0), LoopConfig(), nominal_params
+        )
+        report = stability_margins(loop)
         pms.append(report.phase_margin_deg)
     assert all(a > b for a, b in zip(pms, pms[1:]))
 
 
-def test_tune_round_trip(nominal_plant):
+def test_tune_round_trip(nominal_plant, nominal_params):
     for kp_star in (0.1, 0.23, 1.0, 10.0):
         target = stability_margins(
-            compensated_loop(nominal_plant, PIGains(kp_star, 1.0))
+            compensated_loop(nominal_plant, PIGains(kp_star, 1.0), LoopConfig(), nominal_params)
         ).phase_margin_deg
-        result = tune_kp_for_pm(nominal_plant, 1.0, target)
+        result = tune_kp_for_pm(nominal_plant, 1.0, target, LoopConfig(), nominal_params)
         assert result.gains.kp == pytest.approx(kp_star, rel=0.05)
         assert result.margins.phase_margin_deg == pytest.approx(target, abs=0.05)
 
 
-def test_tune_unreachable(nominal_plant):
+def test_tune_unreachable(nominal_plant, nominal_params):
     with pytest.raises(TuningError, match="observed margins"):
-        tune_kp_for_pm(nominal_plant, 1.0, 179.9)
+        tune_kp_for_pm(nominal_plant, 1.0, 179.9, LoopConfig(), nominal_params)
 
 
-def test_tune_without_gain_crossover(nominal_plant):
+def test_tune_without_gain_crossover(nominal_plant, nominal_params):
     # |L| stays above 1 across the margin window for every kp on the grid
     with pytest.raises(TuningError) as info:
-        tune_kp_for_pm(nominal_plant, 1e300, 50.0)
+        tune_kp_for_pm(nominal_plant, 1e300, 50.0, LoopConfig(), nominal_params)
     assert "kp in [1e-06, 1000.0]" in str(info.value)
     assert "no kp gives a gain crossover" in str(info.value)
     trace = info.value.trace
@@ -152,24 +150,24 @@ def test_tune_without_gain_crossover(nominal_plant):
     assert set(trace.pm_grid) == {None}
 
 
-def test_tune_validation(nominal_plant):
+def test_tune_validation(nominal_plant, nominal_params):
     with pytest.raises(ValueError):
-        tune_kp_for_pm(nominal_plant, 1.0, 0.0)
+        tune_kp_for_pm(nominal_plant, 1.0, 0.0, LoopConfig(), nominal_params)
     with pytest.raises(ValueError):
-        tune_kp_for_pm(nominal_plant, 0.0, 50.0)
+        tune_kp_for_pm(nominal_plant, 0.0, 50.0, LoopConfig(), nominal_params)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="ki must be positive and finite"):
-            tune_kp_for_pm(nominal_plant, bad, 50.0)
+            tune_kp_for_pm(nominal_plant, bad, 50.0, LoopConfig(), nominal_params)
 
 
-def test_tune_trace_records_the_search(nominal_plant):
+def test_tune_trace_records_the_search(nominal_plant, nominal_params):
     target = 50.0
-    result = tune_kp_for_pm(nominal_plant, 1.0, target)
+    result = tune_kp_for_pm(nominal_plant, 1.0, target, LoopConfig(), nominal_params)
     trace = result.trace
     assert len(trace.kp_grid) == len(trace.pm_grid) == 91
     assert trace.kp_grid[0] == 1e-6 and trace.kp_grid[-1] == pytest.approx(1e3)
     for kp, pm in zip(trace.kp_grid[::15], trace.pm_grid[::15]):
-        loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
+        loop = compensated_loop(nominal_plant, PIGains(kp, 1.0), LoopConfig(), nominal_params)
         assert pm == stability_margins(loop).phase_margin_deg
     lo, hi = trace.bracket
     assert trace.kp_grid.index(lo) + 1 == trace.kp_grid.index(hi)
@@ -182,9 +180,9 @@ def test_tune_trace_records_the_search(nominal_plant):
     assert result.margins.phase_margin_deg == pytest.approx(last_pm, abs=1e-9)
 
 
-def test_tune_error_carries_trace(nominal_plant):
+def test_tune_error_carries_trace(nominal_plant, nominal_params):
     with pytest.raises(TuningError) as info:
-        tune_kp_for_pm(nominal_plant, 1.0, 179.9)
+        tune_kp_for_pm(nominal_plant, 1.0, 179.9, LoopConfig(), nominal_params)
     trace = info.value.trace
     assert trace.bracket is None and trace.bisection == ()
     assert trace.pm_evals == len(trace.pm_grid) == 91

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ def test_sample_budget_refused_before_allocation(nominal_params):
     assert _periods(p, SimConfig(t_end=n_max / p.fs, steps_per_period=20)) == n_max
     with pytest.raises(ValueError, match="budget"):
         _periods(p, SimConfig(t_end=(n_max + 1) / p.fs, steps_per_period=20))
+
+
+def test_thresholds_stay_below_the_smallest_normal_vs(nominal_params):
+    # the smallest normal vs is accepted (a subnormal one is refused), and the
+    # sample budget refuses 2e6 substeps per period over the 10-period minimum
+    p = dataclasses.replace(nominal_params, vs=sys.float_info.min)
+    spp = 2_000_000
+    with pytest.raises(ValueError, match="budget"):
+        _periods(p, SimConfig(t_end=10 / p.fs, steps_per_period=spp))
+    # the closed loop's top threshold, as simulate_closed_loop computes it
+    saw_step = p.vs / spp
+    assert saw_step * (spp - 1) < p.vs
 
 
 def test_open_loop_zero_duty_stays_at_rest(nominal_params):

@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .averaging import derive_plant, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
+from .csvtext import format_block, per_cell
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
     DESIGN_STEP_SAMPLES,
@@ -54,22 +55,28 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-# rows turned into Python floats per block: converting whole columns at once
-# multiplies peak memory on long simulations
+# rows formatted per block: formatting whole columns at once multiplies
+# peak memory on long simulations
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: str, header: str, *columns) -> None:
+def _write_csv(path: str, header: str, *columns) -> dict:
     """One row per index across equal-length 1-D arrays, each cell "%.17g".
 
-    Booleans print as 1 and 0.
+    Booleans print as 1 and 0. Returns the manifest's account of the file:
+    its rows, and the cells formatted one at a time (`csvtext.per_cell`).
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = zip(*(col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in columns))
-            fh.write("".join(map(row.__mod__, block)))
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    fallback_cells = 0
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, lengths[0], _CSV_BLOCK_ROWS):
+            block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in columns]
+            fh.write(format_block(block))
+            fallback_cells += sum(int(per_cell(col).sum()) for col in block)
+    return {"rows": lengths[0], "fallback_cells": fallback_cells}
 
 
 def _write_svg(args, name: str, svg: str) -> str:
@@ -137,7 +144,7 @@ def cmd_bode(args) -> int:
     margins = stability_margins(loop)
 
     csv_path = os.path.join(args.out_dir, "bode.csv")
-    _write_csv(csv_path, "omega_rad_s,magnitude_db,phase_deg", *sweep)
+    emitted = {"bode.csv": _write_csv(csv_path, "omega_rad_s,magnitude_db,phase_deg", *sweep)}
     margins_path = os.path.join(args.out_dir, "margins.json")
     _write_json(margins_path, dataclasses.asdict(margins))
     outputs = [csv_path, margins_path]
@@ -157,7 +164,7 @@ def cmd_bode(args) -> int:
     print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
     print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
     print(f"stable loop: {margins.stable_loop}")
-    _write_manifest(args, "bode", resolved, outputs)
+    _write_manifest(args, "bode", resolved, outputs, {"csv": emitted})
     return 0
 
 
@@ -219,7 +226,7 @@ def cmd_step(args) -> int:
     traj = step_response(closed, args.t_end, args.samples)
 
     csv_path = os.path.join(args.out_dir, "step.csv")
-    _write_csv(csv_path, "time_s,output", traj.times, traj.values)
+    emitted = {"step.csv": _write_csv(csv_path, "time_s,output", traj.times, traj.values)}
     outputs = [csv_path]
     metrics_path = os.path.join(args.out_dir, "step_metrics.json")
     code = 0
@@ -247,7 +254,7 @@ def cmd_step(args) -> int:
         "t_end": args.t_end,
         "samples": args.samples,
     }
-    _write_manifest(args, "step", resolved, outputs)
+    _write_manifest(args, "step", resolved, outputs, {"csv": emitted})
     return code
 
 
@@ -286,7 +293,7 @@ def cmd_simulate(args) -> int:
     report = regulation_report(traj, p)
 
     csv_path = os.path.join(args.out_dir, "sim.csv")
-    _write_csv(
+    emitted = {"sim.csv": _write_csv(
         csv_path,
         "time_s,il_a,vc_v,duty,switch_state",
         traj.times,
@@ -294,7 +301,7 @@ def cmd_simulate(args) -> int:
         traj.vc,
         traj.duty_cmd,
         traj.switch_state,
-    )
+    )}
     report_path = os.path.join(args.out_dir, "regulation.json")
     doc = dataclasses.asdict(report)
     doc["gains"] = dataclasses.asdict(gains)
@@ -320,7 +327,7 @@ def cmd_simulate(args) -> int:
         f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
     )
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
-    _write_manifest(args, "simulate", resolved, outputs)
+    _write_manifest(args, "simulate", resolved, outputs, {"csv": emitted})
     return 0 if report.passed else 4
 
 

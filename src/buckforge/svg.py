@@ -32,10 +32,13 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         if raw <= step:
             break
     first = math.ceil(lo / step) * step
+    # rounding drops the error the repeated additions leave; it keeps three
+    # digits below the step's leading one, and never fewer than 12 decimals
+    decimals = max(12, 3 - math.floor(math.log10(step)))
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 12))
+        ticks.append(round(t, decimals))
         t += step
     return ticks
 

@@ -1,8 +1,13 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from buckforge import ConverterParams, derive_plant
+
+# a longer search for the CI run of the CSV formatter property:
+# pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=5000)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 NOMINAL_CONFIG = REPO_ROOT / "configs" / "buck_nominal.json"

@@ -560,3 +560,18 @@ _SVG_MAX_POINTS = 2000
 def decimate_reference(xs, ys):
     step = max(1, len(xs) // _SVG_MAX_POINTS)
     return xs[::step], ys[::step]
+
+
+# The CLI's CSV writer as it was before csvtext formatted blocks with numpy:
+# one "%.17g" per cell, through Python's own float formatting.
+
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv_reference(path: str, header: str, *columns) -> None:
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = zip(*(col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in columns))
+            fh.write("".join(map(row.__mod__, block)))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -34,6 +35,13 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
+
+
+def fallback_count(rows):
+    """Cells neither zero nor in 1e-4 <= |x| < 1e16: the ones written one at a time."""
+    return sum(
+        not (x == 0.0 or 1e-4 <= abs(x) < 1e16) for row in rows for x in map(float, row)
+    )
 
 
 def test_derive(nominal_config_path, tmp_path, capsys):
@@ -93,6 +101,9 @@ def test_bode_outputs(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "bode.csv")
     assert header == ["omega_rad_s", "magnitude_db", "phase_deg"]
     assert len(rows) > 100
+    assert read_json(out / "bode_manifest.json")["csv"] == {
+        "bode.csv": {"rows": len(rows), "fallback_cells": fallback_count(rows)}
+    }
     margins = read_json(out / "margins.json")
     assert 6.0 <= margins["phase_margin_deg"] <= 12.0
     assert math.isinf(margins["gain_margin_db"])
@@ -357,6 +368,9 @@ def test_step_uncompensated(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "step.csv")
     assert header == ["time_s", "output"]
     assert len(rows) == 20001
+    assert read_json(out / "step_manifest.json")["csv"] == {
+        "step.csv": {"rows": 20001, "fallback_cells": fallback_count(rows)}
+    }
 
 
 def read_columns(path, *names):
@@ -458,6 +472,46 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "sim.csv")
     assert header == ["time_s", "il_a", "vc_v", "duty", "switch_state"]
     assert rows[0][4] in ("0", "1")
+
+
+def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--t-end", "0.002",
+    ]) == 4  # still rising from rest after 2 ms
+    _, rows = read_csv(out / "sim.csv")
+    emitted = read_json(out / "simulate_manifest.json")["csv"]["sim.csv"]
+    assert emitted == {"rows": len(rows), "fallback_cells": fallback_count(rows)}
+    # the first samples of the time column lie below 1e-4
+    early = sum(0.0 < float(row[0]) < 1e-4 for row in rows)
+    assert early > 0
+    assert early <= emitted["fallback_cells"] < 0.02 * 5 * len(rows)
+
+
+def test_simulate_on_a_1e_20_volt_scale(nominal_config_path, tmp_path):
+    # every voltage and current lies far below 1e-4: written one cell at a
+    # time, and plotted against ticks that do not collapse to 0
+    config = _config(tmp_path, nominal_config_path, vg=3e-20, vo_target=1e-20, vref=1e-20)
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", config, "--out-dir", str(out), "--from-operating-point",
+        "--t-end", "0.0005", "--steps-per-period", "20", "--svg",
+    ]) == 0
+    _, rows = read_csv(out / "sim.csv")
+    tiny = [x for row in rows for x in map(float, row[1:3]) if x != 0.0]
+    assert len(tiny) > len(rows) and all(abs(x) < 1e-18 for x in tiny)
+    others = fallback_count([[row[0], *row[3:]] for row in rows])
+    assert read_json(out / "simulate_manifest.json")["csv"] == {
+        "sim.csv": {"rows": len(rows), "fallback_cells": len(tiny) + others}
+    }
+
+    svg = (out / "sim.svg").read_text()
+    grid = re.findall(r'y1="([-\d.]+)" x2="\d+" y2="[-\d.]+" stroke="#eee"', svg)
+    labels = re.findall(r'text-anchor="end">([^<]*)<', svg)
+    assert len(grid) == len(labels) >= 3
+    assert all(28 <= float(y) <= 28 + 220 for y in grid)
+    assert len(set(labels)) == len(labels) and "0" not in labels
 
 
 def test_simulate_svg_plots_the_written_trajectory(nominal_config_path, tmp_path):

@@ -14,8 +14,9 @@ from buckforge import (
     step_response,
 )
 from buckforge.pi_design import DESIGN_STEP_SAMPLES, DESIGN_STEP_T_END
-from buckforge.svg import bode_svg, timeseries_svg
+from buckforge.svg import _nice_ticks, bode_svg, timeseries_svg
 from oracles import bode_svg_reference, decimate_reference, timeseries_svg_reference
+from oracles import _nice_ticks as nice_ticks_reference
 
 
 def _points(sweep):
@@ -115,3 +116,18 @@ def test_bode_svg_stride_edges(n):
     got = bode_svg(sweep, margins, "edge")
     drawn = _points([col[:: 1 if n < 4000 else 2] for col in sweep])
     assert got == bode_svg_reference(drawn, margins, "edge")
+
+
+def test_nice_ticks_on_tiny_axes_stay_distinct():
+    # at 12 decimals, every tick of this axis rounded to 0.0
+    assert _nice_ticks(0.0, 3e-20) == [0.0, 1e-20, 2e-20, 3e-20]
+    ticks = _nice_ticks(1.0000000000000001e-20, 1.0007e-20)
+    assert len(set(ticks)) == len(ticks) >= 3
+    assert all(1e-20 <= t <= 1.0007e-20 for t in ticks)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 1.0), (-2e-9, 5e-9), (14.2, 15.3), (-180.0, 0.0), (1e6, 3e7), (0.1, 0.100000006),
+])
+def test_nice_ticks_at_steps_from_1e_9_keep_12_decimals(lo, hi):
+    assert _nice_ticks(lo, hi) == nice_ticks_reference(lo, hi)

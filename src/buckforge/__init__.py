@@ -35,7 +35,6 @@ from .lti import (
     stability_margins,
 )
 from .pi_design import (
-    LoopConfig,
     PIGains,
     TuningError,
     compensated_loop,

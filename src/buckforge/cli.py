@@ -18,12 +18,11 @@ import sys
 from . import __version__
 from .averaging import derive_plant, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
-from .csvtext import format_block, per_cell
+from .csvtext import format_block
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
     DESIGN_STEP_SAMPLES,
     DESIGN_STEP_T_END,
-    LoopConfig,
     PIGains,
     TuningError,
     compensated_loop,
@@ -40,8 +39,9 @@ from .switched_sim import (
 )
 from .timedomain import NotSettledError, step_metrics, step_response
 
-# duty-domain gains assumed when the simulate command gets none; rescaled
-# by vs*vo_target/vref (vs over the sensor divider) before driving the PWM loop
+# duty-domain gains assumed when the simulate command gets none; simulate
+# rescales every gain by vs*vo_target/vref (vs over the sensor divider)
+# before it drives the PWM loop
 DEFAULT_ANALYSIS_GAINS = PIGains(0.23, 1.0)
 
 
@@ -73,9 +73,10 @@ def _write_csv(path: str, header: str, *columns) -> dict:
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, lengths[0], _CSV_BLOCK_ROWS):
-            block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in columns]
-            fh.write(format_block(block))
-            fallback_cells += sum(int(per_cell(col).sum()) for col in block)
+            text, slow = format_block([col[lo : lo + _CSV_BLOCK_ROWS] for col in columns])
+            fh.write(text)
+            fallback_cells += slow
+            del text  # freed before the next block is formatted, to bound peak memory
     return {"rows": lengths[0], "fallback_cells": fallback_cells}
 
 
@@ -128,18 +129,10 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _loop_config(args) -> LoopConfig:
-    return LoopConfig(
-        include_modulator_gain=args.include_modulator_gain,
-        include_sensor_gain=args.include_sensor_gain,
-    )
-
-
 def cmd_bode(args) -> int:
     p = load_params(args.config)
     gains = PIGains(args.kp, args.ki)
-    cfg = _loop_config(args)
-    loop = compensated_loop(derive_plant(p).plant, gains, cfg, p)
+    loop = compensated_loop(derive_plant(p).plant, gains)
     sweep = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
     margins = stability_margins(loop)
 
@@ -154,7 +147,6 @@ def cmd_bode(args) -> int:
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "gains": dataclasses.asdict(gains),
-        "loop_config": dataclasses.asdict(cfg),
         "omega_min": args.omega_min,
         "omega_max": args.omega_max,
         "points_per_decade": args.points_per_decade,
@@ -170,22 +162,20 @@ def cmd_bode(args) -> int:
 
 def cmd_tune(args) -> int:
     p = load_params(args.config)
-    cfg = _loop_config(args)
     plant = derive_plant(p).plant
     resolved = {
         "converter_params": dataclasses.asdict(p),
         "ki": args.ki,
         "target_pm": args.target_pm,
-        "loop_config": dataclasses.asdict(cfg),
     }
     try:
-        result = tune_kp_for_pm(plant, args.ki, args.target_pm, cfg, p)
+        result = tune_kp_for_pm(plant, args.ki, args.target_pm)
     except TuningError as exc:
         # the failed search still explains itself in the manifest
         trace = {"tuning_trace": dataclasses.asdict(exc.trace)} if exc.trace else None
         _write_manifest(args, "tune", resolved, [], trace)
         raise
-    report = design_report(plant, result.gains, cfg, p)
+    report = design_report(plant, result.gains, p)
     doc = {
         "target_phase_margin_deg": args.target_pm,
         "gains": dataclasses.asdict(result.gains),
@@ -212,6 +202,10 @@ def cmd_step(args) -> int:
     p = load_params(args.config)
     plant = derive_plant(p).plant
     if args.uncompensated:
+        if args.kp is not None or args.ki is not None:
+            raise ParameterError(
+                "kp", "step --uncompensated takes no --kp or --ki: it runs no controller"
+            )
         loop = plant
         label = "uncompensated unity feedback"
     else:
@@ -220,7 +214,7 @@ def cmd_step(args) -> int:
                 "kp", "step needs --kp and --ki, or --uncompensated"
             )
         gains = PIGains(args.kp, args.ki)
-        loop = compensated_loop(plant, gains, _loop_config(args), p)
+        loop = compensated_loop(plant, gains)
         label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
     closed = close_unity_loop(loop)
     traj = step_response(closed, args.t_end, args.samples)
@@ -264,14 +258,13 @@ def cmd_simulate(args) -> int:
     if args.kp is not None or args.ki is not None:
         if args.kp is None or args.ki is None:
             raise ParameterError("kp", "simulate needs both --kp and --ki, or neither")
-        gains = PIGains(args.kp, args.ki)
-        gains_source = "command line"
+        duty_gains, source = PIGains(args.kp, args.ki), "command line"
     else:
-        gains = pwm_equivalent_gains(DEFAULT_ANALYSIS_GAINS, p)
-        gains_source = (
-            f"duty-domain defaults (kp={DEFAULT_ANALYSIS_GAINS.kp}, "
-            f"ki={DEFAULT_ANALYSIS_GAINS.ki}) rescaled by vs/sensor_gain"
-        )
+        duty_gains, source = DEFAULT_ANALYSIS_GAINS, "duty-domain defaults"
+    gains = pwm_equivalent_gains(duty_gains, p)
+    gains_source = (
+        f"{source} (kp={duty_gains.kp}, ki={duty_gains.ki}) rescaled by vs/sensor_gain"
+    )
 
     initial = (0.0, 0.0)
     integrator_init = 0.0
@@ -350,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="converter parameter JSON")
         sp.add_argument("--out-dir", default="./out", help="output directory")
 
-    def loop_flags(sp):
-        sp.add_argument("--include-modulator-gain", action="store_true",
-                        help="divide the loop by the sawtooth peak vs")
-        sp.add_argument("--include-sensor-gain", action="store_true",
-                        help="multiply the loop by vref/vo_target")
-
     sp = sub.add_parser("derive", help="mode models, equilibrium, duty, plant")
     common(sp)
     sp.set_defaults(func=cmd_derive)
@@ -364,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--kp", type=float, required=True)
     sp.add_argument("--ki", type=float, required=True)
-    loop_flags(sp)
     sp.add_argument("--omega-min", type=float, default=1.0)
     sp.add_argument("--omega-max", type=float, default=1e6)
     sp.add_argument("--points-per-decade", type=int, default=200)
@@ -375,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--ki", type=float, default=1.0)
     sp.add_argument("--target-pm", type=float, required=True, help="degrees")
-    loop_flags(sp)
     sp.set_defaults(func=cmd_tune)
 
     sp = sub.add_parser("step", help="closed-loop unit step and metrics")
@@ -384,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ki", type=float)
     sp.add_argument("--uncompensated", action="store_true",
                     help="unity feedback around the bare plant")
-    loop_flags(sp)
     sp.add_argument("--t-end", type=float, default=DESIGN_STEP_T_END)
     sp.add_argument("--samples", type=int, default=DESIGN_STEP_SAMPLES)
     sp.add_argument("--svg", action="store_true")
@@ -392,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="switched-mode PWM closed loop")
     common(sp)
-    sp.add_argument("--kp", type=float, help="PWM-loop proportional gain")
-    sp.add_argument("--ki", type=float, help="PWM-loop integral gain")
+    sp.add_argument("--kp", type=float, help="duty-domain proportional gain")
+    sp.add_argument("--ki", type=float, help="duty-domain integral gain")
     sp.add_argument("--vg", type=float, help="override the source voltage")
     sp.add_argument("--t-end", type=float, default=0.05)
     sp.add_argument("--steps-per-period", type=int, default=200)

@@ -2,7 +2,8 @@
 
 `format_block` returns the bytes that ``"%.17g" % x`` per cell, ``","``
 between cells and ``"\\n"`` after each row would give, without a Python
-call per cell for the values a simulation writes.
+call per cell for the values a simulation writes, and the number of cells
+it formatted one at a time.
 
 Finite ``|x|`` in ``[1e-4, 1e16)`` is printed in fixed notation by
 ``%.17g``. For such x, let E = floor(log10|x|) and v = |x| * 10**(16 - E),
@@ -131,8 +132,9 @@ def _fixed(x):
     return out
 
 
-def format_block(columns) -> bytes:
-    """Rows of ``"%.17g"`` cells, comma separated, each ending in a newline.
+def format_block(columns) -> tuple[bytes, int]:
+    """Rows of ``"%.17g"`` cells, comma separated, each ending in a newline,
+    and the count of cells formatted one at a time (the `per_cell` ones).
 
     `columns` are equal-length 1-D float or bool arrays; booleans print as
     1 and 0.
@@ -156,4 +158,4 @@ def format_block(columns) -> bytes:
     text = (f"%-{_FIELD}.17g" * slow.size) % tuple(cells[slow].tolist())
     padded = text.encode("ascii").translate(_SPACE_TO_NUL)
     fields[slow, :_FIELD] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
-    return fields[fields != _NUL].tobytes()
+    return fields[fields != _NUL].tobytes(), slow.size

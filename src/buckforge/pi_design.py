@@ -56,37 +56,14 @@ class PIGains:
             raise ValueError("kp and ki cannot both be zero")
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    """Optional fixed loop gains beyond plant and controller.
-
-    The sawtooth comparator divides the control voltage by its peak, and a
-    sensing divider scales the output before the error node; both toggles
-    default to off so the bare plant-times-controller loop is analyzed.
-    """
-
-    include_modulator_gain: bool = False
-    include_sensor_gain: bool = False
-
-
 def pi_tf(g: PIGains) -> TransferFunction:
     """(kp*s + ki)/s; proportional-only gains keep the uncancelled s/s."""
     return TransferFunction((g.kp, g.ki), (1.0, 0.0))
 
 
-def compensated_loop(
-    plant: TransferFunction, g: PIGains, cfg: LoopConfig, p: ConverterParams
-) -> TransferFunction:
-    """Open loop plant * PI, scaled by 1/vs and vref/vo_target as `cfg` selects."""
-    loop = series(plant, pi_tf(g))
-    scale = 1.0
-    if cfg.include_modulator_gain:
-        scale /= p.vs
-    if cfg.include_sensor_gain:
-        scale *= default_sensor_gain(p)
-    if scale == 1.0:
-        return loop
-    return TransferFunction(tuple(x * scale for x in loop.num), loop.den)
+def compensated_loop(plant: TransferFunction, g: PIGains) -> TransferFunction:
+    """Open loop plant * PI, with PI in duty-domain gains."""
+    return series(plant, pi_tf(g))
 
 
 @dataclass(frozen=True)
@@ -121,13 +98,7 @@ KP_GRID_PER_DECADE = 10
 PM_TOLERANCE_DEG = 0.05
 
 
-def tune_kp_for_pm(
-    plant: TransferFunction,
-    ki: float,
-    target_pm: float,
-    cfg: LoopConfig,
-    p: ConverterParams,
-) -> TuningResult:
+def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> TuningResult:
     """Find kp whose compensated loop hits the phase-margin target.
 
     Scans a log grid over the kp bracket for a sign change of
@@ -144,11 +115,11 @@ def tune_kp_for_pm(
         raise ValueError(f"ki must be positive and finite for PI tuning, got {ki!r}")
 
     # kp scales only the numerator, so every loop shares one den(j*omega)
-    unit_kp = compensated_loop(plant, PIGains(1.0, ki), cfg, p)
+    unit_kp = compensated_loop(plant, PIGains(1.0, ki))
     den_resp = window_response(unit_kp.den, None)
 
     def pm_of(kp: float) -> float | None:
-        loop = compensated_loop(plant, PIGains(kp, ki), cfg, p)
+        loop = compensated_loop(plant, PIGains(kp, ki))
         return phase_margin(loop, window_response(loop.num, den_resp))
 
     def excess(pm: float | None) -> float:
@@ -169,7 +140,7 @@ def tune_kp_for_pm(
         return "no gain crossover" if pm is None else f"{pm!r} deg"
 
     def result(kp: float, bracket: tuple | None, jump: str) -> TuningResult:
-        margins = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        margins = stability_margins(compensated_loop(plant, PIGains(kp, ki)))
         pm = margins.phase_margin_deg
         if pm is None or abs(pm - target_pm) > PM_TOLERANCE_DEG:
             # the bracket straddled a jump of PM(kp) or the margin window's edge
@@ -294,29 +265,26 @@ DESIGN_STEP_T_END = 0.05
 DESIGN_STEP_SAMPLES = 20001
 
 
-def design_report(
-    plant: TransferFunction, g: PIGains, cfg: LoopConfig, p: ConverterParams
-) -> dict:
+def design_report(plant: TransferFunction, g: PIGains, p: ConverterParams) -> dict:
     """Margins, closed-loop poles, and step metrics in one JSON-ready dict.
 
-    Both loop-gain readings (bare plant*PI versus the variant with
-    modulator and sensor gains) are reported side by side, since published
-    margin figures for this plant are only reproducible under one of them.
-    Step metrics are relative to the simulated window; the model-exact
-    steady-state error comes from the closed-loop DC gain.
+    The bare plant*PI loop is reported next to the physical PWM loop, which
+    adds the modulator gain 1/vs and the sensor gain vref/vo_target (the bare
+    loop at gains times vref/(vo_target*vs)), since published margin figures
+    for this plant are only reproducible under one of them. Step metrics are
+    relative to the simulated window; the model-exact steady-state error
+    comes from the closed-loop DC gain.
     """
-    variant_configs = {
-        "plant_times_pi": LoopConfig(),
-        "with_modulator_and_sensor_gains": LoopConfig(True, True),
+    loop = compensated_loop(plant, g)
+    scale = (1.0 / p.vs) * default_sensor_gain(p)
+    pwm_loop = TransferFunction(tuple(x * scale for x in loop.num), loop.den)
+    bare = stability_margins(loop)
+    variants = {
+        "plant_times_pi": asdict(bare),
+        "with_modulator_and_sensor_gains": asdict(stability_margins(pwm_loop)),
     }
-    # one report per distinct loop: the selected config is often a variant
-    margins = {
-        c: stability_margins(compensated_loop(plant, g, c, p))
-        for c in dict.fromkeys((cfg, *variant_configs.values()))
-    }
-    variants = {name: asdict(margins[c]) for name, c in variant_configs.items()}
 
-    closed = close_unity_loop(compensated_loop(plant, g, cfg, p))
+    closed = close_unity_loop(loop)
     closed_poles = poles(closed)
     closed_dc = dc_gain(closed)
 
@@ -331,8 +299,9 @@ def design_report(
 
     return {
         "gains": {"kp": g.kp, "ki": g.ki},
-        "loop_config": asdict(cfg),
-        "selected_loop_margins": asdict(margins[cfg]),
+        # the loop is no longer selectable; both keys stay so tune.json keeps its bytes
+        "loop_config": {"include_modulator_gain": False, "include_sensor_gain": False},
+        "selected_loop_margins": variants["plant_times_pi"],
         "loop_variants": variants,
         "closed_loop": {
             "poles": [[z.real, z.imag] for z in closed_poles],
@@ -342,6 +311,6 @@ def design_report(
             "step_metrics": metrics,
             "step_metrics_note": metrics_note,
         },
-        "reference_comparison": _reference_comparison(g, margins[LoopConfig()]),
+        "reference_comparison": _reference_comparison(g, bare),
         "converter_params": asdict(p),
     }

@@ -411,7 +411,14 @@ def pwm_equivalent_gains(analysis_gains: PIGains, p: ConverterParams) -> PIGains
     The comparator divides the control voltage by vs and the sensor
     scales the output by H = vref/vo_target, so multiplying the gains by
     vs/H = vs*vo_target/vref makes the physical loop's frequency response
-    match the duty-domain design.
+    match the duty-domain design. Raises ValueError, naming the factor, when
+    a rescaled gain overflows or both underflow to zero.
     """
     factor = p.vs / default_sensor_gain(p)
-    return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)
+    try:
+        return PIGains(analysis_gains.kp * factor, analysis_gains.ki * factor)
+    except ValueError as exc:
+        raise ValueError(
+            f"duty-domain gains {analysis_gains} times vs*vo_target/vref = "
+            f"{factor!r} are not valid PWM-loop gains: {exc}"
+        ) from None

@@ -281,9 +281,7 @@ def cycle_means_reference(il, vc, duty, spp):
     return out
 
 
-def tune_kp_for_pm_reference(
-    pi_design, plant, ki, target_pm, cfg, p=None, tolerance_deg=0.05
-):
+def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05):
     """The package's earlier kp search, one full margin report per kp.
 
     Kept as the reference for ``tune_kp_for_pm``: the two must return the
@@ -300,7 +298,7 @@ def tune_kp_for_pm_reference(
         raise ValueError(f"ki must be positive for PI tuning, got {ki!r}")
 
     def pm_of(kp: float) -> float:
-        report = stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+        report = stability_margins(compensated_loop(plant, PIGains(kp, ki)))
         if report.phase_margin_deg is None:
             # no gain crossover: the loop never reaches unit magnitude
             return math.inf
@@ -315,7 +313,7 @@ def tune_kp_for_pm_reference(
     if hit is not None:
         kp = grid[hit]
         return pi_design.TuningResult(
-            PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p))
+            PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki)))
         )
 
     bracket = None
@@ -350,7 +348,7 @@ def tune_kp_for_pm_reference(
     kp = math.sqrt(a * b)
     return pi_design.TuningResult(
         PIGains(kp, ki),
-        stability_margins(compensated_loop(plant, PIGains(kp, ki), cfg, p)),
+        stability_margins(compensated_loop(plant, PIGains(kp, ki))),
     )
 
 

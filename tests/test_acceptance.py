@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from buckforge import (
-    LoopConfig,
     PIGains,
     SimConfig,
     close_unity_loop,
@@ -100,7 +99,7 @@ def test_criterion_2_uncompensated_step(nominal_plant):
 
 def test_criterion_3_high_gain_margin_case(nominal_plant, nominal_params):
     with criterion("3. kp=10, ki=1 margin case study"):
-        loop = compensated_loop(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params)
+        loop = compensated_loop(nominal_plant, PIGains(10.0, 1.0))
         report = stability_margins(loop)
         assert 6.0 <= report.phase_margin_deg <= 12.0
 
@@ -114,7 +113,7 @@ def test_criterion_3_high_gain_margin_case(nominal_plant, nominal_params):
         assert report.stable_loop
 
         # the design report must print published and computed side by side
-        doc = design_report(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params)
+        doc = design_report(nominal_plant, PIGains(10.0, 1.0), nominal_params)
         ref = doc["reference_comparison"]
         assert ref["published"]["gain_margin_db"] == 0.0428
         assert ref["published"]["phase_margin_deg"] == 10.0
@@ -124,7 +123,7 @@ def test_criterion_3_high_gain_margin_case(nominal_plant, nominal_params):
 
 def test_criterion_4_low_gain_margin_case(nominal_plant, nominal_params):
     with criterion("4. kp=0.23, ki=1 margin agrees with the sweep oracle"):
-        loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+        loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
         report = stability_margins(loop)
         oracle = sweep_margins(loop.num, loop.den)
         assert report.phase_margin_deg == pytest.approx(
@@ -132,14 +131,14 @@ def test_criterion_4_low_gain_margin_case(nominal_plant, nominal_params):
         )
         # the published ">= 75 deg" does not reproduce and must be flagged
         assert report.phase_margin_deg < 60.0
-        doc = design_report(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+        doc = design_report(nominal_plant, PIGains(0.23, 1.0), nominal_params)
         ref = doc["reference_comparison"]
         assert not ref["matches_published_claim"]
         assert ref["phase_margin_delta_deg"] < -20.0
         assert "do not reproduce" in ref["note"]
 
 
-def test_criterion_5_integral_action_dc_gain(nominal_plant, nominal_params):
+def test_criterion_5_integral_action_dc_gain(nominal_plant):
     with criterion("5. closed-loop DC gain is exactly 1 for any ki > 0"):
         for gains in (
             PIGains(0.23, 1.0),
@@ -147,22 +146,18 @@ def test_criterion_5_integral_action_dc_gain(nominal_plant, nominal_params):
             PIGains(0.0, 0.5),
             PIGains(3.0, 40.0),
         ):
-            closed = close_unity_loop(
-                compensated_loop(nominal_plant, gains, LoopConfig(), nominal_params)
-            )
+            closed = close_unity_loop(compensated_loop(nominal_plant, gains))
             assert closed.num[-1] == closed.den[-1]
             assert dc_gain(closed) == 1.0
 
 
-def test_criterion_6_tuning_round_trip(nominal_plant, nominal_params):
+def test_criterion_6_tuning_round_trip(nominal_plant):
     with criterion("6. tuning round-trip recovers kp within 5%"):
         for kp_star in (0.1, 0.23, 1.0, 10.0):
             achieved = stability_margins(
-                compensated_loop(
-                    nominal_plant, PIGains(kp_star, 1.0), LoopConfig(), nominal_params
-                )
+                compensated_loop(nominal_plant, PIGains(kp_star, 1.0))
             ).phase_margin_deg
-            result = tune_kp_for_pm(nominal_plant, 1.0, achieved, LoopConfig(), nominal_params)
+            result = tune_kp_for_pm(nominal_plant, 1.0, achieved)
             assert result.gains.kp == pytest.approx(kp_star, rel=0.05)
 
 
@@ -252,7 +247,7 @@ def test_criterion_9_numerical_properties(nominal_params, nominal_plant):
 
     with criterion("9b. |L| = 1 at the reported gain crossover within 1e-8"):
         for kp in (0.23, 10.0):
-            loop = compensated_loop(nominal_plant, PIGains(kp, 1.0), LoopConfig(), nominal_params)
+            loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
             report = stability_margins(loop)
             assert abs(abs(evaluate(loop, report.gain_crossover)) - 1.0) < 1e-8
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from buckforge import LoopConfig, PIGains, cli, compensated_loop, stability_margins
+from buckforge import PIGains, cli, compensated_loop, stability_margins
 from buckforge.cli import main
 from buckforge.converter import PARAM_FIELDS
 from oracles import decimate_reference, timeseries_svg_reference
@@ -121,15 +121,32 @@ def test_bode_rejects_zero_gains(nominal_config_path, tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["bode", "--kp", "0.23", "--ki", "1"], ["tune", "--target-pm", "50"],
+    ["step", "--kp", "0.23", "--ki", "1"],
+])
+@pytest.mark.parametrize("flag", ["--include-modulator-gain", "--include-sensor-gain"])
+def test_loop_gain_flags_are_gone(nominal_config_path, tmp_path, capsys, command, flag):
+    # every --kp/--ki is a duty-domain gain: scale it by vref/(vo_target*vs)
+    # for the loop with modulator and sensor gains
+    out = tmp_path / "out"
+    argv = [command[0], "--config", nominal_config_path, "--out-dir", str(out)]
+    assert run([*argv, *command[1:], flag]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bode_modulator_gain_shift(nominal_config_path, tmp_path):
+    # the modulator's 1/vs (vs = 10) is the duty-domain loop at gains / 10
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     run(["bode", "--config", nominal_config_path, "--out-dir", str(out_a),
          "--kp", "0.23", "--ki", "1"])
     run(["bode", "--config", nominal_config_path, "--out-dir", str(out_b),
-         "--kp", "0.23", "--ki", "1", "--include-modulator-gain"])
+         "--kp", "0.023", "--ki", "0.1"])
     _, rows_a = read_csv(out_a / "bode.csv")
     _, rows_b = read_csv(out_b / "bode.csv")
+    assert len(rows_a) == len(rows_b) > 100
     for ra, rb in zip(rows_a, rows_b):
         shift = float(rb[1]) - float(ra[1])
         assert shift == pytest.approx(-20.0, abs=1e-9)
@@ -239,9 +256,9 @@ def test_bode_reruns_byte_identical(nominal_config_path, tmp_path):
     assert (out_a / "margins.json").read_bytes() == (out_b / "margins.json").read_bytes()
 
 
-def test_tune_round_trip(nominal_config_path, tmp_path, nominal_plant, nominal_params):
+def test_tune_round_trip(nominal_config_path, tmp_path, nominal_plant):
     target = stability_margins(
-        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+        compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     ).phase_margin_deg
     out = tmp_path / "out"
     assert run([
@@ -318,7 +335,8 @@ def test_tune_without_gain_crossover_is_exit_3(nominal_config_path, tmp_path, ca
 
 @pytest.mark.parametrize("changes,flags", [
     ({"vg": 1e6}, ["--target-pm", "50"]),
-    ({"l": 250.0, "c": 30000.0}, ["--target-pm", "75", "--include-modulator-gain"]),
+    # ki/vs: the loop the modulator gain 1/vs used to scale
+    ({"l": 250.0, "c": 30000.0}, ["--target-pm", "75", "--ki", "0.1"]),
 ])
 def test_tune_off_target_is_exit_3(nominal_config_path, tmp_path, capsys, changes, flags):
     # the old search returned the bracket's edge, with no phase margin, and
@@ -371,6 +389,19 @@ def test_step_uncompensated(nominal_config_path, tmp_path):
     assert read_json(out / "step_manifest.json")["csv"] == {
         "step.csv": {"rows": 20001, "fallback_cells": fallback_count(rows)}
     }
+
+
+def test_step_uncompensated_refuses_gains(nominal_config_path, tmp_path, capsys):
+    # no controller runs, so the gains would be ignored yet recorded in the manifest
+    out = tmp_path / "out"
+    for gains in (["--kp", "5", "--ki", "2"], ["--kp", "5"], ["--ki", "2"]):
+        assert run([
+            "step", "--config", nominal_config_path, "--out-dir", str(out),
+            "--uncompensated", *gains,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--kp" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def read_columns(path, *names):
@@ -561,9 +592,47 @@ def test_simulate_undervoltage_fails_regulation(nominal_config_path, tmp_path):
 def test_simulate_requires_gain_pair(nominal_config_path, tmp_path, capsys):
     assert run([
         "simulate", "--config", nominal_config_path,
-        "--out-dir", str(tmp_path / "out"), "--kp", "17.25", "--t-end", "0.01",
+        "--out-dir", str(tmp_path / "out"), "--kp", "0.23", "--t-end", "0.01",
     ]) == 2
     assert "--kp" in capsys.readouterr().err
+
+
+def test_simulate_gains_are_duty_domain(nominal_config_path, tmp_path):
+    # the duty-domain defaults given on the command line drive the same loop
+    runs = {}
+    for name, gains in (("default", []), ("given", ["--kp", "0.23", "--ki", "1"])):
+        out = tmp_path / name
+        assert run([
+            "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+            "--from-operating-point", "--t-end", "0.002", *gains,
+        ]) in (0, 4)
+        runs[name] = out
+    sims = [(runs[name] / "sim.csv").read_bytes() for name in ("given", "default")]
+    assert sims[0] == sims[1]
+    default = read_json(runs["default"] / "regulation.json")
+    given = read_json(runs["given"] / "regulation.json")
+    assert default["gains_source"] == (
+        "duty-domain defaults (kp=0.23, ki=1.0) rescaled by vs/sensor_gain"
+    )
+    assert given.pop("gains_source") == (
+        "command line (kp=0.23, ki=1.0) rescaled by vs/sensor_gain"
+    )
+    del default["gains_source"]
+    assert given == default
+
+
+def test_tuned_kp_goes_to_simulate_as_is(nominal_config_path, nominal_params, tmp_path):
+    out = tmp_path / "out"
+    tune = ["tune", "--config", nominal_config_path, "--out-dir", str(out)]
+    assert run([*tune, "--target-pm", "50"]) == 0
+    kp = read_json(out / "tune.json")["gains"]["kp"]
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", repr(kp), "--ki", "1", "--from-operating-point", "--t-end", "0.002",
+    ]) in (0, 4)
+    want = cli.pwm_equivalent_gains(PIGains(kp, 1.0), nominal_params)
+    gains = read_json(out / "regulation.json")["gains"]
+    assert (gains["kp"].hex(), gains["ki"].hex()) == (want.kp.hex(), want.ki.hex())
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan"])
@@ -592,7 +661,21 @@ def test_simulate_non_finite_gain_is_exit_2(
     assert not (out / "sim.csv").exists()
 
 
-@pytest.mark.parametrize("gains", [[], ["--kp", "17.25", "--ki", "75"]])
+def test_simulate_gain_overflowing_the_pwm_rescale_is_exit_2(
+    nominal_config_path, tmp_path, capsys
+):
+    # the duty-domain kp is finite; its PWM-loop equivalent, 75 times it, is not
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "1e307", "--ki", "1", "--t-end", "0.001",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "vs*vo_target/vref = 75.0" in err and "kp must be finite, got inf" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("gains", [[], ["--kp", "0.23", "--ki", "1"]])
 @pytest.mark.parametrize("sensor", ["inf", "nan", "0", "-0.5", "0.2"])
 def test_simulate_bad_sensor_gain_is_exit_2(
     nominal_config_path, tmp_path, capsys, gains, sensor

@@ -22,7 +22,9 @@ def _assert_same(*columns):
         write_csv_reference(path, "h", *columns)
         with open(path, "rb") as fh:
             assert fh.readline() == b"h\n"
-            assert format_block(columns) == fh.read()
+            text, slow = format_block(columns)
+            assert text == fh.read()
+    assert slow == sum(int(per_cell(np.asarray(col)).sum()) for col in columns)
 
 
 def _from_bits(bits: int) -> float:
@@ -105,6 +107,12 @@ def test_write_csv_matches_reference_at_block_edges(tmp_path, rows):
     assert got.read_bytes() == want.read_bytes()
     slow = sum(np.count_nonzero(per_cell(col)) for col in (ramp, special, flags))
     assert stats == {"rows": rows, "fallback_cells": slow}
+
+
+def test_format_block_counts_the_cells_it_formats_one_at_a_time():
+    cells = np.array([math.nan, math.inf, 5e-324, 1e-5, 1e16, 0.5, -0.0, 2.0])
+    _, slow = format_block([cells, -cells, cells > 1.0])
+    assert slow == per_cell(cells).sum() + per_cell(-cells).sum() == 10
 
 
 def test_per_cell_marks_what_fixed_notation_cannot_take():

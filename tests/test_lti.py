@@ -35,7 +35,7 @@ from buckforge.lti import (
     phase_deg,
     phase_margin,
 )
-from buckforge.pi_design import LoopConfig, PIGains, compensated_loop, tune_kp_for_pm
+from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
 from oracles import sweep_margins
 
@@ -123,9 +123,9 @@ def test_bode_range_validation(nominal_plant):
         bode_sweep(nominal_plant, 1e6, 1000000.0000000001, 10)
 
 
-def test_bode_sweep_memory_per_frequency(nominal_plant, nominal_params):
+def test_bode_sweep_memory_per_frequency(nominal_plant):
     # three float64 columns, 24 B per frequency; per-point records took 184 B
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     tracemalloc.start()
     try:
         omegas, _, _ = bode_sweep(loop, 1.0, 1e6, 10_000)
@@ -179,22 +179,20 @@ def test_margin_grid_is_built_once_and_read_only():
         MARGIN_OMEGAS[0] = 1.0
 
 
-def test_stability_margins_unwraps_once_on_the_built_grid(
-    monkeypatch, nominal_plant, nominal_params
-):
+def test_stability_margins_unwraps_once_on_the_built_grid(monkeypatch, nominal_plant):
     unwrap, calls = np.unwrap, []
     monkeypatch.setattr(np, "unwrap", lambda x: calls.append(len(x)) or unwrap(x))
     monkeypatch.setattr(lti, "log_grid", None)
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     assert stability_margins(loop).gain_crossover is not None
     assert calls == [len(MARGIN_OMEGAS)]
 
 
-def test_phase_unwrap_continuity(nominal_plant, nominal_params):
+def test_phase_unwrap_continuity(nominal_plant):
     loops = [
         nominal_plant,
-        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params),
-        compensated_loop(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params),
+        compensated_loop(nominal_plant, PIGains(0.23, 1.0)),
+        compensated_loop(nominal_plant, PIGains(10.0, 1.0)),
         close_unity_loop(nominal_plant),
     ]
     for loop in loops:
@@ -214,10 +212,8 @@ def test_margins_integrator():
     assert report.phase_crossover_count == 0
 
 
-def test_margins_are_plain_floats(nominal_plant, nominal_params):
-    report = stability_margins(
-        compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
-    )
+def test_margins_are_plain_floats(nominal_plant):
+    report = stability_margins(compensated_loop(nominal_plant, PIGains(0.23, 1.0)))
     assert type(report.phase_margin_deg) is float
     assert type(report.gain_crossover) is float
 
@@ -280,13 +276,13 @@ def _principal_wraps_before_crossing(tf):
     return bool(np.any(np.abs(np.diff(np.angle(resp[: i + 1]))) > math.pi))
 
 
-def test_phase_margin_matches_stability_margins(nominal_plant, nominal_params, three_pole_loop):
+def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
     hump = TransferFunction(
         tuple(5.0 * np.polymul([1.0, 1.0], [1.0, 1.0])),
         tuple(np.polymul([1.0, 0.1], np.polymul([1.0, 100.0], [1.0, 100.0]))),
     )
     loops = [
-        compensated_loop(nominal_plant, PIGains(1.0, 1.0), LoopConfig(), nominal_params),
+        compensated_loop(nominal_plant, PIGains(1.0, 1.0)),
         three_pole_loop,
         hump,
     ]
@@ -354,8 +350,8 @@ def test_bode_anchor_negative_dc_gain():
     assert phases[0] == pytest.approx(-180.0, abs=0.5)
 
 
-def test_bode_anchor_integrator_loop(nominal_plant, nominal_params):
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+def test_bode_anchor_integrator_loop(nominal_plant):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     _, _, phases = bode_sweep(loop, 1e-3, 1e3, 50)
     # one origin pole dominates well below the plant dynamics
     assert phases[0] == pytest.approx(-90.0, abs=1.0)
@@ -383,13 +379,13 @@ def test_margins_refuse_an_overflowing_response(loop):
             stability_margins(loop)
 
 
-def test_tuner_refuses_an_overflowing_response(nominal_params):
+def test_tuner_refuses_an_overflowing_response():
     # the loop's numerator overflows at the grid's larger kp
     plant = TransferFunction((1e300,), (1.0, 1.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="not finite on the margin window"):
-            tune_kp_for_pm(plant, 1.0, 50.0, LoopConfig(), nominal_params)
+            tune_kp_for_pm(plant, 1.0, 50.0)
 
 
 def test_close_unity_loop(nominal_plant):

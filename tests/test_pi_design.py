@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from buckforge import (
-    LoopConfig,
     PIGains,
     TuningError,
     close_unity_loop,
@@ -60,15 +59,15 @@ def test_pi_magnitude_blows_up_at_dc():
         assert abs(evaluate(tf, 1e-6)) > 1e5 * ki
 
 
-def test_compensated_loop_coefficients(nominal_plant, nominal_params):
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+def test_compensated_loop_coefficients(nominal_plant):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     k = nominal_plant.num[0]
     assert loop.num == (0.23 * k, k)
     assert loop.den == (1.0, nominal_plant.den[1], nominal_plant.den[2], 0.0)
 
 
-def test_unity_proportional_equals_plant(nominal_plant, nominal_params):
-    loop = compensated_loop(nominal_plant, PIGains(1.0, 0.0), LoopConfig(), nominal_params)
+def test_unity_proportional_equals_plant(nominal_plant):
+    loop = compensated_loop(nominal_plant, PIGains(1.0, 0.0))
     for omega in (1.0, 50.0, 368.0, 5e3, 1e5):
         zl = evaluate(loop, omega)
         zp = evaluate(nominal_plant, omega)
@@ -76,12 +75,11 @@ def test_unity_proportional_equals_plant(nominal_plant, nominal_params):
 
 
 def test_modulator_gain_shifts_magnitude(nominal_plant, nominal_params):
-    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    # the comparator's 1/vs is the bare loop at gains / vs
+    g = PIGains(0.23, 1.0)
+    base = compensated_loop(nominal_plant, g)
     scaled = compensated_loop(
-        nominal_plant,
-        PIGains(0.23, 1.0),
-        LoopConfig(include_modulator_gain=True),
-        nominal_params,
+        nominal_plant, PIGains(g.kp / nominal_params.vs, g.ki / nominal_params.vs)
     )
     for omega in (1.0, 100.0, 1e4):
         ratio = abs(evaluate(base, omega)) / abs(evaluate(scaled, omega))
@@ -89,60 +87,93 @@ def test_modulator_gain_shifts_magnitude(nominal_plant, nominal_params):
 
 
 def test_sensor_gain_scaling(nominal_plant, nominal_params):
-    scaled = compensated_loop(
-        nominal_plant,
-        PIGains(0.23, 1.0),
-        LoopConfig(include_sensor_gain=True),
-        nominal_params,
-    )
-    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    # the sensor's vref/vo_target is the bare loop at gains × H
     h = nominal_params.vref / nominal_params.vo_target
+    scaled = compensated_loop(nominal_plant, PIGains(0.23 * h, 1.0 * h))
+    base = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     assert abs(evaluate(scaled, 10.0)) == pytest.approx(
         h * abs(evaluate(base, 10.0)), rel=1e-12
     )
 
 
-def test_integral_action_kills_steady_state_error(nominal_plant, nominal_params):
+def _pwm_domain(gain, p):
+    """The duty-domain gain that puts `gain` into the PWM loop, whose
+    comparator divides by vs and whose sensor multiplies by vref/vo_target."""
+    return gain * p.vref / (p.vo_target * p.vs)
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    scale=st.tuples(*[st.floats(0.5, 2.0)] * 6),
+    kp=st.floats(0.01, 100.0),
+    ki=st.floats(0.05, 20.0),
+)
+def test_pwm_loop_reading_is_the_bare_loop_at_rescaled_gains(nominal_params, scale, kp, ki):
+    names = ("vg", "r_load", "l", "c", "vs", "vref")
+    p = dataclasses.replace(
+        nominal_params, **{n: getattr(nominal_params, n) * f for n, f in zip(names, scale)}
+    )
+    try:
+        plant = derive_plant(p).plant
+    except ValueError:
+        assume(False)  # the scaled source cannot reach the target output
+    got = design_report(plant, PIGains(kp, ki), p)["loop_variants"][
+        "with_modulator_and_sensor_gains"
+    ]
+    rescaled = PIGains(_pwm_domain(kp, p), _pwm_domain(ki, p))
+    want = stability_margins(compensated_loop(plant, rescaled))
+    for name in ("gain_crossover", "phase_crossover"):
+        if getattr(want, name) is None:
+            assert got[name] is None
+        else:
+            assert got[name] == pytest.approx(getattr(want, name), rel=1e-9, abs=0.0)
+    if want.phase_margin_deg is None:
+        assert got["phase_margin_deg"] is None
+    else:
+        assert got["phase_margin_deg"] == pytest.approx(want.phase_margin_deg, abs=1e-9)
+    assert got["stable_loop"] == want.stable_loop
+
+
+def test_integral_action_kills_steady_state_error(nominal_plant):
     # symbolic constant-term check: closed-loop DC gain is exactly 1
     for gains in (PIGains(0.23, 1.0), PIGains(10.0, 1.0), PIGains(2.0, 17.0)):
-        closed = close_unity_loop(
-            compensated_loop(nominal_plant, gains, LoopConfig(), nominal_params)
-        )
+        closed = close_unity_loop(compensated_loop(nominal_plant, gains))
         assert closed.num[-1] == closed.den[-1]
         assert dc_gain(closed) == 1.0
 
 
-def test_margin_monotone_in_kp_above_case_study(nominal_plant, nominal_params):
+def test_margin_monotone_in_kp_above_case_study(nominal_plant):
     kps = np.logspace(math.log10(0.23), math.log10(10.0), 50)
     pms = []
     for kp in kps:
-        loop = compensated_loop(
-            nominal_plant, PIGains(float(kp), 1.0), LoopConfig(), nominal_params
-        )
+        loop = compensated_loop(nominal_plant, PIGains(float(kp), 1.0))
         report = stability_margins(loop)
         pms.append(report.phase_margin_deg)
     assert all(a > b for a, b in zip(pms, pms[1:]))
 
 
-def test_tune_round_trip(nominal_plant, nominal_params):
+def test_tune_round_trip(nominal_plant):
     for kp_star in (0.1, 0.23, 1.0, 10.0):
         target = stability_margins(
-            compensated_loop(nominal_plant, PIGains(kp_star, 1.0), LoopConfig(), nominal_params)
+            compensated_loop(nominal_plant, PIGains(kp_star, 1.0))
         ).phase_margin_deg
-        result = tune_kp_for_pm(nominal_plant, 1.0, target, LoopConfig(), nominal_params)
+        result = tune_kp_for_pm(nominal_plant, 1.0, target)
         assert result.gains.kp == pytest.approx(kp_star, rel=0.05)
         assert result.margins.phase_margin_deg == pytest.approx(target, abs=0.05)
 
 
-def test_tune_unreachable(nominal_plant, nominal_params):
+def test_tune_unreachable(nominal_plant):
     with pytest.raises(TuningError, match="observed margins"):
-        tune_kp_for_pm(nominal_plant, 1.0, 179.9, LoopConfig(), nominal_params)
+        tune_kp_for_pm(nominal_plant, 1.0, 179.9)
 
 
-def test_tune_without_gain_crossover(nominal_plant, nominal_params):
+def test_tune_without_gain_crossover(nominal_plant):
     # |L| stays above 1 across the margin window for every kp on the grid
     with pytest.raises(TuningError) as info:
-        tune_kp_for_pm(nominal_plant, 1e300, 50.0, LoopConfig(), nominal_params)
+        tune_kp_for_pm(nominal_plant, 1e300, 50.0)
     assert "kp in [1e-06, 1000.0]" in str(info.value)
     assert "no kp gives a gain crossover" in str(info.value)
     trace = info.value.trace
@@ -150,24 +181,24 @@ def test_tune_without_gain_crossover(nominal_plant, nominal_params):
     assert set(trace.pm_grid) == {None}
 
 
-def test_tune_validation(nominal_plant, nominal_params):
+def test_tune_validation(nominal_plant):
     with pytest.raises(ValueError):
-        tune_kp_for_pm(nominal_plant, 1.0, 0.0, LoopConfig(), nominal_params)
+        tune_kp_for_pm(nominal_plant, 1.0, 0.0)
     with pytest.raises(ValueError):
-        tune_kp_for_pm(nominal_plant, 0.0, 50.0, LoopConfig(), nominal_params)
+        tune_kp_for_pm(nominal_plant, 0.0, 50.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="ki must be positive and finite"):
-            tune_kp_for_pm(nominal_plant, bad, 50.0, LoopConfig(), nominal_params)
+            tune_kp_for_pm(nominal_plant, bad, 50.0)
 
 
-def test_tune_trace_records_the_search(nominal_plant, nominal_params):
+def test_tune_trace_records_the_search(nominal_plant):
     target = 50.0
-    result = tune_kp_for_pm(nominal_plant, 1.0, target, LoopConfig(), nominal_params)
+    result = tune_kp_for_pm(nominal_plant, 1.0, target)
     trace = result.trace
     assert len(trace.kp_grid) == len(trace.pm_grid) == 91
     assert trace.kp_grid[0] == 1e-6 and trace.kp_grid[-1] == pytest.approx(1e3)
     for kp, pm in zip(trace.kp_grid[::15], trace.pm_grid[::15]):
-        loop = compensated_loop(nominal_plant, PIGains(kp, 1.0), LoopConfig(), nominal_params)
+        loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
         assert pm == stability_margins(loop).phase_margin_deg
     lo, hi = trace.bracket
     assert trace.kp_grid.index(lo) + 1 == trace.kp_grid.index(hi)
@@ -180,15 +211,16 @@ def test_tune_trace_records_the_search(nominal_plant, nominal_params):
     assert result.margins.phase_margin_deg == pytest.approx(last_pm, abs=1e-9)
 
 
-def test_tune_error_carries_trace(nominal_plant, nominal_params):
+def test_tune_error_carries_trace(nominal_plant):
     with pytest.raises(TuningError) as info:
-        tune_kp_for_pm(nominal_plant, 1.0, 179.9, LoopConfig(), nominal_params)
+        tune_kp_for_pm(nominal_plant, 1.0, 179.9)
     trace = info.value.trace
     assert trace.bracket is None and trace.bisection == ()
     assert trace.pm_evals == len(trace.pm_grid) == 91
     assert max(pm for pm in trace.pm_grid if pm is not None) < 179.9
 
 
+# modulator: ki is divided by vs, the PWM modulator's gain
 @pytest.mark.parametrize("changes,target,modulator", [
     # the bracket's upper kp has no gain crossover; bisection ends at its edge
     ({"vg": 1e6}, 50.0, False),
@@ -198,9 +230,9 @@ def test_tune_error_carries_trace(nominal_plant, nominal_params):
 ])
 def test_tune_refuses_a_kp_off_target(nominal_params, changes, target, modulator):
     p = dataclasses.replace(nominal_params, **changes)
-    cfg = LoopConfig(include_modulator_gain=modulator)
+    ki = 1.0 / p.vs if modulator else 1.0
     with pytest.raises(TuningError, match="not met") as info:
-        tune_kp_for_pm(derive_plant(p).plant, 1.0, target, cfg, p)
+        tune_kp_for_pm(derive_plant(p).plant, ki, target)
     trace = info.value.trace
     assert trace.bracket is not None and trace.bisection
     assert trace.pm_evals == 91 + len(trace.bisection)
@@ -222,21 +254,21 @@ def test_tune_refuses_a_kp_off_target(nominal_params, changes, target, modulator
         assert evaluated[a] > 150.0 and evaluated[b] < 0.0
 
 
-def _tune_outcome(tune, plant, ki, target, cfg, p):
+def _tune_outcome(tune, plant, ki, target):
     """kp bits and margins of a tune, or the type and text of its error."""
     try:
-        result = tune(plant, ki, target, cfg, p)
+        result = tune(plant, ki, target)
     except (TuningError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return result.gains.kp.hex(), result.gains.ki, result.margins
 
 
-def _assert_tune_matches_reference(plant, ki, target, cfg, p):
+def _assert_tune_matches_reference(plant, ki, target):
     def reference(*args):
         return tune_kp_for_pm_reference(pi_design, *args)
 
-    got = _tune_outcome(tune_kp_for_pm, plant, ki, target, cfg, p)
-    want = _tune_outcome(reference, plant, ki, target, cfg, p)
+    got = _tune_outcome(tune_kp_for_pm, plant, ki, target)
+    want = _tune_outcome(reference, plant, ki, target)
     if len(want) == 3:
         pm = want[2].phase_margin_deg
         if pm is None or abs(pm - target) > PM_TOLERANCE_DEG:
@@ -247,13 +279,15 @@ def _assert_tune_matches_reference(plant, ki, target, cfg, p):
     assert got == want
 
 
+# full_loop: ki is put into the PWM loop (modulator and sensor gains)
 @pytest.mark.parametrize("full_loop", [False, True])
 @pytest.mark.parametrize(
     "ki,target", [(1.0, 50.0), (1.0, 75.0), (3.0, 30.0), (1.0, 179.9)]
 )
 def test_tune_matches_reference(nominal_plant, nominal_params, full_loop, ki, target):
-    cfg = LoopConfig(full_loop, full_loop)
-    _assert_tune_matches_reference(nominal_plant, ki, target, cfg, nominal_params)
+    if full_loop:
+        ki = _pwm_domain(ki, nominal_params)
+    _assert_tune_matches_reference(nominal_plant, ki, target)
 
 
 @settings(
@@ -276,14 +310,11 @@ def test_tune_matches_reference_property(nominal_params, scale, ki, target, full
         plant = derive_plant(p).plant
     except ValueError:
         assume(False)  # the scaled source cannot reach the target output
-    cfg = LoopConfig(full_loop, full_loop)
-    _assert_tune_matches_reference(plant, ki, target, cfg, p)
+    _assert_tune_matches_reference(plant, _pwm_domain(ki, p) if full_loop else ki, target)
 
 
 def test_design_report_structure(nominal_plant, nominal_params):
-    report = design_report(
-        nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params
-    )
+    report = design_report(nominal_plant, PIGains(0.23, 1.0), nominal_params)
     assert report["gains"] == {"kp": 0.23, "ki": 1.0}
     assert "plant_times_pi" in report["loop_variants"]
     assert "with_modulator_and_sensor_gains" in report["loop_variants"]
@@ -301,9 +332,7 @@ def test_design_report_structure(nominal_plant, nominal_params):
 
 
 def test_design_report_high_gain_case(nominal_plant, nominal_params):
-    report = design_report(
-        nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params
-    )
+    report = design_report(nominal_plant, PIGains(10.0, 1.0), nominal_params)
     ref = report["reference_comparison"]
     assert ref["published"]["gain_margin_db"] == 0.0428
     assert math.isinf(ref["computed_gain_margin_db"])
@@ -311,8 +340,8 @@ def test_design_report_high_gain_case(nominal_plant, nominal_params):
 
 
 def test_design_report_tradeoffs(nominal_plant, nominal_params):
-    low = design_report(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
-    high = design_report(nominal_plant, PIGains(10.0, 1.0), LoopConfig(), nominal_params)
+    low = design_report(nominal_plant, PIGains(0.23, 1.0), nominal_params)
+    high = design_report(nominal_plant, PIGains(10.0, 1.0), nominal_params)
     m_low = low["closed_loop"]["step_metrics"]
     m_high = high["closed_loop"]["step_metrics"]
     # higher kp: more overshoot, smaller error over the simulated window
@@ -321,8 +350,6 @@ def test_design_report_tradeoffs(nominal_plant, nominal_params):
 
 
 def test_design_report_integrator_only(nominal_plant, nominal_params):
-    report = design_report(
-        nominal_plant, PIGains(0.0, 1.0), LoopConfig(), nominal_params
-    )
+    report = design_report(nominal_plant, PIGains(0.0, 1.0), nominal_params)
     assert report["selected_loop_margins"]["phase_margin_deg"] is not None
     assert report["reference_comparison"] is None

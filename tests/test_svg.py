@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from buckforge import (
-    LoopConfig,
     PIGains,
     TransferFunction,
     bode_sweep,
@@ -36,8 +35,8 @@ def _same_bode(loop, title):
 
 
 @pytest.mark.parametrize("kp", [0.23, 10.0, 1e-3])
-def test_bode_svg_matches_reference_on_pi_loop(nominal_plant, nominal_params, kp):
-    loop = compensated_loop(nominal_plant, PIGains(kp, 1.0), LoopConfig(), nominal_params)
+def test_bode_svg_matches_reference_on_pi_loop(nominal_plant, kp):
+    loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
     svg = _same_bode(loop, f"kp={kp}")
     assert "PM " in svg
 
@@ -51,8 +50,8 @@ def test_bode_svg_matches_reference_with_phase_crossover():
     assert "GM " in svg and "PM " in svg
 
 
-def test_timeseries_svg_matches_reference_on_decimated_step(nominal_plant, nominal_params):
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+def test_timeseries_svg_matches_reference_on_decimated_step(nominal_plant):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     traj = step_response(close_unity_loop(loop), DESIGN_STEP_T_END, DESIGN_STEP_SAMPLES)
     got = timeseries_svg(traj.times, traj.values, "time (s)", "output", "step")
     xs, ys = decimate_reference(traj.times, traj.values)
@@ -91,9 +90,9 @@ def test_timeseries_svg_matches_reference_at_stride_edges(n):
     assert got.count(",") == len(xs) == (n if n < 4000 else n // 2)
 
 
-def test_bode_svg_decimates_a_dense_grid(nominal_plant, nominal_params):
+def test_bode_svg_decimates_a_dense_grid(nominal_plant):
     # 9 decades at 1000 per decade: 9001 frequencies, drawn at a stride of 4
-    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0), LoopConfig(), nominal_params)
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     sweep = bode_sweep(loop, 1e-2, 1e7, 1000)
     assert len(sweep[0]) == 9001
     svg = bode_svg(sweep, stability_margins(loop), "dense")

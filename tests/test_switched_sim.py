@@ -257,6 +257,8 @@ def test_pwm_equivalent_gains(nominal_params):
     # the factor is vs*vo_target/vref, whatever the divider
     p = dataclasses.replace(nominal_params, vref=1.5)
     assert pwm_equivalent_gains(PIGains(1.0, 1.0), p) == PIGains(100.0, 100.0)
+    with pytest.raises(ValueError, match=r"vs\*vo_target/vref = 75.0 .* kp must be finite"):
+        pwm_equivalent_gains(PIGains(1e307, 1.0), nominal_params)
 
 
 def _manual_trajectory(values, spp=40, fs=1000.0):

@@ -320,7 +320,14 @@ def cmd_simulate(args) -> int:
         f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
     )
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
-    _write_manifest(args, "simulate", resolved, outputs, {"csv": emitted})
+    simulator = {
+        "substeps": len(traj.times) - 1,
+        "idle_run_substeps": traj.idle_run_substeps,
+        "dcm_encountered": traj.dcm_encountered,
+    }
+    _write_manifest(
+        args, "simulate", resolved, outputs, {"csv": emitted, "simulator": simulator}
+    )
     return 0 if report.passed else 4
 
 

@@ -17,6 +17,18 @@ zero and the capacitor discharges through the load alone; otherwise the
 full OFF map is applied and a negative current is clamped to zero. Either
 clamp flags the trajectory (dcm_encountered) rather than modeling
 discontinuous-conduction dynamics.
+
+The closed-loop kernel steps substeps one at a time in Python, except for
+idle runs: after an overshoot the switch stays off, the diode blocks, and
+with u < 0 and the output above its target the integrator is frozen at the
+bottom of the window, so each substep only decays vc by one constant
+factor. Such a run, handed over after one idle substep with the integrator
+already frozen, is stepped in numpy passes of at most IDLE_CHUNK substeps.
+A pass repeats the per-substep loop's IEEE operations in its order and
+commits every substep before the first one that would leave the idle,
+frozen state; the Python loop resumes there, possibly periods later. The
+trajectory is bit for bit the one the per-substep loop gives, and
+idle_run_substeps counts the substeps the passes committed.
 """
 
 from __future__ import annotations
@@ -35,6 +47,10 @@ from .timedomain import zoh
 
 # regulation passes when the final-cycle mean is this close to the target
 REGULATION_TOLERANCE_PCT = 2.0
+# idle substeps in the closed-loop kernel's numpy passes: the first pass of a
+# run steps IDLE_FIRST_CHUNK, each later one four times more, up to IDLE_CHUNK
+IDLE_FIRST_CHUNK = 64
+IDLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -67,7 +83,9 @@ class SwitchedTrajectory:
 
     switch_state[k] and duty_cmd[k] describe the substep starting at
     times[k] (the last entry repeats its predecessor); duty_cmd holds each
-    period's effective ON fraction.
+    period's effective ON fraction. idle_run_substeps counts the substeps
+    that the closed-loop kernel's idle fast-forward committed (0 in open
+    loop).
     """
 
     times: np.ndarray
@@ -76,6 +94,7 @@ class SwitchedTrajectory:
     duty_cmd: np.ndarray
     switch_state: np.ndarray
     dcm_encountered: bool = False
+    idle_run_substeps: int = 0
 
     def __post_init__(self):
         for name in ("times", "il", "vc", "duty_cmd", "switch_state"):
@@ -180,6 +199,44 @@ def simulate_open_loop(
     return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, dcm)
 
 
+def _idle_run(out_il, out_vc, start, stop, il, vc, integ, kp, vref, H, f12, k_idle):
+    """Commit the idle substeps from start on that keep the integrator frozen.
+
+    A substep from il == 0 (+0 or -0) with u = kp*e + integ < 0 (below every
+    sawtooth threshold, so the switch stays off), f12*vc <= 0 (the diode
+    stays blocked) and s = e + e_next < 0 (frozen at the bottom of the
+    window) only decays vc by k_idle and leaves il and integ as they were.
+    Chunks of IDLE_FIRST_CHUNK substeps, then four times more per chunk up
+    to IDLE_CHUNK, are stepped in numpy with the per-substep loop's IEEE
+    operations in its order: vc by a sequential multiply.accumulate, then
+    e, u and s elementwise. Every substep before the first that fails a
+    check, and before stop, is written to out_il (il as given) and out_vc.
+    Returns the count of committed substeps and the vc they leave.
+    """
+    i = start
+    chunk = IDLE_FIRST_CHUNK
+    while i < stop:
+        n = min(chunk, stop - i)
+        chunk = min(4 * chunk, IDLE_CHUNK)
+        vcs = np.full(n + 1, k_idle)
+        vcs[0] = vc
+        # a diverged state must run on as silently as Python floats do
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(vcs, out=vcs)
+            es = vref - H * vcs
+            ok = kp * es[:-1] + integ < 0.0
+            ok &= f12 * vcs[:-1] <= 0.0
+            ok &= es[:-1] + es[1:] < 0.0
+        m = n if ok.all() else int(ok.argmin())
+        out_il[i + 1 : i + m + 1] = il
+        out_vc[i + 1 : i + m + 1] = vcs[1 : m + 1]
+        i += m
+        vc = float(vcs[m])
+        if m < n:
+            break
+    return i - start, vc
+
+
 def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajectory:
     """PI-controlled PWM run per the standard voltage-mode loop.
 
@@ -189,6 +246,24 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     under the selected mode. As every threshold lies in [0, vs) (a normal
     vs, spp below 2e6), u > threshold decides a saturated u too; saturation
     freezes the integrator while the error would deepen it.
+
+    Idle fast-forward: after a substep that leaves il == 0 with the
+    integrator frozen at the bottom of the window (u < 0 and s < 0), the
+    following substeps go to _idle_run, which steps them in numpy chunks
+    for as long as each one stays idle and frozen. The run ends at the
+    first substep where u has risen to 0 (the comparator may fire there,
+    at k = 0 or later), the diode would conduct (f12*vc > 0), or the
+    integrator would move (e + e_next >= 0, vc near the target), or at the
+    end of the window. The per-substep loop resumes at that substep, which
+    may lie periods later; the periods in between get duty 0, and the
+    period the run started in keeps its ON count. Each committed value
+    comes from the same IEEE operations, in the same order, as the
+    per-substep loop, so the trajectory is bit for bit the same;
+    idle_run_substeps counts the committed substeps. A run shorter than
+    IDLE_FIRST_CHUNK did not pay for its numpy pass, so the next hand-over
+    waits IDLE_FIRST_CHUNK substeps, then twice as many after each short
+    run, up to IDLE_CHUNK: a limit cycle at the bottom of the window costs
+    at most one pass per IDLE_CHUNK substeps.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -205,10 +280,12 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     k_idle = math.exp(a[1][1] * dt)
 
     n_samples = n_periods * spp + 1
+    n_steps = n_samples - 1
     out_t = np.arange(n_samples) * dt
     out_il = np.empty(n_samples)
     out_vc = np.empty(n_samples)
-    out_duty = np.empty(n_samples)
+    # zeros: the switch state and duty of idle fast-forward runs
+    out_duty = np.zeros(n_samples)
     out_q = np.zeros(n_samples, dtype=bool)
     il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
     out_il[0] = il
@@ -223,12 +300,20 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     buf_vc = [0.0] * spp
     buf_q = [False] * spp
     dcm = False
+    idle_run_substeps = 0
+    # the first substep whose run may go to _idle_run, and the wait that
+    # follows a run shorter than the first numpy pass
+    resume = 0
+    backoff = IDLE_FIRST_CHUNK
     e = vref - H * vc
-    for lo in range(0, n_samples - 1, spp):
-        on_count = 0
-        for k, thr in enumerate(thresholds):
+    # the current period starts at substep lo; buf_*[:k0] already hold its
+    # first k0 substeps
+    lo = k0 = on_count = 0
+    while lo < n_steps:
+        k_resume = resume - lo
+        for k in range(k0, spp):
             u = kp * e + integ
-            q = u > thr
+            q = u > thresholds[k]
             if q:
                 on_count += 1
                 il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
@@ -250,20 +335,51 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
             # the sensed error after this substep is the next substep's error
             e_next = vref - H * vc
             s = e + e_next
-            if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
-                integ += half_ki_dt * s
             e = e_next
             buf_il[k] = il
             buf_vc[k] = vc
             buf_q[k] = q
-        hi = lo + spp
-        out_il[lo + 1 : hi + 1] = buf_il
-        out_vc[lo + 1 : hi + 1] = buf_vc
-        out_q[lo:hi] = buf_q
-        out_duty[lo:hi] = on_count / spp
+            if u < 0.0 and s < 0.0:
+                # frozen at the bottom of the window
+                if k >= k_resume and il == 0.0:
+                    break
+            elif not (u > vs and s > 0.0):
+                integ += half_ki_dt * s
+        else:
+            hi = lo + spp
+            out_il[lo + 1 : hi + 1] = buf_il
+            out_vc[lo + 1 : hi + 1] = buf_vc
+            out_q[lo:hi] = buf_q
+            out_duty[lo:hi] = on_count / spp
+            lo, k0, on_count = hi, 0, 0
+            continue
+        # idle with the integrator frozen at the bottom: fast-forward
+        start = lo + k + 1
+        out_il[lo + 1 : start + 1] = buf_il[: k + 1]
+        out_vc[lo + 1 : start + 1] = buf_vc[: k + 1]
+        out_q[lo:start] = buf_q[: k + 1]
+        n, vc = _idle_run(
+            out_il, out_vc, start, n_steps, il, vc, integ, kp, vref, H, f12, k_idle
+        )
+        idle_run_substeps += n
+        e = vref - H * vc
+        end = start + n
+        if n < IDLE_FIRST_CHUNK:
+            resume = end + backoff
+            backoff = min(2 * backoff, IDLE_CHUNK)
+        if end >= lo + spp:
+            out_duty[lo : lo + spp] = on_count / spp
+            on_count = 0
+        lo = end - end % spp
+        k0 = end - lo
+        buf_il[:k0] = out_il[lo + 1 : end + 1].tolist()
+        buf_vc[:k0] = out_vc[lo + 1 : end + 1].tolist()
+        buf_q[:k0] = out_q[lo:end].tolist()
     out_duty[n_samples - 1] = out_duty[n_samples - 2]
     out_q[n_samples - 1] = out_q[n_samples - 2]
-    return SwitchedTrajectory(out_t, out_il, out_vc, out_duty, out_q, dcm)
+    return SwitchedTrajectory(
+        out_t, out_il, out_vc, out_duty, out_q, dcm, idle_run_substeps
+    )
 
 
 def _cycle_means(times: np.ndarray, fs: float, *series: np.ndarray) -> tuple:

@@ -503,6 +503,10 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "sim.csv")
     assert header == ["time_s", "il_a", "vc_v", "duty", "switch_state"]
     assert rows[0][4] in ("0", "1")
+    # the held operating point never idles
+    assert read_json(out / "simulate_manifest.json")["simulator"] == {
+        "substeps": len(rows) - 1, "idle_run_substeps": 0, "dcm_encountered": False,
+    }
 
 
 def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):
@@ -572,6 +576,10 @@ def test_simulate_input_step_to_500(nominal_config_path, tmp_path):
     assert report["passed"]
     assert report["final_vc_mean"] == pytest.approx(15.0, rel=0.02)
     assert report["duty_final"] == pytest.approx(0.0306, abs=0.005)
+    # the overshoot after the step idles with the integrator frozen, 9 % of the run
+    simulator = read_json(out / "simulate_manifest.json")["simulator"]
+    assert simulator["substeps"] == 2_100_000 and simulator["dcm_encountered"]
+    assert 0.05 < simulator["idle_run_substeps"] / simulator["substeps"] < 0.15
 
 
 def test_simulate_undervoltage_fails_regulation(nominal_config_path, tmp_path):

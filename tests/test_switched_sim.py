@@ -24,7 +24,7 @@ from buckforge import (
     solve_duty,
 )
 from buckforge.lti import MAX_SAMPLES
-from buckforge.switched_sim import _periods
+from buckforge.switched_sim import IDLE_CHUNK, _periods
 from buckforge.timedomain import zoh
 from oracles import closed_loop_reference, cycle_means_reference, open_loop_reference
 
@@ -424,10 +424,7 @@ def test_closed_loop_matches_reference_loop(nominal_params, case):
         assert {0, cfg.steps_per_period} <= duties
 
 
-@settings(
-    max_examples=30, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     vg=st.floats(16.0, 500.0),
     r_load=st.floats(1.0, 100.0),
@@ -443,6 +440,184 @@ def test_closed_loop_matches_reference_property(
     cfg = SimConfig(
         t_end=12.0 / p.fs, gains=PIGains(kp, ki), steps_per_period=spp,
         initial_state=(0.5, 10.0), integrator_init=integrator_init,
+    )
+    _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
+
+
+def _run_end(traj):
+    """First substep after an idle run that starts at substep 1."""
+    return traj.idle_run_substeps + 1
+
+
+def _frozen_sums(p, traj):
+    """e + e_next of every substep: the integrator is frozen at the bottom while < 0."""
+    e = p.vref - (p.vref / p.vo_target) * traj.vc
+    return e[:-1] + e[1:]
+
+
+def _check_input_step_500(p, cfg, traj):
+    substeps = len(traj.times) - 1
+    assert traj.idle_run_substeps >= 0.9 * substeps
+    assert traj.idle_run_substeps > 2 * IDLE_CHUNK
+
+
+def _check_comparator_at_k0(p, cfg, traj):
+    j = _run_end(traj)
+    assert traj.idle_run_substeps > 2 * IDLE_CHUNK
+    assert j % cfg.steps_per_period == 0 and traj.switch_state[j]
+    assert not traj.switch_state[:j].any()
+
+
+def _check_integrator_unfreezes(p, cfg, traj):
+    j = _run_end(traj)
+    sums = _frozen_sums(p, traj)
+    assert sums[j - 1] < 0.0 <= sums[j]
+    # still idle: only the integrator moved
+    assert not traj.switch_state[j] and traj.il[j + 1] == 0.0
+
+
+def _check_window_end(p, cfg, traj):
+    substeps = len(traj.times) - 1
+    assert traj.idle_run_substeps == substeps - 1
+
+
+def _check_light_load_bursts(p, cfg, traj):
+    spp = cfg.steps_per_period
+    # the first period switches on, then idles on into the next periods
+    assert traj.duty_cmd[0] > 0.0 and not traj.il[spp // 2 : 2 * spp].any()
+    assert traj.idle_run_substeps > spp
+    assert set(traj.duty_cmd[::spp].tolist()) == {0.0, 1.0 / spp}
+
+
+def _check_runs(p, cfg, traj):
+    assert 0 < _run_end(traj) < len(traj.times) - 1
+
+
+def _check_negative_zero_il(p, cfg, traj):
+    assert traj.idle_run_substeps > 0 and np.signbit(traj.il).all()
+
+
+def _check_diode_conducts(p, cfg, traj):
+    # a frozen streak was handed over, but the diode conducts at its first substep
+    assert traj.idle_run_substeps == 0
+    off_from_zero = (traj.il[:-1] == 0.0) & ~traj.switch_state[:-1]
+    assert (off_from_zero & (traj.il[1:] > 0.0)).any()
+
+
+def _check_no_run(p, cfg, traj):
+    assert traj.idle_run_substeps == 0
+
+
+def _idle_start(p, vc0, integrator_init, t_end, spp=20, il0=0.0, gains=None):
+    return p, SimConfig(
+        t_end=t_end, steps_per_period=spp, initial_state=(il0, vc0),
+        integrator_init=integrator_init,
+        gains=gains or pwm_equivalent_gains(PIGains(0.23, 1.0), p),
+    )
+
+
+# an idle run with the integrator frozen at the bottom of the window is
+# stepped by the kernel's numpy fast-forward; each case ends one differently
+IDLE_CASES = {
+    # the input_step_500 benchmark input: one run from k = 3 of a period to
+    # the end of the window, 35 full chunks long
+    "input_step_500": (
+        lambda p: (
+            dataclasses.replace(p, vg=500.0),
+            _from_operating_point(p, t_end=0.05, steps_per_period=50),
+        ),
+        _check_input_step_500,
+    ),
+    # the nominal 30 V run from its operating point never idles
+    "nominal_30v": (
+        lambda p: (p, _from_operating_point(p, t_end=0.05, steps_per_period=50)),
+        _check_no_run,
+    ),
+    # longer than two full chunks, until u reaches 0 at k = 0 and the
+    # comparator fires there
+    "comparator_at_k0": (
+        lambda p: _idle_start(p, 20.0, 10.21, t_end=0.01),
+        _check_comparator_at_k0,
+    ),
+    # u stays below 0 while vc decays through the target: the integrator
+    # unfreezes in mid-period and the substep stays idle
+    "integrator_unfreezes": (
+        lambda p: _idle_start(p, 15.5, -5.0, t_end=0.02),
+        _check_integrator_unfreezes,
+    ),
+    # started at k = 1 and cut by the end of the window in a short last pass
+    "window_end": (
+        lambda p: _idle_start(p, 20.0, -1.0, t_end=0.005, spp=37),
+        _check_window_end,
+    ),
+    # no integral action: the integrator is frozen whenever u < 0 and
+    # vc is above the target
+    "ki_0": (
+        lambda p: _idle_start(p, 15.2, 0.0, t_end=0.006, gains=PIGains(17.25, 0.0)),
+        _check_runs,
+    ),
+    # pulse skipping at light load and 500 V: runs start after a period's
+    # ON substep and cross into later periods; that period keeps its duty
+    "light_load_bursts": (
+        lambda p: _idle_start(
+            dataclasses.replace(p, vg=500.0, r_load=1e4), 15.0, 1e-6,
+            t_end=0.002, spp=100, gains=PIGains(17.25, 75.0),
+        ),
+        _check_light_load_bursts,
+    ),
+    # a substep longer than half the LC ringing period makes f12 > 0, so
+    # the diode conducts again from il == 0 with vc above the target
+    "slow_switching_diode": (
+        lambda p: _idle_start(
+            dataclasses.replace(
+                p, l=1e-4, c=1e-6, fs=500.0, r_load=200.0, vg=400.0
+            ),
+            15.03, -0.023, t_end=0.04, spp=33, il0=2.6, gains=PIGains(0.13, 258.0),
+        ),
+        _check_diode_conducts,
+    ),
+    # an inductor current of -0.0 passes through the run as -0.0
+    "negative_zero_il": (
+        lambda p: _idle_start(p, 20.0, -1.0, t_end=0.002, il0=-0.0),
+        _check_negative_zero_il,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDLE_CASES))
+def test_idle_fast_forward_matches_reference_loop(nominal_params, case):
+    make, check = IDLE_CASES[case]
+    p, cfg = make(nominal_params)
+    traj = simulate_closed_loop(p, cfg)
+    _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
+    check(p, cfg, traj)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    vg=st.floats(16.0, 500.0),
+    log10_r_load=st.floats(0.0, 4.0),
+    log10_c=st.floats(-4.5, -1.5),
+    log10_kp=st.floats(-2.0, 2.3),
+    ki=st.floats(0.0, 5000.0),
+    spp=st.integers(20, 64),
+    log10_vc_above=st.floats(-6.0, 1.2),
+    log10_windup=st.floats(-9.0, 1.0),
+)
+def test_idle_fast_forward_matches_reference_property(
+    nominal_params, vg, log10_r_load, log10_c, log10_kp, ki, spp, log10_vc_above,
+    log10_windup,
+):
+    # started above the target with the integrator below the window, so that
+    # idle runs with a frozen integrator cross period boundaries; the
+    # log-uniform draws end about half of the runs inside the 60 periods
+    p = dataclasses.replace(
+        nominal_params, vg=vg, r_load=10.0**log10_r_load, c=10.0**log10_c
+    )
+    cfg = SimConfig(
+        t_end=60.0 / p.fs, gains=PIGains(10.0**log10_kp, ki), steps_per_period=spp,
+        initial_state=(0.0, p.vo_target + 10.0**log10_vc_above),
+        integrator_init=-(10.0**log10_windup),
     )
     _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
 

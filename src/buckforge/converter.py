@@ -120,14 +120,20 @@ def params_from_dict(doc: dict) -> ConverterParams:
         value = doc[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(name, f"{name} must be a number, got {value!r}")
-        values[name] = float(value)
+        try:
+            values[name] = float(value)
+        except OverflowError:
+            raise ParameterError(name, f"{name} is beyond the float range") from None
     return validate_params(ConverterParams(**values))
 
 
 def load_params(path: str) -> ConverterParams:
     """Read and validate a converter parameter JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ParameterError("document", "parameter file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParameterError("document", "parameter file must hold a JSON object")
     return params_from_dict(doc)

@@ -18,17 +18,15 @@ full OFF map is applied and a negative current is clamped to zero. Either
 clamp flags the trajectory (dcm_encountered) rather than modeling
 discontinuous-conduction dynamics.
 
-The closed-loop kernel steps substeps one at a time in Python, except for
-idle runs: after an overshoot the switch stays off, the diode blocks, and
-with u < 0 and the output above its target the integrator is frozen at the
-bottom of the window, so each substep only decays vc by one constant
-factor. Such a run, handed over after one idle substep with the integrator
-already frozen, is stepped in numpy passes of at most IDLE_CHUNK substeps.
-A pass repeats the per-substep loop's IEEE operations in its order and
-commits every substep before the first one that would leave the idle,
-frozen state; the Python loop resumes there, possibly periods later. The
-trajectory is bit for bit the one the per-substep loop gives, and
-idle_run_substeps counts the substeps the passes committed.
+The closed-loop kernel steps whole periods, one substep at a time in
+Python, except for idle runs: after an overshoot the switch stays off, the
+diode blocks, and with u < 0 and the output above its target the
+integrator is frozen at the bottom of the window, so each substep only
+decays vc by one constant factor. A period that starts with il == 0 and
+u < 0 goes to numpy passes that repeat the per-substep loop's IEEE
+operations in its order, up to the first substep that would leave the
+idle, frozen state; the whole periods before it are committed, bit for
+bit as the per-substep loop gives them, and counted in idle_run_substeps.
 """
 
 from __future__ import annotations
@@ -69,9 +67,11 @@ class SimConfig:
     integrator_init: float = 0.0
 
     def __post_init__(self):
-        if self.steps_per_period < 20:
+        spp = self.steps_per_period
+        # an integer is a value that operator.index accepts, bool aside
+        if isinstance(spp, bool) or not hasattr(type(spp), "__index__") or spp < 20:
             raise ValueError(
-                f"steps_per_period must be at least 20, got {self.steps_per_period!r}"
+                f"steps_per_period must be an integer of at least 20, got {spp!r}"
             )
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
@@ -199,8 +199,10 @@ def simulate_open_loop(
     return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, dcm)
 
 
-def _idle_run(out_il, out_vc, start, stop, il, vc, integ, kp, vref, H, f12, k_idle):
-    """Commit the idle substeps from start on that keep the integrator frozen.
+def _idle_run(
+    out_il, out_vc, start, stop, spp, il, vc, integ, kp, vref, H, f12, k_idle
+):
+    """Write the idle substeps from start on that keep the integrator frozen.
 
     A substep from il == 0 (+0 or -0) with u = kp*e + integ < 0 (below every
     sawtooth threshold, so the switch stays off), f12*vc <= 0 (the diode
@@ -211,7 +213,8 @@ def _idle_run(out_il, out_vc, start, stop, il, vc, integ, kp, vref, H, f12, k_id
     operations in its order: vc by a sequential multiply.accumulate, then
     e, u and s elementwise. Every substep before the first that fails a
     check, and before stop, is written to out_il (il as given) and out_vc.
-    Returns the count of committed substeps and the vc they leave.
+    Returns the substeps of the whole periods written (start and stop are
+    period boundaries); the per-substep loop overwrites the rest.
     """
     i = start
     chunk = IDLE_FIRST_CHUNK
@@ -234,7 +237,8 @@ def _idle_run(out_il, out_vc, start, stop, il, vc, integ, kp, vref, H, f12, k_id
         vc = float(vcs[m])
         if m < n:
             break
-    return i - start, vc
+    n = i - start
+    return n - n % spp
 
 
 def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajectory:
@@ -247,23 +251,20 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     vs, spp below 2e6), u > threshold decides a saturated u too; saturation
     freezes the integrator while the error would deepen it.
 
-    Idle fast-forward: after a substep that leaves il == 0 with the
-    integrator frozen at the bottom of the window (u < 0 and s < 0), the
-    following substeps go to _idle_run, which steps them in numpy chunks
-    for as long as each one stays idle and frozen. The run ends at the
-    first substep where u has risen to 0 (the comparator may fire there,
-    at k = 0 or later), the diode would conduct (f12*vc > 0), or the
-    integrator would move (e + e_next >= 0, vc near the target), or at the
-    end of the window. The per-substep loop resumes at that substep, which
-    may lie periods later; the periods in between get duty 0, and the
-    period the run started in keeps its ON count. Each committed value
-    comes from the same IEEE operations, in the same order, as the
-    per-substep loop, so the trajectory is bit for bit the same;
-    idle_run_substeps counts the committed substeps. A run shorter than
-    IDLE_FIRST_CHUNK did not pay for its numpy pass, so the next hand-over
-    waits IDLE_FIRST_CHUNK substeps, then twice as many after each short
-    run, up to IDLE_CHUNK: a limit cycle at the bottom of the window costs
-    at most one pass per IDLE_CHUNK substeps.
+    Idle fast-forward: a period that starts with il == 0 and u < 0 goes to
+    _idle_run, which commits the whole periods whose substeps all stay idle
+    with the integrator frozen at the bottom of the window, switch off; the
+    loop steps the period after them from their last vc. A run ends where u
+    has risen to 0 (the comparator may fire), the diode would conduct
+    (f12*vc > 0), the integrator would move (e + e_next >= 0, vc near the
+    target), or at the end of the window. Each committed value comes from
+    the per-substep loop's IEEE operations in its order, so the trajectory
+    is bit for bit the same; idle_run_substeps counts the committed
+    substeps, and each period's duty is its ON count over spp. A run that
+    commits fewer than IDLE_FIRST_CHUNK substeps did not pay for its numpy
+    pass, so the next hand-over waits IDLE_FIRST_CHUNK substeps, then twice
+    as many after each such run, up to IDLE_CHUNK: a limit cycle at the
+    bottom of the window costs at most one pass per IDLE_CHUNK substeps.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -284,8 +285,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     out_t = np.arange(n_samples) * dt
     out_il = np.empty(n_samples)
     out_vc = np.empty(n_samples)
-    # zeros: the switch state and duty of idle fast-forward runs
-    out_duty = np.zeros(n_samples)
+    # zeros: the switch state of idle fast-forward runs
     out_q = np.zeros(n_samples, dtype=bool)
     il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
     out_il[0] = il
@@ -301,21 +301,35 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     buf_q = [False] * spp
     dcm = False
     idle_run_substeps = 0
-    # the first substep whose run may go to _idle_run, and the wait that
-    # follows a run shorter than the first numpy pass
+    # the first substep whose period may go to _idle_run, and the wait that
+    # follows a run that commits less than the first numpy pass
     resume = 0
     backoff = IDLE_FIRST_CHUNK
     e = vref - H * vc
-    # the current period starts at substep lo; buf_*[:k0] already hold its
-    # first k0 substeps
-    lo = k0 = on_count = 0
+    lo = 0
     while lo < n_steps:
-        k_resume = resume - lo
-        for k in range(k0, spp):
+        if lo >= resume and il == 0.0 and kp * e + integ < 0.0:
+            # maybe idle with the integrator frozen at the bottom: fast-forward
+            n = _idle_run(
+                out_il, out_vc, lo, n_steps, spp, il, vc, integ, kp, vref, H, f12,
+                k_idle,
+            )
+            if n < IDLE_FIRST_CHUNK:
+                resume = lo + n + backoff
+                backoff = min(2 * backoff, IDLE_CHUNK)
+            if n:
+                # every committed substep took the idle branch
+                dcm = True
+                idle_run_substeps += n
+                lo += n
+                if lo == n_steps:
+                    break
+                vc = float(out_vc[lo])
+                e = vref - H * vc
+        for k in range(spp):
             u = kp * e + integ
             q = u > thresholds[k]
             if q:
-                on_count += 1
                 il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
             elif il == 0.0:
                 nil = f12 * vc
@@ -335,48 +349,23 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
             # the sensed error after this substep is the next substep's error
             e_next = vref - H * vc
             s = e + e_next
+            if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
+                integ += half_ki_dt * s
             e = e_next
             buf_il[k] = il
             buf_vc[k] = vc
             buf_q[k] = q
-            if u < 0.0 and s < 0.0:
-                # frozen at the bottom of the window
-                if k >= k_resume and il == 0.0:
-                    break
-            elif not (u > vs and s > 0.0):
-                integ += half_ki_dt * s
-        else:
-            hi = lo + spp
-            out_il[lo + 1 : hi + 1] = buf_il
-            out_vc[lo + 1 : hi + 1] = buf_vc
-            out_q[lo:hi] = buf_q
-            out_duty[lo:hi] = on_count / spp
-            lo, k0, on_count = hi, 0, 0
-            continue
-        # idle with the integrator frozen at the bottom: fast-forward
-        start = lo + k + 1
-        out_il[lo + 1 : start + 1] = buf_il[: k + 1]
-        out_vc[lo + 1 : start + 1] = buf_vc[: k + 1]
-        out_q[lo:start] = buf_q[: k + 1]
-        n, vc = _idle_run(
-            out_il, out_vc, start, n_steps, il, vc, integ, kp, vref, H, f12, k_idle
-        )
-        idle_run_substeps += n
-        e = vref - H * vc
-        end = start + n
-        if n < IDLE_FIRST_CHUNK:
-            resume = end + backoff
-            backoff = min(2 * backoff, IDLE_CHUNK)
-        if end >= lo + spp:
-            out_duty[lo : lo + spp] = on_count / spp
-            on_count = 0
-        lo = end - end % spp
-        k0 = end - lo
-        buf_il[:k0] = out_il[lo + 1 : end + 1].tolist()
-        buf_vc[:k0] = out_vc[lo + 1 : end + 1].tolist()
-        buf_q[:k0] = out_q[lo:end].tolist()
-    out_duty[n_samples - 1] = out_duty[n_samples - 2]
-    out_q[n_samples - 1] = out_q[n_samples - 2]
+        hi = lo + spp
+        out_il[lo + 1 : hi + 1] = buf_il
+        out_vc[lo + 1 : hi + 1] = buf_vc
+        out_q[lo:hi] = buf_q
+        lo = hi
+    out_q[n_steps] = out_q[n_steps - 1]
+    # each period's ON fraction, from its switch record
+    out_duty = np.empty(n_samples)
+    on_counts = np.count_nonzero(out_q[:n_steps].reshape(n_periods, spp), axis=1)
+    out_duty[:n_steps].reshape(n_periods, spp)[:] = (on_counts / spp)[:, None]
+    out_duty[n_steps] = out_duty[n_steps - 1]
     return SwitchedTrajectory(
         out_t, out_il, out_vc, out_duty, out_q, dcm, idle_run_substeps
     )

@@ -223,6 +223,15 @@ def test_non_numeric_field_rejected(value):
     assert exc.value.field == "vs"
 
 
+def test_integer_beyond_float_range_rejected(tmp_path):
+    # JSON integers are exact, so 10**400 reaches float() and overflows there
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(dict(NOMINAL_DOC, vg=10**400)))
+    with pytest.raises(ParameterError, match="beyond the float range") as exc:
+        load_params(str(path))
+    assert exc.value.field == "vg"
+
+
 def test_load_params(tmp_path, nominal_params):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(NOMINAL_DOC))
@@ -234,3 +243,12 @@ def test_load_params_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ParameterError):
         load_params(str(path))
+
+
+def test_load_params_rejects_deep_nesting(tmp_path):
+    # deeper than the interpreter's recursion limit inside json.load
+    path = tmp_path / "params.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParameterError, match="nests") as exc:
+        load_params(str(path))
+    assert exc.value.field == "document"

@@ -22,6 +22,7 @@ from buckforge import (
     simulate_closed_loop,
     simulate_open_loop,
     solve_duty,
+    switched_sim,
 )
 from buckforge.lti import MAX_SAMPLES
 from buckforge.switched_sim import IDLE_CHUNK, _periods
@@ -40,6 +41,16 @@ def test_sim_config_validation(nominal_params):
     # fewer than 10 periods
     with pytest.raises(ValueError):
         simulate_open_loop(nominal_params, 0.5, SimConfig(t_end=1e-4))
+    for bad in (50.0, True, "50", None, np.float64(50.0)):
+        with pytest.raises(ValueError, match="steps_per_period must be an integer"):
+            SimConfig(t_end=0.01, steps_per_period=bad)
+
+
+@pytest.mark.parametrize("spp", [np.int64(50), np.int32(37)])
+def test_sim_config_accepts_numpy_integer_steps(nominal_params, spp):
+    cfg = SimConfig(t_end=0.002, steps_per_period=spp, gains=PIGains(17.25, 75.0))
+    n = _periods(nominal_params, cfg) * int(spp) + 1
+    assert len(simulate_closed_loop(nominal_params, cfg).times) == n
 
 
 def test_sample_budget_refused_before_allocation(nominal_params):
@@ -444,15 +455,28 @@ def test_closed_loop_matches_reference_property(
     _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
 
 
-def _run_end(traj):
-    """First substep after an idle run that starts at substep 1."""
-    return traj.idle_run_substeps + 1
-
-
 def _frozen_sums(p, traj):
     """e + e_next of every substep: the integrator is frozen at the bottom while < 0."""
     e = p.vref - (p.vref / p.vo_target) * traj.vc
     return e[:-1] + e[1:]
+
+
+def _run_from_0_end(p, cfg, traj):
+    """First substep that leaves the idle, frozen state, after a run from substep 0.
+
+    An idle, frozen substep has the switch off, il == 0 before and after it
+    and e + e_next < 0. The run commits whole periods, and the substep that
+    ends it lies in the period right after them (the substep count when
+    the run reaches the end of the window).
+    """
+    spp = cfg.steps_per_period
+    n = traj.idle_run_substeps
+    idle = ~traj.switch_state[:-1] & (traj.il[:-1] == 0.0) & (traj.il[1:] == 0.0)
+    stay = idle & (_frozen_sums(p, traj) < 0.0)
+    j = len(stay) if stay.all() else int(stay.argmin())
+    assert n > 0 and n % spp == 0
+    assert n <= j < n + spp or j == n == len(stay)
+    return j
 
 
 def _check_input_step_500(p, cfg, traj):
@@ -462,14 +486,14 @@ def _check_input_step_500(p, cfg, traj):
 
 
 def _check_comparator_at_k0(p, cfg, traj):
-    j = _run_end(traj)
+    j = _run_from_0_end(p, cfg, traj)
     assert traj.idle_run_substeps > 2 * IDLE_CHUNK
     assert j % cfg.steps_per_period == 0 and traj.switch_state[j]
     assert not traj.switch_state[:j].any()
 
 
 def _check_integrator_unfreezes(p, cfg, traj):
-    j = _run_end(traj)
+    j = _run_from_0_end(p, cfg, traj)
     sums = _frozen_sums(p, traj)
     assert sums[j - 1] < 0.0 <= sums[j]
     # still idle: only the integrator moved
@@ -478,7 +502,7 @@ def _check_integrator_unfreezes(p, cfg, traj):
 
 def _check_window_end(p, cfg, traj):
     substeps = len(traj.times) - 1
-    assert traj.idle_run_substeps == substeps - 1
+    assert _run_from_0_end(p, cfg, traj) == traj.idle_run_substeps == substeps
 
 
 def _check_light_load_bursts(p, cfg, traj):
@@ -490,7 +514,7 @@ def _check_light_load_bursts(p, cfg, traj):
 
 
 def _check_runs(p, cfg, traj):
-    assert 0 < _run_end(traj) < len(traj.times) - 1
+    assert _run_from_0_end(p, cfg, traj) < len(traj.times) - 1
 
 
 def _check_negative_zero_il(p, cfg, traj):
@@ -498,7 +522,7 @@ def _check_negative_zero_il(p, cfg, traj):
 
 
 def _check_diode_conducts(p, cfg, traj):
-    # a frozen streak was handed over, but the diode conducts at its first substep
+    # nothing is committed: the diode conducts again from il == 0
     assert traj.idle_run_substeps == 0
     off_from_zero = (traj.il[:-1] == 0.0) & ~traj.switch_state[:-1]
     assert (off_from_zero & (traj.il[1:] > 0.0)).any()
@@ -519,8 +543,9 @@ def _idle_start(p, vc0, integrator_init, t_end, spp=20, il0=0.0, gains=None):
 # an idle run with the integrator frozen at the bottom of the window is
 # stepped by the kernel's numpy fast-forward; each case ends one differently
 IDLE_CASES = {
-    # the input_step_500 benchmark input: one run from k = 3 of a period to
-    # the end of the window, 35 full chunks long
+    # the input_step_500 benchmark input: one run from the period after the
+    # first idle, frozen substep (k = 3) to the end of the window, 35 full
+    # chunks long
     "input_step_500": (
         lambda p: (
             dataclasses.replace(p, vg=500.0),
@@ -545,7 +570,7 @@ IDLE_CASES = {
         lambda p: _idle_start(p, 15.5, -5.0, t_end=0.02),
         _check_integrator_unfreezes,
     ),
-    # started at k = 1 and cut by the end of the window in a short last pass
+    # started at substep 0 and cut by the end of the window in a short pass
     "window_end": (
         lambda p: _idle_start(p, 20.0, -1.0, t_end=0.005, spp=37),
         _check_window_end,
@@ -556,8 +581,8 @@ IDLE_CASES = {
         lambda p: _idle_start(p, 15.2, 0.0, t_end=0.006, gains=PIGains(17.25, 0.0)),
         _check_runs,
     ),
-    # pulse skipping at light load and 500 V: runs start after a period's
-    # ON substep and cross into later periods; that period keeps its duty
+    # pulse skipping at light load and 500 V: the whole idle periods between
+    # bursts are fast-forwarded
     "light_load_bursts": (
         lambda p: _idle_start(
             dataclasses.replace(p, vg=500.0, r_load=1e4), 15.0, 1e-6,
@@ -576,6 +601,17 @@ IDLE_CASES = {
         ),
         _check_diode_conducts,
     ),
+    # the same with an idle start: the run is handed substep 0, where the
+    # diode conducts, although vc stays above the target for three periods
+    "diode_conducts_at_run_start": (
+        lambda p: _idle_start(
+            dataclasses.replace(
+                p, l=1e-4, c=1e-6, fs=500.0, r_load=1e5, vg=400.0
+            ),
+            16.0, -0.023, t_end=0.04, spp=33, gains=PIGains(0.13, 258.0),
+        ),
+        _check_diode_conducts,
+    ),
     # an inductor current of -0.0 passes through the run as -0.0
     "negative_zero_il": (
         lambda p: _idle_start(p, 20.0, -1.0, t_end=0.002, il0=-0.0),
@@ -591,6 +627,33 @@ def test_idle_fast_forward_matches_reference_loop(nominal_params, case):
     traj = simulate_closed_loop(p, cfg)
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
     check(p, cfg, traj)
+
+
+@pytest.mark.parametrize(
+    "duty_gains, passes", [((0.5, 50.0), range(1, 10)), ((0.23, 1.0), range(1, 2))]
+)
+def test_idle_limit_cycle_guard(nominal_params, monkeypatch, duty_gains, passes):
+    # the 500 V step from the 30 V operating point: one long run, then, at
+    # the stiffer gains, a limit cycle at the bottom of the window whose idle
+    # stretches are shorter than a period; the wait after each run that
+    # commits less than a numpy pass holds the passes to 9
+    run = switched_sim._idle_run
+    calls = []
+
+    def counted(*args):
+        calls.append(run(*args))
+        return calls[-1]
+
+    op = solve_duty(nominal_params)
+    cfg = SimConfig(
+        t_end=0.05, steps_per_period=50, initial_state=(op.il, op.vc),
+        integrator_init=op.duty * nominal_params.vs,
+        gains=pwm_equivalent_gains(PIGains(*duty_gains), nominal_params),
+    )
+    monkeypatch.setattr(switched_sim, "_idle_run", counted)
+    traj = simulate_closed_loop(dataclasses.replace(nominal_params, vg=500.0), cfg)
+    assert len(calls) in passes
+    assert calls[0] > 0.8 * (len(traj.times) - 1) and sum(calls) == traj.idle_run_substeps
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -289,13 +289,30 @@ def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
 def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
     """Anchored unwrapped phase (degrees) of `resp` at index i.
 
-    np.unwrap is elementwise work plus a sequential running sum, so the
-    unwrap of resp[:i+1] ends in element i of the full unwrap, bit for bit.
+    This is element i of the anchored np.unwrap of resp, bit for bit, from
+    the steps up to i that can wrap. np.unwrap corrects a step only where
+    the angle jumps by more than a half turn, and between two samples whose
+    imaginary parts are both > 0, or both < 0, it jumps by at most a half
+    turn. Every other step gets np.unwrap's own arithmetic, and the nonzero
+    corrections are summed in index order, as its running sum adds them.
     """
-    angles = np.unwrap(np.angle(resp[: i + 1]))
-    first = np.degrees(angles[0])
+    im = resp.imag[: i + 1]
+    upper, lower = im > 0.0, im < 0.0
+    k = np.flatnonzero(~(upper[:-1] & upper[1:] | lower[:-1] & lower[1:]))
+    dd = np.angle(resp[k + 1]) - np.angle(resp[k])
+    ddmod = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
+    ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
+    corrections = ddmod - dd
+    corrections[np.abs(dd) < math.pi] = 0.0
+    # np.unwrap leaves element 0 as it is; adding 0.0 there, or wherever
+    # no step wraps, can only turn -0.0 into +0.0, as the shift below does
+    total = 0.0
+    for c in corrections[corrections != 0.0].tolist():
+        total += c
+    first, angle = np.angle(resp[[0, i]])
+    first = np.degrees(first)
     shift = _anchor(first, _low_frequency_phase_asymptote(tf)) - first
-    return float(np.degrees(angles[i]) + shift)
+    return float(np.degrees(angle + total) + shift)
 
 
 def _crossover_and_phase_margin(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from .lti import MarginReport
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 28, 40
@@ -43,6 +45,16 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _log10(x):
+    """math.log10 of a number, or of each number of an array.
+
+    Not np.log10: numpy's SIMD log10 rounds some values differently from libm.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log10, x.tolist()), float, len(x))
+    return math.log10(x)
+
+
 def _line(x1, y1, x2, y2, stroke: str, dashed: bool) -> str:
     dash = ' stroke-dasharray="4 3"' if dashed else ""
     return (
@@ -54,21 +66,24 @@ def _line(x1, y1, x2, y2, stroke: str, dashed: bool) -> str:
 class _Panel:
     """The plot area of one curve, top edge at y0: linear y, linear-or-log x.
 
-    It spans the curve's x range and its padded y range.
+    It spans the curve's x range and its padded y range; xs and ys are
+    float arrays. px and py map a number, or each number of an array.
     """
 
     def __init__(self, y0, xs, ys, log_x):
         self.x0, self.y0 = _MARGIN_L, y0
         self.xs, self.ys = xs, ys
-        self.xlim, self.ylim = (xs[0], xs[-1]), _pad(min(ys), max(ys))
+        self.xlim = (float(xs[0]), float(xs[-1]))
+        self.ylim = _pad(float(ys.min()), float(ys.max()))
         self.log_x = log_x
 
-    def px(self, x: float) -> float:
-        f = math.log10 if self.log_x else float
+    def px(self, x):
         lo, hi = self.xlim
-        return self.x0 + (f(x) - f(lo)) / (f(hi) - f(lo)) * _PANEL_W
+        if self.log_x:
+            x, lo, hi = _log10(x), math.log10(lo), math.log10(hi)
+        return self.x0 + (x - lo) / (hi - lo) * _PANEL_W
 
-    def py(self, y: float) -> float:
+    def py(self, y):
         lo, hi = self.ylim
         return self.y0 + _PANEL_H * (1.0 - (y - lo) / (hi - lo))
 
@@ -110,9 +125,8 @@ class _Panel:
             f'text-anchor="middle" transform="rotate(-90 {self.x0 - 48} '
             f'{self.y0 + _PANEL_H / 2})">{ylabel}</text>'
         )
-        pts = " ".join(
-            f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(self.xs, self.ys)
-        )
+        xy = np.column_stack((self.px(self.xs), self.py(self.ys)))
+        pts = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -148,7 +162,8 @@ def _figure(title: str, curves, markers) -> str:
 
     `curves` holds (xs, ys, log_x, xlabel, ylabel, color, level) per panel,
     `level` being the y of a dashed reference line (None: no line); xs and
-    ys are sequences of numbers, decimated here to the point budget.
+    ys are sequences of numbers, decimated here to the point budget; a drawn
+    sample that is not finite raises ValueError naming the series.
     `markers` holds (x, color, labels): a dashed vertical line across
     every panel, labeled labels[i] on panel i (None: no label).
     """
@@ -163,8 +178,10 @@ def _figure(title: str, curves, markers) -> str:
     panels = []
     for i, (xs, ys, log_x, xlabel, ylabel, color, level) in enumerate(curves):
         step = max(1, len(xs) // _MAX_POINTS)
-        xs = [float(x) for x in xs[::step]]
-        ys = [float(y) for y in ys[::step]]
+        xs = np.asarray(xs, dtype=float)[::step]
+        ys = np.asarray(ys, dtype=float)[::step]
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"cannot plot {ylabel!r}: a drawn sample is not finite")
         panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
         panel.draw(out, xlabel, ylabel, color, level)
         panels.append(panel)

@@ -23,10 +23,11 @@ Python, except for idle runs: after an overshoot the switch stays off, the
 diode blocks, and with u < 0 and the output above its target the
 integrator is frozen at the bottom of the window, so each substep only
 decays vc by one constant factor. A period that starts with il == 0 and
-u < 0 goes to numpy passes that repeat the per-substep loop's IEEE
-operations in its order, up to the first substep that would leave the
-idle, frozen state; the whole periods before it are committed, bit for
-bit as the per-substep loop gives them, and counted in idle_run_substeps.
+u < 0, and whose first substep stays idle and frozen, goes to numpy passes
+that repeat the per-substep loop's IEEE operations in its order, up to the
+first substep that would leave the idle, frozen state; the whole periods
+before it are committed, bit for bit as the per-substep loop gives them,
+and counted in idle_run_substeps.
 """
 
 from __future__ import annotations
@@ -251,18 +252,20 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     vs, spp below 2e6), u > threshold decides a saturated u too; saturation
     freezes the integrator while the error would deepen it.
 
-    Idle fast-forward: a period that starts with il == 0 and u < 0 goes to
-    _idle_run, which commits the whole periods whose substeps all stay idle
-    with the integrator frozen at the bottom of the window, switch off; the
-    loop steps the period after them from their last vc. A run ends where u
-    has risen to 0 (the comparator may fire), the diode would conduct
-    (f12*vc > 0), the integrator would move (e + e_next >= 0, vc near the
-    target), or at the end of the window. Each committed value comes from
-    the per-substep loop's IEEE operations in its order, so the trajectory
-    is bit for bit the same; idle_run_substeps counts the committed
-    substeps, and each period's duty is its ON count over spp. A run that
-    commits fewer than IDLE_FIRST_CHUNK substeps did not pay for its numpy
-    pass, so the next hand-over waits IDLE_FIRST_CHUNK substeps, then twice
+    Idle fast-forward: a period that starts with il == 0 and u < 0, and
+    whose first substep keeps the diode blocked and the integrator frozen,
+    goes to _idle_run, which commits the whole periods whose substeps all
+    stay idle with the integrator frozen at the bottom of the window, switch
+    off; the loop steps the period after them from their last vc. A run ends
+    where u has risen to 0 (the comparator may fire), the diode would
+    conduct (f12*vc > 0), the integrator would move (e + e_next >= 0, vc
+    near the target), or at the end of the window. Each committed value
+    comes from the per-substep loop's IEEE operations in its order, so the
+    trajectory is bit for bit the same; idle_run_substeps counts the
+    committed substeps, and each period's duty is its ON count over spp. A
+    run that commits fewer than IDLE_FIRST_CHUNK substeps did not pay for
+    its numpy pass (a period whose first substep fails counts as a run of
+    none), so the next hand-over waits IDLE_FIRST_CHUNK substeps, then twice
     as many after each such run, up to IDLE_CHUNK: a limit cycle at the
     bottom of the window costs at most one pass per IDLE_CHUNK substeps.
     """
@@ -309,11 +312,15 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     lo = 0
     while lo < n_steps:
         if lo >= resume and il == 0.0 and kp * e + integ < 0.0:
-            # maybe idle with the integrator frozen at the bottom: fast-forward
-            n = _idle_run(
-                out_il, out_vc, lo, n_steps, spp, il, vc, integ, kp, vref, H, f12,
-                k_idle,
-            )
+            # maybe idle with the integrator frozen at the bottom: fast-forward,
+            # unless the first substep already leaves that state (_idle_run's
+            # checks, which would commit nothing)
+            n = 0
+            if f12 * vc <= 0.0 and e + (vref - H * (vc * k_idle)) < 0.0:
+                n = _idle_run(
+                    out_il, out_vc, lo, n_steps, spp, il, vc, integ, kp, vref, H, f12,
+                    k_idle,
+                )
             if n < IDLE_FIRST_CHUNK:
                 resume = lo + n + backoff
                 backoff = min(2 * backoff, IDLE_CHUNK)

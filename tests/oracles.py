@@ -58,6 +58,19 @@ def sweep_margins(num, den, lo=1e-2, hi=1e7, points_per_decade=10_000):
     return out
 
 
+def unwrapped_phase_at_reference(resp, i, asymptote_deg):
+    """Element i (degrees) of np.unwrap over the angles of resp[: i + 1],
+    shifted by whole turns so that element 0 sits nearest asymptote_deg.
+
+    np.unwrap is elementwise work plus a sequential running sum, so the
+    unwrap of the prefix ends in element i of the full unwrap, bit for bit.
+    """
+    angles = np.unwrap(np.angle(resp[: i + 1]))
+    first = np.degrees(angles[0])
+    anchored = first + 360.0 * round((asymptote_deg - first) / 360.0)
+    return float(np.degrees(angles[i]) + (anchored - first))
+
+
 def zoh_2x2_cayley_hamilton(a, b, dt):
     """Exact ZOH pair of a 2x2 system from the Cayley-Hamilton closed form.
 

@@ -439,6 +439,19 @@ def test_step_not_settled_is_exit_2(nominal_config_path, tmp_path, capsys):
     ]
 
 
+def test_step_svg_of_a_diverging_response_is_exit_2(nominal_config_path, tmp_path, capsys):
+    # the response leaves the float range; its plot once raised OverflowError
+    # in the tick placement
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.01", "--ki", "1e7", "--svg",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "cannot plot 'output': a drawn sample is not finite" in err
+    assert not (out / "step.svg").exists()
+
+
 def test_step_overshoot_grows_with_kp(nominal_config_path, tmp_path):
     outs = {}
     for kp in ("0.23", "10"):

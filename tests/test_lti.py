@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buckforge import (
     TransferFunction,
@@ -37,7 +39,7 @@ from buckforge.lti import (
 )
 from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
-from oracles import sweep_margins
+from oracles import sweep_margins, unwrapped_phase_at_reference
 
 INTEGRATOR = TransferFunction((1.0,), (1.0, 0.0))
 
@@ -324,6 +326,58 @@ def test_unwrapped_phase_prefix_matches_full_unwrap(three_pole_loop):
         assert np.any(np.abs(np.diff(np.angle(resp))) > math.pi)
         for i in range(len(resp)):
             assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(float(full[i]))
+
+
+# parts that put samples on the axes: exact +-0.0 imaginary parts, and
+# -1j next to 1j, a step of exactly a half turn
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+# a spiral whose angle steps up to 6 rad: many crossings of the negative
+# real axis, and a running correction of many turns
+_SPIRALS = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=400).map(
+    lambda steps: 3.0 * np.exp(1j * np.cumsum(steps))
+)
+# asymptotes of 0, -90, -180 and +180 degrees for the anchor
+_ANCHOR_LOOPS = [
+    TransferFunction((1.0,), (1.0, 1.0)),
+    INTEGRATOR,
+    TransferFunction((-1.0,), (1.0, 1.0)),
+    TransferFunction((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+]
+
+
+@settings(deadline=None)
+@given(
+    resp=st.one_of(
+        st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=60).map(
+            np.array
+        ),
+        _SPIRALS,
+    ),
+    tf=st.sampled_from(_ANCHOR_LOOPS),
+    data=st.data(),
+)
+def test_unwrapped_phase_at_matches_reference_property(resp, tf, data):
+    asymptote = _low_frequency_phase_asymptote(tf)
+    last = len(resp) - 1
+    for i in {0, min(1, last), last, data.draw(st.integers(0, last))}:
+        want = unwrapped_phase_at_reference(resp, i, asymptote)
+        assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(want)
+
+
+def test_unwrapped_phase_at_half_turn_steps():
+    # -1j to 1j steps by +pi, and 1j to -1j by -pi: np.unwrap adds nothing
+    # there, while the steps past the negative real axis take a turn off
+    tf = TransferFunction((1.0,), (1.0, 1.0))
+    resp = np.array([-1j, 1j, -1j, -1 + 1e-3j, -1 - 1e-3j])
+    assert [_unwrapped_phase_at(tf, resp, i) for i in range(3)] == [-90.0, 90.0, -90.0]
+    assert _unwrapped_phase_at(tf, resp, 3) < -180.0 < _unwrapped_phase_at(tf, resp, 4)
+    for i in range(len(resp)):
+        assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(
+            unwrapped_phase_at_reference(resp, i, 0.0)
+        )
 
 
 def test_margins_report_lowest_of_multiple_crossings():

@@ -2,8 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from buckforge import (
+    MarginReport,
     PIGains,
     TransferFunction,
     bode_sweep,
@@ -130,3 +133,64 @@ def test_nice_ticks_on_tiny_axes_stay_distinct():
 ])
 def test_nice_ticks_at_steps_from_1e_9_keep_12_decimals(lo, hi):
     assert _nice_ticks(lo, hi) == nice_ticks_reference(lo, hi)
+
+
+def _values(rng, n):
+    """n values of either sign, log-uniform in magnitude from 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+
+def _oracle_range(lo, hi):
+    # spans the oracle draws as the package does: none, or a tick step of at
+    # least 1e-9 (12 decimals in both) that is not below 1e-12 of the values
+    return hi <= lo or hi - lo >= max(1e-8, 1e-11 * max(abs(lo), abs(hi)))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 4000),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(-8.0, 7.0),
+    decades=st.floats(0.01, 16.0),
+    crossovers=st.tuples(st.booleans(), st.booleans()),
+)
+def test_bode_svg_matches_reference_property(n, seed, low, decades, crossovers):
+    rng = np.random.default_rng(seed)
+    omegas = np.sort(10.0 ** rng.uniform(low, min(low + decades, 8.0), n))
+    assume(omegas[0] < omegas[-1])
+    sweep = (omegas, _values(rng, n), _values(rng, n))
+    drawn = [col[:: max(1, n // 2000)] for col in sweep]
+    assume(all(_oracle_range(col.min(), col.max()) for col in drawn[1:]))
+    gain_x, phase_x = (float(rng.choice(omegas)) if c else None for c in crossovers)
+    margins = MarginReport(
+        gain_crossover=gain_x, phase_crossover=phase_x, gain_margin_db=6.02,
+        phase_margin_deg=45.3 if gain_x else None, stable_loop=True,
+        gain_crossover_count=int(crossovers[0]), phase_crossover_count=int(crossovers[1]),
+    )
+    got = bode_svg(sweep, margins, "random")
+    assert got == bode_svg_reference(_points(drawn), margins, "random")
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 4000),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["rising", "falling", "shuffled"]),
+)
+def test_timeseries_svg_matches_reference_property(n, seed, order):
+    rng = np.random.default_rng(seed)
+    times = np.sort(_values(rng, n))
+    times = {"rising": times, "falling": times[::-1], "shuffled": rng.permutation(times)}[order]
+    values = _values(rng, n)
+    xs, ys = decimate_reference(times, values)
+    assume(_oracle_range(xs[0], xs[-1]) and _oracle_range(ys.min(), ys.max()))
+    got = timeseries_svg(times, values, "t", "y", "random")
+    assert got == timeseries_svg_reference(xs, ys, "t", "y", "random")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_figure_refuses_a_non_finite_sample(bad):
+    values = np.linspace(0.0, 1.0, 50)
+    values[-1] = bad
+    with pytest.raises(ValueError, match="cannot plot 'output': a drawn sample is not finite"):
+        timeseries_svg(np.linspace(0.0, 1.0, 50), values, "time (s)", "output", "step")

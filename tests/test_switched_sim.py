@@ -601,8 +601,9 @@ IDLE_CASES = {
         ),
         _check_diode_conducts,
     ),
-    # the same with an idle start: the run is handed substep 0, where the
-    # diode conducts, although vc stays above the target for three periods
+    # the same with an idle start (il == 0, u < 0): the diode conducts at
+    # substep 0, so no run is handed over, although vc stays above the target
+    # for three periods
     "diode_conducts_at_run_start": (
         lambda p: _idle_start(
             dataclasses.replace(
@@ -629,6 +630,19 @@ def test_idle_fast_forward_matches_reference_loop(nominal_params, case):
     check(p, cfg, traj)
 
 
+def _count_idle_runs(monkeypatch):
+    """The substeps each _idle_run call commits, one entry per call."""
+    run = switched_sim._idle_run
+    calls = []
+
+    def counted(*args):
+        calls.append(run(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(switched_sim, "_idle_run", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "duty_gains, passes", [((0.5, 50.0), range(1, 10)), ((0.23, 1.0), range(1, 2))]
 )
@@ -637,23 +651,34 @@ def test_idle_limit_cycle_guard(nominal_params, monkeypatch, duty_gains, passes)
     # the stiffer gains, a limit cycle at the bottom of the window whose idle
     # stretches are shorter than a period; the wait after each run that
     # commits less than a numpy pass holds the passes to 9
-    run = switched_sim._idle_run
-    calls = []
-
-    def counted(*args):
-        calls.append(run(*args))
-        return calls[-1]
-
     op = solve_duty(nominal_params)
     cfg = SimConfig(
         t_end=0.05, steps_per_period=50, initial_state=(op.il, op.vc),
         integrator_init=op.duty * nominal_params.vs,
         gains=pwm_equivalent_gains(PIGains(*duty_gains), nominal_params),
     )
-    monkeypatch.setattr(switched_sim, "_idle_run", counted)
+    calls = _count_idle_runs(monkeypatch)
     traj = simulate_closed_loop(dataclasses.replace(nominal_params, vg=500.0), cfg)
     assert len(calls) in passes
     assert calls[0] > 0.8 * (len(traj.times) - 1) and sum(calls) == traj.idle_run_substeps
+
+
+@pytest.mark.parametrize("case, runs", [
+    # after its run, periods start with il == 0 and u < 0 while the
+    # integrator moves; none of them is handed over
+    ("integrator_unfreezes", 1),
+    # il == 0 and u < 0 at substep 0, where the diode conducts
+    ("diode_conducts_at_run_start", 0),
+])
+def test_idle_run_starts_only_from_an_idle_frozen_substep(
+    nominal_params, monkeypatch, case, runs
+):
+    make, _ = IDLE_CASES[case]
+    p, cfg = make(nominal_params)
+    calls = _count_idle_runs(monkeypatch)
+    traj = simulate_closed_loop(p, cfg)
+    assert len(calls) == runs and all(calls)
+    assert sum(calls) == traj.idle_run_substeps
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

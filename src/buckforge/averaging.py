@@ -90,15 +90,20 @@ def equilibrium(
     return OperatingPoint(duty=d, il=il, vc=vc, vg=vg)
 
 
+def full_duty_output(p: ConverterParams) -> float:
+    """Averaged equilibrium output at duty 1: vg * R / (R + R_L)."""
+    return p.vg * p.r_load / (p.r_load + p.r_l)
+
+
 def solve_duty(p: ConverterParams) -> OperatingPoint:
     """Duty cycle that places the averaged output at vo_target.
 
-    The equilibrium output is linear in D (vc = D * vg * R / (R + R_L)),
-    so the duty follows from one division; the full operating point is
-    then recovered from the averaged model.
+    The equilibrium output is linear in D (vc = D * full_duty_output), so
+    the duty follows from one division; the full operating point is then
+    recovered from the averaged model.
     """
     validate_params(p)
-    gain = p.vg * p.r_load / (p.r_load + p.r_l)
+    gain = full_duty_output(p)
     # vo_target > 0, so a zero gain or a zero duty comes only from float
     # underflow or overflow
     d = p.vo_target / gain if gain > 0.0 else math.inf

@@ -15,8 +15,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .averaging import derive_plant, solve_duty
+from .averaging import derive_plant, full_duty_output, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
 from .csvtext import format_block
 from .lti import bode_sweep, close_unity_loop, stability_margins
@@ -218,6 +220,10 @@ def cmd_step(args) -> int:
         label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
     closed = close_unity_loop(loop)
     traj = step_response(closed, args.t_end, args.samples)
+    finite = np.isfinite(traj.values)
+    if not finite.all():
+        t = float(traj.times[finite.argmin()])
+        raise ValueError(f"step response leaves the float range at t={t!r} s")
 
     csv_path = os.path.join(args.out_dir, "step.csv")
     emitted = {"step.csv": _write_csv(csv_path, "time_s,output", traj.times, traj.values)}
@@ -319,6 +325,12 @@ def cmd_simulate(args) -> int:
         f"vg={_fmt4(p.vg)} V: final-cycle vc = {_fmt4(report.final_vc_mean)} V "
         f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
     )
+    full = full_duty_output(p)
+    if p.vo_target > full:
+        print(
+            f"vg={_fmt4(p.vg)} V holds at most {_fmt4(full)} V at full duty, "
+            f"{_fmt4(p.vo_target - full)} V short of the {_fmt4(p.vo_target)} V target"
+        )
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
     simulator = {
         "substeps": len(traj.times) - 1,

@@ -8,6 +8,7 @@ end to end (an uncancelled s/s survives a series product, for example).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,13 +153,16 @@ def _wrap_delta(delta: float) -> float:
 def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.ndarray:
     """Log-spaced frequencies (rad/s) from omega_min to omega_max inclusive.
 
-    A grid of more than MAX_SAMPLES points is refused before it is built.
+    The exponents are np.linspace's, as in np.logspace, but each point is
+    libm's math.pow(10.0, x): numpy's SIMD power rounds some points
+    differently depending on the CPU features it dispatches to. A grid of
+    more than MAX_SAMPLES points is refused before it is built.
     """
     if not (0.0 < omega_min < omega_max and omega_max / omega_min < math.inf):
         raise ValueError("require 0 < omega_min < omega_max, with a finite ratio")
     log_min, log_max = math.log10(omega_min), math.log10(omega_max)
     if log_min == log_max:
-        # logspace would repeat one frequency, and a log axis would have no width
+        # the grid would repeat one frequency, and a log axis would have no width
         raise ValueError(
             f"omega_min {omega_min!r} and omega_max {omega_max!r} have the same log10"
         )
@@ -173,7 +177,14 @@ def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.n
             f"points_per_decade {points_per_decade!r} needs {n} points, over "
             f"the budget of {MAX_SAMPLES}"
         )
-    return np.logspace(log_min, log_max, n)
+    exponents = np.linspace(log_min, log_max, n)
+    try:
+        return np.fromiter(map(math.pow, itertools.repeat(10.0), exponents), float, n)
+    except OverflowError:
+        # log10 of a float within a few ulps of the largest one can round up
+        raise ValueError(
+            f"omega_max {omega_max!r}: 10**log10(omega_max) leaves the float range"
+        ) from None
 
 
 def bode_sweep(

@@ -23,11 +23,11 @@ Python, except for idle runs: after an overshoot the switch stays off, the
 diode blocks, and with u < 0 and the output above its target the
 integrator is frozen at the bottom of the window, so each substep only
 decays vc by one constant factor. A period that starts with il == 0 and
-u < 0, and whose first substep stays idle and frozen, goes to numpy passes
-that repeat the per-substep loop's IEEE operations in its order, up to the
-first substep that would leave the idle, frozen state; the whole periods
-before it are committed, bit for bit as the per-substep loop gives them,
-and counted in idle_run_substeps.
+u < 0, where that decay predicts at least one whole idle, frozen period,
+goes to numpy passes that repeat the per-substep loop's IEEE operations in
+its order, up to the first substep that would leave the idle, frozen state;
+the whole periods before it are committed, bit for bit as the per-substep
+loop gives them, and counted in idle_run_substeps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _check_duty, averaged_model
+from .averaging import _check_duty, averaged_model, full_duty_output
 from .converter import ConverterParams, default_sensor_gain
 from .converter import mode_off_model, mode_on_model
 from .lti import MAX_SAMPLES
@@ -46,9 +46,7 @@ from .timedomain import zoh
 
 # regulation passes when the final-cycle mean is this close to the target
 REGULATION_TOLERANCE_PCT = 2.0
-# idle substeps in the closed-loop kernel's numpy passes: the first pass of a
-# run steps IDLE_FIRST_CHUNK, each later one four times more, up to IDLE_CHUNK
-IDLE_FIRST_CHUNK = 64
+# idle substeps per numpy pass of the closed-loop kernel; bounds its temporaries
 IDLE_CHUNK = 4096
 
 
@@ -209,19 +207,17 @@ def _idle_run(
     sawtooth threshold, so the switch stays off), f12*vc <= 0 (the diode
     stays blocked) and s = e + e_next < 0 (frozen at the bottom of the
     window) only decays vc by k_idle and leaves il and integ as they were.
-    Chunks of IDLE_FIRST_CHUNK substeps, then four times more per chunk up
-    to IDLE_CHUNK, are stepped in numpy with the per-substep loop's IEEE
-    operations in its order: vc by a sequential multiply.accumulate, then
-    e, u and s elementwise. Every substep before the first that fails a
-    check, and before stop, is written to out_il (il as given) and out_vc.
-    Returns the substeps of the whole periods written (start and stop are
-    period boundaries); the per-substep loop overwrites the rest.
+    Passes of at most IDLE_CHUNK substeps are stepped in numpy with the
+    per-substep loop's IEEE operations in its order: vc by a sequential
+    multiply.accumulate, then e, u and s elementwise. Every substep before
+    the first that fails a check, and before stop, is written to out_il (il
+    as given) and out_vc. Returns the substeps of the whole periods written
+    (start and stop are period boundaries); the per-substep loop overwrites
+    the rest.
     """
     i = start
-    chunk = IDLE_FIRST_CHUNK
     while i < stop:
-        n = min(chunk, stop - i)
-        chunk = min(4 * chunk, IDLE_CHUNK)
+        n = min(IDLE_CHUNK, stop - i)
         vcs = np.full(n + 1, k_idle)
         vcs[0] = vc
         # a diverged state must run on as silently as Python floats do
@@ -252,22 +248,21 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     vs, spp below 2e6), u > threshold decides a saturated u too; saturation
     freezes the integrator while the error would deepen it.
 
-    Idle fast-forward: a period that starts with il == 0 and u < 0, and
-    whose first substep keeps the diode blocked and the integrator frozen,
-    goes to _idle_run, which commits the whole periods whose substeps all
-    stay idle with the integrator frozen at the bottom of the window, switch
-    off; the loop steps the period after them from their last vc. A run ends
-    where u has risen to 0 (the comparator may fire), the diode would
-    conduct (f12*vc > 0), the integrator would move (e + e_next >= 0, vc
-    near the target), or at the end of the window. Each committed value
-    comes from the per-substep loop's IEEE operations in its order, so the
-    trajectory is bit for bit the same; idle_run_substeps counts the
-    committed substeps, and each period's duty is its ON count over spp. A
-    run that commits fewer than IDLE_FIRST_CHUNK substeps did not pay for
-    its numpy pass (a period whose first substep fails counts as a run of
-    none), so the next hand-over waits IDLE_FIRST_CHUNK substeps, then twice
-    as many after each such run, up to IDLE_CHUNK: a limit cycle at the
-    bottom of the window costs at most one pass per IDLE_CHUNK substeps.
+    Idle fast-forward: with f12 <= 0 < k_idle, an idle substep (il == 0,
+    switch off, diode blocked) keeps the integrator frozen at the bottom of
+    the window while vc > level = 2*vref/(H*(1 + k_idle)), and for kp > 0
+    keeps u < 0 while vc > (vref + integ/kp)/H; level is the larger. As vc
+    decays by k_idle per substep, a run lasts log(level/vc)/log(k_idle)
+    substeps, the whole window when k_idle == 1. A period that starts with
+    il == 0 and u < 0, where this predicts at least one whole period, goes
+    to _idle_run, which steps to the end of the period in which the run
+    ends (or of the window) and commits the whole periods whose substeps all
+    stay idle and frozen; the loop steps the next period from their last vc.
+    The prediction only decides whether and how far to hand over: each
+    committed value comes from the per-substep loop's IEEE operations in its
+    order, so the trajectory is bit for bit the same. idle_run_substeps
+    counts the committed substeps, and each period's duty is its ON count
+    over spp.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -304,26 +299,24 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     buf_q = [False] * spp
     dcm = False
     idle_run_substeps = 0
-    # the first substep whose period may go to _idle_run, and the wait that
-    # follows a run that commits less than the first numpy pass
-    resume = 0
-    backoff = IDLE_FIRST_CHUNK
+    # the vc below which an idle substep would move the integrator
+    frozen_level = 2.0 * vref / (H * (1.0 + k_idle))
     e = vref - H * vc
     lo = 0
     while lo < n_steps:
-        if lo >= resume and il == 0.0 and kp * e + integ < 0.0:
-            # maybe idle with the integrator frozen at the bottom: fast-forward,
-            # unless the first substep already leaves that state (_idle_run's
-            # checks, which would commit nothing)
-            n = 0
-            if f12 * vc <= 0.0 and e + (vref - H * (vc * k_idle)) < 0.0:
-                n = _idle_run(
-                    out_il, out_vc, lo, n_steps, spp, il, vc, integ, kp, vref, H, f12,
-                    k_idle,
+        run = 0.0  # predicted idle substeps with the integrator frozen
+        if il == 0.0 and kp * e + integ < 0.0 and f12 <= 0.0 < k_idle:
+            level = max(frozen_level, (vref + integ / kp) / H) if kp > 0.0 else frozen_level
+            # level is 0.0 where H*(1 + k_idle) overflows (vref/vo_target near 1e308)
+            if 0.0 < level < vc < math.inf:
+                run = math.inf if k_idle == 1.0 else (
+                    (math.log(level) - math.log(vc)) / math.log(k_idle)
                 )
-            if n < IDLE_FIRST_CHUNK:
-                resume = lo + n + backoff
-                backoff = min(2 * backoff, IDLE_CHUNK)
+        if run >= spp:
+            stop = n_steps if run >= n_steps - lo else lo + (int(run) // spp + 1) * spp
+            n = _idle_run(
+                out_il, out_vc, lo, stop, spp, il, vc, integ, kp, vref, H, f12, k_idle
+            )
             if n:
                 # every committed substep took the idle branch
                 dcm = True
@@ -493,7 +486,10 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     """Judge the last full cycle against the output-voltage target.
 
     The run passes when the final-cycle mean is within
-    REGULATION_TOLERANCE_PCT of the target. duty_final averages the
+    REGULATION_TOLERANCE_PCT of the target, and never when the target lies
+    above full_duty_output, which no steady state can hold (a run from a
+    higher source's operating point may still be coasting through the
+    band). duty_final averages the
     trailing 10 complete cycles, since the comparator quantizes each
     period's duty to 1/steps_per_period and the integrator dithers between
     adjacent levels at steady state.
@@ -503,6 +499,7 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     duty_final = sum(trailing) / len(trailing)
     final_vc_mean = float(vc[-1])
     deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
+    holdable = not p.vo_target > full_duty_output(p)
     return RegulationReport(
         target_v=p.vo_target,
         final_vc_mean=final_vc_mean,
@@ -511,7 +508,7 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
         duty_final=duty_final,
         deviation_pct=deviation,
         tolerance_pct=REGULATION_TOLERANCE_PCT,
-        passed=deviation <= REGULATION_TOLERANCE_PCT,
+        passed=deviation <= REGULATION_TOLERANCE_PCT and holdable,
         duty_saturated=duty_final == 0.0 or duty_final == 1.0,
         dcm_encountered=traj.dcm_encountered,
     )

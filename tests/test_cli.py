@@ -441,15 +441,31 @@ def test_step_not_settled_is_exit_2(nominal_config_path, tmp_path, capsys):
 
 def test_step_svg_of_a_diverging_response_is_exit_2(nominal_config_path, tmp_path, capsys):
     # the response leaves the float range; its plot once raised OverflowError
-    # in the tick placement
+    # in the tick placement, and its data files were written before the plot
+    # was refused
     out = tmp_path / "out"
     assert run([
         "step", "--config", nominal_config_path, "--out-dir", str(out),
         "--kp", "0.01", "--ki", "1e7", "--svg",
     ]) == 2
     err = capsys.readouterr().err
-    assert "cannot plot 'output': a drawn sample is not finite" in err
+    assert "step response leaves the float range at t=0.0422" in err
     assert not (out / "step.svg").exists()
+    assert list(out.iterdir()) == []
+
+
+def test_step_of_a_diverging_response_is_exit_2(nominal_config_path, tmp_path, capsys):
+    # once wrote a step.csv of inf/nan rows and a step_metrics.json that read
+    # "response never reaches level nan"
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.01", "--ki", "1e7",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "step response leaves the float range at t=0.0422" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_step_overshoot_grows_with_kp(nominal_config_path, tmp_path):
@@ -608,6 +624,24 @@ def test_simulate_undervoltage_fails_regulation(nominal_config_path, tmp_path):
     assert report["duty_saturated"]
     # outputs are still written on regulation failure
     assert (out / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("vg", ["10", "14", "1e-10"])
+def test_simulate_unreachable_source_fails_regulation(
+    nominal_config_path, tmp_path, capsys, vg
+):
+    # started from the 30 V operating point, the output still coasts through
+    # the tolerance band at the end of the window, but no duty holds 15 V
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--vg", vg, "--from-operating-point", "--t-end", "0.002",
+    ]) == 4
+    report = read_json(out / "regulation.json")
+    assert report["deviation_pct"] <= report["tolerance_pct"] and not report["passed"]
+    stdout = capsys.readouterr().out
+    assert "at full duty" in stdout and "short of the 15 V target" in stdout
+    assert "regulation FAIL" in stdout
 
 
 def test_simulate_requires_gain_pair(nominal_config_path, tmp_path, capsys):
@@ -850,3 +884,58 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         f"{r:.17g},{x:.17g},{'1' if q else '0'}\n" for r, x, q in zip(ramp, special, flags)
     )
     assert path.read_bytes() == expect.encode()
+
+
+def _avx512_dispatch():
+    """True when numpy reports an AVX-512 feature it can dispatch to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return any(on for name, on in __cpu_features__.items() if "AVX512" in name)
+
+
+# the five commands on the nominal config, each into its own directory
+_FIVE_COMMANDS = """
+import sys
+from buckforge.cli import main
+cfg, out = sys.argv[1:]
+for argv in (
+    ["derive"],
+    ["bode", "--kp", "0.23", "--ki", "1", "--svg"],
+    ["tune", "--target-pm", "50"],
+    ["step", "--kp", "0.23", "--ki", "1", "--svg"],
+    ["simulate", "--from-operating-point", "--t-end", "0.002"],
+):
+    if main([*argv, "--config", cfg, "--out-dir", f"{out}/{argv[0]}"]):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+@pytest.mark.skipif(
+    not _avx512_dispatch(),
+    reason="numpy reports no AVX-512 feature here, so both runs use the same kernels",
+)
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(nominal_config_path, tmp_path):
+    # the same OpenBLAS environment in both runs; one turns numpy's AVX-512
+    # dispatch off with the value perfbench/run.py pins, the other leaves it
+    # on. np.logspace rounded 67 of bode.csv's 1201 frequencies differently.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    pinned = dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    files = {}
+    for name, run_env in (("native", env), ("pinned", pinned)):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-c", _FIVE_COMMANDS, nominal_config_path, str(out)],
+            env=run_env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        files[name] = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and not path.name.endswith("_manifest.json")
+        }
+    assert len(files["native"]) == 10
+    for path, data in files["native"].items():
+        assert data == files["pinned"][path], path

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -160,7 +161,9 @@ def test_evaluate_underflow_names_omega():
 
 def test_log_grid_budget_refused_before_allocation(monkeypatch):
     # the fake returns the point count instead of allocating the grid
-    monkeypatch.setattr(lti, "np", SimpleNamespace(logspace=lambda a, b, n: n))
+    monkeypatch.setattr(lti, "np", SimpleNamespace(
+        linspace=lambda a, b, n: (), fromiter=lambda points, dtype, n: n
+    ))
     assert log_grid(1.0, 10.0, MAX_SAMPLES - 1) == MAX_SAMPLES
     for lo, hi, ppd in [
         (1.0, 10.0, MAX_SAMPLES),
@@ -172,6 +175,19 @@ def test_log_grid_budget_refused_before_allocation(monkeypatch):
         with pytest.raises(ValueError, match="points_per_decade") as err:
             log_grid(lo, hi, ppd)
         assert str(MAX_SAMPLES) in str(err.value)
+
+
+def test_log_grid_points_are_libm_powers():
+    # np.linspace's exponents, raised by math.pow rather than numpy's SIMD power
+    exponents = np.linspace(math.log10(0.5), math.log10(3e5), 215)
+    want = [math.pow(10.0, x) for x in exponents]
+    assert log_grid(0.5, 3e5, 37).tolist() == want
+
+
+def test_log_grid_top_beyond_the_float_range_is_refused():
+    # log10 of the largest float rounds up, so 10**log10 overflows
+    with pytest.raises(ValueError, match="leaves the float range"):
+        log_grid(1e300, sys.float_info.max, 10)
 
 
 def test_margin_grid_is_built_once_and_read_only():

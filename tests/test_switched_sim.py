@@ -545,7 +545,7 @@ def _idle_start(p, vc0, integrator_init, t_end, spp=20, il0=0.0, gains=None):
 IDLE_CASES = {
     # the input_step_500 benchmark input: one run from the period after the
     # first idle, frozen substep (k = 3) to the end of the window, 35 full
-    # chunks long
+    # passes long
     "input_step_500": (
         lambda p: (
             dataclasses.replace(p, vg=500.0),
@@ -618,6 +618,49 @@ IDLE_CASES = {
         lambda p: _idle_start(p, 20.0, -1.0, t_end=0.002, il0=-0.0),
         _check_negative_zero_il,
     ),
+    # k_idle rounds to 1.0: vc never decays, and the run lasts the window
+    "k_idle_1": (
+        lambda p: _idle_start(
+            dataclasses.replace(p, r_load=1e12), 20.0, -1.0, t_end=0.002
+        ),
+        _check_window_end,
+    ),
+    # k_idle underflows to 0.0: the first idle substep empties the capacitor,
+    # and no run is handed over
+    "k_idle_0": (
+        lambda p: _idle_start(
+            dataclasses.replace(p, r_load=1e-3, c=1e-6, fs=500.0), 20.0, -1.0,
+            t_end=0.04,
+        ),
+        _check_no_run,
+    ),
+    # no proportional action: u is the frozen integrator, and the run ends
+    # where e + e_next reaches 0
+    "kp_0": (
+        lambda p: _idle_start(p, 15.5, -5.0, t_end=0.02, gains=PIGains(0.0, 75.0)),
+        _check_integrator_unfreezes,
+    ),
+    # integ/kp overflows to -inf: u < 0 cannot end the run, e + e_next >= 0 does
+    "integ_over_kp_overflows": (
+        lambda p: _idle_start(
+            p, 15.5, -1e10, t_end=0.02, gains=PIGains(1e-320, 75.0)
+        ),
+        _check_integrator_unfreezes,
+    ),
+    # vref/vo_target = 1e308: H*(1 + k_idle) overflows, the frozen level reads
+    # 0.0, and no run is handed over (its log would be a domain error)
+    "frozen_level_0": (
+        lambda p: _idle_start(
+            dataclasses.replace(p, vo_target=1e-8, vref=1e300), 2e-8, -1.0,
+            t_end=0.001, gains=PIGains(0.0, 1.0),
+        ),
+        _check_no_run,
+    ),
+    # the largest decades of vc: kp*e overflows to -inf, the run lasts the window
+    "vc_1e308": (
+        lambda p: _idle_start(p, 1e308, -1.0, t_end=0.002),
+        _check_window_end,
+    ),
 }
 
 
@@ -643,24 +686,24 @@ def _count_idle_runs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "duty_gains, passes", [((0.5, 50.0), range(1, 10)), ((0.23, 1.0), range(1, 2))]
-)
-def test_idle_limit_cycle_guard(nominal_params, monkeypatch, duty_gains, passes):
+@pytest.mark.parametrize("duty_gains, spp", [
+    ((0.5, 50.0), 50), ((0.5, 50.0), 200), ((0.23, 1.0), 50),
+], ids=["stiff-spp50", "stiff-spp200", "default-spp50"])
+def test_idle_limit_cycle_guard(nominal_params, monkeypatch, duty_gains, spp):
     # the 500 V step from the 30 V operating point: one long run, then, at
     # the stiffer gains, a limit cycle at the bottom of the window whose idle
-    # stretches are shorter than a period; the wait after each run that
-    # commits less than a numpy pass holds the passes to 9
+    # stretches are shorter than a period; the decay law predicts none of
+    # them to last a whole period, so none is handed over
     op = solve_duty(nominal_params)
     cfg = SimConfig(
-        t_end=0.05, steps_per_period=50, initial_state=(op.il, op.vc),
+        t_end=0.05, steps_per_period=spp, initial_state=(op.il, op.vc),
         integrator_init=op.duty * nominal_params.vs,
         gains=pwm_equivalent_gains(PIGains(*duty_gains), nominal_params),
     )
     calls = _count_idle_runs(monkeypatch)
     traj = simulate_closed_loop(dataclasses.replace(nominal_params, vg=500.0), cfg)
-    assert len(calls) in passes
-    assert calls[0] > 0.8 * (len(traj.times) - 1) and sum(calls) == traj.idle_run_substeps
+    assert len(calls) == 1
+    assert calls[0] > 0.8 * (len(traj.times) - 1) and calls[0] == traj.idle_run_substeps
 
 
 @pytest.mark.parametrize("case, runs", [

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .averaging import derive_plant, full_duty_output, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
@@ -89,19 +87,19 @@ def _write_svg(args, name: str, svg: str) -> str:
     return path
 
 
-def _write_manifest(
-    args, command: str, resolved: dict, outputs: list[str], extra: dict | None = None
-) -> None:
-    """Write `<command>_manifest.json` and name the outputs on stdout."""
+def _write_manifest(args, p, outputs: list[str], extra: dict | None = None) -> None:
+    """Write `<command>_manifest.json`, whose `resolved_config` holds the
+    parameters `p` and every parsed option, and name the outputs on stdout."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "params_source": args.config,
-        "resolved_config": resolved,
+        "resolved_config": {"converter_params": dataclasses.asdict(p), "options": options},
         "outputs": outputs,
         "tool_version": __version__,
         **(extra or {}),
     }
-    _write_json(os.path.join(args.out_dir, f"{command}_manifest.json"), manifest)
+    _write_json(os.path.join(args.out_dir, f"{args.command}_manifest.json"), manifest)
     if outputs:
         print(f"wrote {', '.join(outputs)}")
 
@@ -127,7 +125,7 @@ def cmd_derive(args) -> int:
         f"{_fmt4(derivation.plant.num[-1])} / "
         f"(s^2 + {_fmt4(derivation.plant.den[1])} s + {_fmt4(derivation.plant.den[2])})"
     )
-    _write_manifest(args, "derive", dataclasses.asdict(p), [out])
+    _write_manifest(args, p, [out])
     return 0
 
 
@@ -146,36 +144,24 @@ def cmd_bode(args) -> int:
     if args.svg:
         title = f"open loop, kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
         outputs.append(_write_svg(args, "bode.svg", bode_svg(sweep, margins, title)))
-    resolved = {
-        "converter_params": dataclasses.asdict(p),
-        "gains": dataclasses.asdict(gains),
-        "omega_min": args.omega_min,
-        "omega_max": args.omega_max,
-        "points_per_decade": args.points_per_decade,
-    }
     pm = margins.phase_margin_deg
     gm = margins.gain_margin_db
     print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
     print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
     print(f"stable loop: {margins.stable_loop}")
-    _write_manifest(args, "bode", resolved, outputs, {"csv": emitted})
+    _write_manifest(args, p, outputs, {"csv": emitted})
     return 0
 
 
 def cmd_tune(args) -> int:
     p = load_params(args.config)
     plant = derive_plant(p).plant
-    resolved = {
-        "converter_params": dataclasses.asdict(p),
-        "ki": args.ki,
-        "target_pm": args.target_pm,
-    }
     try:
         result = tune_kp_for_pm(plant, args.ki, args.target_pm)
     except TuningError as exc:
         # the failed search still explains itself in the manifest
         trace = {"tuning_trace": dataclasses.asdict(exc.trace)} if exc.trace else None
-        _write_manifest(args, "tune", resolved, [], trace)
+        _write_manifest(args, p, [], trace)
         raise
     report = design_report(plant, result.gains, p)
     doc = {
@@ -194,9 +180,7 @@ def cmd_tune(args) -> int:
         f"{_fmt4(result.margins.phase_margin_deg)} deg phase margin "
         f"(target {_fmt4(args.target_pm)})"
     )
-    _write_manifest(
-        args, "tune", resolved, [out], {"tuning_trace": dataclasses.asdict(result.trace)}
-    )
+    _write_manifest(args, p, [out], {"tuning_trace": dataclasses.asdict(result.trace)})
     return 0
 
 
@@ -220,46 +204,33 @@ def cmd_step(args) -> int:
         label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
     closed = close_unity_loop(loop)
     traj = step_response(closed, args.t_end, args.samples)
-    finite = np.isfinite(traj.values)
-    if not finite.all():
-        t = float(traj.times[finite.argmin()])
-        raise ValueError(f"step response leaves the float range at t={t!r} s")
-
-    csv_path = os.path.join(args.out_dir, "step.csv")
-    emitted = {"step.csv": _write_csv(csv_path, "time_s,output", traj.times, traj.values)}
-    outputs = [csv_path]
-    metrics_path = os.path.join(args.out_dir, "step_metrics.json")
-    code = 0
+    # before any file is written: step_metrics refuses a non-finite response
     try:
         metrics = step_metrics(traj, 1.0)
-        _write_json(metrics_path, dataclasses.asdict(metrics))
+        doc, code = dataclasses.asdict(metrics), 0
         print(
             f"{label}: final {_fmt4(metrics.final_value)}, "
             f"overshoot {_fmt4(metrics.max_overshoot_pct)}%, "
             f"settling {_fmt4(metrics.settling_time)} s"
         )
     except NotSettledError as exc:
-        _write_json(metrics_path, {"error": str(exc)})
+        doc, code = {"error": str(exc)}, 2
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    outputs.append(metrics_path)
+
+    csv_path = os.path.join(args.out_dir, "step.csv")
+    emitted = {"step.csv": _write_csv(csv_path, "time_s,output", traj.times, traj.values)}
+    metrics_path = os.path.join(args.out_dir, "step_metrics.json")
+    _write_json(metrics_path, doc)
+    outputs = [csv_path, metrics_path]
     if args.svg:
         svg = timeseries_svg(traj.times, traj.values, "time (s)", "output", label)
         outputs.append(_write_svg(args, "step.svg", svg))
-    resolved = {
-        "converter_params": dataclasses.asdict(p),
-        "uncompensated": args.uncompensated,
-        "kp": args.kp,
-        "ki": args.ki,
-        "t_end": args.t_end,
-        "samples": args.samples,
-    }
-    _write_manifest(args, "step", resolved, outputs, {"csv": emitted})
+    _write_manifest(args, p, outputs, {"csv": emitted})
     return code
 
 
 def cmd_simulate(args) -> int:
-    p = load_params(args.config)
+    configured = p = load_params(args.config)
     sensor = default_sensor_gain(p)
     if args.kp is not None or args.ki is not None:
         if args.kp is None or args.ki is None:
@@ -312,15 +283,6 @@ def cmd_simulate(args) -> int:
         title = f"vg={_fmt4(p.vg)} V"
         svg = timeseries_svg(traj.times, traj.vc, "time (s)", "vc (V)", title)
         outputs.append(_write_svg(args, "sim.svg", svg))
-    resolved = {
-        "converter_params": dataclasses.asdict(p),
-        "gains": dataclasses.asdict(gains),
-        "sensor_gain": sensor,
-        "t_end": args.t_end,
-        "steps_per_period": args.steps_per_period,
-        "initial_state": list(initial),
-        "integrator_init": integrator_init,
-    }
     print(
         f"vg={_fmt4(p.vg)} V: final-cycle vc = {_fmt4(report.final_vc_mean)} V "
         f"({_fmt4(report.deviation_pct)}% off target), duty = {_fmt4(report.duty_final)}"
@@ -337,8 +299,15 @@ def cmd_simulate(args) -> int:
         "idle_run_substeps": traj.idle_run_substeps,
         "dcm_encountered": traj.dcm_encountered,
     }
+    # the run's settings that no option holds
+    pwm_loop = {
+        "gains": dataclasses.asdict(gains),
+        "sensor_gain": sensor,
+        "initial_state": list(initial),
+        "integrator_init": integrator_init,
+    }
     _write_manifest(
-        args, "simulate", resolved, outputs, {"csv": emitted, "simulator": simulator}
+        args, configured, outputs, {"pwm_loop": pwm_loop, "csv": emitted, "simulator": simulator}
     )
     return 0 if report.passed else 4
 

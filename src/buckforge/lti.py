@@ -283,18 +283,16 @@ def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
 
     Returns (is_exact, index) pairs: an exact zero at a grid point, or a
     sign change over [index, index + 1]. Exact zeros do not additionally
-    count as sign changes with their neighbors.
+    count as sign changes with their neighbors; a NaN sample counts as not
+    positive.
     """
-    hits = [(True, int(i)) for i in np.nonzero(values == 0.0)[0]]
+    zero = values == 0.0
+    hit = zero.copy()
     pos = values > 0.0
-    flips = np.nonzero(
-        pos[:-1] != pos[1:]
-    )[0]
-    for i in flips:
-        if values[i] != 0.0 and values[i + 1] != 0.0:
-            hits.append((False, int(i)))
-    hits.sort(key=lambda h: h[1])
-    return hits
+    # a change of sign onto an exact zero is that zero's own hit
+    hit[:-1] |= (pos[:-1] != pos[1:]) & ~zero[1:]
+    idx = np.flatnonzero(hit)
+    return list(zip(zero[idx].tolist(), idx.tolist()))
 
 
 def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
@@ -326,35 +324,31 @@ def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float
     return float(np.degrees(angle + total) + shift)
 
 
-def _crossover_and_phase_margin(
-    tf: TransferFunction, hit: tuple[bool, int], phase_at_hit: float
-) -> tuple[float, float]:
-    """Gain crossover and phase margin from the lowest window crossing `hit`;
-    `phase_at_hit` is the unwrapped phase (deg) at its grid point."""
-    exact, i = hit
+def _gain_crossing(
+    tf: TransferFunction, resp: np.ndarray
+) -> tuple[list[tuple[bool, int]], float | None, float | None]:
+    """Gain crossings of `tf` from its response `resp` on the margin window, and
+    the lowest one's crossover (rad/s) and phase margin (deg), both None when
+    |L| never crosses 1 there; the phase is unwrapped only up to the crossing."""
+    hits = _find_crossings(np.abs(resp) - 1.0)
+    if not hits:
+        return hits, None, None
+    exact, i = hits[0]
     if exact:
         crossover = float(MARGIN_OMEGAS[i])
     else:
         lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
         crossover = _refine_gain_crossover(tf, lo, hi)
-    ph = phase_at_hit + _wrap_delta(phase_deg(evaluate(tf, crossover)) - phase_at_hit)
-    return crossover, 180.0 + ph
+    ph = _unwrapped_phase_at(tf, resp, i)
+    ph += _wrap_delta(phase_deg(evaluate(tf, crossover)) - ph)
+    return hits, crossover, 180.0 + ph
 
 
 def phase_margin(loop_tf: TransferFunction, resp: np.ndarray) -> float | None:
     """Phase margin (deg) of `loop_tf` from its response `resp` on the margin
-    window, with no phase-crossover or gain-margin work.
-
-    This equals the `phase_margin_deg` of `stability_margins(loop_tf)`: the
-    phase is unwrapped only up to the crossing. Returns None when |L| never
-    crosses 1 on the window.
-    """
-    gain_hits = _find_crossings(np.abs(resp) - 1.0)
-    if not gain_hits:
-        return None
-    hit = gain_hits[0]
-    phase_at_hit = _unwrapped_phase_at(loop_tf, resp, hit[1])
-    return _crossover_and_phase_margin(loop_tf, hit, phase_at_hit)[1]
+    window, as `stability_margins(loop_tf)` reports it, with no phase-crossover
+    or gain-margin work; None when |L| never crosses 1 there."""
+    return _gain_crossing(loop_tf, resp)[2]
 
 
 def stability_margins(loop_tf: TransferFunction) -> MarginReport:
@@ -366,19 +360,10 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     fields. Raises ValueError when the response leaves the float range there.
     """
     resp = window_response(loop_tf.num, window_response(loop_tf.den, None))
-    mags = np.abs(resp)
+    gain_hits, gain_crossover, pm = _gain_crossing(loop_tf, resp)
     phases = np.degrees(np.unwrap(np.angle(resp)))
     phases += _anchor(phases[0], _low_frequency_phase_asymptote(loop_tf)) - phases[0]
-
-    gain_hits = _find_crossings(mags - 1.0)
     phase_hits = _find_crossings(phases + 180.0)
-
-    gain_crossover = None
-    pm = None
-    if gain_hits:
-        hit = gain_hits[0]
-        phase_at_hit = float(phases[hit[1]])
-        gain_crossover, pm = _crossover_and_phase_margin(loop_tf, hit, phase_at_hit)
 
     phase_crossover = None
     gain_margin = math.inf
@@ -391,14 +376,12 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
             phase_crossover = _refine_phase_crossover(loop_tf, lo, hi, float(phases[i]))
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))
 
-    pm_ok = pm > 0.0 if pm is not None else True
-    gm_ok = gain_margin > 0.0
     return MarginReport(
         gain_crossover=gain_crossover,
         phase_crossover=phase_crossover,
         gain_margin_db=gain_margin,
         phase_margin_deg=pm,
-        stable_loop=pm_ok and gm_ok,
+        stable_loop=(pm is None or pm > 0.0) and gain_margin > 0.0,
         gain_crossover_count=len(gain_hits),
         phase_crossover_count=len(phase_hits),
     )
@@ -433,19 +416,13 @@ def dc_gain(tf: TransferFunction) -> float:
     0/0 (e.g. a proportional-only PI kept as k*s/s).
     """
     n0, d0 = tf.num[-1], tf.den[-1]
-    if d0 == 0.0:
-        if n0 == 0.0:
-            return math.nan
-        return math.copysign(math.inf, n0 * _leading_sign_at_zero(tf.den))
-    return n0 / d0
-
-
-def _leading_sign_at_zero(den: tuple[float, ...]) -> float:
-    # sign of den(0+) along the real axis, from the lowest nonzero coefficient
-    for c in reversed(den):
-        if c != 0.0:
-            return math.copysign(1.0, c)
-    return 1.0
+    if d0 != 0.0:
+        return n0 / d0
+    if n0 == 0.0:
+        return math.nan
+    # den(0+) has the sign of its lowest nonzero coefficient (den[0] is one)
+    lowest = next(c for c in reversed(tf.den) if c != 0.0)
+    return math.copysign(math.inf, n0 * lowest)
 
 
 def poles(tf: TransferFunction) -> list[complex]:

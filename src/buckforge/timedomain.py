@@ -170,10 +170,15 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
 
     The final value is the mean of the trailing 10% of samples; the tail
     must itself have stopped moving. Threshold crossings are located by
-    linear interpolation between bracketing samples.
+    linear interpolation between bracketing samples. Raises ValueError,
+    naming the first such sample, when the response is not finite.
     """
     times = traj.times
     values = traj.values
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = float(times[finite.argmin()])
+        raise ValueError(f"step response leaves the float range at t={t!r} s")
     tail = values[-max(2, len(values) // 10):]
     final = float(tail.mean())
     wiggle = float(tail.max() - tail.min())

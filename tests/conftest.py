@@ -5,8 +5,8 @@ from hypothesis import settings
 
 from buckforge import ConverterParams, derive_plant
 
-# a longer search for the CI runs of the CSV formatter, phase unwrap and
-# closed-loop kernel properties: pytest --hypothesis-profile=ci
+# a longer search for the properties marked oracle_property:
+# pytest -m oracle_property --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=5000)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -74,6 +74,39 @@ def test_derive_zero_winding_resistance(tmp_path):
     assert den[2] == pytest.approx(1.0 / (250e-6 * 30e-3), rel=1e-9)
 
 
+# one run of each command, with its options given
+MANIFEST_RUNS = {
+    "derive": (),
+    "bode": ("--kp", "0.23", "--ki", "1", "--omega-min", "2", "--points-per-decade", "50",
+             "--svg"),
+    "tune": ("--ki", "2", "--target-pm", "50"),
+    "step": ("--kp", "0.23", "--ki", "1", "--samples", "1001", "--svg"),
+    "simulate": ("--vg", "500", "--from-operating-point", "--t-end", "0.0005",
+                 "--steps-per-period", "20", "--svg"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_records_every_option(nominal_config_path, tmp_path, command):
+    # bode --svg and simulate --vg/--from-operating-point/--svg once went
+    # unrecorded, and a 500 V run recorded no trace of the configured 30 V
+    out = tmp_path / "out"
+    argv = [command, "--config", nominal_config_path, "--out-dir", str(out),
+            *MANIFEST_RUNS[command]]
+    assert run(argv) in (0, 4)
+    manifest = read_json(out / f"{command}_manifest.json")
+    parsed = vars(cli.build_parser().parse_args(argv))
+    del parsed["command"], parsed["func"]
+    assert manifest["resolved_config"] == {
+        "converter_params": read_json(nominal_config_path),
+        "options": parsed,
+    }
+    if command == "simulate":
+        assert parsed["vg"] == 500.0 and parsed["from_operating_point"] and parsed["svg"]
+        # started from the operating point at the configured 30 V
+        assert manifest["pwm_loop"]["initial_state"][1] == pytest.approx(15.0, rel=1e-2)
+
+
 def test_missing_config_is_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["derive", "--config", str(tmp_path / "nope.json"),

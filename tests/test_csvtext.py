@@ -42,6 +42,7 @@ _CELLS = st.one_of(
 )
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda width: st.lists(st.tuples(*[_CELLS] * width), min_size=1, max_size=40)

@@ -364,6 +364,7 @@ _ANCHOR_LOOPS = [
 ]
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None)
 @given(
     resp=st.one_of(

@@ -290,6 +290,7 @@ def test_tune_matches_reference(nominal_plant, nominal_params, full_loop, ki, ta
     _assert_tune_matches_reference(nominal_plant, ki, target)
 
 
+@pytest.mark.oracle_property
 @settings(
     max_examples=30, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

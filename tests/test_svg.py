@@ -146,6 +146,7 @@ def _oracle_range(lo, hi):
     return hi <= lo or hi - lo >= max(1e-8, 1e-11 * max(abs(lo), abs(hi)))
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None)
 @given(
     n=st.integers(2, 4000),
@@ -171,6 +172,7 @@ def test_bode_svg_matches_reference_property(n, seed, low, decades, crossovers):
     assert got == bode_svg_reference(_points(drawn), margins, "random")
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None)
 @given(
     n=st.integers(2, 4000),

@@ -435,6 +435,7 @@ def test_closed_loop_matches_reference_loop(nominal_params, case):
         assert {0, cfg.steps_per_period} <= duties
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     vg=st.floats(16.0, 500.0),
@@ -724,6 +725,7 @@ def test_idle_run_starts_only_from_an_idle_frozen_substep(
     assert sum(calls) == traj.idle_run_substeps
 
 
+@pytest.mark.oracle_property
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     vg=st.floats(16.0, 500.0),
@@ -774,6 +776,9 @@ OPEN_LOOP_CASES = {
     # substep, so the clamp acts with no idle substep after it
     "clamp_only_boundary": (20.0, 0.97, 20, (0.5, 40.0)),
     "clamp_only_full": (20.0, 0.95, 20, (0.5, 40.0)),
+    # d*spp = 36.99999999996: a fraction within 1e-9 of a whole substep
+    # rounds up to 37 ON substeps, with no boundary substep
+    "duty_rounds_up_spp200": (30.0, 0.185 - 2e-13, 200, (0.0, 0.0)),
 }
 
 
@@ -790,6 +795,10 @@ def test_open_loop_matches_reference_loop(nominal_params, case):
         assert traj.dcm_encountered
     if case in ("negative_il_at_boundary", "clamp_only_boundary", "clamp_only_full"):
         assert traj.il.min() < 0.0
+    if case == "duty_rounds_up_spp200":
+        whole = simulate_open_loop(p, 37 / 200, cfg)
+        assert traj.il.tobytes() == whole.il.tobytes()
+        assert traj.vc.tobytes() == whole.vc.tobytes()
 
 
 def _averaged_run(p, d, cfg, n_samples):

@@ -145,6 +145,17 @@ def test_not_settled_rejected(nominal_plant):
         step_metrics(traj, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_metrics_refuse_a_non_finite_response(bad):
+    # an inf sample once gave a final value of inf and a settling time of 0.0
+    # (and three RuntimeWarnings); a nan one, "never reaches level nan"
+    values = np.ones(21)
+    values[7:] = bad
+    traj = Trajectory(np.linspace(0.0, 2.0, 21), values)
+    with pytest.raises(ValueError, match=r"leaves the float range at t=0\.7000000000000001 s"):
+        step_metrics(traj, 1.0)
+
+
 def test_unstable_flagged():
     tf = TransferFunction((1.0,), (1.0, -1.0))
     traj = step_response(tf, 2.0, 101)

@@ -164,10 +164,12 @@ def cmd_tune(args) -> int:
         _write_manifest(args, p, [], trace)
         raise
     report = design_report(plant, result.gains, p)
+    # the report's margins are those the search accepted the tuned kp on
+    margins = report["loop_variants"]["plant_times_pi"]
     doc = {
         "target_phase_margin_deg": args.target_pm,
         "gains": dataclasses.asdict(result.gains),
-        "achieved_margins": dataclasses.asdict(result.margins),
+        "achieved_margins": margins,
         "design_report": report,
     }
     published = published_gain_reference(args.target_pm)
@@ -177,7 +179,7 @@ def cmd_tune(args) -> int:
     _write_json(out, doc)
     print(
         f"kp = {_fmt4(result.gains.kp)} reaches "
-        f"{_fmt4(result.margins.phase_margin_deg)} deg phase margin "
+        f"{_fmt4(margins['phase_margin_deg'])} deg phase margin "
         f"(target {_fmt4(args.target_pm)})"
     )
     _write_manifest(args, p, [out], {"tuning_trace": dataclasses.asdict(result.trace)})

@@ -74,8 +74,8 @@ class TuningTrace:
     reaches 1). `bracket` is the grid interval the bisection started from,
     None on an exact grid hit or when no interval brackets the target.
     `bisection` lists each midpoint as (kp, phase margin). `pm_evals`
-    counts phase-margin evaluations; the final full margin report of the
-    chosen kp is not one of them.
+    counts phase-margin evaluations. A tuned kp is accepted on the margin
+    recorded for it here: the grid hit's, or the last midpoint's.
     """
 
     kp_grid: tuple[float, ...]
@@ -88,8 +88,7 @@ class TuningTrace:
 @dataclass(frozen=True)
 class TuningResult:
     gains: PIGains
-    margins: MarginReport
-    trace: TuningTrace | None = None
+    trace: TuningTrace
 
 
 KP_BRACKET = (1e-6, 1e3)
@@ -106,8 +105,10 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
     then bisects to within PM_TOLERANCE_DEG. Raises TuningError with the
     observed margins when no bracket exists, and with the final bracket and
     its end margins when bisection stops at a jump of PM(kp); the result
-    and the error carry a TuningTrace of the search. Raises ValueError when
-    a loop's response is not finite on the margin window.
+    and the error carry a TuningTrace of the search. The margin of the
+    returned kp is the one the search computed, `stability_margins`'s phase
+    margin bit for bit. Raises ValueError when a loop's response is not
+    finite on the margin window.
     """
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
@@ -139,21 +140,10 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
     def reached(pm: float | None) -> str:
         return "no gain crossover" if pm is None else f"{pm!r} deg"
 
-    def result(kp: float, bracket: tuple | None, jump: str) -> TuningResult:
-        margins = stability_margins(compensated_loop(plant, PIGains(kp, ki)))
-        pm = margins.phase_margin_deg
-        if pm is None or abs(pm - target_pm) > PM_TOLERANCE_DEG:
-            # the bracket straddled a jump of PM(kp) or the margin window's edge
-            raise TuningError(
-                f"phase margin target {target_pm!r} deg not met: the search "
-                f"ended at kp {kp!r} with {reached(pm)}{jump}",
-                trace(bracket),
-            )
-        return TuningResult(PIGains(kp, ki), margins, trace(bracket))
-
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
     if hit is not None:
-        return result(grid[hit], None, "")
+        # PM(grid[hit]) is the target itself
+        return TuningResult(PIGains(grid[hit], ki), trace(None))
 
     bracket = None
     for i in reversed(range(n - 1)):
@@ -176,7 +166,8 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
             trace(None),
         )
 
-    a, b = grid[bracket], grid[bracket + 1]
+    span = (grid[bracket], grid[bracket + 1])
+    a, b = span
     pm_a, pm_b = pms[bracket], pms[bracket + 1]
     for _ in range(100):
         mid = math.sqrt(a * b)
@@ -184,19 +175,19 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
         steps.append((mid, pm))
         fm = excess(pm)
         if abs(fm) <= PM_TOLERANCE_DEG:
-            a = b = mid
-            break
+            return TuningResult(PIGains(mid, ki), trace(span))
         if excess(pm_a) * fm <= 0.0:
             b, pm_b = mid, pm
         else:
             a, pm_a = mid, pm
         if b - a <= 1e-12 * b:
             break
-    jump = "" if a == b else (
-        f"; PM(kp) jumps from {reached(pm_a)} at kp {a!r} to {reached(pm_b)} "
-        f"at kp {b!r}, across the target"
+    # the bracket straddled a jump of PM(kp) or the margin window's edge
+    raise TuningError(
+        f"phase margin target {target_pm!r} deg not met: PM(kp) jumps from "
+        f"{reached(pm_a)} at kp {a!r} to {reached(pm_b)} at kp {b!r}, across the target",
+        trace(span),
     )
-    return result(math.sqrt(a * b), (grid[bracket], grid[bracket + 1]), jump)
 
 
 # Margin values reported in the published case studies for this plant,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lti import MAX_SAMPLES, TransferFunction, poles
+from .lti import MAX_SAMPLES, TransferFunction
 
 # half-width of the settling band, as a fraction of the final value
 SETTLING_BAND = 0.05
@@ -30,7 +30,6 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    unstable: bool = False
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -108,7 +107,7 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
 
     The per-step transition pair (Phi, Gamma) is computed once from the
     augmented system matrix, making every step exact for the constant
-    input. An unstable transfer function is simulated anyway but flagged.
+    input. An unstable transfer function is simulated as it is.
     """
     if not tf.is_proper:
         raise ValueError("step response requires a proper transfer function")
@@ -120,16 +119,21 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
         raise ValueError(f"need at least 10 samples, got {samples!r}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples {samples!r} is over the budget of {MAX_SAMPLES}")
+    dt = t_end / (samples - 1)
+    if dt < np.finfo(float).tiny:
+        raise ValueError(
+            f"t_end {t_end!r} over samples {samples!r} spaces the samples {dt!r} s "
+            "apart, below the smallest normal float"
+        )
 
     times = np.linspace(0.0, t_end, samples)
     n = len(tf.den) - 1
     if n == 0:
         gain = tf.num[-1] / tf.den[-1]
-        return Trajectory(times, np.full(samples, gain), unstable=False)
+        return Trajectory(times, np.full(samples, gain))
 
-    unstable = any(p.real >= 0.0 for p in poles(tf))
     A, B, C, D = _canonical_form(tf)
-    phi, gamma = zoh(A, B, t_end / (samples - 1))
+    phi, gamma = zoh(A, B, dt)
     # orders 1 and 2 run in the third-order loop; their zero-padded states
     # stay exactly 0 while the response is finite (0 * inf is nan)
     pad = [0.0] * (3 - n)
@@ -148,7 +152,7 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
             f21 * x1 + f22 * x2 + f23 * x3 + g2,
             f31 * x1 + f32 * x2 + f33 * x3 + g3,
         )
-    return Trajectory(times, y, unstable=unstable)
+    return Trajectory(times, y)
 
 
 def _cross_time(times: np.ndarray, values: np.ndarray, level: float) -> float:

@@ -300,7 +300,8 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
     Kept as the reference for ``tune_kp_for_pm``: the two must return the
     same kp and margins bit for bit and raise the same errors. ``pi_design``
     is the module under test, read by attribute only for its loop assembly,
-    margin scan, gain and result types; the search itself is this copy.
+    margin scan, gain and error types; the search itself is this copy.
+    Returns the tuned gains and the full margin report of their loop.
     """
     stability_margins = pi_design.stability_margins
     compensated_loop = pi_design.compensated_loop
@@ -325,9 +326,7 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
     if hit is not None:
         kp = grid[hit]
-        return pi_design.TuningResult(
-            PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki)))
-        )
+        return PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki)))
 
     bracket = None
     for i in reversed(range(n - 1)):
@@ -359,10 +358,7 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
         if b - a <= 1e-12 * b:
             break
     kp = math.sqrt(a * b)
-    return pi_design.TuningResult(
-        PIGains(kp, ki),
-        stability_margins(compensated_loop(plant, PIGains(kp, ki))),
-    )
+    return PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki)))
 
 
 # The package's SVG figures as they were before one stacked-panel builder

@@ -339,6 +339,23 @@ def test_tune_manifest_records_search(nominal_config_path, tmp_path):
     assert abs(trace["bisection"][-1][1] - 50.0) <= 0.05
 
 
+def test_tune_reports_the_margins_it_accepted(nominal_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(out),
+        "--target-pm", "50",
+    ]) == 0
+    doc = read_json(out / "tune.json")
+    report = doc["design_report"]
+    assert doc["achieved_margins"] == report["loop_variants"]["plant_times_pi"]
+    assert doc["achieved_margins"] == report["selected_loop_margins"]
+    # the reported phase margin is the one the search accepted kp on
+    pm = doc["achieved_margins"]["phase_margin_deg"]
+    trace = read_json(out / "tune_manifest.json")["tuning_trace"]
+    assert trace["bisection"][-1] == [doc["gains"]["kp"], pm]
+    assert f"reaches {cli._fmt4(pm)} deg phase margin" in capsys.readouterr().out
+
+
 def test_tune_unreachable_manifest_keeps_trace(nominal_config_path, tmp_path):
     out = tmp_path / "out"
     assert run([
@@ -403,6 +420,20 @@ def test_step_non_finite_t_end_is_exit_2(nominal_config_path, tmp_path, capsys, 
         "--kp", "0.23", "--ki", "1", "--t-end", t_end,
     ]) == 2
     assert "t_end must be positive and finite" in capsys.readouterr().err
+    assert not (out / "step.csv").exists()
+    assert not (out / "step_metrics.json").exists()
+
+
+def test_step_window_too_short_to_sample_is_exit_2(nominal_config_path, tmp_path, capsys):
+    # once refused as "times must be strictly increasing", naming neither option
+    out = tmp_path / "out"
+    assert run([
+        "step", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "1", "--ki", "1", "--t-end", "5e-324", "--samples", "10",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "t_end 5e-324 over samples 10" in err and "smallest normal float" in err
+    assert "Traceback" not in err
     assert not (out / "step.csv").exists()
     assert not (out / "step_metrics.json").exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -59,7 +60,6 @@ def test_first_order_matches_analytic():
     traj = step_response(FIRST_ORDER, 5.0, 5001)
     expect = 1.0 - np.exp(-traj.times)
     assert np.abs(traj.values - expect).max() < 1e-9
-    assert not traj.unstable
 
 
 def test_first_order_metrics():
@@ -157,9 +157,9 @@ def test_metrics_refuse_a_non_finite_response(bad):
 
 
 def test_unstable_flagged():
+    # an unstable loop is simulated as it is: its response keeps growing
     tf = TransferFunction((1.0,), (1.0, -1.0))
     traj = step_response(tf, 2.0, 101)
-    assert traj.unstable
     assert traj.values[-1] > traj.values[len(traj.values) // 2]
 
 
@@ -179,6 +179,11 @@ def test_input_validation(nominal_plant):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             step_response(nominal_plant, bad, 100)
+    tiny = sys.float_info.min
+    for t_end in (5e-324, math.nextafter(9 * tiny, 0.0)):
+        with pytest.raises(ValueError, match=r"t_end .* over samples 10 spaces"):
+            step_response(nominal_plant, t_end, 10)
+    assert len(step_response(nominal_plant, 9 * tiny, 10).times) == 10
 
 
 def test_trajectory_validation():

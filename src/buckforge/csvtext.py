@@ -28,12 +28,14 @@ v = 1e17 - 8.3. Computed without rounding error:
   ten. Whether 1e16 <= p + e < 1e17 is decided exactly from p and e, and a
   cell outside that range is scaled again at E -/+ 1.
 
-The digits are laid out as ``%g`` does (sign, integer part or ``0.``,
-leading zeros, digits, trailing zeros and a bare point dropped) in
-NUL-padded fields, and one mask over the block drops the padding. Zeros
-are written directly as ``0`` or ``-0``. Every other cell (nan, +-inf,
-subnormals, 0 < |x| < 1e-4, |x| >= 1e16) takes the per-cell path,
-``"%.17g"``, through Python's own formatting.
+D's first digit is split off; the other 16 come from four int16 groups
+of four digits, one division of all groups per digit position. They are
+laid out as ``%g`` does (sign, integer part or ``0.``, leading zeros,
+digits, trailing zeros and a bare point dropped) in NUL-padded fields,
+which all start as ``0`` or ``-0`` (so zeros cost two column writes per
+block), and one ``bytes.translate`` drops the padding. Every other cell
+(nan, +-inf, subnormals, 0 < |x| < 1e-4, |x| >= 1e16) takes the per-cell
+path, ``"%.17g"``, through Python's own formatting.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 _FIELD = 24
 # sign, four slots for "0.000", 17 digits and the point
 _FIXED_FIELD = 23
-_NUL, _MINUS, _POINT, _ZERO = 0, ord("-"), ord("."), ord("0")
+_MINUS, _POINT, _ZERO = ord("-"), ord("."), ord("0")
 
 # 10**k for k = 16 - E, E in [-4, 15]: exact doubles
 _POW10 = np.array([float(10**k) for k in range(21)])
@@ -109,16 +111,25 @@ def _fixed(x):
     out[1:5] = (_PREFIX_SLOTS >= point + 4) * np.uint8(_ZERO)
     out[1:5] -= (_PREFIX_SLOTS == point + 5) * np.uint8(_ZERO - _POINT)
 
-    # body[0] = 0 and body[1 + j] = digit j of d, most significant first
+    # body[0] = 0 and body[1 + j] = digit j of d, most significant first;
+    # digits 1 to 16 come from four int16 groups of four digits, divided
+    # as one (4, n) array per digit position
     body = out[5:]
     body[0] = 0
-    upper = d // 10**8
-    for chunk, rows in (((d - upper * 10**8).astype(np.int32), range(17, 9, -1)),
-                        (upper.astype(np.int32), range(9, 0, -1))):
-        for row in rows:
-            q = chunk // 10
-            body[row] = chunk - 10 * q
-            chunk = q
+    halves = np.empty((2, len(x)), np.int32)
+    halves[0] = d // 10**8
+    halves[1] = d - halves[0] * np.int64(10**8)
+    body[1] = halves[0] // 10**8
+    halves[0] -= body[1] * np.int32(10**8)
+    groups = np.empty((4, len(x)), np.int16)
+    groups[0::2] = halves // 10**4
+    groups[1::2] = halves - groups[0::2] * np.int32(10**4)
+    digits = body[2:].reshape(4, 4, -1)
+    for pos in range(3, 0, -1):
+        q = groups // 10
+        digits[:, pos] = groups - 10 * q
+        groups = q
+    digits[:, 0] = groups
     # 1 + the index of the last nonzero digit
     last = (_SLOTS[1:] * (body[1:] != 0)).max(axis=0)
     # the last slot kept: the last nonzero fraction digit, else the units digit
@@ -148,14 +159,13 @@ def format_block(columns) -> tuple[bytes, int]:
     fields = fields.reshape(rows * width, _FIELD + 1)
 
     slow = per_cell(cells)
-    zero = cells == 0
-    fast = np.flatnonzero(~(slow | zero))
+    fast = np.flatnonzero(~slow & (cells != 0))
+    # "0" or "-0" in every field; the other cells overwrite theirs
+    fields[:, 0] = np.signbit(cells) * np.uint8(_MINUS)
+    fields[:, 1] = _ZERO
     fields[fast, :_FIXED_FIELD] = _fixed(cells[fast]).T
-    zero = np.flatnonzero(zero)
-    fields[zero, 0] = np.where(np.signbit(cells[zero]), _MINUS, _NUL)
-    fields[zero, 1] = _ZERO
     slow = np.flatnonzero(slow)
     text = (f"%-{_FIELD}.17g" * slow.size) % tuple(cells[slow].tolist())
     padded = text.encode("ascii").translate(_SPACE_TO_NUL)
     fields[slow, :_FIELD] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
-    return fields[fields != _NUL].tobytes(), slow.size
+    return fields.tobytes().translate(None, b"\0"), slow.size

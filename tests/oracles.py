@@ -337,10 +337,15 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
                 break
     if bracket is None:
         pms = [x + target_pm for x in f if math.isfinite(x)]
+        observed = (
+            f"observed margins span [{min(pms):.3f}, {max(pms):.3f}] deg"
+            if pms
+            else "no kp gives a gain crossover (|L| never crosses 1 on the "
+            "margin window)"
+        )
         raise pi_design.TuningError(
             f"phase margin target {target_pm!r} deg not bracketed for "
-            f"kp in [{lo!r}, {hi!r}]; observed margins span "
-            f"[{min(pms):.3f}, {max(pms):.3f}] deg"
+            f"kp in [{lo!r}, {hi!r}]; {observed}"
         )
 
     a, b = grid[bracket], grid[bracket + 1]

@@ -96,7 +96,7 @@ def test_manifest_records_every_option(nominal_config_path, tmp_path, command):
     assert run(argv) in (0, 4)
     manifest = read_json(out / f"{command}_manifest.json")
     parsed = vars(cli.build_parser().parse_args(argv))
-    del parsed["command"], parsed["func"]
+    del parsed["command"]
     assert manifest["resolved_config"] == {
         "converter_params": read_json(nominal_config_path),
         "options": parsed,
@@ -105,6 +105,18 @@ def test_manifest_records_every_option(nominal_config_path, tmp_path, command):
         assert parsed["vg"] == 500.0 and parsed["from_operating_point"] and parsed["svg"]
         # started from the operating point at the configured 30 V
         assert manifest["pwm_loop"]["initial_state"][1] == pytest.approx(15.0, rel=1e-2)
+
+
+def test_parser_is_built_once_and_dispatches_at_call_time(
+    nominal_config_path, tmp_path, monkeypatch
+):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["derive", "--config", nominal_config_path, "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    # a wrapper set on the module attribute after the first run still runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_derive", lambda args: calls.append(args.command) or 7)
+    assert run(argv) == 7 and calls == ["derive"]
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):
@@ -703,9 +715,23 @@ def test_simulate_unreachable_source_fails_regulation(
     ]) == 4
     report = read_json(out / "regulation.json")
     assert report["deviation_pct"] <= report["tolerance_pct"] and not report["passed"]
+    # the report names the reason: the source's full-duty output
+    config = read_json(nominal_config_path)
+    full = float(vg) * config["r_load"] / (config["r_load"] + config["r_l"])
+    assert report["unreachable_target"] == {
+        "full_duty_output_v": full, "shortfall_v": config["vo_target"] - full,
+    }
     stdout = capsys.readouterr().out
     assert "at full duty" in stdout and "short of the 15 V target" in stdout
     assert "regulation FAIL" in stdout
+    # the configured 30 V source reaches the target: no such key
+    nominal = tmp_path / "nominal"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(nominal),
+        "--from-operating-point", "--t-end", "0.002",
+    ]) in (0, 4)
+    assert "unreachable_target" not in read_json(nominal / "regulation.json")
+    assert "at full duty" not in capsys.readouterr().out
 
 
 def test_simulate_requires_gain_pair(nominal_config_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The numpy CSV formatter against the per-cell "%.17g" writer it replaced."""
 
+import itertools
 import math
 import os
 import struct
@@ -89,6 +90,59 @@ def test_half_way_ties_round_to_even():
     assert halves == len(ties) == 500
     ties = np.array(ties)
     _assert_same(ties, -ties)
+
+
+def _digit_groups(x: float) -> list[str]:
+    """Digits 1 to 16 of the 17 that "%.17g" prints for x, in groups of four."""
+    text = "%.16e" % abs(x)
+    digits = text[0] + text[2:18]
+    return [digits[1 + 4 * g : 5 + 4 * g] for g in range(4)]
+
+
+def test_digit_groups_of_zeros_nines_and_single_digits():
+    patterns = ["0000", "9999"] + [
+        "".join(d if i == pos else "0" for i in range(4)) for pos in range(4) for d in "19"
+    ]
+    values = []
+    fills = ("0000", "9999")
+    for group, pattern, fill, lead in itertools.product(range(4), patterns, fills, "19"):
+        digits = [fill] * 4
+        digits[group] = pattern
+        values += [float(f"{lead}.{''.join(digits)}e{e}") for e in (-4, -1, 0, 7, 15)]
+    # the nearest double can print other last digits: check what was covered
+    seen = [set() for _ in range(4)]
+    for x in values:
+        for group, digits in enumerate(_digit_groups(x)):
+            seen[group].add(digits)
+    assert all(set(patterns) <= covered for covered in seen)
+    values = np.array(values)
+    _assert_same(values, -values)
+
+
+def test_every_fixed_notation_exponent():
+    rng = np.random.default_rng(5)
+    mantissas = np.concatenate([[1.0, 9.999999999999998], rng.uniform(1.0, 10.0, 20)])
+    values = np.concatenate([mantissas * 10.0**e for e in range(-4, 16)])
+    assert {int(("%.16e" % x)[-3:]) for x in values} == set(range(-4, 16))
+    assert not per_cell(values).any()
+    _assert_same(values, -values)
+
+
+def test_block_shaped_like_a_pwm_trace():
+    # one full block: a time ramp, three columns idling at zero in long runs,
+    # and -0.0 where an idle current or duty is negated
+    rng = np.random.default_rng(8)
+    rows = cli._CSV_BLOCK_ROWS
+    time_s = np.arange(rows) / 3e6
+    idle = (np.arange(rows) // 300) % 3 != 0
+    il = np.where(idle, 0.0, rng.uniform(0.0, 4.0, rows))
+    il[rng.choice(rows, 40)] = -0.0
+    vc = 18.0 + rng.standard_normal(rows) * 1e-3
+    duty = np.where(idle, 0.0, rng.choice([0.0, 0.02, 0.98, 1.0], rows))
+    duty[rng.choice(rows, 40)] = -0.0
+    switch_state = (duty > 0.5).astype(np.float64)
+    assert (il == 0).mean() > 0.5 and (duty == 0).mean() > 0.5
+    _assert_same(time_s, il, vc, duty, switch_state)
 
 
 def test_bool_columns():

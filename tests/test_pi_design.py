@@ -309,6 +309,16 @@ def test_tune_matches_reference(nominal_plant, nominal_params, full_loop, ki, ta
     _assert_tune_matches_reference(nominal_plant, ki, target)
 
 
+def test_tune_without_gain_crossover_matches_reference(nominal_plant):
+    # no kp on the grid gives a gain crossover: both raise the same error
+    def reference(*args):
+        return tune_kp_for_pm_reference(pi_design, *args)
+
+    want = _tune_outcome(reference, nominal_plant, 1e300, 50.0)
+    assert want[0] == "TuningError" and "no kp gives a gain crossover" in want[1]
+    assert _tune_outcome(_tuned_and_measured, nominal_plant, 1e300, 50.0) == want
+
+
 # 30 examples under the default profile; the ci profile's long run gets 1500
 @pytest.mark.oracle_property
 @settings(

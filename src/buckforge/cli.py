@@ -303,6 +303,9 @@ def cmd_simulate(args) -> int:
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
     simulator = {
         "substeps": len(traj.times) - 1,
+        # counted from the returned arrays, so the kernel pays nothing per substep
+        "on_substeps": int(traj.switch_state[:-1].sum()),
+        "zero_current_samples": int((traj.il == 0.0).sum()),
         "idle_run_substeps": traj.idle_run_substeps,
         "dcm_encountered": traj.dcm_encountered,
     }

@@ -19,20 +19,23 @@ clamp flags the trajectory (dcm_encountered) rather than modeling
 discontinuous-conduction dynamics.
 
 The closed-loop kernel steps whole periods, one substep at a time in
-Python, except for idle runs: after an overshoot the switch stays off, the
-diode blocks, and with u < 0 and the output above its target the
-integrator is frozen at the bottom of the window, so each substep only
-decays vc by one constant factor. A period that starts with il == 0 and
-u < 0, where that decay predicts at least one whole idle, frozen period,
-goes to numpy passes that repeat the per-substep loop's IEEE operations in
-its order, up to the first substep that would leave the idle, frozen state;
-the whole periods before it are committed, bit for bit as the per-substep
-loop gives them, and counted in idle_run_substeps.
+Python. It buffers a period's il and vc in two lists and stores each with
+one struct.pack_into; the switch record starts all OFF, and only an ON
+substep writes its entry. The exception is idle runs: after an overshoot
+the switch stays off, the diode blocks, and with u < 0 and the output above
+its target the integrator is frozen at the bottom of the window, so each
+substep only decays vc by one constant factor. A period that starts with
+il == 0 and u < 0, where that decay predicts at least one whole idle,
+frozen period, goes to numpy passes that repeat the per-substep loop's IEEE
+operations in its order, up to the first substep that would leave the
+idle, frozen state; the whole periods before it are committed, bit for bit
+as the per-substep loop gives them, and counted in idle_run_substeps.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,11 +295,16 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     half_ki_dt = 0.5 * ki * dt
     saw_step = vs / spp
     thresholds = [saw_step * k for k in range(spp)]
-    # one period of samples is buffered in lists and stored with three slice
-    # assignments; whole-run lists would cost ~67 MB each at 2.1M samples
+    # one period of il and vc is buffered in lists and stored with one
+    # pack_into per state (native "d" is float64's layout), which costs about
+    # half of numpy's element-by-element list conversion; each *buf builds one
+    # tuple of spp references, 1.6 kB at spp 200 and at most 16 MB at the
+    # 2M-spp edge of the sample budget
+    pack = struct.Struct(f"{spp}d").pack_into
     buf_il = [0.0] * spp
     buf_vc = [0.0] * spp
-    buf_q = [False] * spp
+    # out_q starts all OFF, so only an ON substep writes its switch state
+    q_view = memoryview(out_q)
     dcm = False
     idle_run_substeps = 0
     # the vc below which an idle substep would move the integrator
@@ -326,11 +334,12 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
                     break
                 vc = float(out_vc[lo])
                 e = vref - H * vc
+        q_period = q_view[lo : lo + spp]
         for k in range(spp):
             u = kp * e + integ
-            q = u > thresholds[k]
-            if q:
+            if u > thresholds[k]:
                 il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+                q_period[k] = True
             elif il == 0.0:
                 nil = f12 * vc
                 if nil <= 0.0:
@@ -347,19 +356,14 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
                     dcm = True
                 il = nil
             # the sensed error after this substep is the next substep's error
-            e_next = vref - H * vc
-            s = e + e_next
+            s = e + (e := vref - H * vc)
             if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
                 integ += half_ki_dt * s
-            e = e_next
             buf_il[k] = il
             buf_vc[k] = vc
-            buf_q[k] = q
-        hi = lo + spp
-        out_il[lo + 1 : hi + 1] = buf_il
-        out_vc[lo + 1 : hi + 1] = buf_vc
-        out_q[lo:hi] = buf_q
-        lo = hi
+        pack(out_il, 8 * (lo + 1), *buf_il)
+        pack(out_vc, 8 * (lo + 1), *buf_vc)
+        lo += spp
     out_q[n_steps] = out_q[n_steps - 1]
     # each period's ON fraction, from its switch record
     out_duty = np.empty(n_samples)

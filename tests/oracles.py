@@ -308,8 +308,8 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
     PIGains = pi_design.PIGains
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
-    if ki <= 0.0:
-        raise ValueError(f"ki must be positive for PI tuning, got {ki!r}")
+    if not (0.0 < ki < math.inf):
+        raise ValueError(f"ki must be positive and finite for PI tuning, got {ki!r}")
 
     def pm_of(kp: float) -> float:
         report = stability_margins(compensated_loop(plant, PIGains(kp, ki)))

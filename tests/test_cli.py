@@ -610,8 +610,34 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     assert rows[0][4] in ("0", "1")
     # the held operating point never idles
     assert read_json(out / "simulate_manifest.json")["simulator"] == {
-        "substeps": len(rows) - 1, "idle_run_substeps": 0, "dcm_encountered": False,
+        "substeps": len(rows) - 1,
+        "on_substeps": sum(row[4] == "1" for row in rows[:-1]),
+        "zero_current_samples": 0,
+        "idle_run_substeps": 0,
+        "dcm_encountered": False,
     }
+
+
+def test_simulate_manifest_counts_on_substeps_and_zero_current(nominal_config_path, tmp_path):
+    spp = 200
+    nominal, step = tmp_path / "nominal", tmp_path / "step"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(nominal),
+        "--t-end", "0.002",
+    ]) == 4  # still rising from rest after 2 ms
+    duty, il = read_columns(nominal / "sim.csv", "duty", "il_a")
+    simulator = read_json(nominal / "simulate_manifest.json")["simulator"]
+    # each period's duty is its ON count over spp
+    assert simulator["on_substeps"] == round(float(duty[:-1:spp].sum()) * spp) > 0
+    assert simulator["zero_current_samples"] == int((il == 0.0).sum())
+
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(step),
+        "--vg", "500", "--from-operating-point", "--t-end", "0.005",
+    ]) == 4
+    (il,) = read_columns(step / "sim.csv", "il_a")
+    simulator = read_json(step / "simulate_manifest.json")["simulator"]
+    assert simulator["zero_current_samples"] == int((il == 0.0).sum()) > 0
 
 
 def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):

@@ -319,6 +319,16 @@ def test_tune_without_gain_crossover_matches_reference(nominal_plant):
     assert _tune_outcome(_tuned_and_measured, nominal_plant, 1e300, 50.0) == want
 
 
+@pytest.mark.parametrize("ki", [math.inf, math.nan, -1.0, 0.0])
+def test_tune_refuses_bad_ki_like_reference(nominal_plant, ki):
+    def reference(*args):
+        return tune_kp_for_pm_reference(pi_design, *args)
+
+    want = _tune_outcome(reference, nominal_plant, ki, 50.0)
+    assert want == ("ValueError", f"ki must be positive and finite for PI tuning, got {ki!r}")
+    assert _tune_outcome(_tuned_and_measured, nominal_plant, ki, 50.0) == want
+
+
 # 30 examples under the default profile; the ci profile's long run gets 1500
 @pytest.mark.oracle_property
 @settings(

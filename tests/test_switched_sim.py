@@ -384,6 +384,12 @@ def _from_operating_point(p, **kw):
     )
 
 
+def _line_sweep_case(p):
+    """The line_sweep benchmark's settings at its 500 V, light-load corner."""
+    p = dataclasses.replace(p, vg=500.0, r_load=p.r_load * 1.25)
+    return p, _from_operating_point(p, t_end=0.002, steps_per_period=200)
+
+
 KERNEL_CASES = {
     # 30 V operating point stepped to 500 V: the diode clamp engages
     "dcm_vg500_spp50": lambda p: (
@@ -405,6 +411,7 @@ KERNEL_CASES = {
         dataclasses.replace(p, vref=1.5),
         _default_gains(p, t_end=0.003, integrator_init=3.0),
     ),
+    "line_sweep_vg500_load125": _line_sweep_case,
     "zero_state_spp20": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=20)),
     "zero_state_spp37": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=37)),
     "zero_state_spp200": lambda p: (p, _default_gains(p, t_end=0.003)),
@@ -433,6 +440,10 @@ def test_closed_loop_matches_reference_loop(nominal_params, case):
         # whole periods OFF and whole periods ON
         duties = set((traj.duty_cmd * cfg.steps_per_period).round().astype(int).tolist())
         assert {0, cfg.steps_per_period} <= duties
+        # and periods with two separate ON pulses: an ON substep after an OFF one
+        q = traj.switch_state[:-1].reshape(-1, cfg.steps_per_period)
+        pulses = q[:, 0] + np.count_nonzero(~q[:, :-1] & q[:, 1:], axis=1)
+        assert pulses.max() >= 2
 
 
 @pytest.mark.oracle_property

@@ -2,9 +2,9 @@
 
 The integral gain is always taken as a given and only the proportional
 gain is searched: a 1-D bracket-and-bisect on the phase margin of the
-compensated loop. Because the margin is not monotone in kp at small
-gains, the search keeps the sign-change bracket at the largest satisfying
-kp, which favors the faster response among equal-margin designs.
+compensated loop. The margin is not monotone in kp at small gains, so the
+search scans its grid down from the largest kp to the first exact hit or
+falling edge: the largest satisfying kp, the faster of equal-margin designs.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ def compensated_loop(plant: TransferFunction, g: PIGains) -> TransferFunction:
 class TuningTrace:
     """How `tune_kp_for_pm` reached its answer.
 
-    `pm_grid[i]` is the phase margin at `kp_grid[i]` (None: |L| never
-    reaches 1). `bracket` is the grid interval the bisection started from,
-    None on an exact grid hit or when no interval brackets the target.
-    `bisection` lists each midpoint as (kp, phase margin). `pm_evals`
-    counts phase-margin evaluations. A tuned kp is accepted on the margin
-    recorded for it here: the grid hit's, or the last midpoint's.
+    `kp_grid` is the top of the kp grid the scan evaluated, ascending, and
+    `pm_grid[i]` the phase margin at `kp_grid[i]` (None: |L| never reaches
+    1). `bracket` is the grid interval the bisection started from, None on
+    an exact grid hit or when no interval brackets the target. `bisection`
+    lists each midpoint as (kp, phase margin); `pm_evals` counts grid and
+    midpoint margins. A tuned kp is accepted on its margin recorded here.
     """
 
     kp_grid: tuple[float, ...]
@@ -100,15 +100,15 @@ PM_TOLERANCE_DEG = 0.05
 def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> TuningResult:
     """Find kp whose compensated loop hits the phase-margin target.
 
-    Scans a log grid over the kp bracket for a sign change of
-    PM(kp) - target, preferring the change at the largest satisfying kp,
-    then bisects to within PM_TOLERANCE_DEG. Raises TuningError with the
-    observed margins when no bracket exists, and with the final bracket and
-    its end margins when bisection stops at a jump of PM(kp); the result
-    and the error carry a TuningTrace of the search. The margin of the
-    returned kp is the one the search computed, `stability_margins`'s phase
-    margin bit for bit. Raises ValueError when a loop's response is not
-    finite on the margin window.
+    Scans a log grid over the kp bracket from its top down, computing PM(kp)
+    only at the points it reaches, to the first exact hit or falling edge of
+    PM(kp) - target, then bisects to within PM_TOLERANCE_DEG. Raises
+    TuningError with the observed margins when no bracket exists, and with
+    the final bracket and its end margins when bisection stops at a jump of
+    PM(kp); the result and the error carry a TuningTrace of the search. The
+    margin of the returned kp is the one the search computed,
+    `stability_margins`'s phase margin bit for bit. Raises ValueError when a
+    loop's response is not finite on the margin window.
     """
     if not (0.0 < target_pm < 180.0):
         raise ValueError(f"target phase margin must be in (0, 180), got {target_pm!r}")
@@ -130,30 +130,30 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
     lo, hi = KP_BRACKET
     n = int(round(math.log10(hi / lo) * KP_GRID_PER_DECADE)) + 1
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    pms = [pm_of(k) for k in grid]
-    f = [excess(pm) for pm in pms]
+    pms: list[float | None] = [None] * n  # the scan evaluates grid[start:]
     steps: list[tuple[float, float | None]] = []
 
     def trace(bracket: tuple[float, float] | None) -> TuningTrace:
-        return TuningTrace(tuple(grid), tuple(pms), bracket, tuple(steps), n + len(steps))
+        kps, evaluated = tuple(grid[start:]), tuple(pms[start:])
+        return TuningTrace(kps, evaluated, bracket, tuple(steps), len(kps) + len(steps))
 
     def reached(pm: float | None) -> str:
         return "no gain crossover" if pm is None else f"{pm!r} deg"
 
-    hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
-    if hit is not None:
-        # PM(grid[hit]) is the target itself
-        return TuningResult(PIGains(grid[hit], ki), trace(None))
-
     bracket = None
-    for i in reversed(range(n - 1)):
-        if f[i] * f[i + 1] < 0.0:
-            bracket = i
-            if f[i] > 0.0:
+    for start in reversed(range(n)):
+        pms[start] = pm_of(grid[start])
+        here = excess(pms[start])
+        if here == 0.0:
+            # PM(grid[start]) is the target itself
+            return TuningResult(PIGains(grid[start], ki), trace(None))
+        if start < n - 1 and here * excess(pms[start + 1]) < 0.0:
+            bracket = start
+            if here > 0.0:
                 # falling edge: largest kp still satisfying the target
                 break
     if bracket is None:
-        finite = [x + target_pm for x in f if math.isfinite(x)]
+        finite = [x + target_pm for x in map(excess, pms) if math.isfinite(x)]
         observed = (
             f"observed margins span [{min(finite):.3f}, {max(finite):.3f}] deg"
             if finite

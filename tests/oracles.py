@@ -295,10 +295,12 @@ def cycle_means_reference(il, vc, duty, spp):
 
 
 def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05):
-    """The package's earlier kp search, one full margin report per kp.
+    """The package's kp search with one full margin report per kp, over the
+    whole grid.
 
-    Kept as the reference for ``tune_kp_for_pm``: the two must return the
-    same kp and margins bit for bit and raise the same errors. ``pi_design``
+    Kept as the reference for ``tune_kp_for_pm``, whose scan stops early and
+    reads only the top of the grid: the two must return the same kp and
+    margins bit for bit and raise the same errors. ``pi_design``
     is the module under test, read by attribute only for its loop assembly,
     margin scan, gain and error types; the search itself is this copy.
     Returns the tuned gains and the full margin report of their loop.
@@ -323,18 +325,20 @@ def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
     f = [pm_of(k) - target_pm for k in grid]
 
+    # the largest kp rule: an exact grid hit wins only above the highest
+    # falling edge; below it, the falling edge does
+    falling = next((i for i in reversed(range(n - 1)) if f[i] > 0.0 > f[i + 1]), -1)
     hit = next((i for i in reversed(range(n)) if f[i] == 0.0), None)
-    if hit is not None:
+    if hit is not None and hit > falling:
         kp = grid[hit]
         return PIGains(kp, ki), stability_margins(compensated_loop(plant, PIGains(kp, ki)))
 
-    bracket = None
-    for i in reversed(range(n - 1)):
-        if f[i] * f[i + 1] < 0.0:
-            bracket = i
-            if f[i] > 0.0:
-                # falling edge: largest kp still satisfying the target
-                break
+    if falling >= 0:
+        bracket = falling
+    else:
+        # no falling edge: the lowest rising edge
+        rising = [i for i in range(n - 1) if f[i] < 0.0 < f[i + 1]]
+        bracket = rising[0] if rising else None
     if bracket is None:
         pms = [x + target_pm for x in f if math.isfinite(x)]
         observed = (

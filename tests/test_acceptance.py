@@ -16,6 +16,7 @@ import pytest
 from buckforge import (
     PIGains,
     SimConfig,
+    TransferFunction,
     close_unity_loop,
     compensated_loop,
     cycle_average,
@@ -227,8 +228,6 @@ def test_criterion_8_closed_loop_regulation(nominal_params):
 
 
 def test_criterion_9_numerical_properties(nominal_params, nominal_plant):
-    from buckforge import TransferFunction
-
     with criterion("9a. step simulator matches first/second-order closed forms"):
         first = TransferFunction((1.0,), (1.0, 1.0))
         traj = step_response(first, 5.0, 5001)
@@ -270,3 +269,58 @@ def test_criterion_9_numerical_properties(nominal_params, nominal_plant):
         assert np.array_equal(a.vc, b.vc)
         assert np.array_equal(a.duty_cmd, b.duty_cmd)
         assert np.array_equal(a.switch_state, b.switch_state)
+
+
+def test_criterion_10_switched_loop_follows_the_averaged_line_response(nominal_params):
+    """A 1 % line step from the 30 V operating point, with the default
+    duty-domain gains (0.23, 1), PM 48.5 deg: the switched loop's cycle-mean
+    output deviation follows the averaged closed-loop prediction.
+
+    Averaging gives the line-to-output plant Gvg = (D/Vg)*Gvd, so with
+    Gvd = Kd/Dp(s) the deviation is Δvg times the step of
+    Kg*s / (s*Dp(s) + Kd*(kp*s + ki)), Kg = D*Kd/Vg, which is third order.
+    Composing it from transfer functions would keep the uncancelled Dp and
+    go beyond step_response's order 3, so it is written out here.
+
+    The measured deviation is the step run's cycle means of vc minus those
+    of a run with no step, from the same state, so the steady ripple and the
+    quantization pattern cancel. That needs steps_per_period 3200: the PWM
+    resolves the duty in steps of 1/spp, and at spp 200 one step moves the
+    output by vg/200 = 0.15 V, more than this step's whole 0.024 V response
+    (the error ratio is 0.20 there, 0.13 at spp 800 and 0.026 at 3200).
+    """
+    with criterion("10. the switched loop follows the averaged line-step response"):
+        p = nominal_params
+        derivation = derive_plant(p)
+        op = derivation.operating_point
+        duty_gains = PIGains(0.23, 1.0)
+        periods, eps = 1200, 0.01
+        t_end = periods / p.fs
+
+        def vc_means(vg):
+            cfg = SimConfig(
+                t_end=t_end,
+                gains=pwm_equivalent_gains(duty_gains, p),
+                steps_per_period=3200,
+                initial_state=(op.il, op.vc),
+                integrator_init=op.duty * p.vs,
+            )
+            q = dataclasses.replace(p, vg=vg)
+            return cycle_average(simulate_closed_loop(q, cfg), p.fs)[1]
+
+        measured = vc_means(p.vg * (1.0 + eps)) - vc_means(p.vg)
+
+        (kd,), (d2, d1, d0) = derivation.plant.num, derivation.plant.den
+        kg = op.duty * kd / p.vg
+        line = TransferFunction(
+            (kg, 0.0), (d2, d1, d0 + kd * duty_gains.kp, kd * duty_gains.ki)
+        )
+        # each period's mean by Simpson's rule on its start, middle and end
+        y = eps * p.vg * step_response(line, t_end, 2 * periods + 1).values
+        predicted = (y[:-2:2] + 4.0 * y[1::2] + y[2::2]) / 6.0
+
+        assert len(measured) == len(predicted) == periods
+        peak = np.abs(predicted).max()
+        assert peak == pytest.approx(0.0243, rel=0.01)
+        # measured 0.0264 on the nominal plant
+        assert np.abs(measured - predicted).max() / peak < 0.04

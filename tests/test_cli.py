@@ -344,10 +344,13 @@ def test_tune_manifest_records_search(nominal_config_path, tmp_path):
     ]) == 0
     kp = read_json(out / "tune.json")["gains"]["kp"]
     trace = read_json(out / "tune_manifest.json")["tuning_trace"]
-    assert len(trace["kp_grid"]) == len(trace["pm_grid"]) == 91
+    # the scan evaluates the grid from 1e3 down to the falling edge only
+    assert len(trace["kp_grid"]) == len(trace["pm_grid"]) == 38
+    assert trace["kp_grid"][-1] == pytest.approx(1e3)
     lo, hi = trace["bracket"]
+    assert [lo, hi] == trace["kp_grid"][:2]
     assert lo <= kp <= hi
-    assert trace["pm_evals"] == 91 + len(trace["bisection"])
+    assert trace["pm_evals"] == len(trace["pm_grid"]) + len(trace["bisection"]) == 44
     assert abs(trace["bisection"][-1][1] - 50.0) <= 0.05
 
 

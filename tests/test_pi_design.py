@@ -192,26 +192,53 @@ def test_tune_validation(nominal_plant):
             tune_kp_for_pm(nominal_plant, bad, 50.0)
 
 
+def _kp_grid():
+    """The search's 91-point log grid over KP_BRACKET, in ascending order."""
+    lo, hi = pi_design.KP_BRACKET
+    return [lo * (hi / lo) ** (i / 90) for i in range(91)]
+
+
 def test_tune_trace_records_the_search(nominal_plant):
     target = 50.0
     result = tune_kp_for_pm(nominal_plant, 1.0, target)
     trace = result.trace
-    assert len(trace.kp_grid) == len(trace.pm_grid) == 91
-    assert trace.kp_grid[0] == 1e-6 and trace.kp_grid[-1] == pytest.approx(1e3)
-    for kp, pm in zip(trace.kp_grid[::15], trace.pm_grid[::15]):
+    # the top-down scan stops at the first falling edge: only the grid's top,
+    # from the bracket's lower kp up to 1e3, is evaluated
+    assert len(trace.kp_grid) == len(trace.pm_grid) == 38
+    assert trace.kp_grid == tuple(_kp_grid()[-38:])
+    assert trace.kp_grid[-1] == pytest.approx(1e3)
+    for kp, pm in zip(trace.kp_grid[::5], trace.pm_grid[::5]):
         loop = compensated_loop(nominal_plant, PIGains(kp, 1.0))
         assert pm == stability_margins(loop).phase_margin_deg
     lo, hi = trace.bracket
-    assert trace.kp_grid.index(lo) + 1 == trace.kp_grid.index(hi)
+    assert (lo, hi) == trace.kp_grid[:2]
+    assert trace.pm_grid[0] > target > trace.pm_grid[1]
+    # no falling edge above the bracket
+    above = trace.pm_grid[1:]
+    assert not any(a > target > b for a, b in zip(above, above[1:]))
     assert lo <= result.gains.kp <= hi
     assert trace.bisection
-    assert trace.pm_evals == 91 + len(trace.bisection)
+    assert trace.pm_evals == len(trace.pm_grid) + len(trace.bisection) == 44
     last_kp, last_pm = trace.bisection[-1]
     assert abs(last_pm - target) <= 0.05
     # kp is accepted on the margin the search computed, the full report's own
     assert last_kp == result.gains.kp
     tuned = stability_margins(compensated_loop(nominal_plant, result.gains))
     assert tuned.phase_margin_deg == last_pm
+
+
+def test_tune_prefers_a_falling_edge_to_a_lower_exact_hit(nominal_plant):
+    # the grid's lowest kp hits this target exactly, but a falling edge at a
+    # larger kp meets it too, and the largest satisfying kp wins
+    low = compensated_loop(nominal_plant, PIGains(1e-6, 1.0))
+    target = stability_margins(low).phase_margin_deg
+    assert target == 80.16775504716428
+    result = tune_kp_for_pm(nominal_plant, 1.0, target)
+    assert result.gains.kp == pytest.approx(0.0877, rel=1e-3)
+    kp, pm = result.trace.bisection[-1]
+    assert kp == result.gains.kp and abs(pm - target) <= PM_TOLERANCE_DEG
+    assert result.trace.bracket[0] == result.trace.kp_grid[0] > 1e-6
+    _assert_tune_matches_reference(nominal_plant, 1.0, target)
 
 
 def test_tune_error_carries_trace(nominal_plant):
@@ -234,11 +261,25 @@ def test_tune_error_carries_trace(nominal_plant):
 def test_tune_refuses_a_kp_off_target(nominal_params, changes, target, modulator):
     p = dataclasses.replace(nominal_params, **changes)
     ki = 1.0 / p.vs if modulator else 1.0
+    plant = derive_plant(p).plant
     with pytest.raises(TuningError, match="not met") as info:
-        tune_kp_for_pm(derive_plant(p).plant, ki, target)
+        tune_kp_for_pm(plant, ki, target)
     trace = info.value.trace
     assert trace.bracket is not None and trace.bisection
-    assert trace.pm_evals == 91 + len(trace.bisection)
+    assert trace.pm_evals == len(trace.pm_grid) + len(trace.bisection)
+    # the evaluated grid is a suffix of the kp grid, ending at its top
+    grid = _kp_grid()
+    assert trace.kp_grid == tuple(grid[len(grid) - len(trace.kp_grid):])
+    lo_pm = trace.pm_grid[trace.kp_grid.index(trace.bracket[0])]
+    if lo_pm is None or lo_pm > target:
+        # a falling edge: the scan stopped at the bracket's lower kp
+        assert trace.kp_grid[0] == trace.bracket[0]
+    else:
+        # a rising edge, taken only after the whole grid was scanned
+        assert trace.kp_grid == tuple(grid)
+    for kp, pm in zip(trace.kp_grid[::10], trace.pm_grid[::10]):
+        loop = compensated_loop(plant, PIGains(kp, ki))
+        assert pm == stability_margins(loop).phase_margin_deg
     # the message names the final bracket and the margin at each end, as
     # evaluated in the search, on opposite sides of the target
     message = str(info.value)

@@ -45,7 +45,6 @@ from .pi_design import (
 from .switched_sim import (
     SimConfig,
     SwitchedTrajectory,
-    compare_to_averaged,
     cycle_average,
     pwm_equivalent_gains,
     regulation_report,

@@ -428,8 +428,8 @@ def dc_gain(tf: TransferFunction) -> float:
 def poles(tf: TransferFunction) -> list[complex]:
     """Denominator roots in closed form (degree 3 at most).
 
-    Roots at the origin are factored out exactly; a cubic is reduced by
-    bisecting for one real root and deflating to a quadratic.
+    Roots at the origin are factored out exactly; a cubic is reduced by one
+    real root (bisected, then Newton-polished below 1) to a quadratic.
     """
     den = list(tf.den)
     roots: list[complex] = []
@@ -488,4 +488,22 @@ def _real_cubic_root(den: list[float]) -> float:
             lo, f_lo = mid, f_mid
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
+    if abs(x) < 1.0:
+        # bisection resolves about 1e-15 absolute: Newton steps polish a root
+        # below 1 to its own scale, bisecting where one leaves the bracket
+        # (p(lo) < 0 < p(hi)); from 0, -c3/c2, when the bracket holds 0
+        x = 0.0 if lo <= 0.0 <= hi else x
+        for _ in range(100):
+            f = p(x)
+            if f == 0.0:
+                break
+            lo, hi = (x, hi) if f < 0.0 else (lo, x)
+            slope = (3.0 * x + 2.0 * coeffs[1]) * x + coeffs[2]
+            nx = x - f / slope if slope else x
+            if not lo < nx < hi:
+                nx = 0.5 * (lo + hi)
+            if nx == x:
+                break
+            x = nx
+    return x

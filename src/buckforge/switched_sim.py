@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _check_duty, averaged_model, full_duty_output
-from .converter import ConverterParams, default_sensor_gain
-from .converter import mode_off_model, mode_on_model
+from .averaging import _check_duty, full_duty_output
+from .converter import ConverterParams, default_sensor_gain, mode_on_model
 from .lti import MAX_SAMPLES
 from .pi_design import PIGains
 from .timedomain import zoh
@@ -375,13 +374,14 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     )
 
 
-def _cycle_means(times: np.ndarray, fs: float, *series: np.ndarray) -> tuple:
-    """Substeps per period, full-period count, and each series' period means.
+def _cycle_means(traj: SwitchedTrajectory, fs: float) -> tuple:
+    """Substeps per period, full-period count, and the il and vc period means.
 
     Means are trapezoidal over each full period; a trailing partial period
     is dropped. Each row sum takes the same pairwise order as summing that
     period's 1-D slice, so the means match a per-period loop bit for bit.
     """
+    times = traj.times
     dt = float(times[1] - times[0])
     spp = int(round(1.0 / (fs * dt)))
     n = (len(times) - 1) // spp
@@ -393,13 +393,7 @@ def _cycle_means(times: np.ndarray, fs: float, *series: np.ndarray) -> tuple:
         rows = x[:end].reshape(n, spp).sum(axis=1)
         return (rows - 0.5 * x[:end:spp] + 0.5 * x[spp : end + 1 : spp]) / spp
 
-    return (spp, n, *map(means, series))
-
-
-def _last_period_pkpk(x: np.ndarray, spp: int, n: int) -> float:
-    """Peak-to-peak of x over the last of n full periods, both ends included."""
-    last = x[(n - 1) * spp : n * spp + 1]
-    return float(last.max() - last.min())
+    return spp, n, means(traj.il), means(traj.vc)
 
 
 def cycle_average(
@@ -407,67 +401,8 @@ def cycle_average(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trapezoidal per-period means of il and vc, and each period's duty;
     a trailing partial period is dropped."""
-    spp, n, il, vc = _cycle_means(traj.times, fs, traj.il, traj.vc)
+    spp, n, il, vc = _cycle_means(traj, fs)
     return il, vc, traj.duty_cmd[: n * spp : spp]
-
-
-@dataclass(frozen=True)
-class AveragingComparison:
-    """Cycle-averaged switched run versus the averaged model, same grid."""
-
-    duty: float
-    max_il_avg_deviation: float
-    max_vc_avg_deviation: float
-    final_switched_il_avg: float
-    final_switched_vc_avg: float
-    final_averaged_il_avg: float
-    final_averaged_vc_avg: float
-    il_ripple_pkpk: float
-    vc_ripple_pkpk: float
-    dcm_encountered: bool
-
-
-def compare_to_averaged(
-    p: ConverterParams, d: float, cfg: SimConfig
-) -> AveragingComparison:
-    """Quantify how well duty-weighted averaging tracks the switched run.
-
-    The averaged model is integrated with the same exact-substep method on
-    the same grid and from the same initial state; both trajectories are
-    then reduced to per-cycle means and compared, alongside the steady
-    ripple amplitudes of the switched states.
-    """
-    traj = simulate_open_loop(p, d, cfg)
-    avg = averaged_model(mode_on_model(p), mode_off_model(p), d)
-    dt = 1.0 / (p.fs * cfg.steps_per_period)
-    b_scaled = (avg.b[0] * p.vg, avg.b[1] * p.vg)
-    ((f11, f12), (f21, f22)), (g1, g2) = zoh(avg.a, b_scaled, dt)
-
-    n_samples = len(traj.times)
-    a_il = np.empty(n_samples)
-    a_vc = np.empty(n_samples)
-    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
-    a_il[0] = il
-    a_vc[0] = vc
-    for i in range(1, n_samples):
-        il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
-        a_il[i] = il
-        a_vc[i] = vc
-    spp, n, sw_il, sw_vc, av_il, av_vc = _cycle_means(
-        traj.times, p.fs, traj.il, traj.vc, a_il, a_vc
-    )
-    return AveragingComparison(
-        duty=d,
-        max_il_avg_deviation=float(np.abs(sw_il - av_il).max()),
-        max_vc_avg_deviation=float(np.abs(sw_vc - av_vc).max()),
-        final_switched_il_avg=float(sw_il[-1]),
-        final_switched_vc_avg=float(sw_vc[-1]),
-        final_averaged_il_avg=float(av_il[-1]),
-        final_averaged_vc_avg=float(av_vc[-1]),
-        il_ripple_pkpk=_last_period_pkpk(traj.il, spp, n),
-        vc_ripple_pkpk=_last_period_pkpk(traj.vc, spp, n),
-        dcm_encountered=traj.dcm_encountered,
-    )
 
 
 @dataclass(frozen=True)
@@ -498,17 +433,18 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     period's duty to 1/steps_per_period and the integrator dithers between
     adjacent levels at steady state.
     """
-    spp, n, il, vc = _cycle_means(traj.times, p.fs, traj.il, traj.vc)
+    spp, n, il, vc = _cycle_means(traj, p.fs)
     trailing = traj.duty_cmd[: n * spp : spp][-10:].tolist()
     duty_final = sum(trailing) / len(trailing)
     final_vc_mean = float(vc[-1])
+    last = traj.vc[(n - 1) * spp : n * spp + 1]
     deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
     holdable = not p.vo_target > full_duty_output(p)
     return RegulationReport(
         target_v=p.vo_target,
         final_vc_mean=final_vc_mean,
         final_il_mean=float(il[-1]),
-        vc_ripple_pkpk=_last_period_pkpk(traj.vc, spp, n),
+        vc_ripple_pkpk=float(last.max() - last.min()),
         duty_final=duty_final,
         deviation_pct=deviation,
         tolerance_pct=REGULATION_TOLERANCE_PCT,

@@ -143,7 +143,9 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
     c1, c2, c3 = C.tolist() + pad
     D = float(D)
 
-    y = np.empty(samples)
+    # a list takes each sample cheaper than an array's item assignment;
+    # Trajectory converts it
+    y = [0.0] * samples
     x1 = x2 = x3 = 0.0
     for k in range(samples):
         y[k] = c1 * x1 + c2 * x2 + c3 * x3 + D

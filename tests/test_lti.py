@@ -557,6 +557,32 @@ def test_poles_residuals_random_cubics():
             assert abs(resid) < 1e-6 * scale
 
 
+def _cubic_den(real_root, pair):
+    """(s - real_root)(s - pair)(s - conj(pair)), expanded."""
+    q1, q2 = -2.0 * pair.real, abs(pair) ** 2
+    return (1.0, q1 - real_root, q2 - real_root * q1, -real_root * q2)
+
+
+def test_poles_resolve_small_real_root_to_its_scale():
+    # the slow pole of the nominal tuned loop at ki = 1e-20: a bisection to
+    # 1e-15 absolute reported it as -4.3e-16
+    den = _cubic_den(-1e-20, complex(-401.67, 922.51))
+    got = poles(TransferFunction((1.0,), den))
+    real = [z for z in got if z.imag == 0.0]
+    assert len(real) == 1
+    assert real[0].real == pytest.approx(-1e-20, rel=1e-9)
+
+    # the roots' product is -den[3]/den[0], so it checks the small root to
+    # its own scale, which an absolute residual bound cannot
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        r = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 3)
+        pair = complex(-(10.0 ** rng.uniform(1, 3)), 10.0 ** rng.uniform(1, 3))
+        den = _cubic_den(r, pair)
+        a, b, c = poles(TransferFunction((1.0,), den))
+        assert (a * b * c).real == pytest.approx(-den[3] / den[0], rel=1e-12), r
+
+
 def test_poles_complex_pair(nominal_plant):
     closed = close_unity_loop(nominal_plant)
     got = poles(closed)

@@ -241,39 +241,18 @@ def window_response(coeffs: tuple, den_resp) -> np.ndarray:
         raise ValueError("loop response is not finite on the margin window") from None
 
 
-def _refine_gain_crossover(tf: TransferFunction, lo: float, hi: float) -> float:
-    f_lo = abs(evaluate(tf, lo)) - 1.0
+def _bisect_crossing(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Geometric bisection for a sign change of f inside [lo, hi] (rad/s),
+    until the bracket is at most rel_tol of its upper end wide."""
+    f_lo = f(lo)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        f_mid = abs(evaluate(tf, mid)) - 1.0
+        f_mid = f(mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-10 * hi:
-            break
-    return math.sqrt(lo * hi)
-
-
-def _refine_phase_crossover(
-    tf: TransferFunction, lo: float, hi: float, phase_lo: float
-) -> float:
-    """Bisect for unwrapped phase = -180 inside [lo, hi].
-
-    `phase_lo` is the unwrapped phase at `lo`; phases inside the bracket
-    are continued from it, which is safe because adjacent sweep points
-    move by far less than a half turn.
-    """
-    f_lo = phase_lo + 180.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        ph_mid = phase_lo + _wrap_delta(phase_deg(evaluate(tf, mid)) - phase_lo)
-        f_mid = ph_mid + 180.0
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, phase_lo, f_lo = mid, ph_mid, f_mid
-        if (hi - lo <= 1e-10 * hi and abs(f_mid) <= 1e-7) or hi - lo <= 1e-15 * hi:
+        if hi - lo <= rel_tol * hi:
             break
     return math.sqrt(lo * hi)
 
@@ -338,7 +317,9 @@ def _gain_crossing(
         crossover = float(MARGIN_OMEGAS[i])
     else:
         lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
-        crossover = _refine_gain_crossover(tf, lo, hi)
+        crossover = _bisect_crossing(
+            lambda w: abs(evaluate(tf, w)) - 1.0, lo, hi, 1e-10
+        )
     ph = _unwrapped_phase_at(tf, resp, i)
     ph += _wrap_delta(phase_deg(evaluate(tf, crossover)) - ph)
     return hits, crossover, 180.0 + ph
@@ -373,7 +354,15 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
             phase_crossover = float(MARGIN_OMEGAS[i])
         else:
             lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
-            phase_crossover = _refine_phase_crossover(loop_tf, lo, hi, float(phases[i]))
+            # the unwrapped phase inside the bracket continues from its lower
+            # end, as adjacent grid points are far less than a half turn apart
+            ph_lo = float(phases[i])
+            phase_crossover = _bisect_crossing(
+                lambda w: (
+                    ph_lo + _wrap_delta(phase_deg(evaluate(loop_tf, w)) - ph_lo) + 180.0
+                ),
+                lo, hi, 1e-15,
+            )
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))
 
     return MarginReport(
@@ -428,8 +417,9 @@ def dc_gain(tf: TransferFunction) -> float:
 def poles(tf: TransferFunction) -> list[complex]:
     """Denominator roots in closed form (degree 3 at most).
 
-    Roots at the origin are factored out exactly; a cubic is reduced by one
-    real root (bisected, then Newton-polished below 1) to a quadratic.
+    Roots at the origin are factored out exactly. A cubic's real root is
+    bisected to its own scale, then divided out from the end of the
+    cubic whose terms do not cancel, leaving a quadratic.
     """
     den = list(tf.den)
     roots: list[complex] = []
@@ -446,10 +436,15 @@ def poles(tf: TransferFunction) -> list[complex]:
     elif deg == 3:
         r = _real_cubic_root(den)
         roots.append(complex(r))
-        # synthetic division by (s - r)
+        # synthetic division by (s - r): top-down while r^2 is at most the
+        # squared modulus of the quotient's roots, else bottom-up
         b0 = den[0]
-        b1 = den[1] + r * b0
-        b2 = den[2] + r * b1
+        if abs(r) ** 3 * abs(b0) <= abs(den[3]):
+            b1 = den[1] + r * b0
+            b2 = den[2] + r * b1
+        else:
+            b2 = -den[3] / r
+            b1 = (b2 - den[2]) / r
         roots.extend(_quadratic_roots(b0, b1, b2))
     return roots
 
@@ -468,6 +463,8 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
 
 
 def _real_cubic_root(den: list[float]) -> float:
+    """A real root of the cubic den, bisected until the bracket is 1e-15 of
+    its own magnitude wide or holds no float between its ends."""
     a = den[0]
     coeffs = [x / a for x in den]
     bound = 1.0 + max(abs(x) for x in coeffs[1:])
@@ -477,33 +474,19 @@ def _real_cubic_root(den: list[float]) -> float:
         return ((x + coeffs[1]) * x + coeffs[2]) * x + coeffs[3]
 
     f_lo = p(lo)
-    for _ in range(200):
+    # enough halvings to go from the largest bound down to a subnormal root
+    for _ in range(2100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         f_mid = p(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
+        # compare signs: near a tiny root the product f_lo * f_mid underflows
+        if (f_mid < 0.0) != (f_lo < 0.0):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= 1e-15 * max(abs(lo), abs(hi)):
             break
-    x = 0.5 * (lo + hi)
-    if abs(x) < 1.0:
-        # bisection resolves about 1e-15 absolute: Newton steps polish a root
-        # below 1 to its own scale, bisecting where one leaves the bracket
-        # (p(lo) < 0 < p(hi)); from 0, -c3/c2, when the bracket holds 0
-        x = 0.0 if lo <= 0.0 <= hi else x
-        for _ in range(100):
-            f = p(x)
-            if f == 0.0:
-                break
-            lo, hi = (x, hi) if f < 0.0 else (lo, x)
-            slope = (3.0 * x + 2.0 * coeffs[1]) * x + coeffs[2]
-            nx = x - f / slope if slope else x
-            if not lo < nx < hi:
-                nx = 0.5 * (lo + hi)
-            if nx == x:
-                break
-            x = nx
-    return x
+    return 0.5 * (lo + hi)

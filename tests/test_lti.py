@@ -29,8 +29,8 @@ from buckforge.lti import (
     MAX_SAMPLES,
     PoleOnAxisError,
     _anchor,
+    _bisect_crossing,
     _low_frequency_phase_asymptote,
-    _refine_gain_crossover,
     _unwrapped_phase_at,
     dc_gain,
     log_grid,
@@ -322,11 +322,24 @@ def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
     assert min(seen.values()) > 0
 
 
-def test_refine_gain_crossover_stops_at_axis_pole():
+def test_bisect_crossing_stops_at_axis_pole():
     # poles at +-2j; the first log midpoint of [1, 4] lands on omega = 2
     tf = TransferFunction((1.0,), (1.0, 0.0, 4.0))
     with pytest.raises(PoleOnAxisError):
-        _refine_gain_crossover(tf, 1.0, 4.0)
+        _bisect_crossing(lambda w: abs(evaluate(tf, w)) - 1.0, 1.0, 4.0, 1e-10)
+
+
+@pytest.mark.parametrize("zeta", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_phase_crossover_sits_on_the_half_turn(zeta):
+    # 0.5*zeta*w0^2 / ((s + 1)(s^2 + 2*zeta*w0*s + w0^2)): the phase falls
+    # through -180 just above w0, ever more steeply as zeta shrinks
+    w0 = 100.0
+    den = tuple(np.polymul([1.0, 1.0], [1.0, 2.0 * zeta * w0, w0 * w0]))
+    loop = TransferFunction((0.5 * zeta * w0 * w0,), den)
+    report = stability_margins(loop)
+    assert report.phase_crossover is not None
+    ph = phase_deg(evaluate(loop, report.phase_crossover))
+    assert 180.0 - abs(ph) < 1e-9
 
 
 def test_unwrapped_phase_prefix_matches_full_unwrap(three_pole_loop):
@@ -581,6 +594,33 @@ def test_poles_resolve_small_real_root_to_its_scale():
         den = _cubic_den(r, pair)
         a, b, c = poles(TransferFunction((1.0,), den))
         assert (a * b * c).real == pytest.approx(-den[3] / den[0], rel=1e-12), r
+
+
+def test_poles_keep_a_small_pair_after_a_large_real_root():
+    den = _cubic_den(-908.35, complex(-1.398, 3.341))
+    a, b, c = poles(TransferFunction((1.0,), den))
+    assert (a * b * c).real == pytest.approx(-den[3] / den[0], rel=1e-14)
+
+    # a real root of 1e1 to 1e4 and a pair of modulus 0.1 to 10
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        r = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(1, 4)
+        pair = cmath.rect(10.0 ** rng.uniform(-1, 1), rng.uniform(0.05, 0.95) * math.pi)
+        den = _cubic_den(r, pair)
+        got = [z for z in poles(TransferFunction((1.0,), den)) if z.imag != 0.0]
+        assert len(got) == 2, (r, pair)
+        upper = max(got, key=lambda z: z.imag)
+        assert abs(upper - pair) <= 1e-9 * abs(pair), (r, pair, upper)
+
+
+@pytest.mark.parametrize("c", [1e-300, -1e-300])
+def test_poles_resolve_a_triple_root_near_zero(c):
+    # s^3 + c: the real root is -cbrt(c), far below the bisection bound of 1
+    got = poles(TransferFunction((1.0,), (1.0, 0.0, 0.0, c)))
+    real = [z.real for z in got if z.imag == 0.0]
+    assert len(real) == 1
+    # approx's default absolute tolerance of 1e-12 would pass any tiny root
+    assert real[0] == pytest.approx(-math.copysign(1e-100, c), rel=1e-12, abs=0.0)
 
 
 def test_poles_complex_pair(nominal_plant):

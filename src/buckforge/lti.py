@@ -145,11 +145,6 @@ def _anchor(principal: float, expected: float) -> float:
     return principal + 360.0 * round((expected - principal) / 360.0)
 
 
-def _wrap_delta(delta: float) -> float:
-    """Map a phase increment into (-180, 180]."""
-    return delta - 360.0 * math.floor((delta + 180.0) / 360.0)
-
-
 def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.ndarray:
     """Log-spaced frequencies (rad/s) from omega_min to omega_max inclusive.
 
@@ -196,22 +191,17 @@ def bode_sweep(
     """Log-spaced frequency response with continuously unwrapped phase.
 
     Returns the columns (omega in rad/s, magnitude in dB, phase in
-    degrees), 24 bytes per frequency. The first point's phase is anchored
-    to the analytic low-frequency asymptote (origin poles contribute -90
-    degrees each), so loops with integrators unwrap from the correct branch.
+    degrees), 24 bytes per frequency. Each phase is anchored to the one before
+    it, the first to the analytic low-frequency asymptote (origin poles give
+    -90 degrees each), so loops with integrators unwrap from the right branch.
     """
     omegas = log_grid(omega_min, omega_max, points_per_decade)
     mags = np.empty(len(omegas))
     phases = np.empty(len(omegas))
-    prev_phase = 0.0
+    ph = _low_frequency_phase_asymptote(tf)
     for i, w in enumerate(omegas):
         z = evaluate(tf, float(w))
-        ph = phase_deg(z)
-        if i == 0:
-            ph = _anchor(ph, _low_frequency_phase_asymptote(tf))
-        else:
-            ph = prev_phase + _wrap_delta(ph - prev_phase)
-        prev_phase = ph
+        ph = _anchor(phase_deg(z), ph)
         mags[i] = magnitude_db(z)
         phases[i] = ph
     return omegas, mags, phases
@@ -275,32 +265,19 @@ def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
 
 
 def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
-    """Anchored unwrapped phase (degrees) of `resp` at index i.
-
-    This is element i of the anchored np.unwrap of resp, bit for bit, from
-    the steps up to i that can wrap. np.unwrap corrects a step only where
-    the angle jumps by more than a half turn, and between two samples whose
-    imaginary parts are both > 0, or both < 0, it jumps by at most a half
-    turn. Every other step gets np.unwrap's own arithmetic, and the nonzero
-    corrections are summed in index order, as its running sum adds them.
-    """
+    """Principal phase (degrees) of resp[i] moved by the whole turns of element i
+    of the anchored np.unwrap of resp, which adds one per step below -pi and
+    takes one off per step whose step + pi rounds above 2*pi. Only steps
+    between samples whose imaginary parts are not both > 0, nor both < 0, are
+    read; the others are under a half turn."""
     im = resp.imag[: i + 1]
     upper, lower = im > 0.0, im < 0.0
     k = np.flatnonzero(~(upper[:-1] & upper[1:] | lower[:-1] & lower[1:]))
-    dd = np.angle(resp[k + 1]) - np.angle(resp[k])
-    ddmod = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
-    ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
-    corrections = ddmod - dd
-    corrections[np.abs(dd) < math.pi] = 0.0
-    # np.unwrap leaves element 0 as it is; adding 0.0 there, or wherever
-    # no step wraps, can only turn -0.0 into +0.0, as the shift below does
-    total = 0.0
-    for c in corrections[corrections != 0.0].tolist():
-        total += c
-    first, angle = np.angle(resp[[0, i]])
-    first = np.degrees(first)
-    shift = _anchor(first, _low_frequency_phase_asymptote(tf)) - first
-    return float(np.degrees(angle + total) + shift)
+    step = np.angle(resp[k + 1]) - np.angle(resp[k])
+    turns = int((step < -math.pi).sum() - (step + math.pi > 2.0 * math.pi).sum())
+    first, here = np.degrees(np.angle(resp[[0, i]])).tolist()
+    anchor_turns = round((_low_frequency_phase_asymptote(tf) - first) / 360.0)
+    return here + 360.0 * (turns + anchor_turns)
 
 
 def _gain_crossing(
@@ -320,8 +297,7 @@ def _gain_crossing(
         crossover = _bisect_crossing(
             lambda w: abs(evaluate(tf, w)) - 1.0, lo, hi, 1e-10
         )
-    ph = _unwrapped_phase_at(tf, resp, i)
-    ph += _wrap_delta(phase_deg(evaluate(tf, crossover)) - ph)
+    ph = _anchor(phase_deg(evaluate(tf, crossover)), _unwrapped_phase_at(tf, resp, i))
     return hits, crossover, 180.0 + ph
 
 
@@ -358,9 +334,7 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
             # end, as adjacent grid points are far less than a half turn apart
             ph_lo = float(phases[i])
             phase_crossover = _bisect_crossing(
-                lambda w: (
-                    ph_lo + _wrap_delta(phase_deg(evaluate(loop_tf, w)) - ph_lo) + 180.0
-                ),
+                lambda w: _anchor(phase_deg(evaluate(loop_tf, w)), ph_lo) + 180.0,
                 lo, hi, 1e-15,
             )
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))

@@ -76,6 +76,13 @@ class SimConfig:
             )
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
+        state = self.initial_state
+        if len(state) != 2 or not all(math.isfinite(x) for x in state):
+            raise ValueError(f"initial_state must be finite (il, vc), got {state!r}")
+        if not math.isfinite(self.integrator_init):
+            raise ValueError(
+                f"integrator_init must be finite, got {self.integrator_init!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -382,8 +389,16 @@ def _cycle_means(traj: SwitchedTrajectory, fs: float) -> tuple:
     period's 1-D slice, so the means match a per-period loop bit for bit.
     """
     times = traj.times
+    if len(times) < 2:
+        raise ValueError(f"trajectory has {len(times)} sample(s), so no time step")
     dt = float(times[1] - times[0])
-    spp = int(round(1.0 / (fs * dt)))
+    if not (dt > 0.0 and fs * dt > 0.0):
+        raise ValueError(f"need rising times and fs > 0, got step {dt!r} s, fs {fs!r}")
+    # capped so that an infinite quotient never reaches round(); a cap of
+    # len(times) substeps leaves no full period
+    spp = int(round(min(1.0 / (fs * dt), len(times))))
+    if spp < 1:
+        raise ValueError(f"time step {dt!r} s is two or more periods at fs {fs!r} Hz")
     n = (len(times) - 1) // spp
     if n < 1:
         raise ValueError("trajectory spans less than one full switching period")

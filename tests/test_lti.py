@@ -342,19 +342,29 @@ def test_phase_crossover_sits_on_the_half_turn(zeta):
     assert 180.0 - abs(ph) < 1e-9
 
 
+def _assert_whole_turns_of(got, resp, i, ref):
+    # the principal phase of resp[i] moved by the reference's whole turns,
+    # exactly, and within rounding of the reference's own running sum
+    here = float(np.degrees(np.angle(resp[i])))
+    assert got == here + 360.0 * round((ref - here) / 360.0), (i, got, ref)
+    assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (i, got, ref)
+
+
 def test_unwrapped_phase_prefix_matches_full_unwrap(three_pole_loop):
     tf = _scaled(three_pole_loop, 1e3)
     rng = np.random.default_rng(7)
     noisy = np.exp(1j * np.cumsum(rng.uniform(-5.0, 5.0, 400)))
+    # np.unwrap is nan from here on; window_response refuses a non-finite
+    # response before any margin code runs, so only the prefix is compared
     noisy[300] = complex(math.nan, 0.0)
-    # every step a wrap the same way: the running correction grows to
-    # hundreds of turns, where the order of summation shows in the bits
+    # every step a wrap the same way: the unwrap runs to hundreds of turns
     rolling = 3.0 * np.exp(-1j * np.cumsum(rng.uniform(3.2, 6.0, 400)))
-    for resp in (_margin_grid_response(tf), noisy, rolling):
+    grid = _margin_grid_response(tf)
+    for resp, n in ((grid, len(grid)), (noisy, 300), (rolling, len(rolling))):
         full = _full_unwrap(tf, resp)
-        assert np.any(np.abs(np.diff(np.angle(resp))) > math.pi)
-        for i in range(len(resp)):
-            assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(float(full[i]))
+        assert np.any(np.abs(np.diff(np.angle(resp[:n]))) > math.pi)
+        for i in range(n):
+            _assert_whole_turns_of(_unwrapped_phase_at(tf, resp, i), resp, i, full[i])
 
 
 # parts that put samples on the axes: exact +-0.0 imaginary parts, and
@@ -394,7 +404,7 @@ def test_unwrapped_phase_at_matches_reference_property(resp, tf, data):
     last = len(resp) - 1
     for i in {0, min(1, last), last, data.draw(st.integers(0, last))}:
         want = unwrapped_phase_at_reference(resp, i, asymptote)
-        assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(want)
+        _assert_whole_turns_of(_unwrapped_phase_at(tf, resp, i), resp, i, want)
 
 
 def test_unwrapped_phase_at_half_turn_steps():
@@ -408,6 +418,56 @@ def test_unwrapped_phase_at_half_turn_steps():
         assert repr(_unwrapped_phase_at(tf, resp, i)) == repr(
             unwrapped_phase_at_reference(resp, i, 0.0)
         )
+
+
+def test_unwrapped_phase_at_keeps_a_step_one_float_over_pi():
+    # angle -4.4e-16 to pi: a step of pi's next float, where np.unwrap's
+    # step + pi rounds to exactly 2*pi, and it adds no turn
+    tf = TransferFunction((1.0,), (1.0, 1.0))
+    resp = np.array([complex(1.0, -4.440892098500626e-16), -1.0 + 0j])
+    assert np.angle(resp[1]) - np.angle(resp[0]) == math.nextafter(math.pi, 4.0)
+    got = _unwrapped_phase_at(tf, resp, 1)
+    assert got == 180.0
+    _assert_whole_turns_of(got, resp, 1, unwrapped_phase_at_reference(resp, 1, 0.0))
+
+
+# k/((s+1)(s+10)(s+100)) for k from 1 to 1e6: the phase passes -180 near
+# 33 rad/s, so the Bode points above it and the phase margins of the largest
+# gains lie off the principal branch
+_THREE_POLES = tuple(np.polymul(np.polymul([1.0, 1.0], [1.0, 10.0]), [1.0, 100.0]))
+_THREE_POLE_FAMILY = [
+    TransferFunction((float(k),), _THREE_POLES) for k in np.logspace(0, 6, 61)
+]
+
+
+def _is_principal_plus_turns(ph, principal):
+    return ph == principal + 360.0 * round((ph - principal) / 360.0)
+
+
+def test_bode_phase_is_principal_plus_whole_turns():
+    off_principal = 0
+    for tf in _THREE_POLE_FAMILY:
+        omegas, _, phases = bode_sweep(tf, 1e-2, 1e4, 100)
+        for w, ph in zip(omegas.tolist(), phases.tolist()):
+            principal = phase_deg(evaluate(tf, w))
+            assert _is_principal_plus_turns(ph, principal), (tf.num, w, ph, principal)
+            off_principal += ph != principal
+    assert off_principal > 0
+
+
+def test_phase_margin_is_principal_plus_whole_turns():
+    reported = off_principal = 0
+    for tf in _THREE_POLE_FAMILY:
+        report = stability_margins(tf)
+        pm = report.phase_margin_deg
+        if pm is None:
+            continue
+        reported += 1
+        principal = phase_deg(evaluate(tf, report.gain_crossover))
+        k = round((pm - 180.0 - principal) / 360.0)
+        assert pm == 180.0 + (principal + 360.0 * k), tf.num
+        off_principal += k != 0
+    assert reported == 30 and off_principal > 0
 
 
 def test_margins_report_lowest_of_multiple_crossings():
@@ -583,7 +643,7 @@ def test_poles_resolve_small_real_root_to_its_scale():
     got = poles(TransferFunction((1.0,), den))
     real = [z for z in got if z.imag == 0.0]
     assert len(real) == 1
-    assert real[0].real == pytest.approx(-1e-20, rel=1e-9)
+    assert real[0].real == pytest.approx(-1e-20, rel=1e-9, abs=0.0)
 
     # the roots' product is -den[3]/den[0], so it checks the small root to
     # its own scale, which an absolute residual bound cannot
@@ -593,7 +653,8 @@ def test_poles_resolve_small_real_root_to_its_scale():
         pair = complex(-(10.0 ** rng.uniform(1, 3)), 10.0 ** rng.uniform(1, 3))
         den = _cubic_den(r, pair)
         a, b, c = poles(TransferFunction((1.0,), den))
-        assert (a * b * c).real == pytest.approx(-den[3] / den[0], rel=1e-12), r
+        product = pytest.approx(-den[3] / den[0], rel=1e-12, abs=0.0)
+        assert (a * b * c).real == product, r
 
 
 def test_poles_keep_a_small_pair_after_a_large_real_root():

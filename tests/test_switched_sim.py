@@ -45,6 +45,24 @@ def test_sim_config_validation(nominal_params):
             SimConfig(t_end=0.01, steps_per_period=bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("initial_state", (math.nan, 0.0)),
+        ("initial_state", (0.0, math.inf)),
+        ("integrator_init", math.nan),
+        ("integrator_init", -math.inf),
+        # not a state (il, vc): the kernel would index past it, or drop a value
+        ("initial_state", (1.0,)),
+        ("initial_state", (1.0, 2.0, 3.0)),
+    ],
+)
+def test_sim_config_refuses_a_start_that_is_not_a_finite_state(field, value):
+    # a non-finite start never settles, yet the run would still give a verdict
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SimConfig(t_end=0.01, **{field: value})
+
+
 @pytest.mark.parametrize("spp", [np.int64(50), np.int32(37)])
 def test_sim_config_accepts_numpy_integer_steps(nominal_params, spp):
     cfg = SimConfig(t_end=0.002, steps_per_period=spp, gains=PIGains(17.25, 75.0))
@@ -308,6 +326,31 @@ def test_cycle_average_too_short(nominal_params):
     traj = _manual_trajectory([1.0] * 30, spp=40)
     with pytest.raises(ValueError, match="period"):
         cycle_average(traj, 1000.0)
+
+
+@pytest.mark.parametrize(
+    "times, cause",
+    [
+        ([0.0], "1 sample"),
+        ([0.0, 0.0, 0.0], "need rising times"),
+        ([0.0, 1.0, 2.0], "two or more periods"),
+        # 1/(fs*dt) overflows to inf
+        ([0.0, 5e-324, 1e-323], "less than one full switching period"),
+    ],
+)
+def test_cycle_means_refuse_a_degenerate_trajectory(nominal_params, times, cause):
+    n = len(times)
+    traj = SwitchedTrajectory(
+        times=np.array(times),
+        il=np.ones(n),
+        vc=np.ones(n),
+        duty_cmd=np.full(n, 0.5),
+        switch_state=np.zeros(n, dtype=bool),
+    )
+    with pytest.raises(ValueError, match=cause):
+        cycle_average(traj, 1000.0)
+    with pytest.raises(ValueError, match=cause):
+        regulation_report(traj, nominal_params)
 
 
 def test_regulation_report_failure(nominal_params):

@@ -157,11 +157,37 @@ class PlantDerivation:
     plant: TransferFunction
 
 
+def _check_continuous_conduction(p: ConverterParams, op: OperatingPoint) -> None:
+    """Refuse an operating point outside continuous conduction mode (CCM), where
+    the averaged model does not hold: the inductor current must stay above
+    zero, I_L > delta_i_L/2 with delta_i_L = (vg - vc - I_L*r_l)*D/(L*fs).
+    Compared in product form, so that no L*fs is divided by."""
+    swing = (op.vg - op.vc - op.il * p.r_l) * op.duty
+    # at full duty there is no ripple, even where L*fs underflows to 0
+    if swing <= 0.0 or op.il * p.l * p.fs > 0.5 * swing:
+        return
+    ratio = 2.0 * op.il * p.l * p.fs / swing
+    detail = (
+        f"I_L/(delta_i_L/2) is {ratio:.3f}, not above 1"
+        if math.isfinite(ratio)
+        else "I_L is not above delta_i_L/2"
+    )
+    raise ValueError(
+        f"operating point is outside continuous conduction mode: {detail}; the "
+        "averaged plant does not hold there (simulate models discontinuous conduction)"
+    )
+
+
 def derive_plant(p: ConverterParams) -> PlantDerivation:
-    """Run the whole modeling chain for a parameter set."""
+    """Run the whole modeling chain for a parameter set.
+
+    Raises ValueError when the operating point is not in continuous
+    conduction mode, the region where the averaged model holds.
+    """
     on = mode_on_model(p)
     off = mode_off_model(p)
     op = solve_duty(p)
+    _check_continuous_conduction(p, op)
     ssm = small_signal_model(on, off, op)
     return PlantDerivation(
         mode_on=on,

@@ -62,9 +62,10 @@ class TransferFunction:
 class MarginReport:
     """Stability margins of an open-loop transfer function.
 
-    Absent crossovers are None; gain margin is +inf when the phase never
-    reaches -180 degrees. The loop is declared stable when both margins
-    are positive, an absent crossover counting as an infinite margin.
+    Absent crossovers are None; gain margin is +inf when L never crosses
+    the negative real axis on the margin window. The loop is declared
+    stable when both margins are positive, an absent crossover counting as
+    an infinite margin.
     """
 
     gain_crossover: float | None
@@ -247,50 +248,51 @@ def _bisect_crossing(f, lo: float, hi: float, rel_tol: float) -> float:
     return math.sqrt(lo * hi)
 
 
-def _find_crossings(values: np.ndarray) -> list[tuple[bool, int]]:
-    """Zero crossings of a sampled function, lowest index first.
-
-    Returns (is_exact, index) pairs: an exact zero at a grid point, or a
-    sign change over [index, index + 1]. Exact zeros do not additionally
-    count as sign changes with their neighbors; a NaN sample counts as not
-    positive.
-    """
-    zero = values == 0.0
-    hit = zero.copy()
-    pos = values > 0.0
-    # a change of sign onto an exact zero is that zero's own hit
-    hit[:-1] |= (pos[:-1] != pos[1:]) & ~zero[1:]
-    idx = np.flatnonzero(hit)
-    return list(zip(zero[idx].tolist(), idx.tolist()))
-
-
-def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
-    """Principal phase (degrees) of resp[i] moved by the whole turns of element i
-    of the anchored np.unwrap of resp, which adds one per step below -pi and
-    takes one off per step whose step + pi rounds above 2*pi. Only steps
-    between samples whose imaginary parts are not both > 0, nor both < 0, are
-    read; the others are under a half turn."""
-    im = resp.imag[: i + 1]
+def _wrap_steps(resp: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid steps k -> k + 1, for k below `stop`, on which the principal phase
+    of `resp` wraps, i.e. L crosses the negative real axis, and their whole
+    turns: one for a step below -pi, minus one for a step whose step + pi
+    rounds above 2*pi, none for exactly a half turn. Only steps between
+    samples whose imaginary parts are not both > 0, nor both < 0, are read;
+    the others are under a half turn."""
+    im = resp.imag[: stop + 1]
     upper, lower = im > 0.0, im < 0.0
     k = np.flatnonzero(~(upper[:-1] & upper[1:] | lower[:-1] & lower[1:]))
     step = np.angle(resp[k + 1]) - np.angle(resp[k])
-    turns = int((step < -math.pi).sum() - (step + math.pi > 2.0 * math.pi).sum())
+    turns = (step < -math.pi).astype(int) - (step + math.pi > 2.0 * math.pi)
+    wraps = turns != 0
+    return k[wraps], turns[wraps]
+
+
+def _unwrapped_phase_at(tf: TransferFunction, resp: np.ndarray, i: int) -> float:
+    """Principal phase (degrees) of resp[i] moved by the whole turns of the wrap
+    steps below i, and by those that put resp[0] nearest the low-frequency
+    asymptote."""
+    turns = int(_wrap_steps(resp, i)[1].sum())
     first, here = np.degrees(np.angle(resp[[0, i]])).tolist()
     anchor_turns = round((_low_frequency_phase_asymptote(tf) - first) / 360.0)
     return here + 360.0 * (turns + anchor_turns)
 
 
-def _gain_crossing(
+def gain_crossing(
     tf: TransferFunction, resp: np.ndarray
-) -> tuple[list[tuple[bool, int]], float | None, float | None]:
-    """Gain crossings of `tf` from its response `resp` on the margin window, and
-    the lowest one's crossover (rad/s) and phase margin (deg), both None when
-    |L| never crosses 1 there; the phase is unwrapped only up to the crossing."""
-    hits = _find_crossings(np.abs(resp) - 1.0)
-    if not hits:
-        return hits, None, None
-    exact, i = hits[0]
-    if exact:
+) -> tuple[int, float | None, float | None]:
+    """Gain crossings of `tf` from its response `resp` on the margin window:
+    their number (an exact |L| = 1 at a grid point, or a sign change of
+    |L| - 1 between two), and the lowest one's crossover (rad/s) and phase
+    margin (deg), both None when |L| never crosses 1 there. The phase takes
+    its branch from the wrap steps below the crossing only."""
+    above = np.abs(resp) - 1.0
+    zero = above == 0.0
+    hit = zero.copy()
+    pos = above > 0.0
+    # a change of sign onto an exact zero is that zero's own hit
+    hit[:-1] |= (pos[:-1] != pos[1:]) & ~zero[1:]
+    idx = np.flatnonzero(hit)
+    if not len(idx):
+        return 0, None, None
+    i = int(idx[0])
+    if zero[i]:
         crossover = float(MARGIN_OMEGAS[i])
     else:
         lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
@@ -298,45 +300,32 @@ def _gain_crossing(
             lambda w: abs(evaluate(tf, w)) - 1.0, lo, hi, 1e-10
         )
     ph = _anchor(phase_deg(evaluate(tf, crossover)), _unwrapped_phase_at(tf, resp, i))
-    return hits, crossover, 180.0 + ph
-
-
-def phase_margin(loop_tf: TransferFunction, resp: np.ndarray) -> float | None:
-    """Phase margin (deg) of `loop_tf` from its response `resp` on the margin
-    window, as `stability_margins(loop_tf)` reports it, with no phase-crossover
-    or gain-margin work; None when |L| never crosses 1 there."""
-    return _gain_crossing(loop_tf, resp)[2]
+    return len(idx), crossover, 180.0 + ph
 
 
 def stability_margins(loop_tf: TransferFunction) -> MarginReport:
     """Locate gain/phase crossovers by grid scan plus bisection.
 
     The scan covers the margin window, MARGIN_OMEGAS (1e-2 to 1e7 rad/s
-    with 400 points per decade). With multiple crossings the lowest-frequency
-    one of each kind is reported and the totals are recorded in the count
-    fields. Raises ValueError when the response leaves the float range there.
+    with 400 points per decade). A phase crossover is a crossing of the
+    negative real axis by L(j*omega), at any odd multiple of 180 degrees: a
+    wrap step of the principal phase, bisected on that phase's sign. With
+    multiple crossings the lowest-frequency one of each kind is reported and
+    the totals are recorded in the count fields. Raises ValueError when the
+    response leaves the float range there.
     """
     resp = window_response(loop_tf.num, window_response(loop_tf.den, None))
-    gain_hits, gain_crossover, pm = _gain_crossing(loop_tf, resp)
-    phases = np.degrees(np.unwrap(np.angle(resp)))
-    phases += _anchor(phases[0], _low_frequency_phase_asymptote(loop_tf)) - phases[0]
-    phase_hits = _find_crossings(phases + 180.0)
+    gain_count, gain_crossover, pm = gain_crossing(loop_tf, resp)
+    wraps = _wrap_steps(resp, len(resp) - 1)[0]
 
     phase_crossover = None
     gain_margin = math.inf
-    if phase_hits:
-        exact, i = phase_hits[0]
-        if exact:
-            phase_crossover = float(MARGIN_OMEGAS[i])
-        else:
-            lo, hi = float(MARGIN_OMEGAS[i]), float(MARGIN_OMEGAS[i + 1])
-            # the unwrapped phase inside the bracket continues from its lower
-            # end, as adjacent grid points are far less than a half turn apart
-            ph_lo = float(phases[i])
-            phase_crossover = _bisect_crossing(
-                lambda w: _anchor(phase_deg(evaluate(loop_tf, w)), ph_lo) + 180.0,
-                lo, hi, 1e-15,
-            )
+    if len(wraps):
+        k = int(wraps[0])
+        phase_crossover = _bisect_crossing(
+            lambda w: phase_deg(evaluate(loop_tf, w)),
+            float(MARGIN_OMEGAS[k]), float(MARGIN_OMEGAS[k + 1]), 1e-15,
+        )
         gain_margin = -magnitude_db(evaluate(loop_tf, phase_crossover))
 
     return MarginReport(
@@ -345,8 +334,8 @@ def stability_margins(loop_tf: TransferFunction) -> MarginReport:
         gain_margin_db=gain_margin,
         phase_margin_deg=pm,
         stable_loop=(pm is None or pm > 0.0) and gain_margin > 0.0,
-        gain_crossover_count=len(gain_hits),
-        phase_crossover_count=len(phase_hits),
+        gain_crossover_count=gain_count,
+        phase_crossover_count=len(wraps),
     )
 
 

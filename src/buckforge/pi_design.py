@@ -18,7 +18,7 @@ from .lti import (
     TransferFunction,
     close_unity_loop,
     dc_gain,
-    phase_margin,
+    gain_crossing,
     poles,
     series,
     stability_margins,
@@ -121,7 +121,7 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
 
     def pm_of(kp: float) -> float | None:
         loop = compensated_loop(plant, PIGains(kp, ki))
-        return phase_margin(loop, window_response(loop.num, den_resp))
+        return gain_crossing(loop, window_response(loop.num, den_resp))[2]
 
     def excess(pm: float | None) -> float:
         # no gain crossover: the loop never reaches unit magnitude

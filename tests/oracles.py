@@ -14,8 +14,13 @@ import numpy as np
 
 
 def sweep_margins(num, den, lo=1e-2, hi=1e7, points_per_decade=10_000):
-    """Dense-sweep margin estimate: crossings located on a log grid and
-    polished by bisection on the raw complex response."""
+    """Dense-sweep margin estimate: crossings located on a log grid, the gain
+    crossover polished by bisection on the raw complex response and the phase
+    crossover taken at its grid step's geometric middle.
+
+    Its phase crossings are those of -180 degrees only, by the phase unwrapped
+    from the first sample's principal value; the package counts every
+    crossing of the negative real axis (-540 and +180 degrees as well)."""
     n = int(round(math.log10(hi / lo) * points_per_decade)) + 1
     w = np.logspace(math.log10(lo), math.log10(hi), n)
     resp = np.polyval(num, 1j * w) / np.polyval(den, 1j * w)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,25 @@ def test_zero_input_column_gives_zero_tf(modes):
     op = equilibrium(on, on, 0.4, 30.0)
     tf = duty_to_output_tf(small_signal_model(on, on, op))
     assert tf.num == (0.0,)
+
+
+@pytest.mark.parametrize("changes,refused", [
+    # the boundary I_L = delta_i_L/2 lies near 60 ohm on the nominal config
+    ({"r_load": 59.0}, None),
+    ({"r_load": 61.0}, "I_L/(delta_i_L/2) is 0.984, not above 1"),
+    # full duty has no ripple, though L*fs underflows to 0
+    ({"vo_target": 30.0, "r_l": 0.0, "fs": 5e-324}, None),
+    # one ulp below full duty the ripple is real, and L*fs still 0
+    ({"vo_target": 29.41176470588235, "fs": 5e-324},
+     "I_L/(delta_i_L/2) is 0.000, not above 1"),
+])
+def test_derive_plant_refuses_a_point_outside_ccm(nominal_params, changes, refused):
+    p = dataclasses.replace(nominal_params, **changes)
+    if refused is None:
+        derive_plant(p)
+    else:
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            derive_plant(p)
 
 
 def test_dc_gain_matches_equilibrium_slope(nominal_params):

@@ -983,6 +983,29 @@ def test_sensor_gain_out_of_range_is_exit_2(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", CONTRACT_COMMANDS[:4], ids=lambda c: c[0])
+def test_design_commands_refuse_a_point_outside_ccm(
+    nominal_config_path, tmp_path, capsys, command
+):
+    # at 100 ohm the nominal converter's ripple reaches below zero current:
+    # I_L/(delta_i_L/2) is 0.600, the boundary is near 60 ohm
+    config = _config(tmp_path, nominal_config_path, r_load=100.0)
+    out = tmp_path / "out"
+    assert run([command[0], "--config", config, "--out-dir", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "I_L/(delta_i_L/2) is 0.600, not above 1" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_runs_outside_ccm(nominal_config_path, tmp_path):
+    # the switched model covers discontinuous conduction, so it is not refused
+    config = _config(tmp_path, nominal_config_path, r_load=100.0)
+    out = tmp_path / "out"
+    code = run(["simulate", "--config", config, "--out-dir", str(out), *CONTRACT_COMMANDS[4][1:]])
+    assert code in (0, 4)
+    assert (out / "sim.csv").exists()
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
 

@@ -33,10 +33,10 @@ from buckforge.lti import (
     _low_frequency_phase_asymptote,
     _unwrapped_phase_at,
     dc_gain,
+    gain_crossing,
     log_grid,
     magnitude_db,
     phase_deg,
-    phase_margin,
 )
 from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
@@ -197,13 +197,17 @@ def test_margin_grid_is_built_once_and_read_only():
         MARGIN_OMEGAS[0] = 1.0
 
 
-def test_stability_margins_unwraps_once_on_the_built_grid(monkeypatch, nominal_plant):
-    unwrap, calls = np.unwrap, []
-    monkeypatch.setattr(np, "unwrap", lambda x: calls.append(len(x)) or unwrap(x))
+def test_stability_margins_never_unwraps_nor_rebuilds_the_grid(
+    monkeypatch, nominal_plant, three_pole_loop
+):
+    calls = []
+    monkeypatch.setattr(np, "unwrap", lambda x: calls.append(len(x)))
     monkeypatch.setattr(lti, "log_grid", None)
     loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
     assert stability_margins(loop).gain_crossover is not None
-    assert calls == [len(MARGIN_OMEGAS)]
+    report = stability_margins(three_pole_loop)
+    assert report.gain_crossover is not None and report.phase_crossover is not None
+    assert calls == []
 
 
 def test_phase_unwrap_continuity(nominal_plant):
@@ -309,7 +313,7 @@ def test_phase_margin_matches_stability_margins(nominal_plant, three_pole_loop):
         for k in np.logspace(-7, 4, 45):
             loop = _scaled(base, float(k))
             want = stability_margins(loop).phase_margin_deg
-            got = phase_margin(loop, _margin_grid_response(loop))
+            got = gain_crossing(loop, _margin_grid_response(loop))[2]
             assert repr(got) == repr(want)
             if want is None:
                 seen["none"] += 1
@@ -340,6 +344,57 @@ def test_phase_crossover_sits_on_the_half_turn(zeta):
     assert report.phase_crossover is not None
     ph = phase_deg(evaluate(loop, report.phase_crossover))
     assert 180.0 - abs(ph) < 1e-9
+
+
+def test_phase_crossovers_count_every_crossing_of_the_negative_real_axis():
+    # 1e3/(s+1)^7: the phase falls through -180 and then -540 degrees; both
+    # are phase crossings, and the lowest one is reported as before
+    loop = TransferFunction((1e3,), tuple(np.poly([-1.0] * 7)))
+    report = stability_margins(loop)
+    assert report.phase_crossover_count == 2
+    assert report.phase_crossover == 0.4815746188075285
+    assert report.gain_margin_db == -53.65936984644809
+
+
+# stable poles of a random loop: a real one, or a complex pair with damping zeta
+_REAL_POLE = st.floats(-1.0, 5.0).map(lambda e: [1.0, 10.0**e])
+_POLE_PAIR = st.tuples(st.floats(-1.0, 5.0), st.floats(0.1, 1.0)).map(
+    lambda t: [1.0, 2.0 * t[1] * 10.0**t[0], 10.0 ** (2.0 * t[0])]
+)
+
+
+@st.composite
+def _random_loops(draw):
+    """k * (zero factor) / (poles) of order 3 to 5; the zero, if any, is in
+    either half plane."""
+    order, den = draw(st.integers(3, 5)), [1.0]
+    while len(den) <= order:
+        fits_a_pair = order - (len(den) - 1) >= 2
+        factor = st.one_of(_REAL_POLE, _POLE_PAIR) if fits_a_pair else _REAL_POLE
+        den = np.polymul(den, draw(factor))
+    num = [10.0 ** draw(st.floats(-3.0, 9.0))]
+    zero = draw(st.one_of(st.none(), st.floats(-1.0, 5.0).map(lambda e: 10.0**e)))
+    if zero is not None:
+        num = np.polymul(num, [draw(st.sampled_from([1.0, -1.0])) / zero, 1.0])
+    return TransferFunction(tuple(num), tuple(den))
+
+
+@pytest.mark.oracle_property
+@settings(deadline=None)
+@given(loop=_random_loops())
+def test_phase_crossover_is_on_the_negative_real_axis_property(loop):
+    report = stability_margins(loop)
+    if report.phase_crossover is None:
+        assert report.phase_crossover_count == 0 and report.gain_margin_db == math.inf
+        return
+    z = evaluate(loop, report.phase_crossover)
+    assert z.real < 0.0 and abs(z.imag) <= 1e-9 * abs(z)
+    oracle = sweep_margins(loop.num, loop.den)
+    # the oracle sees only crossings of -180 degrees, on a 1e4-per-decade grid
+    if oracle["phase_crossover"] is not None and math.isclose(
+        oracle["phase_crossover"], report.phase_crossover, rel_tol=1e-3
+    ):
+        assert report.gain_margin_db == pytest.approx(oracle["gain_margin_db"], abs=0.05)
 
 
 def _assert_whole_turns_of(got, resp, i, ref):

@@ -7,6 +7,7 @@ from .averaging import (
     PlantDerivation,
     SmallSignalModel,
     averaged_model,
+    continuous_conduction,
     derive_plant,
     duty_to_output_tf,
     equilibrium,

@@ -157,16 +157,25 @@ class PlantDerivation:
     plant: TransferFunction
 
 
-def _check_continuous_conduction(p: ConverterParams, op: OperatingPoint) -> None:
-    """Refuse an operating point outside continuous conduction mode (CCM), where
-    the averaged model does not hold: the inductor current must stay above
-    zero, I_L > delta_i_L/2 with delta_i_L = (vg - vc - I_L*r_l)*D/(L*fs).
-    Compared in product form, so that no L*fs is divided by."""
+def continuous_conduction(p: ConverterParams, op: OperatingPoint) -> tuple[float, bool]:
+    """The ratio I_L/(delta_i_L/2) at an operating point, with the ripple
+    delta_i_L = (vg - vc - I_L*r_l)*D/(L*fs), and whether the point is in
+    continuous conduction mode (CCM), where the averaged model holds: the
+    inductor current stays above zero, I_L > delta_i_L/2. The verdict is
+    compared in product form, so that no L*fs is divided by; a point with no
+    ripple has an infinite ratio."""
     swing = (op.vg - op.vc - op.il * p.r_l) * op.duty
     # at full duty there is no ripple, even where L*fs underflows to 0
-    if swing <= 0.0 or op.il * p.l * p.fs > 0.5 * swing:
+    if swing <= 0.0:
+        return math.inf, True
+    return 2.0 * op.il * p.l * p.fs / swing, op.il * p.l * p.fs > 0.5 * swing
+
+
+def _check_continuous_conduction(p: ConverterParams, op: OperatingPoint) -> None:
+    """Refuse an operating point outside CCM (`continuous_conduction`)."""
+    ratio, in_ccm = continuous_conduction(p, op)
+    if in_ccm:
         return
-    ratio = 2.0 * op.il * p.l * p.fs / swing
     detail = (
         f"I_L/(delta_i_L/2) is {ratio:.3f}, not above 1"
         if math.isfinite(ratio)

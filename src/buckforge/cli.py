@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .averaging import derive_plant, full_duty_output, solve_duty
+from .averaging import continuous_conduction, derive_plant, full_duty_output, solve_duty
 from .converter import ParameterError, default_sensor_gain, load_params
 from .csvtext import format_block
 from .lti import bode_sweep, close_unity_loop, stability_margins
@@ -44,6 +44,10 @@ from .timedomain import NotSettledError, step_metrics, step_response
 # rescales every gain by vs*vo_target/vref (vs over the sensor divider)
 # before it drives the PWM loop
 DEFAULT_ANALYSIS_GAINS = PIGains(0.23, 1.0)
+
+# a gain crossover above this fraction of fs is flagged in the manifest: the
+# averaged plant describes the loop only well below the switching frequency
+CROSSOVER_FS_LIMIT = 0.1
 
 
 def _fmt4(x: float) -> str:
@@ -105,6 +109,23 @@ def _write_manifest(args, p, outputs: list[str], extra: dict | None = None) -> N
         print(f"wrote {', '.join(outputs)}")
 
 
+def _ccm_validity(p, op) -> dict:
+    """The manifest's `model_validity` of an operating point: its ratio
+    I_L/(delta_i_L/2), above 1 in continuous conduction mode."""
+    return {"ccm_ratio": continuous_conduction(p, op)[0]}
+
+
+def _loop_validity(p, op, crossover: float | None) -> dict:
+    """`_ccm_validity`, and a loop's gain crossover (rad/s, None where there
+    is none) as a fraction of fs, flagged above CROSSOVER_FS_LIMIT."""
+    ratio = None if crossover is None else crossover / (2.0 * math.pi) / p.fs
+    return {
+        **_ccm_validity(p, op),
+        "crossover_to_fs": ratio,
+        "crossover_above_fs_limit": ratio is not None and ratio > CROSSOVER_FS_LIMIT,
+    }
+
+
 def cmd_derive(args) -> int:
     p = load_params(args.config)
     derivation = derive_plant(p)
@@ -126,14 +147,15 @@ def cmd_derive(args) -> int:
         f"{_fmt4(derivation.plant.num[-1])} / "
         f"(s^2 + {_fmt4(derivation.plant.den[1])} s + {_fmt4(derivation.plant.den[2])})"
     )
-    _write_manifest(args, p, [out])
+    _write_manifest(args, p, [out], {"model_validity": _ccm_validity(p, op)})
     return 0
 
 
 def cmd_bode(args) -> int:
     p = load_params(args.config)
     gains = PIGains(args.kp, args.ki)
-    loop = compensated_loop(derive_plant(p).plant, gains)
+    derivation = derive_plant(p)
+    loop = compensated_loop(derivation.plant, gains)
     sweep = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
     margins = stability_margins(loop)
 
@@ -150,19 +172,23 @@ def cmd_bode(args) -> int:
     print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
     print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
     print(f"stable loop: {margins.stable_loop}")
-    _write_manifest(args, p, outputs, {"csv": emitted})
+    validity = _loop_validity(p, derivation.operating_point, margins.gain_crossover)
+    _write_manifest(args, p, outputs, {"csv": emitted, "model_validity": validity})
     return 0
 
 
 def cmd_tune(args) -> int:
     p = load_params(args.config)
-    plant = derive_plant(p).plant
+    derivation = derive_plant(p)
+    plant = derivation.plant
     try:
         result = tune_kp_for_pm(plant, args.ki, args.target_pm)
     except TuningError as exc:
         # the failed search still explains itself in the manifest
-        trace = {"tuning_trace": dataclasses.asdict(exc.trace)} if exc.trace else None
-        _write_manifest(args, p, [], trace)
+        extra = {"model_validity": _ccm_validity(p, derivation.operating_point)}
+        if exc.trace:
+            extra["tuning_trace"] = dataclasses.asdict(exc.trace)
+        _write_manifest(args, p, [], extra)
         raise
     report = design_report(plant, result.gains, p)
     # the report's margins are those the search accepted the tuned kp on
@@ -183,13 +209,18 @@ def cmd_tune(args) -> int:
         f"{_fmt4(margins['phase_margin_deg'])} deg phase margin "
         f"(target {_fmt4(args.target_pm)})"
     )
-    _write_manifest(args, p, [out], {"tuning_trace": dataclasses.asdict(result.trace)})
+    validity = _loop_validity(p, derivation.operating_point, margins["gain_crossover"])
+    _write_manifest(
+        args, p, [out],
+        {"tuning_trace": dataclasses.asdict(result.trace), "model_validity": validity},
+    )
     return 0
 
 
 def cmd_step(args) -> int:
     p = load_params(args.config)
-    plant = derive_plant(p).plant
+    derivation = derive_plant(p)
+    plant = derivation.plant
     if args.uncompensated:
         if args.kp is not None or args.ki is not None:
             raise ParameterError(
@@ -228,7 +259,8 @@ def cmd_step(args) -> int:
     if args.svg:
         svg = timeseries_svg(traj.times, traj.values, "time (s)", "output", label)
         outputs.append(_write_svg(args, "step.svg", svg))
-    _write_manifest(args, p, outputs, {"csv": emitted})
+    validity = _ccm_validity(p, derivation.operating_point)
+    _write_manifest(args, p, outputs, {"csv": emitted, "model_validity": validity})
     return code
 
 
@@ -248,10 +280,12 @@ def cmd_simulate(args) -> int:
 
     initial = (0.0, 0.0)
     integrator_init = 0.0
+    start_ccm = (None, None)  # from rest
     if args.from_operating_point:
         op = solve_duty(p)  # operating point at the configured vg
         initial = (op.il, op.vc)
         integrator_init = op.duty * p.vs
+        start_ccm = continuous_conduction(p, op)
     if args.vg is not None:
         p = dataclasses.replace(p, vg=args.vg)
 
@@ -316,9 +350,18 @@ def cmd_simulate(args) -> int:
         "initial_state": list(initial),
         "integrator_init": integrator_init,
     }
-    _write_manifest(
-        args, configured, outputs, {"pwm_loop": pwm_loop, "csv": emitted, "simulator": simulator}
-    )
+    try:
+        # at the operating point that regulates the simulated source
+        ccm_ratio = continuous_conduction(p, solve_duty(p))[0]
+    except ValueError:  # no duty reaches vo_target
+        ccm_ratio = None
+    validity = {
+        "ccm_ratio": ccm_ratio, "start_ccm_ratio": start_ccm[0], "start_in_ccm": start_ccm[1],
+    }
+    _write_manifest(args, configured, outputs, {
+        "pwm_loop": pwm_loop, "csv": emitted, "simulator": simulator,
+        "model_validity": validity,
+    })
     return 0 if report.passed else 4
 
 

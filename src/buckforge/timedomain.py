@@ -4,11 +4,17 @@ Responses are computed from a controllable-canonical state-space
 realization advanced with the exact zero-order-hold update, so a step
 response is sampled from the true continuous solution; refining the grid
 only changes where it is sampled, not the values.
+
+`step_response` holds its most recent result, one per process, and returns
+that same frozen Trajectory to a call whose inputs have the same bits: the
+`step` command at the gains `tune` just designed, run in the same process,
+reuses the design report's response instead of computing it again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +108,19 @@ def zoh(a, b, dt: float) -> tuple[list[list[float]], list[float]]:
     return E[:n, :n].tolist(), E[:n, n].tolist()
 
 
+# the most recent response as (key, Trajectory), keyed on the bits of its
+# inputs: float.hex keeps 0.0 and -0.0 apart, which float equality would not
+_held: list = [None]
+
+
 def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajectory:
     """Unit-step output on a uniform grid of `samples` points over [0, t_end].
 
     The per-step transition pair (Phi, Gamma) is computed once from the
     augmented system matrix, making every step exact for the constant
-    input. An unstable transfer function is simulated as it is.
+    input. An unstable transfer function is simulated as it is. A call
+    with the same input bits as the last computed one returns that call's
+    Trajectory again; a refused call leaves it held.
     """
     if not tf.is_proper:
         raise ValueError("step response requires a proper transfer function")
@@ -126,6 +139,21 @@ def step_response(tf: TransferFunction, t_end: float, samples: int) -> Trajector
             "apart, below the smallest normal float"
         )
 
+    key = (
+        tuple(map(float.hex, tf.num)),
+        tuple(map(float.hex, tf.den)),
+        float(t_end).hex(),
+        operator.index(samples),
+    )
+    held = _held[0]
+    if held is None or held[0] != key:
+        _held[0] = held = None  # freed before the next response is computed
+        held = _held[0] = (key, _exact_step(tf, t_end, samples, dt))
+    return held[1]
+
+
+def _exact_step(tf: TransferFunction, t_end: float, samples: int, dt: float) -> Trajectory:
+    """The response `step_response` validated, computed afresh."""
     times = np.linspace(0.0, t_end, samples)
     n = len(tf.den) - 1
     if n == 0:

@@ -8,6 +8,7 @@ import pytest
 from buckforge import (
     StateSpaceModel,
     averaged_model,
+    continuous_conduction,
     derive_plant,
     duty_to_output_tf,
     equilibrium,
@@ -199,6 +200,23 @@ def test_derive_plant_refuses_a_point_outside_ccm(nominal_params, changes, refus
     else:
         with pytest.raises(ValueError, match=re.escape(refused)):
             derive_plant(p)
+
+
+@pytest.mark.parametrize("changes,ratio,in_ccm", [
+    ({}, 6.002, True),
+    ({"r_load": 100.0}, 0.600, False),
+    # full duty has no ripple
+    ({"vo_target": 30.0, "r_l": 0.0}, math.inf, True),
+])
+def test_continuous_conduction_ratio(nominal_params, changes, ratio, in_ccm):
+    p = dataclasses.replace(nominal_params, **changes)
+    op = solve_duty(p)
+    got, verdict = continuous_conduction(p, op)
+    assert verdict is in_ccm
+    assert got == pytest.approx(ratio, abs=5e-4)
+    if math.isfinite(got):
+        ripple = (op.vg - op.vc - op.il * p.r_l) * op.duty / (p.l * p.fs)
+        assert got == pytest.approx(op.il / (ripple / 2.0), rel=1e-12)
 
 
 def test_dc_gain_matches_equilibrium_slope(nominal_params):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from buckforge import PIGains, cli, compensated_loop, stability_margins
+from buckforge import PIGains, cli, compensated_loop, stability_margins, timedomain
 from buckforge.cli import main
 from buckforge.converter import PARAM_FIELDS
 from oracles import decimate_reference, timeseries_svg_reference
@@ -101,10 +101,34 @@ def test_manifest_records_every_option(nominal_config_path, tmp_path, command):
         "converter_params": read_json(nominal_config_path),
         "options": parsed,
     }
+    # I_L/(delta_i_L/2) at the nominal 30 V point (simulate: at its --vg 500)
+    validity = manifest["model_validity"]
+    ratio = 3.034 if command == "simulate" else 6.002
+    assert validity["ccm_ratio"] == pytest.approx(ratio, abs=5e-4)
+    assert ("crossover_to_fs" in validity) == (command in ("bode", "tune"))
     if command == "simulate":
         assert parsed["vg"] == 500.0 and parsed["from_operating_point"] and parsed["svg"]
         # started from the operating point at the configured 30 V
         assert manifest["pwm_loop"]["initial_state"][1] == pytest.approx(15.0, rel=1e-2)
+        assert validity["start_ccm_ratio"] == pytest.approx(6.002, abs=5e-4)
+        assert validity["start_in_ccm"] is True
+
+
+@pytest.mark.parametrize("argv,ratio,flagged", [
+    (("bode", "--kp", "0.23", "--ki", "1"), 0.002285, False),
+    (("tune", "--target-pm", "50"), 0.002203, False),
+    # the crossover of a 1 degree design sits at fs/7.9
+    (("tune", "--target-pm", "1"), 0.1258, True),
+])
+def test_manifest_flags_a_crossover_above_fs_over_10(
+    nominal_config_path, tmp_path, argv, ratio, flagged
+):
+    out = tmp_path / "out"
+    assert run([argv[0], "--config", nominal_config_path, "--out-dir", str(out),
+                *argv[1:]]) == 0
+    validity = read_json(out / f"{argv[0]}_manifest.json")["model_validity"]
+    assert validity["crossover_to_fs"] == pytest.approx(ratio, rel=1e-3)
+    assert validity["crossover_above_fs_limit"] is flagged
 
 
 def test_parser_is_built_once_and_dispatches_at_call_time(
@@ -380,6 +404,7 @@ def test_tune_unreachable_manifest_keeps_trace(nominal_config_path, tmp_path):
     assert not (out / "tune.json").exists()
     manifest = read_json(out / "tune_manifest.json")
     assert manifest["outputs"] == []
+    assert manifest["model_validity"]["ccm_ratio"] == pytest.approx(6.002, abs=5e-4)
     trace = manifest["tuning_trace"]
     assert trace["bracket"] is None and trace["bisection"] == []
     assert trace["pm_evals"] == 91
@@ -451,6 +476,32 @@ def test_step_window_too_short_to_sample_is_exit_2(nominal_config_path, tmp_path
     assert "Traceback" not in err
     assert not (out / "step.csv").exists()
     assert not (out / "step_metrics.json").exists()
+
+
+def test_step_at_the_tuned_gains_reuses_the_tune_response(
+    nominal_config_path, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(timedomain, "_held", [None])
+    computed = []
+    compute = timedomain._exact_step
+    monkeypatch.setattr(
+        timedomain, "_exact_step", lambda *a: computed.append(a[0]) or compute(*a)
+    )
+    common = ["--config", nominal_config_path]
+    tune = tmp_path / "tune"
+    assert run(["tune", *common, "--out-dir", str(tune), "--target-pm", "50"]) == 0
+    doc = read_json(tune / "tune.json")
+    step = ["step", *common, "--kp", repr(doc["gains"]["kp"]), "--ki", "1", "--svg"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run([*step, "--out-dir", str(reused)]) == 0
+    assert len(computed) == 1
+    timedomain._held[0] = None
+    assert run([*step, "--out-dir", str(fresh)]) == 0
+    assert len(computed) == 2
+    for name in ("step.csv", "step_metrics.json", "step.svg"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    metrics = read_json(fresh / "step_metrics.json")
+    assert doc["design_report"]["closed_loop"]["step_metrics"] == metrics
 
 
 def test_step_uncompensated(nominal_config_path, tmp_path):
@@ -1004,6 +1055,10 @@ def test_simulate_runs_outside_ccm(nominal_config_path, tmp_path):
     code = run(["simulate", "--config", config, "--out-dir", str(out), *CONTRACT_COMMANDS[4][1:]])
     assert code in (0, 4)
     assert (out / "sim.csv").exists()
+    # it started from an averaged operating point that does not hold there
+    validity = read_json(out / "simulate_manifest.json")["model_validity"]
+    assert validity["start_in_ccm"] is False
+    assert validity["ccm_ratio"] == validity["start_ccm_ratio"] == pytest.approx(0.6, abs=5e-4)
 
 
 def test_help_exits_zero():

@@ -14,6 +14,7 @@ from buckforge import (
     step_metrics,
     step_response,
 )
+from buckforge import timedomain
 from buckforge.lti import MAX_SAMPLES, dc_gain
 from buckforge.timedomain import zoh
 
@@ -196,3 +197,70 @@ def test_trajectory_validation():
     traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         traj.values[0] = 5.0
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Empties the held response; lists the denominators computed afresh."""
+    dens = []
+    compute = timedomain._exact_step
+
+    def counted(tf, *args):
+        dens.append(tf.den)
+        return compute(tf, *args)
+
+    monkeypatch.setattr(timedomain, "_exact_step", counted)
+    monkeypatch.setattr(timedomain, "_held", [None])
+    return dens
+
+
+def test_a_repeated_call_returns_the_held_response(computed, nominal_plant):
+    held = step_response(close_unity_loop(nominal_plant), 0.05, 2001)
+    # an equal loop built anew has the same bits
+    assert step_response(close_unity_loop(nominal_plant), 0.05, 2001) is held
+    assert len(computed) == 1
+    timedomain._held[0] = None
+    fresh = step_response(close_unity_loop(nominal_plant), 0.05, 2001)
+    assert fresh is not held and len(computed) == 2
+    assert fresh.times.tobytes() == held.times.tobytes()
+    assert fresh.values.tobytes() == held.values.tobytes()
+    assert not held.values.flags.writeable
+
+
+def test_signed_zeros_do_not_share_a_response(computed):
+    plus = TransferFunction((1.0,), (1.0, 0.0, 1.0))
+    minus = TransferFunction((1.0,), (1.0, -0.0, 1.0))
+    # float equality alone would take one for the other
+    assert plus == minus
+    step_response(plus, 1.0, 101)
+    step_response(minus, 1.0, 101)
+    assert [str(den) for den in computed] == ["(1.0, 0.0, 1.0)", "(1.0, -0.0, 1.0)"]
+
+
+def test_a_refused_call_leaves_the_held_response(computed):
+    traj = step_response(FIRST_ORDER, 5.0, 101)
+    held = timedomain._held[0]
+    with pytest.raises(ValueError, match="need at least 10 samples"):
+        step_response(FIRST_ORDER, 5.0, 9)
+    # a float sample count is refused as before, even with the same value
+    with pytest.raises(TypeError):
+        step_response(FIRST_ORDER, 5.0, 101.0)
+    assert timedomain._held[0] is held
+    assert step_response(FIRST_ORDER, 5.0, 101) is traj and len(computed) == 1
+
+
+def test_a_failed_computation_is_not_held(computed):
+    step_response(FIRST_ORDER, 5.0, 101)
+    overflowing = TransferFunction((1.0,), (1.0, -1e300))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            step_response(overflowing, 1.0, 11)
+    assert timedomain._held[0] is None and len(computed) == 3
+
+
+def test_one_response_is_held(computed):
+    first = step_response(FIRST_ORDER, 5.0, 101)
+    second = step_response(FIRST_ORDER, 5.0, 102)
+    assert len(timedomain._held) == 1 and timedomain._held[0][1] is second
+    assert step_response(FIRST_ORDER, 5.0, 101) is not first
+    assert len(computed) == 3

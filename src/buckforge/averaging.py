@@ -172,7 +172,10 @@ def continuous_conduction(p: ConverterParams, op: OperatingPoint) -> tuple[float
 
 
 def _check_continuous_conduction(p: ConverterParams, op: OperatingPoint) -> None:
-    """Refuse an operating point outside CCM (`continuous_conduction`)."""
+    """Refuse an operating point outside CCM (`continuous_conduction`), naming
+    the boundary load: with x = 1/r_load, so that I_L = vo*x, the ratio is 1
+    where vo*r_l^2*x^2 + b*x - (vg - vo) = 0, b = 2*L*fs*vg - r_l*(vg - 2*vo),
+    and CCM holds for r_load below 1/x at its positive root."""
     ratio, in_ccm = continuous_conduction(p, op)
     if in_ccm:
         return
@@ -181,9 +184,20 @@ def _check_continuous_conduction(p: ConverterParams, op: OperatingPoint) -> None
         if math.isfinite(ratio)
         else "I_L is not above delta_i_L/2"
     )
+    vg, vo, r_l = p.vg, p.vo_target, p.r_l
+    b = 2.0 * p.l * p.fs * vg - r_l * (vg - 2.0 * vo)
+    root = math.sqrt(b * b + 4.0 * vo * r_l * r_l * (vg - vo))
+    # 1/x = (b + root)/(2*(vg - vo)) stays finite at r_l = 0; for b < 0, b + root
+    # comes without cancellation from (b + root)*(root - b) = 4*vo*r_l^2*(vg - vo)
+    span = b + root if b >= 0.0 else 4.0 * vo * r_l * r_l * (vg - vo) / (root - b)
+    boundary = (
+        f"it needs r_load below {span / (2.0 * (vg - vo)):.6g} ohm"
+        if vo < vg and span > 0.0
+        else "no positive finite r_load is at its boundary"
+    )
     raise ValueError(
-        f"operating point is outside continuous conduction mode: {detail}; the "
-        "averaged plant does not hold there (simulate models discontinuous conduction)"
+        f"operating point is outside continuous conduction mode: {detail} ({boundary}); "
+        "the averaged plant does not hold there (simulate models discontinuous conduction)"
     )
 
 

@@ -380,11 +380,13 @@ def dc_gain(tf: TransferFunction) -> float:
 def poles(tf: TransferFunction) -> list[complex]:
     """Denominator roots in closed form (degree 3 at most).
 
-    Roots at the origin are factored out exactly. A cubic's real root is
-    bisected to its own scale, then divided out from the end of the
-    cubic whose terms do not cancel, leaving a quadratic.
+    The denominator is first divided by its leading coefficient, so any
+    nonzero scale of it gives the same roots. Roots at the origin are
+    factored out exactly. A cubic's real root is bisected to its own scale,
+    then divided out from the end of the cubic whose terms do not cancel,
+    leaving a quadratic.
     """
-    den = list(tf.den)
+    den = [c / tf.den[0] for c in tf.den]
     roots: list[complex] = []
     while len(den) > 1 and den[-1] == 0.0:
         roots.append(0j)
@@ -393,48 +395,46 @@ def poles(tf: TransferFunction) -> list[complex]:
     if deg > 3:
         raise ValueError(f"pole extraction supports degree <= 3, got {deg + len(roots)}")
     if deg == 1:
-        roots.append(complex(-den[1] / den[0]))
+        roots.append(complex(-den[1]))
     elif deg == 2:
-        roots.extend(_quadratic_roots(den[0], den[1], den[2]))
+        roots.extend(_quadratic_roots(den[1], den[2]))
     elif deg == 3:
         r = _real_cubic_root(den)
         roots.append(complex(r))
         # synthetic division by (s - r): top-down while r^2 is at most the
         # squared modulus of the quotient's roots, else bottom-up
-        b0 = den[0]
-        if abs(r) ** 3 * abs(b0) <= abs(den[3]):
-            b1 = den[1] + r * b0
+        if abs(r) ** 3 <= abs(den[3]):
+            b1 = den[1] + r
             b2 = den[2] + r * b1
         else:
             b2 = -den[3] / r
             b1 = (b2 - den[2]) / r
-        roots.extend(_quadratic_roots(b0, b1, b2))
+        roots.extend(_quadratic_roots(b1, b2))
     return roots
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
-    disc = b * b - 4.0 * a * c
+def _quadratic_roots(b: float, c: float) -> list[complex]:
+    """Roots of the monic s^2 + b*s + c; b*b overflows past about 1e154."""
+    disc = b * b - 4.0 * c
     if disc >= 0.0:
         sq = math.sqrt(disc)
         # avoid cancellation: compute the large-magnitude root first
         q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
         if q == 0.0:
             return [0j, 0j]
-        return [complex(q / a), complex(c / q)]
+        return [complex(q), complex(c / q)]
     sq = math.sqrt(-disc)
-    return [complex(-b / (2 * a), sq / (2 * a)), complex(-b / (2 * a), -sq / (2 * a))]
+    return [complex(-b / 2, sq / 2), complex(-b / 2, -sq / 2)]
 
 
 def _real_cubic_root(den: list[float]) -> float:
-    """A real root of the cubic den, bisected until the bracket is 1e-15 of
-    its own magnitude wide or holds no float between its ends."""
-    a = den[0]
-    coeffs = [x / a for x in den]
-    bound = 1.0 + max(abs(x) for x in coeffs[1:])
+    """A real root of the monic cubic den, bisected until the bracket is
+    1e-15 of its own magnitude wide or holds no float between its ends."""
+    bound = 1.0 + max(abs(x) for x in den[1:])
     lo, hi = -bound, bound
 
     def p(x: float) -> float:
-        return ((x + coeffs[1]) * x + coeffs[2]) * x + coeffs[3]
+        return ((x + den[1]) * x + den[2]) * x + den[3]
 
     f_lo = p(lo)
     # enough halvings to go from the largest bound down to a subnormal root

@@ -69,25 +69,6 @@ class StepMetrics:
     steady_state_error: float  # reference - final value
 
 
-def _canonical_form(tf: TransferFunction):
-    """Controllable canonical (A, B, C, D) with a monic denominator."""
-    a = np.asarray(tf.den, dtype=float)
-    b = np.asarray(tf.num, dtype=float)
-    a = a / a[0]
-    b = b / tf.den[0]
-    n = len(a) - 1
-    b = np.concatenate([np.zeros(n + 1 - len(b)), b])
-    d = b[0]
-    A = np.zeros((n, n))
-    A[0, :] = -a[1:]
-    for i in range(1, n):
-        A[i, i - 1] = 1.0
-    B = np.zeros(n)
-    B[0] = 1.0
-    C = (b[1:] - b[0] * a[1:])[np.newaxis, :]
-    return A, B, C[0], d
-
-
 def zoh(a, b, dt: float) -> tuple[list[list[float]], list[float]]:
     """Exact zero-order-hold pair (Phi, Gamma) for dx/dt = a x + b over dt.
 
@@ -160,16 +141,18 @@ def _exact_step(tf: TransferFunction, t_end: float, samples: int, dt: float) -> 
         gain = tf.num[-1] / tf.den[-1]
         return Trajectory(times, np.full(samples, gain))
 
-    A, B, C, D = _canonical_form(tf)
-    phi, gamma = zoh(A, B, dt)
+    # controllable canonical form of the monic denominator
+    a = [c / tf.den[0] for c in tf.den[1:]]
+    D, *b = [0.0] * (n + 1 - len(tf.num)) + [c / tf.den[0] for c in tf.num]
+    A = [[-x for x in a]] + [[float(j == i - 1) for j in range(n)] for i in range(1, n)]
+    phi, gamma = zoh(A, [1.0] + [0.0] * (n - 1), dt)
     # orders 1 and 2 run in the third-order loop; their zero-padded states
     # stay exactly 0 while the response is finite (0 * inf is nan)
     pad = [0.0] * (3 - n)
     phi = [row + pad for row in phi] + [[0.0] * 3 for _ in pad]
     (f11, f12, f13), (f21, f22, f23), (f31, f32, f33) = phi
     g1, g2, g3 = gamma + pad
-    c1, c2, c3 = C.tolist() + pad
-    D = float(D)
+    c1, c2, c3 = [bi - D * ai for bi, ai in zip(b, a)] + pad
 
     # a list takes each sample cheaper than an array's item assignment;
     # Trajectory converts it

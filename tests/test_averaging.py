@@ -192,6 +192,15 @@ def test_zero_input_column_gives_zero_tf(modes):
     # one ulp below full duty the ripple is real, and L*fs still 0
     ({"vo_target": 29.41176470588235, "fs": 5e-324},
      "I_L/(delta_i_L/2) is 0.000, not above 1"),
+    ({"r_load": 100.0}, "(it needs r_load below 60.0007 ohm)"),
+    # with no winding resistance the boundary is 2*L*fs*vg/(vg - vo)
+    ({"r_load": 100.0, "r_l": 0.0}, "(it needs r_load below 60 ohm)"),
+    ({"r_load": 100.0, "vg": 48.0, "l": 100e-6}, "(it needs r_load below 17.3465 ohm)"),
+    # b = 2*L*fs*vg - r_l*(vg - 2*vo) is negative here
+    ({"r_load": 1.0, "vo_target": 5.0, "r_l": 1.0, "l": 1e-6, "fs": 1e3},
+     "(it needs r_load below 0.200401 ohm)"),
+    # L*fs underflows to 0 and r_l is 0: no load has a ratio of 1
+    ({"r_l": 0.0, "fs": 5e-324}, "(no positive finite r_load is at its boundary)"),
 ])
 def test_derive_plant_refuses_a_point_outside_ccm(nominal_params, changes, refused):
     p = dataclasses.replace(nominal_params, **changes)
@@ -200,6 +209,13 @@ def test_derive_plant_refuses_a_point_outside_ccm(nominal_params, changes, refus
     else:
         with pytest.raises(ValueError, match=re.escape(refused)):
             derive_plant(p)
+    named = re.search(r"r_load below (\S+) ohm", refused or "")
+    if named:
+        # a load 0.1 % on either side of the named one lands on either side of the rule
+        load = float(named.group(1))
+        derive_plant(dataclasses.replace(p, r_load=load * 0.999))
+        with pytest.raises(ValueError, match="outside continuous conduction mode"):
+            derive_plant(dataclasses.replace(p, r_load=load * 1.001))
 
 
 @pytest.mark.parametrize("changes,ratio,in_ccm", [

@@ -182,6 +182,20 @@ def test_bode_outputs(nominal_config_path, tmp_path):
     assert "polyline" in svg
 
 
+def test_bode_svg_leaves_out_a_crossover_beyond_the_plot(nominal_config_path, tmp_path):
+    # the (0.23, 1) loop crosses |L| = 1 near 830 rad/s, above --omega-max
+    out = tmp_path / "out"
+    code = run([
+        "bode", "--config", nominal_config_path, "--out-dir", str(out),
+        "--kp", "0.23", "--ki", "1", "--omega-max", "100", "--svg",
+    ])
+    assert code == 0
+    assert 800.0 < read_json(out / "margins.json")["gain_crossover"] < 900.0
+    svg = (out / "bode.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert "PM " not in svg
+
+
 def test_bode_rejects_zero_gains(nominal_config_path, tmp_path, capsys):
     assert run([
         "bode", "--config", nominal_config_path,
@@ -1046,6 +1060,8 @@ def test_design_commands_refuse_a_point_outside_ccm(
     err = capsys.readouterr().err
     assert "I_L/(delta_i_L/2) is 0.600, not above 1" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+    # and names the load at the boundary
+    assert "(it needs r_load below 60.0007 ohm)" in err
 
 
 def test_simulate_runs_outside_ccm(nominal_config_path, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from buckforge import (
@@ -31,6 +32,7 @@ from buckforge.lti import (
     _anchor,
     _bisect_crossing,
     _low_frequency_phase_asymptote,
+    _quadratic_roots,
     _unwrapped_phase_at,
     dc_gain,
     gain_crossing,
@@ -54,6 +56,10 @@ def test_constructor_validation():
         TransferFunction((math.nan,), (1.0,))
     assert TransferFunction((0.0, 0.0, 2.0), (1.0, 1.0)).num == (2.0,)
     assert TransferFunction((0.0, 0.0), (1.0,)).num == (0.0,)
+
+
+def test_empty_numerator_is_zero():
+    assert TransferFunction((), (1.0, 1.0)).num == (0.0,)
 
 
 def test_evaluate_dc_gain(nominal_plant):
@@ -87,6 +93,15 @@ def test_bode_constant_gain():
     _, mags, phases = bode_sweep(one, 0.1, 1000.0, 10)
     assert (mags == 0.0).all()
     assert (phases == 0.0).all()
+
+
+def test_bode_sweep_at_a_zero_on_the_axis():
+    # (s^2 + 1)/(s + 1)^2 is exactly 0 at omega = 1, the grid's first point
+    notch = TransferFunction((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))
+    omegas, mags, _ = bode_sweep(notch, 1.0, 10.0, 10)
+    assert omegas[0] == 1.0
+    assert mags[0] == -math.inf == magnitude_db(0j)
+    assert np.isfinite(mags[1:]).all()
 
 
 def test_bode_integrator_asymptotes():
@@ -607,6 +622,11 @@ def test_close_unity_loop_degenerate():
         close_unity_loop(minus_one)
 
 
+def test_close_unity_loop_refuses_an_improper_loop():
+    with pytest.raises(ValueError, match="must be proper"):
+        close_unity_loop(TransferFunction((1.0, 0.0), (1.0,)))
+
+
 def test_closed_loop_response_oracle():
     # frequency response of G/(1+G) must equal the complex-arithmetic
     # closure of G's response, for random stable G up to degree 3
@@ -748,6 +768,87 @@ def test_poles_complex_pair(nominal_plant):
     assert sorted(z.imag for z in got) == pytest.approx(
         sorted(z.imag for z in oracle), rel=1e-9
     )
+
+
+def _assert_roots_match(got, want, rel):
+    """Each wanted root has its own got root within rel of its modulus."""
+    assert len(got) == len(want)
+    got = list(got)
+    for w in want:
+        z = min(got, key=lambda g: abs(g - w))
+        assert abs(z - w) <= rel * abs(w), (z, w)
+        got.remove(z)
+
+
+@pytest.mark.parametrize("den,want", [
+    # s^2 + 1: b*b - 4*a*c underflows to 0 unless the quadratic is monic
+    ((1e-300, 0.0, 1e-300), [1j, -1j]),
+    # s^2 - 1: 4*a*c overflows
+    ((1e300, 0.0, -1e300), [1.0, -1.0]),
+    # (s + 1)(s + 2)
+    ((1e-200, 3e-200, 2e-200), [-2.0, -1.0]),
+    ((1e200, 3e200, 2e200), [-2.0, -1.0]),
+    # s^3 + s^2 + s + 1 = (s + 1)(s^2 + 1)
+    ((1e-300,) * 4, [-1.0, 1j, -1j]),
+    ((1e300,) * 4, [-1.0, 1j, -1j]),
+])
+def test_poles_of_a_scaled_denominator(den, want):
+    _assert_roots_match(poles(TransferFunction((1.0,), den)), want, 1e-12)
+
+
+def _monic_from_roots(roots):
+    """Real coefficients of the monic polynomial with these roots."""
+    coeffs = [1.0 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return tuple(c.real for c in coeffs)
+
+
+_MODULUS = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _monic_roots(draw):
+    """Roots of a real quadratic or cubic, of modulus 1e-3 to 1e3, each at
+    least a tenth of the larger modulus away from the others."""
+    degree = draw(st.sampled_from((2, 3)))
+    roots = []
+    if draw(st.booleans()):
+        pair = cmath.rect(draw(_MODULUS), draw(st.floats(0.05, 0.95)) * math.pi)
+        roots = [pair, pair.conjugate()]
+    roots += [
+        draw(st.sampled_from((-1.0, 1.0))) * draw(_MODULUS)
+        for _ in range(degree - len(roots))
+    ]
+    for a, b in itertools.combinations(roots, 2):
+        assume(abs(a - b) >= 0.1 * max(abs(a), abs(b)))
+    return roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=_monic_roots(), k=st.integers(-290, 290))
+def test_poles_do_not_depend_on_the_scale_of_the_denominator(roots, k):
+    monic = _monic_from_roots(roots)
+    scaled = tuple(c * 10.0 ** k for c in monic)
+    want = poles(TransferFunction((1.0,), monic))
+    _assert_roots_match(poles(TransferFunction((1.0,), scaled)), want, 1e-12)
+
+
+def test_poles_of_a_first_order_denominator():
+    assert poles(TransferFunction((1.0,), (2.0, 6.0))) == [complex(-3.0)]
+
+
+def test_quadratic_roots_double_root_at_zero():
+    assert _quadratic_roots(0.0, 0.0) == [0j, 0j]
+
+
+def test_poles_bisect_a_subnormal_root_to_adjacent_floats():
+    # s^3 + 3 s + 1e-320: floats near the real root, about -3.33e-321, are
+    # 1.5e-3 of it apart, so the bisection stops on two adjacent floats
+    got = poles(TransferFunction((1.0,), (1.0, 0.0, 3.0, 1e-320)))
+    real = [z.real for z in got if z.imag == 0.0]
+    assert len(real) == 1
+    assert real[0] == pytest.approx(-1e-320 / 3.0, rel=0.01, abs=0.0)
 
 
 def test_dc_gain_variants(nominal_plant):

@@ -413,6 +413,18 @@ def test_design_report_structure(nominal_plant, nominal_params):
     assert "do not reproduce" in ref["note"]
 
 
+def test_design_report_at_the_published_gains_without_a_gain_crossover(
+    nominal_plant, nominal_params
+):
+    # this loop's |L| stays far below 1 on the whole margin window
+    plant = type(nominal_plant)((1e-9,), nominal_plant.den)
+    report = design_report(plant, PIGains(0.23, 1.0), nominal_params)
+    ref = report["reference_comparison"]
+    assert ref["computed_phase_margin_deg"] is None
+    assert ref["phase_margin_delta_deg"] is None
+    assert ref["matches_published_claim"] is False
+
+
 def test_design_report_high_gain_case(nominal_plant, nominal_params):
     report = design_report(nominal_plant, PIGains(10.0, 1.0), nominal_params)
     ref = report["reference_comparison"]

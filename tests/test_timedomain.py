@@ -157,6 +157,14 @@ def test_metrics_refuse_a_non_finite_response(bad):
         step_metrics(traj, 1.0)
 
 
+def test_metrics_of_a_response_that_never_reaches_half_its_final_value():
+    # (-5s - 1)/(s + 1) starts at -5 and settles at -1, from below
+    traj = step_response(TransferFunction((-5.0, -1.0), (1.0, 1.0)), 10.0, 2001)
+    assert traj.values[0] == -5.0
+    with pytest.raises(NotSettledError, match="never reaches level"):
+        step_metrics(traj, 1.0)
+
+
 def test_unstable_flagged():
     # an unstable loop is simulated as it is: its response keeps growing
     tf = TransferFunction((1.0,), (1.0, -1.0))
@@ -197,6 +205,11 @@ def test_trajectory_validation():
     traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         traj.values[0] = 5.0
+
+
+def test_trajectory_refuses_times_and_values_of_different_shapes():
+    with pytest.raises(ValueError, match="equal length"):
+        Trajectory(np.array([0.0, 0.1, 0.2]), np.array([1.0, 2.0]))
 
 
 @pytest.fixture

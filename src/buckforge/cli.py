@@ -335,11 +335,21 @@ def cmd_simulate(args) -> int:
             f"{_fmt4(shortfall)} V short of the {_fmt4(p.vo_target)} V target"
         )
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
+    # counted from the returned arrays, so the kernel pays nothing per substep
+    zero_current = traj.il == 0.0
+    zero_current_samples = int(zero_current.sum())
+    period_duty = traj.duty_cmd[:-1 : cfg.steps_per_period]
     simulator = {
         "substeps": len(traj.times) - 1,
-        # counted from the returned arrays, so the kernel pays nothing per substep
         "on_substeps": int(traj.switch_state[:-1].sum()),
-        "zero_current_samples": int((traj.il == 0.0).sum()),
+        "zero_current_samples": zero_current_samples,
+        "first_zero_current_time_s": (
+            float(traj.times[zero_current.argmax()]) if zero_current_samples else None
+        ),
+        "periods_at_duty_limit": {
+            "all_off": int((period_duty == 0.0).sum()),
+            "all_on": int((period_duty == 1.0).sum()),
+        },
         "idle_run_substeps": traj.idle_run_substeps,
         "dcm_encountered": traj.dcm_encountered,
     }

@@ -29,13 +29,22 @@ v = 1e17 - 8.3. Computed without rounding error:
   cell outside that range is scaled again at E -/+ 1.
 
 D's first digit is split off; the other 16 come from four int16 groups
-of four digits, one division of all groups per digit position. They are
-laid out as ``%g`` does (sign, integer part or ``0.``, leading zeros,
-digits, trailing zeros and a bare point dropped) in NUL-padded fields,
-which all start as ``0`` or ``-0`` (so zeros cost two column writes per
-block), and one ``bytes.translate`` drops the padding. Every other cell
-(nan, +-inf, subnormals, 0 < |x| < 1e-4, |x| >= 1e16) takes the per-cell
-path, ``"%.17g"``, through Python's own formatting.
+of four digits, one division of all groups per digit position. One
+`_fixed` call per block does this for the fixed-notation cells of every
+column together, and lays them out as ``%g`` does (sign, integer part or
+``0.``, leading zeros, digits, trailing zeros and a bare point dropped)
+in NUL-padded fields. Every other cell (nan, +-inf, subnormals,
+0 < |x| < 1e-4, |x| >= 1e16) takes the per-cell path, ``"%.17g"``,
+through Python's own formatting.
+
+The block is one NUL-padded uint8 array of rows, and each column gets the
+field width its cells need in that block: 1 byte for a bool column, 2
+when every cell is +-0, `_FIXED_FIELD` when it has fixed-notation cells
+and no per-cell ones, `_FIELD` otherwise. Every row starts as a copy of
+one row holding ``0`` in each field and the separators, so a zero costs
+nothing, a -0.0 one write, and a bool is added to its ``0``. A column
+whose cells are all fixed-notation is copied in by slice, the others by
+index, and one ``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -63,16 +72,23 @@ def _split(a):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+_NO_ROWS = np.empty(0, np.intp)
 # slot numbers of the 17 digits, the point, and the four slots before them
 _SLOTS = np.arange(18, dtype=np.int8)[:, None]
 _PREFIX_SLOTS = np.arange(4, dtype=np.int8)[:, None]
 
 
+def _kinds(x):
+    """Masks of the fixed-notation cells and of the zeros of float array x."""
+    ax = np.abs(x)
+    return (ax >= 1e-4) & (ax < 1e16), x == 0
+
+
 def per_cell(values: np.ndarray) -> np.ndarray:
     """Mask of the cells (float or bool) that `format_block` formats one at
     a time."""
-    ax = np.abs(values)
-    return ~(((ax >= 1e-4) & (ax < 1e16)) | (values == 0))
+    fixed, zero = _kinds(values)
+    return ~(fixed | zero)
 
 
 def _scaled(ax, exp10):
@@ -143,6 +159,14 @@ def _fixed(x):
     return out
 
 
+def _python_text(values):
+    """NUL-padded "%.17g" text of each value, formatted by Python: one row
+    of _FIELD bytes per value."""
+    text = (f"%-{_FIELD}.17g" * values.size) % tuple(values.tolist())
+    padded = text.encode("ascii").translate(_SPACE_TO_NUL)
+    return np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
+
+
 def format_block(columns) -> tuple[bytes, int]:
     """Rows of ``"%.17g"`` cells, comma separated, each ending in a newline,
     and the count of cells formatted one at a time (the `per_cell` ones).
@@ -150,22 +174,53 @@ def format_block(columns) -> tuple[bytes, int]:
     `columns` are equal-length 1-D float or bool arrays; booleans print as
     1 and 0.
     """
-    cells = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    rows, width = cells.shape
-    cells = cells.ravel()
-    fields = np.zeros((rows, width, _FIELD + 1), np.uint8)
-    fields[:, :, _FIELD] = ord(",")
-    fields[:, -1, _FIELD] = ord("\n")
-    fields = fields.reshape(rows * width, _FIELD + 1)
+    # the row every row starts as: "0" in each field, and the separators
+    row = bytearray()
+    # per float column: its offset in the row, and its fixed-notation rows
+    # (a slice when that is all of them), per-cell rows and rows of -0.0
+    flags, plans, fixed_cells, slow_cells = [], [], [], []
+    for col in columns:
+        col = np.asarray(col)
+        at = len(row)
+        if col.dtype == bool:
+            flags.append((at, col))
+            row += b"0,"
+            continue
+        x = col.astype(np.float64, copy=False)
+        is_fixed, zero = _kinds(x)
+        n_fixed = np.count_nonzero(is_fixed)
+        if n_fixed == len(x):
+            fixed_rows, slow_rows, minus_rows = slice(None), _NO_ROWS, _NO_ROWS
+        else:
+            fixed_rows = np.flatnonzero(is_fixed)
+            slow_rows = np.flatnonzero(~(is_fixed | zero))
+            minus_rows = np.flatnonzero(zero & np.signbit(x))
+        plans.append((at, n_fixed, fixed_rows, slow_rows, minus_rows))
+        if n_fixed:
+            fixed_cells.append(x[fixed_rows])
+        if slow_rows.size:
+            slow_cells.append(x[slow_rows])
+        width = _FIELD if slow_rows.size else _FIXED_FIELD if n_fixed else 2
+        row += b"\0" * width + b","
+        row[at + 1] = _ZERO
+    row[-1] = ord("\n")
 
-    slow = per_cell(cells)
-    fast = np.flatnonzero(~slow & (cells != 0))
-    # "0" or "-0" in every field; the other cells overwrite theirs
-    fields[:, 0] = np.signbit(cells) * np.uint8(_MINUS)
-    fields[:, 1] = _ZERO
-    fields[fast, :_FIXED_FIELD] = _fixed(cells[fast]).T
-    slow = np.flatnonzero(slow)
-    text = (f"%-{_FIELD}.17g" * slow.size) % tuple(cells[slow].tolist())
-    padded = text.encode("ascii").translate(_SPACE_TO_NUL)
-    fields[slow, :_FIELD] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
-    return fields.tobytes().translate(None, b"\0"), slow.size
+    fields = np.empty((len(columns[0]), len(row)), np.uint8)
+    fields[:] = np.frombuffer(row, np.uint8)
+    for at, col in flags:
+        fields[:, at] += col
+    if fixed_cells:
+        fixed_text = _fixed(np.concatenate(fixed_cells)).T
+    if slow_cells:
+        slow_text = _python_text(np.concatenate(slow_cells))
+    n_done = n_slow = 0
+    for at, n_fixed, fixed_rows, slow_rows, minus_rows in plans:
+        if n_fixed:
+            fields[fixed_rows, at : at + _FIXED_FIELD] = fixed_text[n_done : n_done + n_fixed]
+            n_done += n_fixed
+        if slow_rows.size:
+            fields[slow_rows, at : at + _FIELD] = slow_text[n_slow : n_slow + slow_rows.size]
+            n_slow += slow_rows.size
+        if minus_rows.size:
+            fields[minus_rows, at] = _MINUS
+    return fields.tobytes().translate(None, b"\0"), n_slow

@@ -414,8 +414,18 @@ def poles(tf: TransferFunction) -> list[complex]:
 
 
 def _quadratic_roots(b: float, c: float) -> list[complex]:
-    """Roots of the monic s^2 + b*s + c; b*b overflows past about 1e154."""
+    """Roots of the monic s^2 + b*s + c."""
     disc = b * b - 4.0 * c
+    if not math.isfinite(disc) and math.isfinite(b) and math.isfinite(c):
+        # b*b or 4*c overflows: the discriminant over m*m, for the scale
+        # m = max(|b|, sqrt|c|), lies in [-4, 5]
+        m = max(abs(b), math.sqrt(abs(c)))
+        scaled = (b / m) * (b / m) - 4.0 * (c / m) / m
+        if scaled >= 0.0:
+            q = -(0.5 * b + math.copysign(0.5 * m * math.sqrt(scaled), b))
+            return [complex(q), complex(c / q)]
+        half = 0.5 * m * math.sqrt(-scaled)
+        return [complex(-b / 2, half), complex(-b / 2, -half)]
     if disc >= 0.0:
         sq = math.sqrt(disc)
         # avoid cancellation: compute the large-magnitude root first

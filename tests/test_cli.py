@@ -681,6 +681,8 @@ def test_simulate_hold(nominal_config_path, tmp_path):
         "substeps": len(rows) - 1,
         "on_substeps": sum(row[4] == "1" for row in rows[:-1]),
         "zero_current_samples": 0,
+        "first_zero_current_time_s": None,
+        "periods_at_duty_limit": {"all_off": 0, "all_on": 0},
         "idle_run_substeps": 0,
         "dcm_encountered": False,
     }
@@ -698,14 +700,24 @@ def test_simulate_manifest_counts_on_substeps_and_zero_current(nominal_config_pa
     # each period's duty is its ON count over spp
     assert simulator["on_substeps"] == round(float(duty[:-1:spp].sum()) * spp) > 0
     assert simulator["zero_current_samples"] == int((il == 0.0).sum())
+    # from rest, the first sample has zero current
+    assert simulator["first_zero_current_time_s"] == 0.0
 
     assert run([
         "simulate", "--config", nominal_config_path, "--out-dir", str(step),
         "--vg", "500", "--from-operating-point", "--t-end", "0.005",
     ]) == 4
-    (il,) = read_columns(step / "sim.csv", "il_a")
+    times, il, duty = read_columns(step / "sim.csv", "time_s", "il_a", "duty")
     simulator = read_json(step / "simulate_manifest.json")["simulator"]
     assert simulator["zero_current_samples"] == int((il == 0.0).sum()) > 0
+    # the first sample at zero current, and the periods held fully OFF or ON
+    assert simulator["first_zero_current_time_s"] == times[np.flatnonzero(il == 0.0)[0]] > 0.0
+    period_duty = duty[:-1:spp]
+    assert simulator["periods_at_duty_limit"] == {
+        "all_off": int((period_duty == 0.0).sum()),
+        "all_on": int((period_duty == 1.0).sum()),
+    }
+    assert simulator["periods_at_duty_limit"]["all_off"] > 0
 
 
 def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckforge import cli
+from buckforge import cli, csvtext
 from buckforge.csvtext import format_block, per_cell
 from oracles import write_csv_reference
 
@@ -183,3 +183,104 @@ def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match=r"\[3, 2\]"):
         cli._write_csv(str(path), "a,b", np.zeros(3), np.zeros(2))
     assert not path.exists()
+
+
+# cells of one kind each: a column drawn from one of these gets the field
+# width of its kind, and "mixed" gets the widest
+_ZERO_CELLS = st.sampled_from([0.0, -0.0])
+_FIXED_CELLS = st.one_of(
+    st.floats(1e-4, 1e16, exclude_max=True), st.floats(-1e16, -1e-4, exclude_min=True),
+)
+_PER_CELL_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+    st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True).filter(bool),
+    st.floats(min_value=1e16),
+    st.floats(max_value=-1e16),
+)
+_COLUMN_KINDS = {
+    "zeros": _ZERO_CELLS,
+    "fixed": _FIXED_CELLS,
+    "bool": st.booleans(),
+    "per_cell": _PER_CELL_CELLS,
+    "mixed": st.one_of(_ZERO_CELLS, _FIXED_CELLS, _PER_CELL_CELLS),
+}
+
+
+@st.composite
+def _columns_of_one_kind(draw):
+    rows = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
+    return [
+        np.array(draw(st.lists(_COLUMN_KINDS[kind], min_size=rows, max_size=rows)))
+        for kind in kinds
+    ]
+
+
+@pytest.mark.oracle_property
+@settings(deadline=None)
+@given(_columns_of_one_kind())
+def test_format_block_matches_per_cell_format_column_by_column(columns):
+    _assert_same(*columns)
+
+
+def test_write_csv_columns_that_change_kind_at_a_block_edge(tmp_path):
+    # zeros in the first block and values in the second, and the reverse
+    rows = 2 * cli._CSV_BLOCK_ROWS
+    first = np.arange(rows) < cli._CSV_BLOCK_ROWS
+    ramp = np.arange(rows) / 7.0 + 1.0
+    later = np.where(first, -0.0, ramp)
+    earlier = np.where(first, ramp, 0.0)
+    # per-cell text first, then fixed notation only
+    tiny_then_fixed = np.where(first, 1e-9 * ramp, ramp)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    columns = (later, earlier, tiny_then_fixed, first)
+    stats = cli._write_csv(str(got), "a,b,c,d", *columns)
+    write_csv_reference(str(want), "a,b,c,d", *columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert stats == {"rows": rows, "fallback_cells": cli._CSV_BLOCK_ROWS}
+
+
+def test_format_block_formats_each_kind_of_cell_in_one_call(monkeypatch):
+    calls = {"_fixed": [], "_python_text": []}
+    for name, seen in calls.items():
+        real = getattr(csvtext, name)
+        monkeypatch.setattr(
+            csvtext, name, lambda x, real=real, seen=seen: seen.append(x.copy()) or real(x)
+        )
+    flags = np.arange(6) % 2 == 0
+    zeros = np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0])
+    fixed = np.linspace(1.0, 2.0, 6)
+    mixed = np.array([0.5, math.inf, -0.0, 3e-7, 2.0, 0.0])
+    _assert_same(flags, zeros, fixed, mixed)
+    # one call each per block, with the cells of every column that need it
+    assert [list(x) for x in calls["_fixed"]] == [list(fixed) + [0.5, 2.0]]
+    assert [list(x) for x in calls["_python_text"]] == [[math.inf, 3e-7]]
+    # bool and all-zero columns reach neither
+    for calls_of_one in calls.values():
+        calls_of_one.clear()
+    _assert_same(flags, zeros, ~flags)
+    assert calls == {"_fixed": [], "_python_text": []}
+
+
+def test_write_csv_of_the_500_v_input_step_matches_reference(
+    nominal_config_path, tmp_path, monkeypatch,
+):
+    # the benchmark's input_step_500 run: 150001 rows of sim.csv, where the
+    # current and duty columns are zero in most blocks
+    written = {}
+    write_csv = cli._write_csv
+
+    def capture(path, header, *columns):
+        written[os.path.basename(path)] = header, columns
+        return write_csv(path, header, *columns)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    assert cli.main([
+        "simulate", "--config", nominal_config_path, "--vg", "500",
+        "--from-operating-point", "--steps-per-period", "50", "--t-end", "0.05",
+        "--out-dir", str(tmp_path),
+    ]) == 4
+    header, columns = written["sim.csv"]
+    assert len(columns[0]) == 150001
+    write_csv_reference(str(tmp_path / "want.csv"), header, *columns)
+    assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

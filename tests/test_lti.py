@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -840,6 +841,46 @@ def test_poles_of_a_first_order_denominator():
 
 def test_quadratic_roots_double_root_at_zero():
     assert _quadratic_roots(0.0, 0.0) == [0j, 0j]
+
+
+@pytest.mark.parametrize("den,want", [
+    # b*b overflows
+    ((1.0, 1e160, 1.0), [-1e160, -1e-160]),
+    ((1.0, -1e160, 1.0), [1e160, 1e-160]),
+    # 4*c overflows
+    ((1.0, 1.0, 1e308), [complex(-0.5, 1e154), complex(-0.5, -1e154)]),
+    ((1.0, 1.0, -1e308), [-1e154, 1e154]),
+])
+def test_poles_of_a_quadratic_whose_discriminant_overflows(den, want):
+    _assert_roots_match(poles(TransferFunction((1.0,), den)), want, 1e-14)
+
+
+# |b| from 1e154, where b*b - 4*c nears the float range, to 1e300, and c
+# with c/b a normal float, so that both roots are representable
+_HUGE_B = st.sampled_from((-1.0, 1.0)).flatmap(lambda sign: st.one_of(
+    # real roots: c at most (b/2)^2, so 1 - 4*(c/b)/b >= 0
+    st.floats(1e154, 1e300).flatmap(lambda b: st.tuples(
+        st.just(sign * b),
+        st.floats(-1.7e308, min(1.7e308, (b / 2) * (b / 2))).filter(
+            lambda c: abs(c) >= 1e-290 * b),
+    )),
+    # complex roots: c above (b/2)^2 needs |b| below about 2.68e154
+    st.floats(1e154, 2.6e154).flatmap(lambda b: st.tuples(
+        st.just(sign * b), st.floats((b / 2) * (b / 2) * (1 + 1e-12), 1.7e308))),
+))
+
+
+@settings(deadline=None)
+@given(_HUGE_B)
+def test_quadratic_roots_past_the_overflow_of_b_squared(bc):
+    b, c = bc
+    (re1, im1), (re2, im2) = (
+        (Fraction(z.real), Fraction(z.imag)) for z in _quadratic_roots(b, c)
+    )
+    # the roots sum to -b and multiply to c, checked in exact arithmetic
+    assert abs(re1 + re2 + Fraction(b)) + abs(im1 + im2) <= abs(Fraction(b)) / 10**14
+    product = (re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+    assert abs(product[0] - Fraction(c)) + abs(product[1]) <= abs(Fraction(c)) / 10**14
 
 
 def test_poles_bisect_a_subnormal_root_to_adjacent_floats():

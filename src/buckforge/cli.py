@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .averaging import continuous_conduction, derive_plant, full_duty_output, solve_duty
-from .converter import ParameterError, default_sensor_gain, load_params
+from .converter import default_sensor_gain, load_params
 from .csvtext import format_block
 from .lti import bode_sweep, close_unity_loop, stability_margins
 from .pi_design import (
@@ -217,23 +217,30 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _gain_pair(args) -> PIGains | None:
+    """PIGains from --kp and --ki, or None when neither is given."""
+    if args.kp is None and args.ki is None:
+        return None
+    if args.kp is None or args.ki is None:
+        raise ValueError(f"{args.command} takes --kp and --ki together, not one alone")
+    return PIGains(args.kp, args.ki)
+
+
 def cmd_step(args) -> int:
     p = load_params(args.config)
     derivation = derive_plant(p)
     plant = derivation.plant
     if args.uncompensated:
         if args.kp is not None or args.ki is not None:
-            raise ParameterError(
-                "kp", "step --uncompensated takes no --kp or --ki: it runs no controller"
+            raise ValueError(
+                "step --uncompensated takes no --kp or --ki: it runs no controller"
             )
         loop = plant
         label = "uncompensated unity feedback"
     else:
-        if args.kp is None or args.ki is None:
-            raise ParameterError(
-                "kp", "step needs --kp and --ki, or --uncompensated"
-            )
-        gains = PIGains(args.kp, args.ki)
+        gains = _gain_pair(args)
+        if gains is None:
+            raise ValueError("step needs --kp and --ki, or --uncompensated")
         loop = compensated_loop(plant, gains)
         label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
     closed = close_unity_loop(loop)
@@ -267,11 +274,8 @@ def cmd_step(args) -> int:
 def cmd_simulate(args) -> int:
     configured = p = load_params(args.config)
     sensor = default_sensor_gain(p)
-    if args.kp is not None or args.ki is not None:
-        if args.kp is None or args.ki is None:
-            raise ParameterError("kp", "simulate needs both --kp and --ki, or neither")
-        duty_gains, source = PIGains(args.kp, args.ki), "command line"
-    else:
+    duty_gains, source = _gain_pair(args), "command line"
+    if duty_gains is None:
         duty_gains, source = DEFAULT_ANALYSIS_GAINS, "duty-domain defaults"
     gains = pwm_equivalent_gains(duty_gains, p)
     gains_source = (
@@ -338,7 +342,7 @@ def cmd_simulate(args) -> int:
     # counted from the returned arrays, so the kernel pays nothing per substep
     zero_current = traj.il == 0.0
     zero_current_samples = int(zero_current.sum())
-    period_duty = traj.duty_cmd[:-1 : cfg.steps_per_period]
+    period_duty = traj.duty_cmd[:-1 : traj.steps_per_period]
     simulator = {
         "substeps": len(traj.times) - 1,
         "on_substeps": int(traj.switch_state[:-1].sum()),

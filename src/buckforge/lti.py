@@ -381,12 +381,14 @@ def poles(tf: TransferFunction) -> list[complex]:
     """Denominator roots in closed form (degree 3 at most).
 
     The denominator is first divided by its leading coefficient, so any
-    nonzero scale of it gives the same roots. Roots at the origin are
-    factored out exactly. A cubic's real root is bisected to its own scale,
-    then divided out from the end of the cubic whose terms do not cancel,
-    leaving a quadratic.
+    nonzero scale of it gives the same roots; where a ratio overflows,
+    _wide_roots takes over. Roots at the origin are factored out exactly. A
+    cubic's real root is bisected to its own scale, then divided out from
+    the end of the cubic whose terms do not cancel, leaving a quadratic.
     """
     den = [c / tf.den[0] for c in tf.den]
+    if not all(map(math.isfinite, den)):
+        return _wide_roots(tf.den)
     roots: list[complex] = []
     while len(den) > 1 and den[-1] == 0.0:
         roots.append(0j)
@@ -402,15 +404,67 @@ def poles(tf: TransferFunction) -> list[complex]:
         r = _real_cubic_root(den)
         roots.append(complex(r))
         # synthetic division by (s - r): top-down while r^2 is at most the
-        # squared modulus of the quotient's roots, else bottom-up
-        if abs(r) ** 3 <= abs(den[3]):
+        # squared modulus of the quotient's roots, else bottom-up; also
+        # bottom-up where top-down cancels in b2: |r*b1| is within 2*|b2|
+        # for a complex quotient pair, so beyond 4*|b2| the quotient's roots
+        # are real and r is not the smallest of the three
+        try:
+            top_down = abs(r) ** 3 <= abs(den[3])
+        except OverflowError:  # |r|**3 is beyond the float range
+            top_down = False
+        if top_down:
             b1 = den[1] + r
             b2 = den[2] + r * b1
-        else:
+        if not top_down or abs(r * b1) > 4.0 * abs(b2):
             b2 = -den[3] / r
             b1 = (b2 - den[2]) / r
         roots.extend(_quadratic_roots(b1, b2))
     return roots
+
+
+# _wide_roots: the root-modulus gap at which it splits a denominator, and
+# the bound on each scaled monic ratio (headroom for the cubic's bisection)
+_SPLIT_BITS = 60
+_RATIO_EXP = 1000
+
+
+def _wide_roots(den: tuple[float, ...]) -> list[complex]:
+    """Roots of a denominator some of whose ratios den[i]/den[0] overflow.
+
+    With e_i the binary exponent of den[i], the roots' log2 moduli are
+    about the slopes of the upper hull of the points (i, e_i) (the Newton
+    polygon). Where it has a vertex v whose slopes on either side differ by
+    more than _SPLIT_BITS, den[:v + 1] holds the larger roots and den[v:]
+    the smaller ones, each to within about 2**-_SPLIT_BITS, and the two are
+    solved apart. Else the roots are found in t = s/2**k, for the least k
+    that brings every ratio below 2**_RATIO_EXP, and scaled back; a root
+    beyond the float range comes back as an infinity of its sign.
+    """
+    exps = [math.frexp(c)[1] for c in den]
+    nonzero = [i for i, c in enumerate(den) if c]
+    for v in nonzero[1:-1]:
+        left = min((exps[v] - exps[u]) / (v - u) for u in nonzero if u < v)
+        right = max((exps[w] - exps[v]) / (w - v) for w in nonzero if w > v)
+        if left - right > _SPLIT_BITS:
+            return poles(TransferFunction((1.0,), den[: v + 1])) + poles(
+                TransferFunction((1.0,), den[v:])
+            )
+    m0 = math.frexp(den[0])[0]
+    k = max(-((_RATIO_EXP - exps[i] + exps[0]) // i) for i in nonzero[1:])
+    scaled = tuple(
+        math.ldexp(math.frexp(c)[0] / m0, exps[i] - exps[0] - k * i)
+        for i, c in enumerate(den)
+    )
+    t = poles(TransferFunction((1.0,), scaled))
+    return [complex(_ldexp(z.real, k), _ldexp(z.imag, k)) for z in t]
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k, an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _quadratic_roots(b: float, c: float) -> list[complex]:
@@ -446,10 +500,19 @@ def _real_cubic_root(den: list[float]) -> float:
     def p(x: float) -> float:
         return ((x + den[1]) * x + den[2]) * x + den[3]
 
+    # 1 + max|den[i]| may round down to a root's modulus or below it: the
+    # bracket widens by doubling, to the largest float, then to infinity
+    largest = math.nextafter(math.inf, 0.0)
+    while p(lo) > 0.0:
+        lo = -math.inf if lo == -largest else max(2.0 * lo, -largest)
+    while p(hi) < 0.0:
+        hi = math.inf if hi == largest else min(2.0 * hi, largest)
     f_lo = p(lo)
+    if f_lo == 0.0:
+        return lo
     # enough halvings to go from the largest bound down to a subnormal root
     for _ in range(2100):
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if mid == lo or mid == hi:
             break
         f_mid = p(mid)
@@ -462,4 +525,10 @@ def _real_cubic_root(den: list[float]) -> float:
             lo, f_lo = mid, f_mid
         if hi - lo <= 1e-15 * max(abs(lo), abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5*(lo + hi), halved first where the sum overflows."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi

@@ -68,12 +68,7 @@ class SimConfig:
     integrator_init: float = 0.0
 
     def __post_init__(self):
-        spp = self.steps_per_period
-        # an integer is a value that operator.index accepts, bool aside
-        if isinstance(spp, bool) or not hasattr(type(spp), "__index__") or spp < 20:
-            raise ValueError(
-                f"steps_per_period must be an integer of at least 20, got {spp!r}"
-            )
+        _check_steps_per_period(self.steps_per_period, 20)
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
         state = self.initial_state
@@ -85,15 +80,25 @@ class SimConfig:
             )
 
 
+def _check_steps_per_period(spp, least: int) -> None:
+    # an integer is a value that operator.index accepts, bool aside
+    if isinstance(spp, bool) or not hasattr(type(spp), "__index__") or spp < least:
+        raise ValueError(
+            f"steps_per_period must be an integer of at least {least}, got {spp!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SwitchedTrajectory:
     """Per-substep samples of the switched converter state.
 
-    switch_state[k] and duty_cmd[k] describe the substep starting at
-    times[k] (the last entry repeats its predecessor); duty_cmd holds each
-    period's effective ON fraction. idle_run_substeps counts the substeps
-    that the closed-loop kernel's idle fast-forward committed (0 in open
-    loop).
+    Period j spans samples j*steps_per_period through
+    (j + 1)*steps_per_period; construction refuses arrays of unequal length
+    and a record shorter than one whole period. switch_state[k] and
+    duty_cmd[k] describe the substep starting at times[k] (the last entry
+    repeats its predecessor); duty_cmd holds each period's effective ON
+    fraction. idle_run_substeps counts the substeps that the closed-loop
+    kernel's idle fast-forward committed (0 in open loop).
     """
 
     times: np.ndarray
@@ -101,12 +106,20 @@ class SwitchedTrajectory:
     vc: np.ndarray
     duty_cmd: np.ndarray
     switch_state: np.ndarray
+    steps_per_period: int
     dcm_encountered: bool = False
     idle_run_substeps: int = 0
 
     def __post_init__(self):
-        for name in ("times", "il", "vc", "duty_cmd", "switch_state"):
-            arr = getattr(self, name)
+        spp = self.steps_per_period
+        _check_steps_per_period(spp, 1)
+        arrays = (self.times, self.il, self.vc, self.duty_cmd, self.switch_state)
+        lengths = [len(arr) for arr in arrays]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"trajectory arrays differ in length: {lengths}")
+        if lengths[0] < spp + 1:
+            raise ValueError(f"{lengths[0]} samples are less than one period of {spp} substeps")
+        for arr in arrays:
             arr.setflags(write=False)
 
 
@@ -129,6 +142,20 @@ def _periods(p: ConverterParams, cfg: SimConfig) -> int:
     return n
 
 
+def _grid(p: ConverterParams, cfg: SimConfig):
+    """The run's whole periods, substep length, sample times, and il and vc
+    arrays over those times that hold the start state at index 0."""
+    n_periods = _periods(p, cfg)
+    dt = 1.0 / (p.fs * cfg.steps_per_period)
+    n_samples = n_periods * cfg.steps_per_period + 1
+    # times first: malloc then reuses the freed arange temporary (peak RSS)
+    out_t = np.arange(n_samples) * dt
+    out_il = np.empty(n_samples)
+    out_vc = np.empty(n_samples)
+    out_il[0], out_vc[0] = cfg.initial_state
+    return n_periods, dt, out_t, out_il, out_vc
+
+
 def simulate_open_loop(
     p: ConverterParams, d: float, cfg: SimConfig
 ) -> SwitchedTrajectory:
@@ -142,8 +169,7 @@ def simulate_open_loop(
     """
     _check_duty(d)
     spp = cfg.steps_per_period
-    n_periods = _periods(p, cfg)
-    dt = 1.0 / (p.fs * spp)
+    n_periods, dt, out_t, out_il, out_vc = _grid(p, cfg)
 
     on = mode_on_model(p)
     a = on.a
@@ -165,13 +191,7 @@ def simulate_open_loop(
         ((q11, q12), (q21, q22)), _ = zoh(a, (0.0, 0.0), (1.0 - frac) * dt)
         off_maps[0] = (q11, q12, q21, q22, math.exp(a[1][1] * (1.0 - frac) * dt))
 
-    n_samples = n_periods * spp + 1
-    out_t = np.arange(n_samples) * dt
-    out_il = np.empty(n_samples)
-    out_vc = np.empty(n_samples)
-    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
-    out_il[0] = il
-    out_vc[0] = vc
+    il, vc = float(out_il[0]), float(out_vc[0])
     dcm = False
     i = 1
     for _ in range(n_periods):
@@ -201,10 +221,10 @@ def simulate_open_loop(
             out_il[i] = il
             out_vc[i] = vc
             i += 1
-    duty = np.full(n_samples, float(d))
+    duty = np.full(len(out_t), float(d))
     switch = np.tile(np.arange(spp) < n_on + has_partial, n_periods)
     out_q = np.append(switch, switch[-1])
-    return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, dcm)
+    return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, spp, dcm)
 
 
 def _idle_run(
@@ -278,8 +298,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     kp, ki = cfg.gains.kp, cfg.gains.ki
     H = default_sensor_gain(p)
     spp = cfg.steps_per_period
-    n_periods = _periods(p, cfg)
-    dt = 1.0 / (p.fs * spp)
+    n_periods, dt, out_t, out_il, out_vc = _grid(p, cfg)
     vref, vs = p.vref, p.vs
 
     on = mode_on_model(p)
@@ -287,16 +306,10 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     ((f11, f12), (f21, f22)), (g1, g2) = zoh(a, (on.b[0] * p.vg, on.b[1] * p.vg), dt)
     k_idle = math.exp(a[1][1] * dt)
 
-    n_samples = n_periods * spp + 1
-    n_steps = n_samples - 1
-    out_t = np.arange(n_samples) * dt
-    out_il = np.empty(n_samples)
-    out_vc = np.empty(n_samples)
+    n_steps = n_periods * spp
     # zeros: the switch state of idle fast-forward runs
-    out_q = np.zeros(n_samples, dtype=bool)
-    il, vc = float(cfg.initial_state[0]), float(cfg.initial_state[1])
-    out_il[0] = il
-    out_vc[0] = vc
+    out_q = np.zeros(n_steps + 1, dtype=bool)
+    il, vc = float(out_il[0]), float(out_vc[0])
     integ = float(cfg.integrator_init)
     half_ki_dt = 0.5 * ki * dt
     saw_step = vs / spp
@@ -372,52 +385,31 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
         lo += spp
     out_q[n_steps] = out_q[n_steps - 1]
     # each period's ON fraction, from its switch record
-    out_duty = np.empty(n_samples)
+    out_duty = np.empty(n_steps + 1)
     on_counts = np.count_nonzero(out_q[:n_steps].reshape(n_periods, spp), axis=1)
     out_duty[:n_steps].reshape(n_periods, spp)[:] = (on_counts / spp)[:, None]
     out_duty[n_steps] = out_duty[n_steps - 1]
     return SwitchedTrajectory(
-        out_t, out_il, out_vc, out_duty, out_q, dcm, idle_run_substeps
+        out_t, out_il, out_vc, out_duty, out_q, spp, dcm, idle_run_substeps
     )
 
 
-def _cycle_means(traj: SwitchedTrajectory, fs: float) -> tuple:
-    """Substeps per period, full-period count, and the il and vc period means.
+def cycle_average(traj: SwitchedTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoidal per-period means of il and vc, and each period's duty.
 
-    Means are trapezoidal over each full period; a trailing partial period
-    is dropped. Each row sum takes the same pairwise order as summing that
-    period's 1-D slice, so the means match a per-period loop bit for bit.
+    A trailing partial period is dropped. Each row sum takes the same
+    pairwise order as summing that period's 1-D slice, so the means match a
+    per-period loop bit for bit.
     """
-    times = traj.times
-    if len(times) < 2:
-        raise ValueError(f"trajectory has {len(times)} sample(s), so no time step")
-    dt = float(times[1] - times[0])
-    if not (dt > 0.0 and fs * dt > 0.0):
-        raise ValueError(f"need rising times and fs > 0, got step {dt!r} s, fs {fs!r}")
-    # capped so that an infinite quotient never reaches round(); a cap of
-    # len(times) substeps leaves no full period
-    spp = int(round(min(1.0 / (fs * dt), len(times))))
-    if spp < 1:
-        raise ValueError(f"time step {dt!r} s is two or more periods at fs {fs!r} Hz")
-    n = (len(times) - 1) // spp
-    if n < 1:
-        raise ValueError("trajectory spans less than one full switching period")
+    spp = traj.steps_per_period
+    n = (len(traj.times) - 1) // spp
     end = n * spp
 
     def means(x: np.ndarray) -> np.ndarray:
         rows = x[:end].reshape(n, spp).sum(axis=1)
         return (rows - 0.5 * x[:end:spp] + 0.5 * x[spp : end + 1 : spp]) / spp
 
-    return spp, n, means(traj.il), means(traj.vc)
-
-
-def cycle_average(
-    traj: SwitchedTrajectory, fs: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trapezoidal per-period means of il and vc, and each period's duty;
-    a trailing partial period is dropped."""
-    spp, n, il, vc = _cycle_means(traj, fs)
-    return il, vc, traj.duty_cmd[: n * spp : spp]
+    return means(traj.il), means(traj.vc), traj.duty_cmd[:end:spp]
 
 
 @dataclass(frozen=True)
@@ -437,28 +429,33 @@ class RegulationReport:
 
 
 def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> RegulationReport:
-    """Judge the last full cycle against the output-voltage target.
+    """Judge the record's last whole period against the output-voltage target.
 
     The run passes when the final-cycle mean is within
     REGULATION_TOLERANCE_PCT of the target, and never when the target lies
     above full_duty_output, which no steady state can hold (a run from a
     higher source's operating point may still be coasting through the
-    band). duty_final averages the
-    trailing 10 complete cycles, since the comparator quantizes each
-    period's duty to 1/steps_per_period and the integrator dithers between
-    adjacent levels at steady state.
+    band). The means are cycle_average's last row, bit for bit. duty_final
+    averages the trailing 10 complete cycles, since the comparator
+    quantizes each period's duty to 1/steps_per_period and the integrator
+    dithers between adjacent levels at steady state.
     """
-    spp, n, il, vc = _cycle_means(traj, p.fs)
-    trailing = traj.duty_cmd[: n * spp : spp][-10:].tolist()
+    spp = traj.steps_per_period
+    lo = ((len(traj.times) - 1) // spp - 1) * spp
+
+    def final_mean(x: np.ndarray) -> float:
+        return float((x[lo : lo + spp].sum() - 0.5 * x[lo] + 0.5 * x[lo + spp]) / spp)
+
+    trailing = traj.duty_cmd[max(lo - 9 * spp, 0) : lo + 1 : spp].tolist()
     duty_final = sum(trailing) / len(trailing)
-    final_vc_mean = float(vc[-1])
-    last = traj.vc[(n - 1) * spp : n * spp + 1]
+    final_vc_mean = final_mean(traj.vc)
+    last = traj.vc[lo : lo + spp + 1]
     deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
     holdable = not p.vo_target > full_duty_output(p)
     return RegulationReport(
         target_v=p.vo_target,
         final_vc_mean=final_vc_mean,
-        final_il_mean=float(il[-1]),
+        final_il_mean=final_mean(traj.il),
         vc_ripple_pkpk=float(last.max() - last.min()),
         duty_final=duty_final,
         deviation_pct=deviation,

@@ -167,7 +167,7 @@ def test_criterion_7_switched_averaged_equivalence(nominal_params):
         p = nominal_params
         op = solve_duty(p)
         traj = simulate_open_loop(p, op.duty, SimConfig(t_end=0.06))
-        il_avg, vc_avg, _ = cycle_average(traj, p.fs)
+        il_avg, vc_avg, _ = cycle_average(traj)
         assert il_avg[-1] == pytest.approx(op.il, rel=0.02)
         assert vc_avg[-1] == pytest.approx(op.vc, rel=0.005)
 
@@ -306,7 +306,7 @@ def test_criterion_10_switched_loop_follows_the_averaged_line_response(nominal_p
                 integrator_init=op.duty * p.vs,
             )
             q = dataclasses.replace(p, vg=vg)
-            return cycle_average(simulate_closed_loop(q, cfg), p.fs)[1]
+            return cycle_average(simulate_closed_loop(q, cfg))[1]
 
         measured = vc_means(p.vg * (1.0 + eps)) - vc_means(p.vg)
 

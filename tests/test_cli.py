@@ -998,6 +998,19 @@ def test_out_of_range_model_is_exit_2(
     assert list(out.iterdir()) == []
 
 
+def test_tune_past_the_float_range_of_a_pole_cube_exits_cleanly(
+    nominal_config_path, tmp_path, capsys
+):
+    # c = 1e-120: the design report's closed-loop cubic has a real root whose
+    # cube overflows
+    config = _config(tmp_path, nominal_config_path, c=1e-120)
+    assert run([
+        "tune", "--config", config, "--out-dir", str(tmp_path / "out"),
+        "--target-pm", "100",
+    ]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # values at or beyond the edges of physics and of the float range, set as a
 # field's value or multiplied into it
 CONTRACT_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308)

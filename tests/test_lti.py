@@ -772,12 +772,18 @@ def test_poles_complex_pair(nominal_plant):
 
 
 def _assert_roots_match(got, want, rel):
-    """Each wanted root has its own got root within rel of its modulus."""
+    """Each wanted root has its own got root: an infinite one exactly, a
+    finite one within rel of its modulus. No got root is nan."""
     assert len(got) == len(want)
+    assert not any(cmath.isnan(g) for g in got), got
     got = list(got)
     for w in want:
-        z = min(got, key=lambda g: abs(g - w))
-        assert abs(z - w) <= rel * abs(w), (z, w)
+        if cmath.isinf(w):
+            assert w in got, (got, w)
+            z = w
+        else:
+            z = min(filter(cmath.isfinite, got), key=lambda g: abs(g - w))
+            assert abs(z - w) <= rel * abs(w), (z, w)
         got.remove(z)
 
 
@@ -881,6 +887,69 @@ def test_quadratic_roots_past_the_overflow_of_b_squared(bc):
     assert abs(re1 + re2 + Fraction(b)) + abs(im1 + im2) <= abs(Fraction(b)) / 10**14
     product = (re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
     assert abs(product[0] - Fraction(c)) + abs(product[1]) <= abs(Fraction(c)) / 10**14
+
+
+@pytest.mark.parametrize("den,want", [
+    # den[1]/den[0] overflows: the roots are -1e310 (beyond the float range) and -1e-10
+    ((1e-300, 1e10, 1.0), [complex(-math.inf, 0.0), -1e-10]),
+    ((1e-300, -1e10, 1.0), [complex(math.inf, 0.0), 1e-10]),
+    ((1e-300, 1e10, 1.0, 1.0),
+     [complex(-math.inf, 0.0), complex(-5e-11, 9.999999999875e-6),
+      complex(-5e-11, -9.999999999875e-6)]),
+    ((1e-300, 1e10), [complex(-math.inf, 0.0)]),
+    # den[2]/den[0] overflows, with both roots representable
+    ((1e-300, 1.0, 1e10), [-1e300, -1e10]),
+    ((1e-300, 0.0, 1e10), [1e155j, -1e155j]),
+    # a pair near 1e216 and a root near -1e-246, 2**1534 apart
+    ((-1e-186, 0.0, -1e246, -1.0), [1e216j, -1e216j, -1e-246]),
+    # the cubic's real root is near -1e110, so its cube overflows
+    ((1.0, 1e110, 1.0, 1.0),
+     [-1e110, complex(-5e-111, 1e-55), complex(-5e-111, -1e-55)]),
+    # 1 + max|den[i]/den[0]| rounds to the modulus of a root: the bisection's
+    # first bracket holds it at its end, or not at all
+    ((1.0, 1e16, 0.0, 1.0), [-1e16, complex(5e-33, 1e-8), complex(5e-33, -1e-8)]),
+    ((-1.0, -1e16, -1.0, -1e16), [-1e16, 1j, -1j]),
+    ((-3.162277660168379e-183, 3.1622776601683795e125, 0.0, 1.0),
+     [1e308, 1.7782794100389227e-63j, -1.7782794100389227e-63j]),
+    # the middle of three real roots is bisected: top-down division cancels
+    ((1e-7, -1.0, -100.0, 1.0), [10000099.99899992, -100.00899892020245, 0.0099990001999510135]),
+])
+def test_poles_of_hard_denominators(den, want):
+    _assert_roots_match(poles(TransferFunction((1.0,), den)), want, 1e-12)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitude).map(lambda t: t[0] * t[1])
+
+
+# a leading coefficient of 1e-300 to 1 and the others 0 or 1 to 1e300: each
+# root's modulus is at least about 1e-300, while the largest may overflow
+_WIDE_DEN = st.tuples(
+    _signed(st.floats(-300.0, 0.0).map(lambda e: 10.0**e)),
+    st.integers(2, 3).flatmap(lambda degree: st.lists(
+        st.one_of(st.just(0.0), _signed(st.floats(0.0, 300.0).map(lambda e: 10.0**e))),
+        min_size=degree, max_size=degree,
+    )),
+).map(lambda t: (t[0], *t[1]))
+
+
+@settings(deadline=None)
+@given(_WIDE_DEN)
+def test_poles_over_the_float_range(den):
+    got = poles(TransferFunction((1.0,), den))
+    assert len(got) == len(den) - 1
+    assert not any(cmath.isnan(z) for z in got), got
+    coeffs = [Fraction(a) for a in den]
+    for z in filter(cmath.isfinite, got):
+        # backward error in exact arithmetic: |den(z)| within 1e-12 of its
+        # largest term, compared squared
+        x, y = Fraction(z.real), Fraction(z.imag)
+        re, im = Fraction(0), Fraction(0)
+        for a in coeffs:
+            re, im = re * x - im * y + a, re * y + im * x
+        modulus2 = x * x + y * y
+        largest2 = max(a * a * modulus2 ** (len(den) - 1 - i) for i, a in enumerate(coeffs))
+        assert (re * re + im * im) * 10**24 <= largest2, (den, z)
 
 
 def test_poles_bisect_a_subnormal_root_to_adjacent_floats():

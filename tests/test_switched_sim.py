@@ -120,7 +120,7 @@ def test_open_loop_converges_to_averaged_equilibrium(nominal_params):
     p = nominal_params
     op = solve_duty(p)
     traj = simulate_open_loop(p, op.duty, SimConfig(t_end=0.06))
-    il_avg, vc_avg, duty = cycle_average(traj, p.fs)
+    il_avg, vc_avg, duty = cycle_average(traj)
     assert vc_avg[-1] == pytest.approx(op.vc, rel=0.005)
     assert il_avg[-1] == pytest.approx(op.il, rel=0.02)
     assert duty[-1] == op.duty
@@ -298,12 +298,13 @@ def _manual_trajectory(values, spp=40, fs=1000.0):
         vc=np.asarray(values, dtype=float),
         duty_cmd=np.full(n, 0.5),
         switch_state=np.zeros(n, dtype=bool),
+        steps_per_period=spp,
     )
 
 
 def test_cycle_average_constant():
     traj = _manual_trajectory([3.0] * 81)
-    il_avg, vc_avg, duty = cycle_average(traj, 1000.0)
+    il_avg, vc_avg, duty = cycle_average(traj)
     assert len(il_avg) == len(vc_avg) == len(duty) == 2
     assert il_avg[0] == 3.0
     assert vc_avg[1] == 3.0
@@ -317,40 +318,70 @@ def test_cycle_average_symmetric_ripple():
     values = 7.0 + np.tile(ramp, 2)
     values = np.append(values, 7.0 - 1.0)
     traj = _manual_trajectory(values, spp=spp)
-    il_avg, _, _ = cycle_average(traj, 1000.0)
+    il_avg, _, _ = cycle_average(traj)
     for mean in il_avg:
         assert mean == pytest.approx(7.0, abs=0.05)
 
 
-def test_cycle_average_too_short(nominal_params):
-    traj = _manual_trajectory([1.0] * 30, spp=40)
-    with pytest.raises(ValueError, match="period"):
-        cycle_average(traj, 1000.0)
-
-
-@pytest.mark.parametrize(
-    "times, cause",
-    [
-        ([0.0], "1 sample"),
-        ([0.0, 0.0, 0.0], "need rising times"),
-        ([0.0, 1.0, 2.0], "two or more periods"),
-        # 1/(fs*dt) overflows to inf
-        ([0.0, 5e-324, 1e-323], "less than one full switching period"),
-    ],
-)
-def test_cycle_means_refuse_a_degenerate_trajectory(nominal_params, times, cause):
-    n = len(times)
-    traj = SwitchedTrajectory(
-        times=np.array(times),
+def _arrays(n):
+    return dict(
+        times=np.arange(n) * 1e-6,
         il=np.ones(n),
         vc=np.ones(n),
         duty_cmd=np.full(n, 0.5),
         switch_state=np.zeros(n, dtype=bool),
     )
-    with pytest.raises(ValueError, match=cause):
-        cycle_average(traj, 1000.0)
-    with pytest.raises(ValueError, match=cause):
-        regulation_report(traj, nominal_params)
+
+
+@pytest.mark.parametrize("spp", [0, -1, True, 2.5])
+def test_trajectory_refuses_a_bad_steps_per_period(spp):
+    with pytest.raises(ValueError, match="steps_per_period must be an integer of at least 1"):
+        SwitchedTrajectory(**_arrays(81), steps_per_period=spp)
+
+
+@pytest.mark.parametrize("name", ["times", "il", "vc", "duty_cmd", "switch_state"])
+def test_trajectory_refuses_arrays_of_unequal_length(name):
+    arrays = _arrays(81)
+    arrays[name] = arrays[name][:-1]
+    with pytest.raises(ValueError, match="differ in length"):
+        SwitchedTrajectory(**arrays, steps_per_period=40)
+
+
+@pytest.mark.parametrize("n", [1, 30, 40])
+def test_trajectory_refuses_less_than_one_period(n):
+    with pytest.raises(ValueError, match=f"{n} samples are less than one period of 40"):
+        SwitchedTrajectory(**_arrays(n), steps_per_period=40)
+    # one whole period is enough
+    il_avg, _, _ = cycle_average(SwitchedTrajectory(**_arrays(41), steps_per_period=40))
+    assert il_avg.tolist() == [1.0]
+
+
+def test_simulators_record_their_period_grid(nominal_params):
+    p = nominal_params
+    for spp in (20, 37):
+        cfg = SimConfig(t_end=0.001, steps_per_period=spp, gains=PIGains(17.25, 75.0))
+        for traj in (simulate_open_loop(p, 0.5, cfg), simulate_closed_loop(p, cfg)):
+            assert traj.steps_per_period == spp
+            assert len(traj.times) == 60 * spp + 1
+
+
+def test_regulation_report_reads_the_recorded_period_not_fs(nominal_params):
+    # the 60 kHz run read at 59 kHz: a grid inferred from fs and the time
+    # step gave 203-substep "cycles" here, vc 15.0002054 V against 15.0002049 V
+    p = nominal_params
+    op = solve_duty(p)
+    gains = pwm_equivalent_gains(PIGains(0.23, 1.0), p)
+    cfg = SimConfig(
+        t_end=0.02, gains=gains, initial_state=(op.il, op.vc),
+        integrator_init=op.duty * p.vs,
+    )
+    traj = simulate_closed_loop(p, cfg)
+    report = regulation_report(traj, p)
+    assert regulation_report(traj, dataclasses.replace(p, fs=59e3)) == report
+    lo = len(traj.times) - 1 - 200
+    last_vc = traj.vc[lo:]
+    assert report.final_vc_mean == cycle_average(traj)[1][-1]
+    assert report.vc_ripple_pkpk == last_vc.max() - last_vc.min()
 
 
 def test_regulation_report_failure(nominal_params):
@@ -839,7 +870,7 @@ def _switched_and_averaged_means(p, d, cfg):
     traj = simulate_open_loop(p, d, cfg)
     a_il, a_vc = _averaged_run(p, d, cfg, len(traj.times))
     averaged = dataclasses.replace(traj, il=a_il, vc=a_vc)
-    return traj, cycle_average(traj, p.fs)[:2], cycle_average(averaged, p.fs)[:2]
+    return traj, cycle_average(traj)[:2], cycle_average(averaged)[:2]
 
 
 def test_open_loop_zero_duty_from_rest_equals_averaged_model(nominal_params):
@@ -896,6 +927,7 @@ def _random_trajectory(spp, n_samples, fs, seed):
         vc=15.0 + 0.1 * rng.standard_normal(n_samples),
         duty_cmd=rng.random(n_samples),
         switch_state=np.zeros(n_samples, dtype=bool),
+        steps_per_period=spp,
     )
 
 
@@ -921,7 +953,7 @@ def test_cycle_means_match_per_period_loop(nominal_params, spp, periods, extra):
     p = nominal_params
     traj = _random_trajectory(spp, periods * spp + 1 + extra, p.fs, seed=spp + periods)
     ref = cycle_means_reference(traj.il, traj.vc, traj.duty_cmd, spp)
-    columns = cycle_average(traj, p.fs)
+    columns = cycle_average(traj)
     assert [len(col) for col in columns] == [periods] * 3
     assert len(ref) == periods
     for cyc, want in zip(zip(*(col.tolist() for col in columns)), ref):

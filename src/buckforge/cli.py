@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import __version__
 from .averaging import continuous_conduction, derive_plant, full_duty_output, solve_duty
@@ -92,9 +93,27 @@ def _write_svg(args, name: str, svg: str) -> str:
     return path
 
 
-def _write_manifest(args, p, outputs: list[str], extra: dict | None = None) -> None:
+class _StageClock:
+    """Wall seconds of a command's stages, for its manifest's `timing_s`:
+    each `lap` closes the stage that ran since the previous lap, or since
+    the clock was made."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
+def _write_manifest(
+    args, p, outputs: list[str], clock: _StageClock, extra: dict | None = None,
+) -> None:
     """Write `<command>_manifest.json`, whose `resolved_config` holds the
-    parameters `p` and every parsed option, and name the outputs on stdout."""
+    parameters `p` and every parsed option and whose `timing_s` holds the
+    stages `clock` timed, and name the outputs on stdout."""
     options = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = {
         "command": args.command,
@@ -102,6 +121,7 @@ def _write_manifest(args, p, outputs: list[str], extra: dict | None = None) -> N
         "resolved_config": {"converter_params": dataclasses.asdict(p), "options": options},
         "outputs": outputs,
         "tool_version": __version__,
+        "timing_s": clock.seconds,
         **(extra or {}),
     }
     _write_json(os.path.join(args.out_dir, f"{args.command}_manifest.json"), manifest)
@@ -127,9 +147,11 @@ def _loop_validity(p, op, crossover: float | None) -> dict:
 
 
 def cmd_derive(args) -> int:
+    clock = _StageClock()
     p = load_params(args.config)
     derivation = derive_plant(p)
     op = derivation.operating_point
+    clock.lap("model")
     doc = {
         "converter_params": dataclasses.asdict(p),
         "mode_on": dataclasses.asdict(derivation.mode_on),
@@ -147,17 +169,22 @@ def cmd_derive(args) -> int:
         f"{_fmt4(derivation.plant.num[-1])} / "
         f"(s^2 + {_fmt4(derivation.plant.den[1])} s + {_fmt4(derivation.plant.den[2])})"
     )
-    _write_manifest(args, p, [out], {"model_validity": _ccm_validity(p, op)})
+    clock.lap("emit")
+    _write_manifest(args, p, [out], clock, {"model_validity": _ccm_validity(p, op)})
     return 0
 
 
 def cmd_bode(args) -> int:
+    clock = _StageClock()
     p = load_params(args.config)
     gains = PIGains(args.kp, args.ki)
     derivation = derive_plant(p)
     loop = compensated_loop(derivation.plant, gains)
+    clock.lap("model")
     sweep = bode_sweep(loop, args.omega_min, args.omega_max, args.points_per_decade)
+    clock.lap("sweep")
     margins = stability_margins(loop)
+    clock.lap("margins")
 
     csv_path = os.path.join(args.out_dir, "bode.csv")
     emitted = {"bode.csv": _write_csv(csv_path, "omega_rad_s,magnitude_db,phase_deg", *sweep)}
@@ -172,25 +199,31 @@ def cmd_bode(args) -> int:
     print(f"phase margin: {_fmt4(pm) if pm is not None else 'none'} deg")
     print(f"gain margin: {_fmt4(gm) if math.isfinite(gm) else 'infinite'} dB")
     print(f"stable loop: {margins.stable_loop}")
+    clock.lap("emit")
     validity = _loop_validity(p, derivation.operating_point, margins.gain_crossover)
-    _write_manifest(args, p, outputs, {"csv": emitted, "model_validity": validity})
+    _write_manifest(args, p, outputs, clock, {"csv": emitted, "model_validity": validity})
     return 0
 
 
 def cmd_tune(args) -> int:
+    clock = _StageClock()
     p = load_params(args.config)
     derivation = derive_plant(p)
     plant = derivation.plant
+    clock.lap("model")
     try:
         result = tune_kp_for_pm(plant, args.ki, args.target_pm)
     except TuningError as exc:
         # the failed search still explains itself in the manifest
+        clock.lap("search")
         extra = {"model_validity": _ccm_validity(p, derivation.operating_point)}
         if exc.trace:
             extra["tuning_trace"] = dataclasses.asdict(exc.trace)
-        _write_manifest(args, p, [], extra)
+        _write_manifest(args, p, [], clock, extra)
         raise
+    clock.lap("search")
     report = design_report(plant, result.gains, p)
+    clock.lap("report")
     # the report's margins are those the search accepted the tuned kp on
     margins = report["loop_variants"]["plant_times_pi"]
     doc = {
@@ -209,9 +242,10 @@ def cmd_tune(args) -> int:
         f"{_fmt4(margins['phase_margin_deg'])} deg phase margin "
         f"(target {_fmt4(args.target_pm)})"
     )
+    clock.lap("emit")
     validity = _loop_validity(p, derivation.operating_point, margins["gain_crossover"])
     _write_manifest(
-        args, p, [out],
+        args, p, [out], clock,
         {"tuning_trace": dataclasses.asdict(result.trace), "model_validity": validity},
     )
     return 0
@@ -227,6 +261,7 @@ def _gain_pair(args) -> PIGains | None:
 
 
 def cmd_step(args) -> int:
+    clock = _StageClock()
     p = load_params(args.config)
     derivation = derive_plant(p)
     plant = derivation.plant
@@ -244,7 +279,9 @@ def cmd_step(args) -> int:
         loop = compensated_loop(plant, gains)
         label = f"kp={_fmt4(gains.kp)} ki={_fmt4(gains.ki)}"
     closed = close_unity_loop(loop)
+    clock.lap("model")
     traj = step_response(closed, args.t_end, args.samples)
+    clock.lap("response")
     # before any file is written: step_metrics refuses a non-finite response
     try:
         metrics = step_metrics(traj, 1.0)
@@ -257,6 +294,7 @@ def cmd_step(args) -> int:
     except NotSettledError as exc:
         doc, code = {"error": str(exc)}, 2
         print(f"error: {exc}", file=sys.stderr)
+    clock.lap("metrics")
 
     csv_path = os.path.join(args.out_dir, "step.csv")
     emitted = {"step.csv": _write_csv(csv_path, "time_s,output", traj.times, traj.values)}
@@ -266,12 +304,14 @@ def cmd_step(args) -> int:
     if args.svg:
         svg = timeseries_svg(traj.times, traj.values, "time (s)", "output", label)
         outputs.append(_write_svg(args, "step.svg", svg))
+    clock.lap("emit")
     validity = _ccm_validity(p, derivation.operating_point)
-    _write_manifest(args, p, outputs, {"csv": emitted, "model_validity": validity})
+    _write_manifest(args, p, outputs, clock, {"csv": emitted, "model_validity": validity})
     return code
 
 
 def cmd_simulate(args) -> int:
+    clock = _StageClock()
     configured = p = load_params(args.config)
     sensor = default_sensor_gain(p)
     duty_gains, source = _gain_pair(args), "command line"
@@ -301,7 +341,9 @@ def cmd_simulate(args) -> int:
         integrator_init=integrator_init,
     )
     traj = simulate_closed_loop(p, cfg)
+    clock.lap("simulate")
     report = regulation_report(traj, p)
+    clock.lap("report")
 
     csv_path = os.path.join(args.out_dir, "sim.csv")
     emitted = {"sim.csv": _write_csv(
@@ -339,6 +381,7 @@ def cmd_simulate(args) -> int:
             f"{_fmt4(shortfall)} V short of the {_fmt4(p.vo_target)} V target"
         )
     print(f"regulation {'PASS' if report.passed else 'FAIL'}")
+    clock.lap("emit")
     # counted from the returned arrays, so the kernel pays nothing per substep
     zero_current = traj.il == 0.0
     zero_current_samples = int(zero_current.sum())
@@ -372,7 +415,7 @@ def cmd_simulate(args) -> int:
     validity = {
         "ccm_ratio": ccm_ratio, "start_ccm_ratio": start_ccm[0], "start_in_ccm": start_ccm[1],
     }
-    _write_manifest(args, configured, outputs, {
+    _write_manifest(args, configured, outputs, clock, {
         "pwm_loop": pwm_loop, "csv": emitted, "simulator": simulator,
         "model_validity": validity,
     })

@@ -20,7 +20,9 @@ v = 1e17 - 8.3. Computed without rounding error:
   product is near 1e16 to 1e17, far inside the normal range.
 - Each step is a separate numpy ufunc call, each correctly rounded, so no
   compiler can contract a multiply and an add into an FMA and break the
-  error-free transformation.
+  error-free transformation. Steps that write into a buffer an earlier
+  step made (``e += ...``) round the same operation on the same operands,
+  in the same order, so they give the same doubles as fresh arrays would.
 - p + e >= 1e16 > 2**53 makes p an even integer, so D = p + rint(e):
   numpy's rint rounds half to even, and with p even, a tie of p + e goes
   to the even integer as it should.
@@ -33,18 +35,39 @@ of four digits, one division of all groups per digit position. One
 `_fixed` call per block does this for the fixed-notation cells of every
 column together, and lays them out as ``%g`` does (sign, integer part or
 ``0.``, leading zeros, digits, trailing zeros and a bare point dropped)
-in NUL-padded fields. Every other cell (nan, +-inf, subnormals,
-0 < |x| < 1e-4, |x| >= 1e16) takes the per-cell path, ``"%.17g"``,
-through Python's own formatting.
+in NUL-padded slots: the sign, four prefix slots, then the body. Every
+other cell (nan, +-inf, subnormals, 0 < |x| < 1e-4, |x| >= 1e16) takes
+the per-cell path, ``"%.17g"``, through Python's own formatting.
 
-The block is one NUL-padded uint8 array of rows, and each column gets the
-field width its cells need in that block: 1 byte for a bool column, 2
-when every cell is +-0, `_FIXED_FIELD` when it has fixed-notation cells
-and no per-cell ones, `_FIELD` otherwise. Every row starts as a copy of
-one row holding ``0`` in each field and the separators, so a zero costs
-nothing, a -0.0 one write, and a bool is added to its ``0``. A column
-whose cells are all fixed-notation is copied in by slice, the others by
-index, and one ``bytes.translate`` drops the padding.
+Where each character goes depends on E alone: the digits shift left by
+one slot up to the units digit and the point follows it when E >= 0, and
+``0.`` with -E - 1 zeros precedes the digits when E < 0. The trailing
+zeros, the last slot kept, depend on the cell. Per-cell masks place these
+characters over the slots a block's exponents reach, and no further: with
+lo and hi the block's smallest and largest E, every prefix slot before the
+first that ``0.`` takes at E = lo is NUL in every cell, and every body
+slot past hi + 1 holds its digit unmoved in every cell, so masks there
+would change nothing. The masks' cost thus follows the block's range of
+E, not how often E changes from cell to cell: a time ramp or an idle
+decay between 1e-4 and 100 reaches 3 of the 18 body slots.
+
+The block is one NUL-padded uint8 array of rows. Every row starts as a
+copy of one row holding ``0`` in each field and the separators, so a zero
+costs nothing, a -0.0 one write, and a bool is added to its ``0``. Each
+column gets the field width its cells need in that block, planned from
+the min and max of its ``|x|``: every cell lies between them, so
+min >= 1e-4 and max < 1e16 make every cell fixed notation and max == 0
+makes every cell +-0. numpy's min and max of a column holding a nan are
+nan, which fails both tests, so that column and every other one are
+planned with per-cell masks. A bool column is 1 byte wide and an all +-0
+one 2. A column with per-cell cells is `_FIELD` wide. Any other column
+takes only the slots its fixed-notation cells use in that block: from the
+sign slot if a cell is negative, else from the first prefix slot its
+smallest E uses, through the last body slot of its longest cell, and at
+least two slots, for a -0.0. The slots left out hold NUL in every cell of
+the column, so they would be dropped anyway. A column whose cells are all
+fixed notation is copied in by slice, the others by index, and one
+``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -57,19 +80,20 @@ _FIELD = 24
 _FIXED_FIELD = 23
 _MINUS, _POINT, _ZERO = ord("-"), ord("."), ord("0")
 
-# 10**k for k = 16 - E, E in [-4, 15]: exact doubles
-_POW10 = np.array([float(10**k) for k in range(21)])
 # Veltkamp's split: a = hi + lo with hi and lo of at most 26 significant bits
 _SPLITTER = float(2**27 + 1)
 
 
 def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = _SPLITTER * a
+    lo = hi - a
+    hi -= lo
+    return hi, np.subtract(a, hi, out=lo)
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+# 10**(16 - E) and its halves, indexed by E + 4 for E in [-4, 16]: exact doubles
+_SCALE = np.array([float(10**k) for k in range(20, -1, -1)])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
 
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 _NO_ROWS = np.empty(0, np.intp)
@@ -78,54 +102,67 @@ _SLOTS = np.arange(18, dtype=np.int8)[:, None]
 _PREFIX_SLOTS = np.arange(4, dtype=np.int8)[:, None]
 
 
-def _kinds(x):
-    """Masks of the fixed-notation cells and of the zeros of float array x."""
-    ax = np.abs(x)
-    return (ax >= 1e-4) & (ax < 1e16), x == 0
+def _kinds(ax):
+    """Masks of the fixed-notation cells and of the zeros, from |x|."""
+    return (ax >= 1e-4) & (ax < 1e16), ax == 0
 
 
 def per_cell(values: np.ndarray) -> np.ndarray:
     """Mask of the cells (float or bool) that `format_block` formats one at
     a time."""
-    fixed, zero = _kinds(values)
+    fixed, zero = _kinds(np.abs(values))
     return ~(fixed | zero)
 
 
-def _scaled(ax, exp10):
-    """(p, e) with p + e = ax * 10**(16 - exp10) exactly (two-product)."""
-    k = 16 - exp10
-    p = ax * _POW10[k]
+def _scaled(ax, row):
+    """(p, e) with p + e = ax * 10**(16 - E) exactly (two-product), where
+    row = E + 4."""
     a_hi, a_lo = _split(ax)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    b_hi, b_lo = np.take(_SCALE_HI, row), np.take(_SCALE_LO, row)
+    p = ax * np.take(_SCALE, row)
+    # e = ((a_hi*b_hi - p) + a_hi*b_lo + a_lo*b_hi) + a_lo*b_lo, in this
+    # order, with the factors' buffers reused for the products
+    e = a_hi * b_hi
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    a_lo *= b_lo
+    e += a_lo
     return p, e
 
 
 def _exact_digits(ax):
     """(D, E) per |x| in [1e-4, 1e16): its 17 digits as an int64, and the
     exponent of the first."""
-    exp10 = np.clip(np.floor(np.log10(ax)), -4, 15).astype(np.int64)
-    p, e = _scaled(ax, exp10)
+    row = np.log10(ax)
+    np.floor(row, out=row)
+    np.clip(row, -4, 15, out=row)
+    row = row.astype(np.int8)
+    row += 4
+    p, e = _scaled(ax, row)
     while True:
         low = (p < 1e16) | ((p == 1e16) & (e < 0))
         high = (p > 1e17) | ((p == 1e17) & (e >= 0))
         off = np.flatnonzero(low | high)
         if not off.size:
             break
-        exp10[off] += np.where(high[off], 1, -1)
-        p[off], e[off] = _scaled(ax[off], exp10[off])
-    return p.astype(np.int64) + np.rint(e).astype(np.int64), exp10.astype(np.int8)
+        row[off] += np.where(high[off], 1, -1).astype(np.int8)
+        p[off], e[off] = _scaled(ax[off], row[off])
+    row -= 4
+    d = p.astype(np.int64)
+    d += np.rint(e, out=e).astype(np.int64)
+    return d, row
 
 
 def _fixed(x):
     """NUL-padded "%.17g" text of each x, 1e-4 <= |x| < 1e16: one column
-    of _FIXED_FIELD bytes per x."""
+    of _FIXED_FIELD bytes per x; and per x its E and the body slot of its
+    last character."""
     d, point = _exact_digits(np.abs(x))
     out = np.empty((_FIXED_FIELD, len(x)), np.uint8)
     out[0] = (x < 0) * np.uint8(_MINUS)
-    # "0." and the zeros after it, before the first digit of 0 < |x| < 1
-    out[1:5] = (_PREFIX_SLOTS >= point + 4) * np.uint8(_ZERO)
-    out[1:5] -= (_PREFIX_SLOTS == point + 5) * np.uint8(_ZERO - _POINT)
 
     # body[0] = 0 and body[1 + j] = digit j of d, most significant first;
     # digits 1 to 16 come from four int16 groups of four digits, divided
@@ -152,11 +189,21 @@ def _fixed(x):
     end = np.where(last > point + 1, last, point)
     body += _ZERO
     # slot t holds digit t while t <= E, the point at t = E + 1, then digit
-    # t - 1; a slot before the first digit continues the prefix zeros
-    body[:17] += (_SLOTS[:17] <= point) * (body[1:] - body[:17])
-    body += (_SLOTS == point + 1) * (np.uint8(_POINT) - body)
+    # t - 1; a cell with E < 0 has "0." and its zeros before the first digit.
+    # Only the slots the block's exponents reach are masked: the prefix slots
+    # from its smallest E on, the body slots through its largest E + 1
+    low, high = int(point.min()), int(point.max())
+    first = min(low + 4, 4)
+    out[1 : 1 + first] = 0
+    prefix, prefix_slots = out[1 + first : 5], _PREFIX_SLOTS[first:]
+    prefix[:] = (prefix_slots >= point + 4) * np.uint8(_ZERO)
+    prefix -= (prefix_slots == point + 5) * np.uint8(_ZERO - _POINT)
+    shifted = max(high + 1, 0)
+    body[:shifted] += (_SLOTS[:shifted] <= point) * (body[1 : shifted + 1] - body[:shifted])
+    dotted = slice(max(low + 1, 0), max(high + 2, 0))
+    body[dotted] += (_SLOTS[dotted] == point + 1) * (np.uint8(_POINT) - body[dotted])
     body *= _SLOTS <= end
-    return out
+    return out, point, end
 
 
 def _python_text(values):
@@ -174,49 +221,78 @@ def format_block(columns) -> tuple[bytes, int]:
     `columns` are equal-length 1-D float or bool arrays; booleans print as
     1 and 0.
     """
-    # the row every row starts as: "0" in each field, and the separators
-    row = bytearray()
-    # per float column: its offset in the row, and its fixed-notation rows
-    # (a slice when that is all of them), per-cell rows and rows of -0.0
-    flags, plans, fixed_cells, slow_cells = [], [], [], []
+    # per float column: its fixed-notation rows (a slice when that is all of
+    # them) and their count, its per-cell rows and its rows of -0.0; a bool
+    # column is kept as it is
+    plans, fixed_cells, slow_cells = [], [], []
     for col in columns:
         col = np.asarray(col)
-        at = len(row)
         if col.dtype == bool:
-            flags.append((at, col))
-            row += b"0,"
+            plans.append(col)
             continue
         x = col.astype(np.float64, copy=False)
-        is_fixed, zero = _kinds(x)
-        n_fixed = np.count_nonzero(is_fixed)
-        if n_fixed == len(x):
+        ax = np.abs(x)
+        # from |x|'s min and max: all fixed notation, or all +-0 (a nan
+        # fails both tests, and a column of no rows counts as all zeros)
+        smallest, largest = (ax.min(), ax.max()) if len(x) else (0.0, 0.0)
+        if smallest >= 1e-4 and largest < 1e16:
             fixed_rows, slow_rows, minus_rows = slice(None), _NO_ROWS, _NO_ROWS
+        elif largest == 0:
+            fixed_rows, slow_rows, minus_rows = _NO_ROWS, _NO_ROWS, np.flatnonzero(np.signbit(x))
         else:
+            is_fixed, zero = _kinds(ax)
             fixed_rows = np.flatnonzero(is_fixed)
             slow_rows = np.flatnonzero(~(is_fixed | zero))
             minus_rows = np.flatnonzero(zero & np.signbit(x))
-        plans.append((at, n_fixed, fixed_rows, slow_rows, minus_rows))
-        if n_fixed:
-            fixed_cells.append(x[fixed_rows])
+        fixed = x[fixed_rows]
+        if fixed.size:
+            fixed_cells.append(fixed)
         if slow_rows.size:
             slow_cells.append(x[slow_rows])
-        width = _FIELD if slow_rows.size else _FIXED_FIELD if n_fixed else 2
+        plans.append((fixed_rows, fixed.size, slow_rows, minus_rows))
+
+    if fixed_cells:
+        fixed_text, point, end = _fixed(np.concatenate(fixed_cells))
+        starts = np.cumsum([0] + [len(c) for c in fixed_cells[:-1]])
+        # per column, the slots its cells use: the sign slot if one is
+        # negative, else from the first slot of its smallest E, through the
+        # last slot of its longest body; at least two, to cover a -0.0
+        first = np.where(np.maximum.reduceat(fixed_text[0], starts) > 0, 0,
+                         5 + np.minimum(np.minimum.reduceat(point, starts), 0))
+        stop = np.maximum(6 + np.maximum.reduceat(end, starts), first + 2)
+        spans = iter(zip(first.tolist(), stop.tolist()))
+        fixed_text = fixed_text.T
+    if slow_cells:
+        slow_text = _python_text(np.concatenate(slow_cells))
+
+    # the row every row starts as: "0" in each field, and the separators;
+    # per column, its offset in the row and the slots of its fixed text
+    row, layout = bytearray(), []
+    for plan in plans:
+        at = len(row)
+        if not isinstance(plan, tuple):  # a bool column
+            row += b"0,"
+            layout.append((at, None))
+            continue
+        _, n_fixed, slow_rows, _ = plan
+        span = next(spans) if n_fixed else (0, 2)
+        width = _FIELD if slow_rows.size else span[1] - span[0]
         row += b"\0" * width + b","
         row[at + 1] = _ZERO
+        layout.append((at, span))
     row[-1] = ord("\n")
 
     fields = np.empty((len(columns[0]), len(row)), np.uint8)
     fields[:] = np.frombuffer(row, np.uint8)
-    for at, col in flags:
-        fields[:, at] += col
-    if fixed_cells:
-        fixed_text = _fixed(np.concatenate(fixed_cells)).T
-    if slow_cells:
-        slow_text = _python_text(np.concatenate(slow_cells))
     n_done = n_slow = 0
-    for at, n_fixed, fixed_rows, slow_rows, minus_rows in plans:
+    for plan, (at, span) in zip(plans, layout):
+        if span is None:
+            fields[:, at] += plan
+            continue
+        fixed_rows, n_fixed, slow_rows, minus_rows = plan
         if n_fixed:
-            fields[fixed_rows, at : at + _FIXED_FIELD] = fixed_text[n_done : n_done + n_fixed]
+            lo, hi = span
+            fields[fixed_rows, at : at + hi - lo] = fixed_text[n_done : n_done + n_fixed, lo:hi]
             n_done += n_fixed
         if slow_rows.size:
             fields[slow_rows, at : at + _FIELD] = slow_text[n_slow : n_slow + slow_rows.size]

@@ -114,6 +114,47 @@ def test_manifest_records_every_option(nominal_config_path, tmp_path, command):
         assert validity["start_in_ccm"] is True
 
 
+# the stages each command times into its manifest's timing_s, in order
+MANIFEST_STAGES = {
+    "derive": ["model", "emit"],
+    "bode": ["model", "sweep", "margins", "emit"],
+    "tune": ["model", "search", "report", "emit"],
+    "step": ["model", "response", "metrics", "emit"],
+    "simulate": ["simulate", "report", "emit"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_times_each_stage(nominal_config_path, tmp_path, command):
+    # a rerun into the same directory writes every file byte for byte
+    # again, but for the manifest's timing_s
+    out = tmp_path / "out"
+    argv = [command, "--config", nominal_config_path, "--out-dir", str(out),
+            *MANIFEST_RUNS[command]]
+    runs = []
+    for _ in range(2):
+        assert run(argv) in (0, 4)
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    manifests = [json.loads(files.pop(f"{command}_manifest.json")) for files in runs]
+    assert runs[0] == runs[1]
+    timings = [manifest.pop("timing_s") for manifest in manifests]
+    assert manifests[0] == manifests[1]
+    for timing in timings:
+        assert list(timing) == MANIFEST_STAGES[command]
+        assert all(isinstance(s, float) and s >= 0.0 for s in timing.values()), timing
+
+
+def test_failed_tune_times_the_stages_that_ran(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "tune", "--config", nominal_config_path, "--out-dir", str(out),
+        "--target-pm", "179.9",
+    ]) == 3
+    timing = read_json(out / "tune_manifest.json")["timing_s"]
+    assert list(timing) == ["model", "search"]
+    assert min(timing.values()) >= 0.0
+
+
 @pytest.mark.parametrize("argv,ratio,flagged", [
     (("bode", "--kp", "0.23", "--ki", "1"), 0.002285, False),
     (("tune", "--target-pm", "50"), 0.002203, False),

@@ -200,6 +200,9 @@ _PER_CELL_CELLS = st.one_of(
 _COLUMN_KINDS = {
     "zeros": _ZERO_CELLS,
     "fixed": _FIXED_CELLS,
+    # fixed cells sorted up or down, crossing powers of ten as a time ramp or
+    # an idle decay does: few runs of one exponent, each many cells long
+    "monotone": _FIXED_CELLS,
     "bool": st.booleans(),
     "per_cell": _PER_CELL_CELLS,
     "mixed": st.one_of(_ZERO_CELLS, _FIXED_CELLS, _PER_CELL_CELLS),
@@ -210,10 +213,13 @@ _COLUMN_KINDS = {
 def _columns_of_one_kind(draw):
     rows = draw(st.integers(1, 40))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
-    return [
-        np.array(draw(st.lists(_COLUMN_KINDS[kind], min_size=rows, max_size=rows)))
-        for kind in kinds
-    ]
+    columns = []
+    for kind in kinds:
+        cells = draw(st.lists(_COLUMN_KINDS[kind], min_size=rows, max_size=rows))
+        if kind == "monotone":
+            cells.sort(reverse=draw(st.booleans()))
+        columns.append(np.array(cells))
+    return columns
 
 
 @pytest.mark.oracle_property
@@ -284,3 +290,90 @@ def test_write_csv_of_the_500_v_input_step_matches_reference(
     assert len(columns[0]) == 150001
     write_csv_reference(str(tmp_path / "want.csv"), header, *columns)
     assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _exponent_runs(values) -> int:
+    """Runs of one decimal exponent E in a sequence of fixed-notation cells."""
+    exponents = [int(("%.16e" % x)[-3:]) for x in values]
+    return 1 + sum(a != b for a, b in zip(exponents, exponents[1:]))
+
+
+@pytest.mark.parametrize("low,high", [
+    (-4, 15), (-4, -4), (-4, -2), (-2, -1), (-1, -1), (-1, 0), (0, 0), (1, 1), (2, 9),
+    (15, 15),
+])
+def test_block_whose_exponents_span_low_to_high(low, high):
+    # the layout masks only the slots E from low to high reach: cells of
+    # every E between, in runs of uneven length and mixed signs, next to a
+    # column of zeros, which adds no fixed-notation cell
+    rng = np.random.default_rng(high - low)
+    exponents = [low + (k * 7) % (high - low + 1) for k in range(40)]
+    lengths = rng.integers(1, 60, len(exponents))
+    cells = np.concatenate([
+        rng.uniform(1.0, 10.0, n) * 10.0**e * rng.choice([-1.0, 1.0], n)
+        for e, n in zip(exponents, lengths)
+    ])
+    cells = cells[(np.abs(cells) >= 1e-4) & (np.abs(cells) < 1e16)]
+    _assert_same(cells, np.zeros_like(cells))
+    _assert_same(np.sort(cells), cells[::-1])
+
+
+def test_block_whose_every_cell_starts_a_run():
+    # 4096 runs of one cell each: the same slots are masked as for one run
+    cells = np.resize([0.5, 5.0], cli._CSV_BLOCK_ROWS)
+    assert _exponent_runs(cells) == cli._CSV_BLOCK_ROWS
+    _assert_same(cells, -cells[::-1])
+
+
+def test_all_fixed_column_at_both_ends_of_the_range():
+    # the smallest |x| is exactly 1e-4 and the largest the double below 1e16:
+    # the column is planned from its min and max alone, as all fixed
+    top = math.nextafter(1e16, 0.0)
+    values = np.array([1e-4, -top, 0.5, top, -1e-4, 12.25])
+    assert not per_cell(values).any()
+    _assert_same(values, values[::-1])
+
+
+@pytest.mark.parametrize("odd", [math.nan, math.inf, -math.inf, 1e16, 9.99e-5, -9.99e-5])
+def test_fixed_column_with_one_cell_outside_fixed_notation(odd):
+    values = np.linspace(1.0, 3.0, 9)
+    for at in (0, 4, 8):
+        column = values.copy()
+        column[at] = odd
+        assert per_cell(column).sum() == 1
+        _assert_same(column, values)
+
+
+def test_all_zero_column_with_scattered_negative_zeros():
+    rng = np.random.default_rng(3)
+    zeros = np.zeros(cli._CSV_BLOCK_ROWS)
+    zeros[rng.choice(zeros.size, 50, replace=False)] = -0.0
+    assert np.signbit(zeros).sum() == 50
+    _assert_same(zeros, np.linspace(1.0, 2.0, zeros.size), -zeros)
+
+
+def test_columns_of_no_rows():
+    empty = np.empty(0)
+    assert format_block([empty]) == (b"", 0)
+    assert format_block([empty, np.empty(0, bool), empty]) == (b"", 0)
+
+
+def test_write_csv_fields_narrowed_per_block(tmp_path):
+    # each block's field spans only the slots its cells use: here the sign
+    # slot in one block only, the "0." prefix only where a cell at a block
+    # edge has |x| < 1, and a bool column between narrowed fields
+    rows = 3 * cli._CSV_BLOCK_ROWS
+    rng = np.random.default_rng(21)
+    block = np.arange(rows) // cli._CSV_BLOCK_ROWS
+    ramp = 1.0 + np.arange(rows) / 64.0
+    negative_in_one_block = np.where(block == 1, -ramp, ramp)
+    small_at_edges = 2.0 + rng.uniform(0.0, 5.0, rows)
+    small_at_edges[cli._CSV_BLOCK_ROWS - 1] = 0.25
+    small_at_edges[2 * cli._CSV_BLOCK_ROWS] = 0.0625
+    flags = rng.uniform(size=rows) < 0.5
+    columns = (negative_in_one_block, flags, small_at_edges, ~flags, np.full(rows, 4.0))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    stats = cli._write_csv(str(got), "a,b,c,d,e", *columns)
+    write_csv_reference(str(want), "a,b,c,d,e", *columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert stats == {"rows": rows, "fallback_cells": 0}

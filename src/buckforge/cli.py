@@ -56,9 +56,10 @@ def _fmt4(x: float) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    # json.dump would write each of the encoder's many small chunks apart
+    text = json.dumps(obj, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # rows formatted per block: formatting whole columns at once multiplies

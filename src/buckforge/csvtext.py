@@ -1,4 +1,5 @@
-"""Exact ``"%.17g"`` text for blocks of CSV cells, computed with numpy.
+"""Exact ``"%.17g"`` text for blocks of CSV cells, and exact ``"%.2f"``
+text for SVG coordinates, computed with numpy.
 
 `format_block` returns the bytes that ``"%.17g" % x`` per cell, ``","``
 between cells and ``"\\n"`` after each row would give, without a Python
@@ -68,6 +69,25 @@ least two slots, for a -0.0. The slots left out hold NUL in every cell of
 the column, so they would be dropped anyway. A column whose cells are all
 fixed notation is copied in by slice, the others by index, and one
 ``bytes.translate`` drops the padding.
+
+`format_2f` gives ``"%.2f"`` of each value, the exact binary value
+rounded half to even at two decimals, as Python prints it. Where
+``|x| * 100 < 2**52``:
+
+- Dekker's two-product with 100, whose Veltkamp halves are 100 and 0,
+  gives p = fl(|x| * 100) and e with p + e = |x| * 100 exactly.
+- r = rint(p) is exact, and so is p - r (Sterbenz, or r = 0). Below 2**52
+  ulp(p) <= 1/2, so a p that is not a half-integer lies at least ulp(p)
+  from one, while |e| <= ulp(p)/2: p + e rounds to r. Where p is one,
+  p - r = +-0.5, e > 0 moves a tie above r to r + 1 and e < 0 one below r
+  to r - 1; e = 0 is a true tie, which rint already rounds to even.
+- The digits of D, the rounded |x| * 100 as an int64, are laid out as
+  sign, integer part without leading zeros, point and two digits, in
+  NUL-padded slots; the sign is there for every x with its sign bit set,
+  so -0.0 and a negative that rounds to 0 print "-0.00", as in C.
+
+Every other value (nan, +-inf, |x| * 100 >= 2**52) is formatted by
+Python's ``"%.2f"``.
 """
 
 from __future__ import annotations
@@ -212,6 +232,63 @@ def _python_text(values):
     text = (f"%-{_FIELD}.17g" * values.size) % tuple(values.tolist())
     padded = text.encode("ascii").translate(_SPACE_TO_NUL)
     return np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
+
+
+def _hundredths(ax):
+    """|x| * 100 rounded half to even, as int64, for each |x| with
+    fl(|x| * 100) < 2**52: from rint(p) and the sign of the two-product's
+    error at an exact half."""
+    p = ax * 100.0
+    hi, lo = _split(ax)
+    # e = (hi*100 - p) + lo*100: Dekker's error term with 100's low half 0
+    e = np.multiply(hi, 100.0, out=hi)
+    e -= p
+    lo *= 100.0
+    e += lo
+    r = np.rint(p)
+    tie = np.subtract(p, r, out=p)
+    d = r.astype(np.int64)
+    d += (tie == 0.5) & (e > 0.0)
+    d -= (tie == -0.5) & (e < 0.0)
+    return d
+
+
+def format_2f(values, separators: bytes) -> bytes:
+    """``"%.2f"`` of each value, each followed by a separator in turn: value i
+    by separators[i % len(separators)]."""
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = np.abs(x) * 100.0 < 2.0**52
+    rows = slice(None) if fast.all() else np.flatnonzero(fast)
+    slow_rows = np.flatnonzero(~fast)
+    exact = x[rows]
+    whole, hundredths = np.divmod(_hundredths(np.abs(exact)), 100)
+    digits = len(str(int(whole.max()))) if len(exact) else 1
+    slow_text = ["%.2f" % v for v in x[slow_rows].tolist()]
+    width = max(digits + 4, max(map(len, slow_text), default=0))
+
+    out = np.zeros((len(x), width + 1), np.uint8)
+    out[:, -1] = np.frombuffer(separators * (len(x) // len(separators) + 1), np.uint8)[: len(x)]
+    # sign, the integer digits right-aligned, the point and two digits; out[rows]
+    # is a view of out where every value is exact, else a copy put back below
+    text = out[rows]
+    text[:, 0] = np.signbit(exact) * np.uint8(_MINUS)
+    for slot in range(digits, 0, -1):
+        # a digit left of the units digit is shown only while some remain
+        shown = whole > 0 if slot < digits else True
+        whole, digit = np.divmod(whole, 10)
+        text[:, slot] = (digit + _ZERO) * shown
+    text[:, digits + 1] = _POINT
+    tens, ones = np.divmod(hundredths, 10)
+    text[:, digits + 2] = tens + _ZERO
+    text[:, digits + 3] = ones + _ZERO
+    if slow_text:
+        out[rows] = text
+        padded = "".join(t.ljust(width) for t in slow_text).encode("ascii")
+        out[slow_rows, :width] = np.frombuffer(padded.translate(_SPACE_TO_NUL), np.uint8).reshape(
+            -1, width
+        )
+    return out.tobytes().translate(None, b"\0")
 
 
 def format_block(columns) -> tuple[bytes, int]:

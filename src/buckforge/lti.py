@@ -183,6 +183,115 @@ def log_grid(omega_min: float, omega_max: float, points_per_decade: int) -> np.n
         ) from None
 
 
+# frequencies bode_sweep evaluates in one numpy pass: its temporaries take
+# about 130 bytes a frequency, so a pass holds at most about 270 kB
+_BODE_BLOCK = 2048
+
+
+def _horner(coeffs: tuple[float, ...], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the polynomial at s = j*w, per w: the
+    steps d = d*s + c of `evaluate`, as CPython rounds them, in float64 ufuncs.
+
+    With s = (0.0, w), CPython's product d*s is (dr*0.0 - di*w, dr*w + di*0.0)
+    and the sum with c is (re + c, im + 0.0); the zero terms are kept, since
+    they set the signs of zero parts. The first step, 0j*s + c, gives
+    (0.0 + c, 0.0) at any finite w.
+    """
+    re = np.full(len(w), 0.0 + coeffs[0])
+    im = np.zeros(len(w))
+    for c in coeffs[1:]:
+        dr_w = re * w
+        re *= 0.0
+        re -= im * w
+        im *= 0.0
+        im += dr_w
+        re += c
+        im += 0.0
+    return re, im
+
+
+def _quotient(nr, ni, dr, di, out: np.ndarray) -> None:
+    """n/d into the complex array `out`, by the two branches of CPython's
+    _Py_c_quot: divided through by d's real part where |dr| >= |di|, else
+    by its imaginary part.
+
+    With (big, small) = (dr, di) or (di, dr) and (p, q) = (nr, ni) or
+    (ni, nr) by branch, both branches read ratio = small/big,
+    denom = big + small*ratio and real part (p + q*ratio)/denom; the
+    imaginary part is (q - p*ratio)/denom by the real part and
+    (p*ratio - q)/denom by the imaginary one, which differ in the sign of
+    a zero.
+    """
+    by_re = np.abs(dr) >= np.abs(di)
+    big, small = np.where(by_re, dr, di), np.where(by_re, di, dr)
+    p, q = np.where(by_re, nr, ni), np.where(by_re, ni, nr)
+    ratio = small / big
+    denom = small * ratio
+    denom += big
+    q_ratio = q * ratio
+    q_ratio += p
+    np.divide(q_ratio, denom, out=out.real)
+    p *= ratio
+    np.divide(np.where(by_re, q - p, p - q), denom, out=out.imag)
+
+
+def _response(tf: TransferFunction, w: np.ndarray) -> tuple[np.ndarray, int]:
+    """`evaluate` at each frequency of w, and the index of the first at which
+    it raises (len(w) if none): where d == 0, n or d is not finite, z is not
+    finite, or z == 0 while n != 0."""
+    z = np.empty(len(w), complex)
+    with np.errstate(all="ignore"):
+        nr, ni = _horner(tf.num, w)
+        dr, di = _horner(tf.den, w)
+        _quotient(nr, ni, dr, di, z)
+    finite = np.isfinite(nr) & np.isfinite(ni) & np.isfinite(dr) & np.isfinite(di)
+    finite &= np.isfinite(z)
+    underflow = (z == 0) & ((nr != 0) | (ni != 0))
+    refused = np.flatnonzero(~finite | ((dr == 0) & (di == 0)) | underflow)
+    return z, int(refused[0]) if len(refused) else len(w)
+
+
+def _anchored(principal: np.ndarray, expected: float) -> np.ndarray:
+    """`_anchor` along `principal`: each phase moved by whole turns to sit
+    nearest the one before it, the first nearest `expected`.
+
+    The turns are predicted as the running sum of the rounded steps of the
+    principal phase, from the first point's exact turns, and then checked
+    with _anchor's own rounding at every point. By induction each point
+    that passes has _anchor's value; from the first that fails, which takes
+    a step within rounding of a half turn, _anchor runs one point at a time.
+    """
+    turns = np.empty_like(principal)
+    turns[0] = round((expected - float(principal[0])) / 360.0)
+    np.rint((principal[:-1] - principal[1:]) / 360.0, out=turns[1:])
+    np.cumsum(turns, out=turns)
+    phases = principal + 360.0 * turns
+    held = np.rint((phases[:-1] - principal[1:]) / 360.0) == turns[1:]
+    if not held.all():
+        first = int(held.argmin()) + 1
+        p, ph = principal.tolist(), phases.tolist()
+        for i in range(first, len(ph)):
+            ph[i] = _anchor(p[i], ph[i - 1])
+        phases[first:] = ph[first:]
+    return phases
+
+
+def _sweep_block(
+    tf: TransferFunction, w: np.ndarray, expected: float, mags: np.ndarray, phases: np.ndarray
+) -> float:
+    """`bode_sweep` over the frequencies w, the first phase anchored nearest
+    `expected`, into the views mags and phases; returns the last phase."""
+    z, good = _response(tf, w)
+    zs = z[:good].tolist()
+    mags[:good] = np.fromiter(map(magnitude_db, zs), float, good)
+    if good:
+        phases[:good] = _anchored(np.fromiter(map(phase_deg, zs), float, good), expected)
+    if good < len(w):
+        evaluate(tf, float(w[good]))  # raises, as the per-point loop did
+        raise AssertionError(f"evaluate accepted omega={float(w[good])!r}")
+    return float(phases[-1])
+
+
 def bode_sweep(
     tf: TransferFunction,
     omega_min: float,
@@ -195,16 +304,25 @@ def bode_sweep(
     degrees), 24 bytes per frequency. Each phase is anchored to the one before
     it, the first to the analytic low-frequency asymptote (origin poles give
     -90 degrees each), so loops with integrators unwrap from the right branch.
+
+    The values and errors are those of `evaluate`, `magnitude_db`,
+    `phase_deg` and `_anchor` per point, bit for bit, computed _BODE_BLOCK
+    frequencies at a time. The response is `evaluate`'s own sequence of
+    IEEE operations as numpy ufuncs (`_horner`, `_quotient`), and each
+    basic operation is correctly rounded in both. Magnitude and principal
+    phase come from `magnitude_db` and `phase_deg` per point, since numpy's
+    SIMD hypot, log10 and arctan2 may round differently from libm's; the
+    chain of turns is checked point by point (`_anchored`). Where
+    `evaluate` would raise, it is called at the first such frequency, after
+    the magnitudes before it, so the same exception and message come out.
     """
     omegas = log_grid(omega_min, omega_max, points_per_decade)
     mags = np.empty(len(omegas))
     phases = np.empty(len(omegas))
     ph = _low_frequency_phase_asymptote(tf)
-    for i, w in enumerate(omegas):
-        z = evaluate(tf, float(w))
-        ph = _anchor(phase_deg(z), ph)
-        mags[i] = magnitude_db(z)
-        phases[i] = ph
+    for lo in range(0, len(omegas), _BODE_BLOCK):
+        block = slice(lo, lo + _BODE_BLOCK)
+        ph = _sweep_block(tf, omegas[block], ph, mags[block], phases[block])
     return omegas, mags, phases
 
 

@@ -3,6 +3,12 @@
 Plots are informational companions to the CSV outputs, so this sticks to
 direct markup: axes, gridlines, one polyline per curve, and dashed
 crossover markers. No plotting library is involved.
+
+The panels of one figure share its x column, which is mapped to pixels
+once. A polyline's points are ``"%.2f"`` of those pixels, from
+`csvtext.format_2f`: the same text as Python's formatting, exactly, from
+numpy passes; a pixel's own value is computed as before, by float64
+ufuncs and, on a log axis, libm's log10 per point.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .csvtext import format_2f
 from .lti import MarginReport
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 28, 40
@@ -72,7 +79,7 @@ class _Panel:
 
     def __init__(self, y0, xs, ys, log_x):
         self.x0, self.y0 = _MARGIN_L, y0
-        self.xs, self.ys = xs, ys
+        self.ys = ys
         self.xlim = (float(xs[0]), float(xs[-1]))
         self.ylim = _pad(float(ys.min()), float(ys.max()))
         self.log_x = log_x
@@ -87,9 +94,9 @@ class _Panel:
         lo, hi = self.ylim
         return self.y0 + _PANEL_H * (1.0 - (y - lo) / (hi - lo))
 
-    def draw(self, out, xlabel, ylabel, color, level):
+    def draw(self, out, xpixels, xlabel, ylabel, color, level):
         """Frame, grid, tick and axis labels, the curve, and a dashed line at
-        y = level (None: no line)."""
+        y = level (None: no line); xpixels is px of the panel's xs."""
         out.append(
             f'<rect x="{self.x0}" y="{self.y0}" width="{_PANEL_W}" height="{_PANEL_H}" '
             'fill="none" stroke="#333" stroke-width="1"/>'
@@ -125,8 +132,8 @@ class _Panel:
             f'text-anchor="middle" transform="rotate(-90 {self.x0 - 48} '
             f'{self.y0 + _PANEL_H / 2})">{ylabel}</text>'
         )
-        xy = np.column_stack((self.px(self.xs), self.py(self.ys)))
-        pts = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
+        xy = np.column_stack((xpixels, self.py(self.ys)))
+        pts = format_2f(xy.ravel(), b", ")[:-1].decode("ascii")
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -157,13 +164,14 @@ def _pad(lo: float, hi: float) -> tuple[float, float]:
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-def _figure(title: str, curves, markers) -> str:
-    """SVG document of panels stacked top to bottom, one per curve.
+def _figure(title: str, xs, log_x, xlabel, curves, markers) -> str:
+    """SVG document of panels stacked top to bottom, one per curve, all over
+    the x column xs.
 
-    `curves` holds (xs, ys, log_x, xlabel, ylabel, color, level) per panel,
-    `level` being the y of a dashed reference line (None: no line); xs and
-    ys are sequences of numbers, decimated here to the point budget; a drawn
-    sample that is not finite raises ValueError naming the series.
+    `curves` holds (ys, ylabel, color, level) per panel, `level` being the
+    y of a dashed reference line (None: no line); xs and ys are sequences of
+    numbers, decimated here to the point budget; a drawn sample that is not
+    finite raises ValueError naming the series.
     `markers` holds (x, color, labels): a dashed vertical line across
     every panel, labeled labels[i] on panel i (None: no label).
     """
@@ -175,15 +183,19 @@ def _figure(title: str, curves, markers) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2}" y="18" font-size="13" text-anchor="middle">{title}</text>',
     ]
-    panels = []
-    for i, (xs, ys, log_x, xlabel, ylabel, color, level) in enumerate(curves):
-        step = max(1, len(xs) // _MAX_POINTS)
-        xs = np.asarray(xs, dtype=float)[::step]
+    step = max(1, len(xs) // _MAX_POINTS)
+    xs = np.asarray(xs, dtype=float)[::step]
+    xs_finite = bool(np.isfinite(xs).all())
+    panels, xpixels = [], None
+    for i, (ys, ylabel, color, level) in enumerate(curves):
         ys = np.asarray(ys, dtype=float)[::step]
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        if not (xs_finite and np.isfinite(ys).all()):
             raise ValueError(f"cannot plot {ylabel!r}: a drawn sample is not finite")
         panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
-        panel.draw(out, xlabel, ylabel, color, level)
+        if xpixels is None:
+            # every panel spans the same x range, so maps xs alike
+            xpixels = panel.px(xs)
+        panel.draw(out, xpixels, xlabel, ylabel, color, level)
         panels.append(panel)
     for x, color, labels in markers:
         for panel, label in zip(panels, labels):
@@ -203,12 +215,12 @@ def bode_svg(sweep, margins: MarginReport, title: str) -> str:
     if margins.phase_crossover is not None:
         label = f"GM {margins.gain_margin_db:.2f} dB"
         markers.append((margins.phase_crossover, "#b06e10", (label, None)))
-    return _figure(title, [
-        (omegas, mags, True, "omega (rad/s)", "magnitude (dB)", "#1f4e9c", 0.0),
-        (omegas, phases, True, "omega (rad/s)", "phase (deg)", "#9c2f1f", -180.0),
+    return _figure(title, omegas, True, "omega (rad/s)", [
+        (mags, "magnitude (dB)", "#1f4e9c", 0.0),
+        (phases, "phase (deg)", "#9c2f1f", -180.0),
     ], markers)
 
 
 def timeseries_svg(times, values, xlabel: str, ylabel: str, title: str) -> str:
     """Single-panel line plot on linear axes."""
-    return _figure(title, [(times, values, False, xlabel, ylabel, "#1f4e9c", None)], [])
+    return _figure(title, times, False, xlabel, [(values, ylabel, "#1f4e9c", None)], [])

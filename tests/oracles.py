@@ -76,6 +76,28 @@ def unwrapped_phase_at_reference(resp, i, asymptote_deg):
     return float(np.degrees(angles[i]) + (anchored - first))
 
 
+def bode_sweep_reference(lti, tf, omega_min, omega_max, points_per_decade):
+    """The package's Bode sweep as it was before it evaluated blocks of
+    frequencies with numpy: one `evaluate`, `phase_deg`, `_anchor` and
+    `magnitude_db` per frequency, in grid order.
+
+    Kept as the reference for ``lti.bode_sweep``: the two must return the same
+    columns bit for bit and raise the same errors. ``lti`` is the module under
+    test, read by attribute only for its grid and those per-point functions;
+    the loop is this copy.
+    """
+    omegas = lti.log_grid(omega_min, omega_max, points_per_decade)
+    mags = np.empty(len(omegas))
+    phases = np.empty(len(omegas))
+    ph = lti._low_frequency_phase_asymptote(tf)
+    for i, w in enumerate(omegas):
+        z = lti.evaluate(tf, float(w))
+        ph = lti._anchor(lti.phase_deg(z), ph)
+        mags[i] = lti.magnitude_db(z)
+        phases[i] = ph
+    return omegas, mags, phases
+
+
 def zoh_2x2_cayley_hamilton(a, b, dt):
     """Exact ZOH pair of a 2x2 system from the Cayley-Hamilton closed form.
 

@@ -377,3 +377,53 @@ def test_write_csv_fields_narrowed_per_block(tmp_path):
     write_csv_reference(str(want), "a,b,c,d,e", *columns)
     assert got.read_bytes() == want.read_bytes()
     assert stats == {"rows": rows, "fallback_cells": 0}
+
+
+# "%.2f" of a value with |x| * 100 at or above 2**52 is Python's own text
+_LIMIT_2F = 2.0**52 / 100
+
+
+def _python_2f(values, separators: bytes) -> bytes:
+    seps = separators.decode("ascii")
+    return "".join(
+        "%.2f" % v + seps[i % len(seps)] for i, v in enumerate(values)
+    ).encode("ascii")
+
+
+def _stepped(x: float, steps: int) -> float:
+    """x moved by `steps` floats, up for positive steps, down for negative."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# exact ties (odd multiples of 1/8, and k * 0.005 where the product is
+# exact), values next to them, negatives that round to "-0.00", -0.0, and
+# both sides of the 2**52/100 limit
+_2F_CELLS = st.tuples(
+    st.one_of(
+        st.floats(),
+        st.integers(-8 * 10**6, 8 * 10**6).map(lambda k: k / 8),
+        st.integers(-10**7, 10**7).map(lambda k: k * 0.005),
+        st.floats(-0.005, 0.005),
+        st.sampled_from([-0.0, _LIMIT_2F, -_LIMIT_2F]),
+    ),
+    st.integers(-2, 2),
+).map(lambda cell: _stepped(*cell))
+
+
+@pytest.mark.oracle_property
+@settings(deadline=None)
+@given(st.lists(_2F_CELLS, max_size=60), st.sampled_from([b",", b", ", b"\n"]))
+def test_format_2f_matches_python_text(values, separators):
+    got = csvtext.format_2f(np.array(values, dtype=np.float64), separators)
+    assert got == _python_2f(values, separators)
+
+
+def test_format_2f_at_ties_their_neighbours_and_the_limit():
+    k = np.arange(-4000, 4001)
+    ties = np.concatenate([k / 8, k * 0.005, -np.arange(0, 501) * 1e-5])
+    near = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    limit = [_stepped(sign * _LIMIT_2F, step) for sign in (1.0, -1.0) for step in range(-3, 4)]
+    values = np.concatenate([near, limit, [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308]])
+    assert csvtext.format_2f(values, b", ") == _python_2f(values.tolist(), b", ")

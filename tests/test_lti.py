@@ -30,6 +30,7 @@ from buckforge.lti import (
     MARGIN_POINTS_PER_DECADE,
     MAX_SAMPLES,
     PoleOnAxisError,
+    _BODE_BLOCK,
     _anchor,
     _bisect_crossing,
     _low_frequency_phase_asymptote,
@@ -43,7 +44,7 @@ from buckforge.lti import (
 )
 from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
-from oracles import sweep_margins, unwrapped_phase_at_reference
+from oracles import bode_sweep_reference, sweep_margins, unwrapped_phase_at_reference
 
 INTEGRATOR = TransferFunction((1.0,), (1.0, 0.0))
 
@@ -173,6 +174,109 @@ def test_evaluate_underflow_names_omega():
         evaluate(TransferFunction((1e-300,), (1.0, 0.0)), 1e30)
     # an exact zero of the numerator is a response, not an underflow
     assert evaluate(TransferFunction((1.0, 0.0), (1.0, 1.0)), 0.0) == 0
+
+
+def _sweep_outcome(sweep, tf, *grid):
+    """A sweep's columns as int64 bit patterns, or its error's type and message."""
+    try:
+        return [col.view(np.int64).tolist() for col in sweep(tf, *grid)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_sweep(tf, *grid):
+    got = _sweep_outcome(bode_sweep, tf, *grid)
+    assert got == _sweep_outcome(lambda *args: bode_sweep_reference(lti, *args), tf, *grid)
+    return got
+
+
+@pytest.mark.oracle_property
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 3),
+    origin_poles=st.integers(0, 3),
+    origin_zeros=st.integers(0, 3),
+    axis_zero=st.booleans(),
+    low=st.floats(-3.0, 3.0),
+    decades=st.floats(0.01, 8.0),
+    points_per_decade=st.integers(1, 1000),
+)
+def test_bode_sweep_matches_per_point_reference_property(
+    seed, degree, origin_poles, origin_zeros, axis_zero, low, decades, points_per_decade
+):
+    # proper, of either sign (a negative DC gain among them), with poles and
+    # zeros at the origin, and at times a zero on the axis at a grid point
+    rng = np.random.default_rng(seed)
+    omega_min, omega_max = 10.0**low, 10.0 ** (low + decades)
+    assume(int(round(decades * points_per_decade)) < 3 * _BODE_BLOCK)
+    den = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** rng.uniform(-3.0, 3.0, degree + 1)
+    num_degree = int(rng.integers(0, degree + 1))
+    num = rng.choice([-1.0, 1.0], num_degree + 1) * 10.0 ** rng.uniform(-3.0, 3.0, num_degree + 1)
+    # zero coefficients of either sign, at the origin and at random below the
+    # leading one: CPython's complex arithmetic keeps the sign of a zero part
+    for coeffs, k in ((den, min(origin_poles, degree)), (num, min(origin_zeros, num_degree))):
+        lower = coeffs[1:]
+        lower[rng.random(len(lower)) < 0.2] = 0.0
+        lower[:] = np.where(lower == 0.0, rng.choice([0.0, -0.0], len(lower)), lower)
+        coeffs[len(coeffs) - k :] = rng.choice([0.0, -0.0], k)
+    if axis_zero and degree >= 2:
+        omegas = log_grid(omega_min, omega_max, points_per_decade)
+        w0 = float(rng.choice(omegas))
+        num = np.array([1.0, 0.0, w0 * w0])
+    tf = TransferFunction(tuple(num), tuple(den))
+    got = _assert_same_sweep(tf, omega_min, omega_max, points_per_decade)
+    assert isinstance(got, list), got
+
+
+@pytest.mark.parametrize("n", [_BODE_BLOCK - 1, _BODE_BLOCK, _BODE_BLOCK + 1, 2 * _BODE_BLOCK + 1])
+def test_bode_sweep_matches_reference_at_block_edges(nominal_plant, n):
+    loop = compensated_loop(nominal_plant, PIGains(0.23, 1.0))
+    got = _assert_same_sweep(loop, 1.0, 10.0 ** ((n - 1) / 1000), 1000)
+    assert len(got[0]) == n
+
+
+def test_bode_sweep_anchors_point_by_point_after_a_half_turn(monkeypatch):
+    # (-s^2 - 1)/(s^2 + 4) is real, so its principal phase steps by exactly a
+    # half turn at omega = 1, from 180 to 0 degrees: the running sum of the
+    # rounded steps says -360 there, _anchor from -180 rounds to 0
+    tf = TransferFunction((-1.0, 0.0, -1.0), (1.0, 0.0, 4.0))
+    want = bode_sweep_reference(lti, tf, 0.1, 10.0, 10)
+    calls = []
+    anchor = lti._anchor
+    monkeypatch.setattr(lti, "_anchor", lambda p, e: calls.append(p) or anchor(p, e))
+    got = bode_sweep(tf, 0.1, 10.0, 10)
+    assert calls
+    for g, w in zip(got, want):
+        assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
+    assert 0.0 in got[2] and -180.0 in got[2]
+
+
+@pytest.mark.parametrize("tf,omega_min,omega_max,points_per_decade,error", [
+    # the cases of test_evaluate_overflow_names_omega and of the underflow
+    (TransferFunction((1.0,), (1.0, 1.0, 1.0, 1.0)), 1e100, 1e120, 1, "overflows"),
+    (TransferFunction((1e300, 1.0), (1.0, 1.0)), 1e8, 1e12, 2, "overflows"),
+    (TransferFunction((1.0,), (1.0, 0.0)), 1e-320, 1e-300, 1, "overflows"),
+    (TransferFunction((1e-300,), (1.0, 0.0)), 1e28, 1e32, 1, "underflows"),
+    # a pole on the axis at the grid point omega = 1
+    (TransferFunction((1.0,), (1.0, 0.0, 1.0)), 0.1, 10.0, 10, "pole on the imaginary axis"),
+    # a finite response whose magnitude leaves the float range: abs raises
+    (TransferFunction((1.28e308,), (0.5, 0.5)), 1.0, 10.0, 10, "absolute value too large"),
+])
+def test_bode_sweep_raises_as_the_per_point_reference(
+    tf, omega_min, omega_max, points_per_decade, error
+):
+    got = _assert_same_sweep(tf, omega_min, omega_max, points_per_decade)
+    assert isinstance(got, tuple) and error in got[1], got
+
+
+def test_bode_sweep_raises_at_a_pole_in_a_later_block():
+    omega_max = 10.0 ** (2 * _BODE_BLOCK / 1000)
+    w0 = float(log_grid(1.0, omega_max, 1000)[_BODE_BLOCK + 5])
+    # den(j*w0) = w0*w0 - fl(w0*w0) is exactly 0
+    tf = TransferFunction((1.0,), (1.0, 0.0, w0 * w0))
+    got = _assert_same_sweep(tf, 1.0, omega_max, 1000)
+    assert got == (PoleOnAxisError, f"pole on the imaginary axis at omega={w0!r} rad/s")
 
 
 def test_log_grid_budget_refused_before_allocation(monkeypatch):

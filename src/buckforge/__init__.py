@@ -11,6 +11,7 @@ from .averaging import (
     derive_plant,
     duty_to_output_tf,
     equilibrium,
+    line_to_output_tf,
     small_signal_model,
     solve_duty,
 )

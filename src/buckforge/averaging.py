@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .converter import ConverterParams, StateSpaceModel, validate_params
 from .converter import mode_off_model, mode_on_model
-from .lti import TransferFunction
+from .lti import TransferFunction, close_unity_loop
+from .pi_design import PIGains, compensated_loop
 
 
 class SingularModelError(ValueError):
@@ -155,6 +156,22 @@ class PlantDerivation:
     operating_point: OperatingPoint
     small_signal: SmallSignalModel
     plant: TransferFunction
+
+
+def line_to_output_tf(derivation: PlantDerivation, gains: PIGains) -> TransferFunction:
+    """Averaged closed-loop line-to-output response Gvg/(1 + L), where
+    L = compensated_loop(plant, gains) at duty-domain gains.
+
+    Both modes share A and the OFF mode's input column is zero, so the
+    averaged line column D*B_on is D/Vg times the duty column b_d = B_on*Vg,
+    and Gvg = (D/Vg)*Gvd. With Gvd = N/Dp and the PI (kp*s + ki)/s this is
+    (D/Vg)*N*s / (Dp*s + N*(kp*s + ki)): the closed loop's denominator, and
+    so its order, 3.
+    """
+    op = derivation.operating_point
+    scale = op.duty / op.vg
+    num = tuple(c * scale for c in derivation.plant.num) + (0.0,)
+    return TransferFunction(num, close_unity_loop(compensated_loop(derivation.plant, gains)).den)
 
 
 def continuous_conduction(p: ConverterParams, op: OperatingPoint) -> tuple[float, bool]:

@@ -71,7 +71,7 @@ def _write_csv(path: str, header: str, *columns) -> dict:
     """One row per index across equal-length 1-D arrays, each cell "%.17g".
 
     Booleans print as 1 and 0. Returns the manifest's account of the file:
-    its rows, and the cells formatted one at a time (`csvtext.per_cell`).
+    its rows, and the cells that `csvtext.format_block` formatted one at a time.
     """
     lengths = [len(col) for col in columns]
     if len(set(lengths)) > 1:

@@ -122,18 +122,6 @@ _SLOTS = np.arange(18, dtype=np.int8)[:, None]
 _PREFIX_SLOTS = np.arange(4, dtype=np.int8)[:, None]
 
 
-def _kinds(ax):
-    """Masks of the fixed-notation cells and of the zeros, from |x|."""
-    return (ax >= 1e-4) & (ax < 1e16), ax == 0
-
-
-def per_cell(values: np.ndarray) -> np.ndarray:
-    """Mask of the cells (float or bool) that `format_block` formats one at
-    a time."""
-    fixed, zero = _kinds(np.abs(values))
-    return ~(fixed | zero)
-
-
 def _scaled(ax, row):
     """(p, e) with p + e = ax * 10**(16 - E) exactly (two-product), where
     row = E + 4."""
@@ -293,7 +281,8 @@ def format_2f(values, separators: bytes) -> bytes:
 
 def format_block(columns) -> tuple[bytes, int]:
     """Rows of ``"%.17g"`` cells, comma separated, each ending in a newline,
-    and the count of cells formatted one at a time (the `per_cell` ones).
+    and the count of cells formatted one at a time: the float cells neither
+    +-0 nor of |x| in [1e-4, 1e16).
 
     `columns` are equal-length 1-D float or bool arrays; booleans print as
     1 and 0.
@@ -317,7 +306,7 @@ def format_block(columns) -> tuple[bytes, int]:
         elif largest == 0:
             fixed_rows, slow_rows, minus_rows = _NO_ROWS, _NO_ROWS, np.flatnonzero(np.signbit(x))
         else:
-            is_fixed, zero = _kinds(ax)
+            is_fixed, zero = (ax >= 1e-4) & (ax < 1e16), ax == 0
             fixed_rows = np.flatnonzero(is_fixed)
             slow_rows = np.flatnonzero(~(is_fixed | zero))
             minus_rows = np.flatnonzero(zero & np.signbit(x))

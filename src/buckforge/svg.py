@@ -171,7 +171,8 @@ def _figure(title: str, xs, log_x, xlabel, curves, markers) -> str:
     `curves` holds (ys, ylabel, color, level) per panel, `level` being the
     y of a dashed reference line (None: no line); xs and ys are sequences of
     numbers, decimated here to the point budget; a drawn sample that is not
-    finite raises ValueError naming the series.
+    finite, or a padded y range wider than the float range, raises
+    ValueError naming the series.
     `markers` holds (x, color, labels): a dashed vertical line across
     every panel, labeled labels[i] on panel i (None: no label).
     """
@@ -192,6 +193,9 @@ def _figure(title: str, xs, log_x, xlabel, curves, markers) -> str:
         if not (xs_finite and np.isfinite(ys).all()):
             raise ValueError(f"cannot plot {ylabel!r}: a drawn sample is not finite")
         panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
+        lo, hi = panel.ylim
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"cannot plot {ylabel!r}: its padded y range overflows")
         if xpixels is None:
             # every panel spans the same x range, so maps xs alike
             xpixels = panel.px(xs)

@@ -394,22 +394,24 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     )
 
 
+def _period_means(x: np.ndarray, spp: int, first: int, stop: int) -> np.ndarray:
+    """Trapezoidal means of x over whole periods first ... stop - 1. Each row
+    sum takes the same pairwise order as summing that period's 1-D slice, so
+    the means match a per-period loop bit for bit."""
+    lo, hi = first * spp, stop * spp
+    rows = x[lo:hi].reshape(-1, spp).sum(axis=1)
+    return (rows - 0.5 * x[lo:hi:spp] + 0.5 * x[lo + spp : hi + 1 : spp]) / spp
+
+
 def cycle_average(traj: SwitchedTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trapezoidal per-period means of il and vc, and each period's duty.
 
-    A trailing partial period is dropped. Each row sum takes the same
-    pairwise order as summing that period's 1-D slice, so the means match a
-    per-period loop bit for bit.
+    A trailing partial period is dropped.
     """
     spp = traj.steps_per_period
     n = (len(traj.times) - 1) // spp
-    end = n * spp
-
-    def means(x: np.ndarray) -> np.ndarray:
-        rows = x[:end].reshape(n, spp).sum(axis=1)
-        return (rows - 0.5 * x[:end:spp] + 0.5 * x[spp : end + 1 : spp]) / spp
-
-    return means(traj.il), means(traj.vc), traj.duty_cmd[:end:spp]
+    il, vc = (_period_means(x, spp, 0, n) for x in (traj.il, traj.vc))
+    return il, vc, traj.duty_cmd[: n * spp : spp]
 
 
 @dataclass(frozen=True)
@@ -441,21 +443,18 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     dithers between adjacent levels at steady state.
     """
     spp = traj.steps_per_period
-    lo = ((len(traj.times) - 1) // spp - 1) * spp
-
-    def final_mean(x: np.ndarray) -> float:
-        return float((x[lo : lo + spp].sum() - 0.5 * x[lo] + 0.5 * x[lo + spp]) / spp)
-
+    n = (len(traj.times) - 1) // spp
+    lo = (n - 1) * spp
     trailing = traj.duty_cmd[max(lo - 9 * spp, 0) : lo + 1 : spp].tolist()
     duty_final = sum(trailing) / len(trailing)
-    final_vc_mean = final_mean(traj.vc)
+    final_vc_mean = float(_period_means(traj.vc, spp, n - 1, n)[0])
     last = traj.vc[lo : lo + spp + 1]
     deviation = abs(final_vc_mean - p.vo_target) / p.vo_target * 100.0
     holdable = not p.vo_target > full_duty_output(p)
     return RegulationReport(
         target_v=p.vo_target,
         final_vc_mean=final_vc_mean,
-        final_il_mean=final_mean(traj.il),
+        final_il_mean=float(_period_means(traj.il, spp, n - 1, n)[0]),
         vc_ripple_pkpk=float(last.max() - last.min()),
         duty_final=duty_final,
         deviation_pct=deviation,

@@ -188,7 +188,8 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     The final value is the mean of the trailing 10% of samples; the tail
     must itself have stopped moving. Threshold crossings are located by
     linear interpolation between bracketing samples. Raises ValueError,
-    naming the first such sample, when the response is not finite.
+    naming the first such sample, when the response is not finite, and when
+    the tail's mean or spread overflows.
     """
     times = traj.times
     values = traj.values
@@ -197,8 +198,15 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
         t = float(times[finite.argmin()])
         raise ValueError(f"step response leaves the float range at t={t!r} s")
     tail = values[-max(2, len(values) // 10):]
-    final = float(tail.mean())
-    wiggle = float(tail.max() - tail.min())
+    # a finite tail can still overflow its mean or its spread
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = float(tail.mean())
+        wiggle = float(tail.max() - tail.min())
+    if not (math.isfinite(final) and math.isfinite(wiggle)):
+        raise ValueError(
+            f"step response's trailing mean {final!r} or spread {wiggle!r} "
+            "leaves the float range"
+        )
     if wiggle > 0.01 * abs(final) + 1e-12 * max(1.0, float(np.abs(values).max())):
         raise NotSettledError(
             f"trailing samples still vary by {wiggle!r} around {final!r}; "

@@ -611,6 +611,15 @@ def decimate_reference(xs, ys):
 _CSV_BLOCK_ROWS = 4096
 
 
+def fallback_count(rows):
+    """Cells neither zero nor in 1e-4 <= |x| < 1e16, which "%.17g" does not
+    print in fixed notation: the ones a CSV writer formats one at a time.
+    Rows hold numbers, bools or their text."""
+    return sum(
+        not (x == 0.0 or 1e-4 <= abs(x) < 1e16) for row in rows for x in map(float, row)
+    )
+
+
 def write_csv_reference(path: str, header: str, *columns) -> None:
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

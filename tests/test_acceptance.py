@@ -23,6 +23,7 @@ from buckforge import (
     derive_plant,
     design_report,
     evaluate,
+    line_to_output_tf,
     pwm_equivalent_gains,
     regulation_report,
     simulate_closed_loop,
@@ -276,12 +277,6 @@ def test_criterion_10_switched_loop_follows_the_averaged_line_response(nominal_p
     duty-domain gains (0.23, 1), PM 48.5 deg: the switched loop's cycle-mean
     output deviation follows the averaged closed-loop prediction.
 
-    Averaging gives the line-to-output plant Gvg = (D/Vg)*Gvd, so with
-    Gvd = Kd/Dp(s) the deviation is Δvg times the step of
-    Kg*s / (s*Dp(s) + Kd*(kp*s + ki)), Kg = D*Kd/Vg, which is third order.
-    Composing it from transfer functions would keep the uncancelled Dp and
-    go beyond step_response's order 3, so it is written out here.
-
     The measured deviation is the step run's cycle means of vc minus those
     of a run with no step, from the same state, so the steady ripple and the
     quantization pattern cancel. That needs steps_per_period 3200: the PWM
@@ -310,11 +305,7 @@ def test_criterion_10_switched_loop_follows_the_averaged_line_response(nominal_p
 
         measured = vc_means(p.vg * (1.0 + eps)) - vc_means(p.vg)
 
-        (kd,), (d2, d1, d0) = derivation.plant.num, derivation.plant.den
-        kg = op.duty * kd / p.vg
-        line = TransferFunction(
-            (kg, 0.0), (d2, d1, d0 + kd * duty_gains.kp, kd * duty_gains.ki)
-        )
+        line = line_to_output_tf(derivation, duty_gains)
         # each period's mean by Simpson's rule on its start, middle and end
         y = eps * p.vg * step_response(line, t_end, 2 * periods + 1).values
         predicted = (y[:-2:2] + 4.0 * y[1::2] + y[2::2]) / 6.0

@@ -3,19 +3,26 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from buckforge import (
+    PIGains,
     StateSpaceModel,
     averaged_model,
+    close_unity_loop,
+    compensated_loop,
     continuous_conduction,
     derive_plant,
     duty_to_output_tf,
     equilibrium,
+    line_to_output_tf,
     mode_off_model,
     mode_on_model,
     small_signal_model,
     solve_duty,
+    step_response,
+    tune_kp_for_pm,
 )
 from buckforge.averaging import SingularModelError
 from buckforge.lti import dc_gain
@@ -264,3 +271,34 @@ def test_loss_aware_volt_second_balance(modes, nominal_params):
     on0, off0 = mode_on_model(lossless), mode_off_model(lossless)
     op = equilibrium(on0, off0, 0.4, 30.0)
     assert op.vc == pytest.approx(0.4 * 30.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["kp0.23_ki1", "pm50_ki1"])
+def test_line_to_output_tf(nominal_params, tuned):
+    derivation = derive_plant(nominal_params)
+    plant = derivation.plant
+    gains = tune_kp_for_pm(plant, 1.0, 50.0).gains if tuned else PIGains(0.23, 1.0)
+    line = line_to_output_tf(derivation, gains)
+    assert line.den == close_unity_loop(compensated_loop(plant, gains)).den
+    assert len(line.den) == 4
+
+    # the averaged model's own line column B = D*B_on + (1 - D)*B_off through
+    # C adj(sI - A) B, times s
+    d = derivation.operating_point.duty
+    on, off = derivation.mode_on, derivation.mode_off
+
+    def avg(x, y):
+        return d * x + (1.0 - d) * y
+
+    (a11, a12), (a21, a22) = (map(avg, r_on, r_off) for r_on, r_off in zip(on.a, off.a))
+    b1, b2 = map(avg, on.b, off.b)
+    c1, c2 = map(avg, on.c, off.c)
+    s1 = c1 * b1 + c2 * b2
+    s0 = c1 * (a12 * b2 - a22 * b1) + c2 * (a21 * b1 - a11 * b2)
+    assert s1 == 0.0
+    assert line.num == pytest.approx((s0, 0.0), rel=1e-14)
+
+    # the integrator rejects a line step
+    assert dc_gain(line) == 0.0
+    response = step_response(line, 0.05, 2001).values
+    assert response[0] == 0.0 and np.isfinite(response).all()

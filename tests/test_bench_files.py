@@ -1,6 +1,7 @@
 """Every committed BENCH_*.json: its schema, and its metrics against BENCHMARK.json.
 
-No bench runs here; the files are read as committed.
+No bench runs here; the files are read as committed. The collector's hash of
+the measured source is checked in a temporary git repository.
 """
 
 import glob
@@ -8,6 +9,8 @@ import importlib.util
 import json
 import math
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -95,3 +98,36 @@ def test_bench_file_pairs_and_their_summaries(path):
             assert all(len(pair) == 2 and all(map(_is_number, pair)) for pair in pairs)
             summary = {k: metric[k] for k in ("pairs", "base", "change", "change_better")}
             assert summary == summarize(pairs, metric["better"]), (workload, name)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git command")
+def test_src_diff_hash_names_untracked_sources(tmp_path, monkeypatch):
+    src_diff_sha256 = _collector().src_diff_sha256
+    for name in ("GIT_DIR", "GIT_WORK_TREE", "GIT_INDEX_FILE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    def git(*args):
+        subprocess.run(["git", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / ".gitignore").write_text("*.pyc\n")
+    git("add", "-A")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com",
+        "-c", "commit.gpgsign=false", "commit", "-q", "-m", "base")
+    assert src_diff_sha256() is None
+
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    edited = src_diff_sha256()
+    assert edited is not None and len(edited) == 64
+    # neither an ignored file nor one outside src/ is measured source
+    (tmp_path / "src" / "a.pyc").write_bytes(b"\0")
+    (tmp_path / "notes.txt").write_text("n\n")
+    assert src_diff_sha256() == edited
+    (tmp_path / "src" / "b.py").write_text("y = 1\n")
+    added = src_diff_sha256()
+    assert added not in (None, edited)
+    (tmp_path / "src" / "b.py").write_text("y = 2\n")
+    assert src_diff_sha256() not in (None, edited, added)

@@ -15,10 +15,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from buckforge import PIGains, cli, compensated_loop, stability_margins, timedomain
+from buckforge import (
+    PIGains,
+    cli,
+    close_unity_loop,
+    compensated_loop,
+    derive_plant,
+    load_params,
+    stability_margins,
+    step_response,
+    timedomain,
+)
 from buckforge.cli import main
 from buckforge.converter import PARAM_FIELDS
-from oracles import decimate_reference, timeseries_svg_reference
+from oracles import decimate_reference, fallback_count, timeseries_svg_reference
 
 
 def run(args):
@@ -35,13 +45,6 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
-
-
-def fallback_count(rows):
-    """Cells neither zero nor in 1e-4 <= |x| < 1e16: the ones written one at a time."""
-    return sum(
-        not (x == 0.0 or 1e-4 <= abs(x) < 1e16) for row in rows for x in map(float, row)
-    )
 
 
 def test_derive(nominal_config_path, tmp_path, capsys):
@@ -651,6 +654,31 @@ def test_step_of_a_diverging_response_is_exit_2(nominal_config_path, tmp_path, c
     assert "step response leaves the float range at t=0.0422" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_step_of_a_finite_response_whose_tail_overflows_is_exit_2(
+    nominal_config_path, tmp_path, capsys
+):
+    # the widest window whose every sample is finite, by bisection (its value
+    # depends on the BLAS under expm): the tail's mean overflowed to -inf and
+    # was written as a settled final value, and its plot raised OverflowError
+    plant = derive_plant(load_params(nominal_config_path)).plant
+    closed = close_unity_loop(compensated_loop(plant, PIGains(0.01, 1e7)))
+    lo, hi = 0.01, 0.05
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        values = step_response(closed, mid, cli.DESIGN_STEP_SAMPLES).values
+        lo, hi = (mid, hi) if np.isfinite(values).all() else (lo, mid)
+    assert 0.04 < lo < 0.045
+    for svg in ([], ["--svg"]):
+        out = tmp_path / f"out{len(svg)}"
+        assert run([
+            "step", "--config", nominal_config_path, "--out-dir", str(out),
+            "--kp", "0.01", "--ki", "1e7", "--t-end", repr(lo), *svg,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "trailing mean" in err and "leaves the float range" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def test_step_overshoot_grows_with_kp(nominal_config_path, tmp_path):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckforge import cli, csvtext
-from buckforge.csvtext import format_block, per_cell
-from oracles import write_csv_reference
+from buckforge.csvtext import format_block
+from oracles import fallback_count, write_csv_reference
 
 
 def _assert_same(*columns):
@@ -25,7 +25,7 @@ def _assert_same(*columns):
             assert fh.readline() == b"h\n"
             text, slow = format_block(columns)
             assert text == fh.read()
-    assert slow == sum(int(per_cell(np.asarray(col)).sum()) for col in columns)
+    assert slow == fallback_count(zip(*columns))
 
 
 def _from_bits(bits: int) -> float:
@@ -124,7 +124,7 @@ def test_every_fixed_notation_exponent():
     mantissas = np.concatenate([[1.0, 9.999999999999998], rng.uniform(1.0, 10.0, 20)])
     values = np.concatenate([mantissas * 10.0**e for e in range(-4, 16)])
     assert {int(("%.16e" % x)[-3:]) for x in values} == set(range(-4, 16))
-    assert not per_cell(values).any()
+    assert fallback_count([values]) == 0
     _assert_same(values, -values)
 
 
@@ -160,22 +160,21 @@ def test_write_csv_matches_reference_at_block_edges(tmp_path, rows):
     stats = cli._write_csv(str(got), "a,b,c", ramp, special, flags)
     write_csv_reference(str(want), "a,b,c", ramp, special, flags)
     assert got.read_bytes() == want.read_bytes()
-    slow = sum(np.count_nonzero(per_cell(col)) for col in (ramp, special, flags))
-    assert stats == {"rows": rows, "fallback_cells": slow}
+    assert stats == {"rows": rows, "fallback_cells": fallback_count(zip(ramp, special, flags))}
 
 
 def test_format_block_counts_the_cells_it_formats_one_at_a_time():
     cells = np.array([math.nan, math.inf, 5e-324, 1e-5, 1e16, 0.5, -0.0, 2.0])
     _, slow = format_block([cells, -cells, cells > 1.0])
-    assert slow == per_cell(cells).sum() + per_cell(-cells).sum() == 10
+    assert slow == fallback_count([cells, -cells]) == 10
 
 
 def test_per_cell_marks_what_fixed_notation_cannot_take():
     values = np.array([0.0, -0.0, 1e-4, 9.9999999999999991e-5, 1e16, 9999999999999998.0,
                        math.nan, math.inf, 5e-324, -3.5])
-    assert per_cell(values).tolist() == [
-        False, False, False, True, True, False, True, True, True, False,
-    ]
+    marked = [format_block([np.array([x])])[1] for x in values]
+    assert marked == [0, 0, 0, 1, 1, 0, 1, 1, 1, 0]
+    assert format_block([values, -values])[1] == 2 * sum(marked)
 
 
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
@@ -330,7 +329,7 @@ def test_all_fixed_column_at_both_ends_of_the_range():
     # the column is planned from its min and max alone, as all fixed
     top = math.nextafter(1e16, 0.0)
     values = np.array([1e-4, -top, 0.5, top, -1e-4, 12.25])
-    assert not per_cell(values).any()
+    assert fallback_count([values]) == 0
     _assert_same(values, values[::-1])
 
 
@@ -340,7 +339,7 @@ def test_fixed_column_with_one_cell_outside_fixed_notation(odd):
     for at in (0, 4, 8):
         column = values.copy()
         column[at] = odd
-        assert per_cell(column).sum() == 1
+        assert fallback_count([column]) == 1
         _assert_same(column, values)
 
 

@@ -196,3 +196,11 @@ def test_figure_refuses_a_non_finite_sample(bad):
     values[-1] = bad
     with pytest.raises(ValueError, match="cannot plot 'output': a drawn sample is not finite"):
         timeseries_svg(np.linspace(0.0, 1.0, 50), values, "time (s)", "output", "step")
+
+
+@pytest.mark.parametrize("ys", [(-1.7e308, 1.7e308), (-0.85e308, 0.85e308), (-1.79e308, 0.0)])
+def test_figure_refuses_a_y_range_wider_than_the_float_range(ys):
+    # the span, or the padded span, overflows: its tick placement once raised
+    # OverflowError
+    with pytest.raises(ValueError, match="cannot plot 'output': its padded y range overflows"):
+        timeseries_svg([0.0, 1.0], ys, "time (s)", "output", "step")

@@ -157,6 +157,15 @@ def test_metrics_refuse_a_non_finite_response(bad):
         step_metrics(traj, 1.0)
 
 
+def test_metrics_refuse_a_finite_tail_whose_mean_overflows():
+    # its mean once overflowed to -inf, read as a settled final value
+    values = np.linspace(0.0, 1.0, 20)
+    values[-2:] = -1.7e308
+    traj = Trajectory(np.linspace(0.0, 2.0, 20), values)
+    with pytest.raises(ValueError, match=r"trailing mean -inf or spread 0\.0 leaves the float"):
+        step_metrics(traj, 1.0)
+
+
 def test_metrics_of_a_response_that_never_reaches_half_its_final_value():
     # (-5s - 1)/(s + 1) starts at -5 and settles at -1, from below
     traj = step_response(TransferFunction((-5.0, -1.0), (1.0, 1.0)), 10.0, 2001)

@@ -12,6 +12,12 @@ Every workload of ``BENCHMARK.json`` gets `PAIRS` untraced and
 `TRACED_PAIRS` traced pairs. Measuring the base against itself (``HEAD``
 as the base and no edit to ``src/``) is refused.
 
+``commits.change`` is the commit under the measured diff, ``HEAD``, and
+``commits.change_src_diff_sha256`` names that diff (`src_diff_sha256`):
+``src/``'s tracked changes and its untracked files, None when there are
+none. A change measured before it is committed has ``change`` equal to its
+base and is told apart by that hash.
+
 The base is exported with ``git archive`` into a temporary directory, which
 is removed at the end; unlike a ``git worktree``, that writes nothing into
 the repository's ``.git``. Before every run the ``__pycache__``
@@ -62,6 +68,23 @@ PAIRS, TRACED_PAIRS = 10, 4
 def _git(*args: str, binary: bool = False):
     out = subprocess.run(["git", *args], capture_output=True, check=True).stdout
     return out if binary else out.decode().strip()
+
+
+def src_diff_sha256() -> str | None:
+    """SHA-256 of how ``src/`` in the working tree differs from ``HEAD``, or
+    None where it does not: the tracked diff, then the path and bytes of each
+    untracked file that git does not ignore, so that a module added and
+    measured before ``git add`` is named too."""
+    diff = _git("diff", "HEAD", "--", "src", binary=True)
+    listed = _git("ls-files", "--others", "--exclude-standard", "-z", "--", "src", binary=True)
+    untracked = sorted(filter(None, listed.split(b"\0")))
+    if not (diff or untracked):
+        return None
+    digest = hashlib.sha256(diff)
+    for path in untracked:
+        with open(path, "rb") as fh:
+            digest.update(path + b"\0" + fh.read())
+    return digest.hexdigest()
 
 
 def _export(commit: str, into: str) -> None:
@@ -142,17 +165,13 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
     workloads = [w["name"] for w in bench["workloads"]]
-    # the measured source: the change's committed tree plus this diff
+    # the measured source: the commit under the change, plus src/'s diff from it
     base, change = _git("rev-parse", args.base), _git("rev-parse", "HEAD")
-    diff = _git("diff", "HEAD", "--", "src", binary=True)
-    if base == change and not diff:
+    diff = src_diff_sha256()
+    if base == change and diff is None:
         raise SystemExit(f"src/ at {base} has no change against the base to measure")
     doc = {
-        "commits": {
-            "base": base,
-            "change": change,
-            "change_src_diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
-        },
+        "commits": {"base": base, "change": change, "change_src_diff_sha256": diff},
         "command": {
             "untraced": ["python3", "perfbench/run.py", "--workload", "<workload>", "--seed",
                          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],

@@ -340,12 +340,23 @@ _MARGIN_S = 1j * MARGIN_OMEGAS
 
 def window_response(coeffs: tuple, den_resp) -> np.ndarray:
     """`coeffs` on the margin window, over den_resp unless None; ValueError if
-    not finite."""
+    not finite.
+
+    The value is np.polyval(coeffs, 1j * MARGIN_OMEGAS) / den_resp bit for
+    bit, by the same Horner steps y = y*s + c run in place in one array.
+    np.polyval's first step, 0j*s + coeffs[0], is (0.0 + coeffs[0], +0.0) at
+    every finite s, so the array starts there.
+    """
     # finite inputs turn non-finite only through a floating-point error
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            resp = np.polyval(coeffs, _MARGIN_S)
-            return resp if den_resp is None else resp / den_resp
+            resp = np.full(len(_MARGIN_S), 0.0 + coeffs[0], complex)
+            for c in coeffs[1:]:
+                resp *= _MARGIN_S
+                resp += c
+            if den_resp is not None:
+                resp /= den_resp
+            return resp
     except FloatingPointError:
         raise ValueError("loop response is not finite on the margin window") from None
 
@@ -371,11 +382,14 @@ def _wrap_steps(resp: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
     of `resp` wraps, i.e. L crosses the negative real axis, and their whole
     turns: one for a step below -pi, minus one for a step whose step + pi
     rounds above 2*pi, none for exactly a half turn. Only steps between
-    samples whose imaginary parts are not both > 0, nor both < 0, are read;
-    the others are under a half turn."""
-    im = resp.imag[: stop + 1]
-    upper, lower = im > 0.0, im < 0.0
-    k = np.flatnonzero(~(upper[:-1] & upper[1:] | lower[:-1] & lower[1:]))
+    samples whose imaginary parts are not both > 0, nor both < 0, are read,
+    found in one sign pass as those whose product of signs is <= 0 (the
+    window's responses are finite, so no sign is nan); the others are under
+    a half turn."""
+    sign = np.sign(resp.imag[: stop + 1])
+    k = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+    if not len(k):
+        return k, k  # no step to read: no wrap, and no turns
     step = np.angle(resp[k + 1]) - np.angle(resp[k])
     turns = (step < -math.pi).astype(int) - (step + math.pi > 2.0 * math.pi)
     wraps = turns != 0
@@ -399,17 +413,20 @@ def gain_crossing(
     their number (an exact |L| = 1 at a grid point, or a sign change of
     |L| - 1 between two), and the lowest one's crossover (rad/s) and phase
     margin (deg), both None when |L| never crosses 1 there. The phase takes
-    its branch from the wrap steps below the crossing only."""
-    above = np.abs(resp) - 1.0
-    zero = above == 0.0
+    its branch from the wrap steps below the crossing only.
+
+    |L| is compared with 1.0 itself: for a float m, m - 1.0 is 0.0 exactly
+    when m == 1.0 and positive exactly when m > 1.0."""
+    mag = np.abs(resp)
+    zero = mag == 1.0
+    pos = mag > 1.0
     hit = zero.copy()
-    pos = above > 0.0
-    # a change of sign onto an exact zero is that zero's own hit
+    # a change of side onto an exact |L| = 1 is that point's own hit
     hit[:-1] |= (pos[:-1] != pos[1:]) & ~zero[1:]
-    idx = np.flatnonzero(hit)
-    if not len(idx):
+    count = int(np.count_nonzero(hit))
+    if not count:
         return 0, None, None
-    i = int(idx[0])
+    i = int(hit.argmax())
     if zero[i]:
         crossover = float(MARGIN_OMEGAS[i])
     else:
@@ -418,7 +435,7 @@ def gain_crossing(
             lambda w: abs(evaluate(tf, w)) - 1.0, lo, hi, 1e-10
         )
     ph = _anchor(phase_deg(evaluate(tf, crossover)), _unwrapped_phase_at(tf, resp, i))
-    return len(idx), crossover, 180.0 + ph
+    return count, crossover, 180.0 + ph
 
 
 def stability_margins(loop_tf: TransferFunction) -> MarginReport:

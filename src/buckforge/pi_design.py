@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .converter import ConverterParams, default_sensor_gain
 from .lti import (
     MarginReport,
@@ -120,7 +122,8 @@ def tune_kp_for_pm(plant: TransferFunction, ki: float, target_pm: float) -> Tuni
     den_resp = window_response(unit_kp.den, None)
 
     def pm_of(kp: float) -> float | None:
-        loop = compensated_loop(plant, PIGains(kp, ki))
+        # compensated_loop(plant, PIGains(kp, ki)), coefficient for coefficient
+        loop = TransferFunction(tuple(np.convolve(plant.num, (kp, ki))), unit_kp.den)
         return gain_crossing(loop, window_response(loop.num, den_resp))[2]
 
     def excess(pm: float | None) -> float:

@@ -171,8 +171,8 @@ def _figure(title: str, xs, log_x, xlabel, curves, markers) -> str:
     `curves` holds (ys, ylabel, color, level) per panel, `level` being the
     y of a dashed reference line (None: no line); xs and ys are sequences of
     numbers, decimated here to the point budget; a drawn sample that is not
-    finite, or a padded y range wider than the float range, raises
-    ValueError naming the series.
+    finite, or an x range or padded y range wider than the float range,
+    raises ValueError naming the series.
     `markers` holds (x, color, labels): a dashed vertical line across
     every panel, labeled labels[i] on panel i (None: no label).
     """
@@ -193,8 +193,10 @@ def _figure(title: str, xs, log_x, xlabel, curves, markers) -> str:
         if not (xs_finite and np.isfinite(ys).all()):
             raise ValueError(f"cannot plot {ylabel!r}: a drawn sample is not finite")
         panel = _Panel(_MARGIN_T + i * (_PANEL_H + _PANEL_GAP), xs, ys, log_x)
-        lo, hi = panel.ylim
-        if not math.isfinite(hi - lo):
+        (x_lo, x_hi), (y_lo, y_hi) = panel.xlim, panel.ylim
+        if not math.isfinite(x_hi - x_lo):
+            raise ValueError(f"cannot plot {ylabel!r}: its x range overflows")
+        if not math.isfinite(y_hi - y_lo):
             raise ValueError(f"cannot plot {ylabel!r}: its padded y range overflows")
         if xpixels is None:
             # every panel spans the same x range, so maps xs alike

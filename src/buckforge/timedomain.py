@@ -189,7 +189,8 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     must itself have stopped moving. Threshold crossings are located by
     linear interpolation between bracketing samples. Raises ValueError,
     naming the first such sample, when the response is not finite, and when
-    the tail's mean or spread overflows.
+    the tail's mean or spread overflows, and when the distance between two
+    samples does.
     """
     times = traj.times
     values = traj.values
@@ -207,7 +208,15 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
             f"step response's trailing mean {final!r} or spread {wiggle!r} "
             "leaves the float range"
         )
-    if wiggle > 0.01 * abs(final) + 1e-12 * max(1.0, float(np.abs(values).max())):
+    # the crossings and the settling band take differences of samples and of
+    # the final value, each at most the response's span
+    lo, hi = float(values.min()), float(values.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"step response spans {lo!r} to {hi!r}, a distance beyond the float range"
+        )
+    # max(1.0, -lo, hi) is max(1.0, max|values|)
+    if wiggle > 0.01 * abs(final) + 1e-12 * max(1.0, -lo, hi):
         raise NotSettledError(
             f"trailing samples still vary by {wiggle!r} around {final!r}; "
             "extend the simulation window"

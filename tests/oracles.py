@@ -321,18 +321,137 @@ def cycle_means_reference(il, vc, duty, spp):
     return out
 
 
-def tune_kp_for_pm_reference(pi_design, plant, ki, target_pm, tolerance_deg=0.05):
+# The package's phase-margin path as it was before its margin window took
+# fewer numpy passes: np.polyval on the window, sign tests on |L| - 1 and the
+# upper/lower wrap scan. The package's `window_response`, `gain_crossing` and
+# `stability_margins` must give the same values bit for bit and raise the same
+# errors. ``lti`` is the module under test, read by attribute only for its
+# grid, `MarginReport` and the per-point functions (`evaluate`,
+# `_bisect_crossing`, `_anchor`, `phase_deg`, `magnitude_db`,
+# `_low_frequency_phase_asymptote`); the passes over the window are this copy.
+
+
+def window_response_reference(lti, coeffs, den_resp):
+    """`coeffs` on the margin window, over den_resp unless None; ValueError if
+    not finite."""
+    # finite inputs turn non-finite only through a floating-point error
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            resp = np.polyval(coeffs, 1j * lti.MARGIN_OMEGAS)
+            return resp if den_resp is None else resp / den_resp
+    except FloatingPointError:
+        raise ValueError("loop response is not finite on the margin window") from None
+
+
+def wrap_steps_reference(resp, stop):
+    """Grid steps k -> k + 1, for k below `stop`, on which the principal phase
+    of `resp` wraps, i.e. L crosses the negative real axis, and their whole
+    turns: one for a step below -pi, minus one for a step whose step + pi
+    rounds above 2*pi, none for exactly a half turn. Only steps between
+    samples whose imaginary parts are not both > 0, nor both < 0, are read;
+    the others are under a half turn."""
+    im = resp.imag[: stop + 1]
+    upper, lower = im > 0.0, im < 0.0
+    k = np.flatnonzero(~(upper[:-1] & upper[1:] | lower[:-1] & lower[1:]))
+    step = np.angle(resp[k + 1]) - np.angle(resp[k])
+    turns = (step < -math.pi).astype(int) - (step + math.pi > 2.0 * math.pi)
+    wraps = turns != 0
+    return k[wraps], turns[wraps]
+
+
+def margin_phase_at_reference(lti, tf, resp, i):
+    """Principal phase (degrees) of resp[i] moved by the whole turns of the wrap
+    steps below i, and by those that put resp[0] nearest the low-frequency
+    asymptote."""
+    turns = int(wrap_steps_reference(resp, i)[1].sum())
+    first, here = np.degrees(np.angle(resp[[0, i]])).tolist()
+    anchor_turns = round((lti._low_frequency_phase_asymptote(tf) - first) / 360.0)
+    return here + 360.0 * (turns + anchor_turns)
+
+
+def gain_crossing_reference(lti, tf, resp):
+    """Gain crossings of `tf` from its response `resp` on the margin window:
+    their number (an exact |L| = 1 at a grid point, or a sign change of
+    |L| - 1 between two), and the lowest one's crossover (rad/s) and phase
+    margin (deg), both None when |L| never crosses 1 there. The phase takes
+    its branch from the wrap steps below the crossing only."""
+    above = np.abs(resp) - 1.0
+    zero = above == 0.0
+    hit = zero.copy()
+    pos = above > 0.0
+    # a change of sign onto an exact zero is that zero's own hit
+    hit[:-1] |= (pos[:-1] != pos[1:]) & ~zero[1:]
+    idx = np.flatnonzero(hit)
+    if not len(idx):
+        return 0, None, None
+    i = int(idx[0])
+    if zero[i]:
+        crossover = float(lti.MARGIN_OMEGAS[i])
+    else:
+        lo, hi = float(lti.MARGIN_OMEGAS[i]), float(lti.MARGIN_OMEGAS[i + 1])
+        crossover = lti._bisect_crossing(
+            lambda w: abs(lti.evaluate(tf, w)) - 1.0, lo, hi, 1e-10
+        )
+    ph = lti._anchor(
+        lti.phase_deg(lti.evaluate(tf, crossover)), margin_phase_at_reference(lti, tf, resp, i)
+    )
+    return len(idx), crossover, 180.0 + ph
+
+
+def stability_margins_reference(lti, loop_tf):
+    """Locate gain/phase crossovers by grid scan plus bisection.
+
+    The scan covers the margin window, MARGIN_OMEGAS (1e-2 to 1e7 rad/s
+    with 400 points per decade). A phase crossover is a crossing of the
+    negative real axis by L(j*omega), at any odd multiple of 180 degrees: a
+    wrap step of the principal phase, bisected on that phase's sign. With
+    multiple crossings the lowest-frequency one of each kind is reported and
+    the totals are recorded in the count fields. Raises ValueError when the
+    response leaves the float range there.
+    """
+    resp = window_response_reference(
+        lti, loop_tf.num, window_response_reference(lti, loop_tf.den, None)
+    )
+    gain_count, gain_crossover, pm = gain_crossing_reference(lti, loop_tf, resp)
+    wraps = wrap_steps_reference(resp, len(resp) - 1)[0]
+
+    phase_crossover = None
+    gain_margin = math.inf
+    if len(wraps):
+        k = int(wraps[0])
+        phase_crossover = lti._bisect_crossing(
+            lambda w: lti.phase_deg(lti.evaluate(loop_tf, w)),
+            float(lti.MARGIN_OMEGAS[k]), float(lti.MARGIN_OMEGAS[k + 1]), 1e-15,
+        )
+        gain_margin = -lti.magnitude_db(lti.evaluate(loop_tf, phase_crossover))
+
+    return lti.MarginReport(
+        gain_crossover=gain_crossover,
+        phase_crossover=phase_crossover,
+        gain_margin_db=gain_margin,
+        phase_margin_deg=pm,
+        stable_loop=(pm is None or pm > 0.0) and gain_margin > 0.0,
+        gain_crossover_count=gain_count,
+        phase_crossover_count=len(wraps),
+    )
+
+
+def tune_kp_for_pm_reference(pi_design, lti, plant, ki, target_pm, tolerance_deg=0.05):
     """The package's kp search with one full margin report per kp, over the
     whole grid.
 
     Kept as the reference for ``tune_kp_for_pm``, whose scan stops early and
     reads only the top of the grid: the two must return the same kp and
-    margins bit for bit and raise the same errors. ``pi_design``
-    is the module under test, read by attribute only for its loop assembly,
-    margin scan, gain and error types; the search itself is this copy.
-    Returns the tuned gains and the full margin report of their loop.
+    margins bit for bit and raise the same errors. ``pi_design`` is the
+    module under test, read by attribute only for its loop assembly, gain and
+    error types; the margins are `stability_margins_reference`'s over ``lti``,
+    and the search itself is this copy. Returns the tuned gains and the full
+    margin report of their loop.
     """
-    stability_margins = pi_design.stability_margins
+
+    def stability_margins(loop):
+        return stability_margins_reference(lti, loop)
+
     compensated_loop = pi_design.compensated_loop
     PIGains = pi_design.PIGains
     if not (0.0 < target_pm < 180.0):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import re
@@ -10,11 +11,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from buckforge import (
     TransferFunction,
+    derive_plant,
     bode_sweep,
     close_unity_loop,
     evaluate,
@@ -29,6 +31,7 @@ from buckforge.lti import (
     MARGIN_OMEGAS,
     MARGIN_POINTS_PER_DECADE,
     MAX_SAMPLES,
+    MarginReport,
     PoleOnAxisError,
     _BODE_BLOCK,
     _anchor,
@@ -41,10 +44,18 @@ from buckforge.lti import (
     log_grid,
     magnitude_db,
     phase_deg,
+    window_response,
 )
 from buckforge.pi_design import PIGains, compensated_loop, tune_kp_for_pm
 
-from oracles import bode_sweep_reference, sweep_margins, unwrapped_phase_at_reference
+from oracles import (
+    bode_sweep_reference,
+    gain_crossing_reference,
+    stability_margins_reference,
+    sweep_margins,
+    unwrapped_phase_at_reference,
+    window_response_reference,
+)
 
 INTEGRATOR = TransferFunction((1.0,), (1.0, 0.0))
 
@@ -705,6 +716,117 @@ def test_tuner_refuses_an_overflowing_response():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="not finite on the margin window"):
             tune_kp_for_pm(plant, 1.0, 50.0)
+
+
+def _bits(x):
+    """x with its floats as hex and its arrays as dtype and bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, MarginReport):
+        x = dataclasses.astuple(x)
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x
+
+
+def _outcome(f, *args):
+    """f's result as `_bits`, or the type and text of its ValueError."""
+    try:
+        return _bits(f(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_margin_path_matches_reference(loop):
+    """The margin windows, the gain crossing and the whole margin report of
+    `loop`, bit for bit, against the margin path kept in tests/oracles.py."""
+
+    def window(coeffs, den_resp):
+        want = _outcome(window_response_reference, lti, coeffs, den_resp)
+        assert _outcome(window_response, coeffs, den_resp) == want
+        if want[0] != "ValueError":
+            return window_response_reference(lti, coeffs, den_resp)
+
+    window(loop.num, None)
+    den_resp = window(loop.den, None)
+    resp = None if den_resp is None else window(loop.num, den_resp)
+    if resp is not None:
+        want = _outcome(gain_crossing_reference, lti, loop, resp)
+        assert _outcome(gain_crossing, loop, resp) == want
+    want = _outcome(stability_margins_reference, lti, loop)
+    assert _outcome(stability_margins, loop) == want
+
+
+@pytest.mark.oracle_property
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    scale=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    r_l_scale=st.one_of(st.just(0.0), st.floats(0.5, 2.0)),
+    log_kp=st.floats(-6.0, 3.0),
+    log_ki=st.floats(-2.0, 5.0),
+)
+def test_margin_path_matches_reference_property(nominal_params, scale, r_l_scale, log_kp, log_ki):
+    # plant * PI over the nominal box widened to 0.5-2 and a lossless
+    # inductor, at the tuner's kp bracket and ki from 1e-2 to 1e5
+    base = nominal_params
+    p = dataclasses.replace(
+        base, vg=base.vg * scale[0], r_load=base.r_load * scale[1],
+        l=base.l * scale[2], c=base.c * scale[3], r_l=base.r_l * r_l_scale,
+    )
+    try:
+        plant = derive_plant(p).plant
+    except ValueError:
+        assume(False)  # the scaled source cannot reach the target output
+    _assert_margin_path_matches_reference(
+        compensated_loop(plant, PIGains(10.0**log_kp, 10.0**log_ki))
+    )
+
+
+@pytest.mark.parametrize("num", [(-0.0,), (0.0,)])
+def test_margin_path_of_a_zero_numerator_matches_reference(nominal_plant, num):
+    # np.polyval's first step turns -0.0 into (0.0, 0.0): |L| is 0 everywhere
+    loop = TransferFunction(num, compensated_loop(nominal_plant, PIGains(0.23, 1.0)).den)
+    assert window_response(num, None).tobytes() == np.zeros(len(MARGIN_OMEGAS), complex).tobytes()
+    _assert_margin_path_matches_reference(loop)
+    assert stability_margins(loop).gain_crossover_count == 0
+
+
+def _magnitudes(*runs):
+    """Window magnitudes from (first index, magnitude) runs, each to the next."""
+    mags = np.empty(len(MARGIN_OMEGAS))
+    for (lo, mag), (hi, _) in zip(runs, runs[1:] + ((len(mags), None),)):
+        mags[lo:hi] = mag
+    return mags
+
+
+@pytest.mark.parametrize("mags,count", [
+    # above, exactly 1, below: the change of sign onto the exact hit is that hit
+    (_magnitudes((0, 2.0), (1000, 1.0), (1001, 0.5)), 1),
+    # exactly 1 at the last point only
+    (_magnitudes((0, 0.5), (3600, 1.0)), 1),
+    # exactly 1 at the first point, then a crossing between grid points
+    (_magnitudes((0, 1.0), (1, 2.0), (2000, 0.5)), 2),
+    # touches 1 from above and from below, then ends on it
+    (_magnitudes((0, 2.0), (500, 1.0), (501, 2.0), (1500, 0.5), (1700, 1.0),
+                 (1701, 0.5), (3600, 1.0)), 4),
+    # exactly 1 over a run of points, each its own hit
+    (_magnitudes((0, 0.5), (1200, 1.0), (1210, 2.0)), 10),
+])
+@pytest.mark.parametrize("turning", [False, True])
+def test_gain_crossing_at_exact_unit_magnitudes_matches_reference(mags, count, turning):
+    # |L| exactly 1 at grid points; turning: the phase winds down 12 rad, so
+    # the crossing's branch takes wrap steps below it
+    tf = TransferFunction((1.0,), (1.0, 0.0))
+    resp = -1j * mags
+    if turning:
+        resp = mags * np.exp(-12j * np.linspace(0.0, 1.0, len(mags)))
+        resp[mags == 1.0] = -1.0
+    assert np.count_nonzero(np.abs(resp) == 1.0) == np.count_nonzero(mags == 1.0)
+    got = _outcome(gain_crossing, tf, resp)
+    assert got == _outcome(gain_crossing_reference, lti, tf, resp)
+    assert got[0] == count
 
 
 def test_close_unity_loop(nominal_plant):

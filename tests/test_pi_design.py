@@ -15,6 +15,7 @@ from buckforge import (
     derive_plant,
     design_report,
     evaluate,
+    lti,
     pi_design,
     pi_tf,
     stability_margins,
@@ -325,7 +326,7 @@ def _tuned_and_measured(plant, ki, target):
 
 def _assert_tune_matches_reference(plant, ki, target):
     def reference(*args):
-        return tune_kp_for_pm_reference(pi_design, *args)
+        return tune_kp_for_pm_reference(pi_design, lti, *args)
 
     got = _tune_outcome(_tuned_and_measured, plant, ki, target)
     want = _tune_outcome(reference, plant, ki, target)
@@ -353,7 +354,7 @@ def test_tune_matches_reference(nominal_plant, nominal_params, full_loop, ki, ta
 def test_tune_without_gain_crossover_matches_reference(nominal_plant):
     # no kp on the grid gives a gain crossover: both raise the same error
     def reference(*args):
-        return tune_kp_for_pm_reference(pi_design, *args)
+        return tune_kp_for_pm_reference(pi_design, lti, *args)
 
     want = _tune_outcome(reference, nominal_plant, 1e300, 50.0)
     assert want[0] == "TuningError" and "no kp gives a gain crossover" in want[1]
@@ -363,7 +364,7 @@ def test_tune_without_gain_crossover_matches_reference(nominal_plant):
 @pytest.mark.parametrize("ki", [math.inf, math.nan, -1.0, 0.0])
 def test_tune_refuses_bad_ki_like_reference(nominal_plant, ki):
     def reference(*args):
-        return tune_kp_for_pm_reference(pi_design, *args)
+        return tune_kp_for_pm_reference(pi_design, lti, *args)
 
     want = _tune_outcome(reference, nominal_plant, ki, 50.0)
     assert want == ("ValueError", f"ki must be positive and finite for PI tuning, got {ki!r}")

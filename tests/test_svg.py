@@ -204,3 +204,9 @@ def test_figure_refuses_a_y_range_wider_than_the_float_range(ys):
     # OverflowError
     with pytest.raises(ValueError, match="cannot plot 'output': its padded y range overflows"):
         timeseries_svg([0.0, 1.0], ys, "time (s)", "output", "step")
+
+
+def test_figure_refuses_an_x_range_wider_than_the_float_range():
+    # its pixel map once warned twice and its tick placement raised OverflowError
+    with pytest.raises(ValueError, match="cannot plot 'y': its x range overflows"):
+        timeseries_svg([-1.7e308, 1.7e308], [0.0, 1.0], "x", "y", "")

@@ -166,6 +166,16 @@ def test_metrics_refuse_a_finite_tail_whose_mean_overflows():
         step_metrics(traj, 1.0)
 
 
+def test_metrics_refuse_a_response_whose_distance_from_its_final_value_overflows():
+    # a settled, finite response once gave nan delay, rise and settling
+    # times, with ten RuntimeWarnings
+    values = np.full(20, 5e307)
+    values[0] = -1.7e308
+    traj = Trajectory(np.linspace(0.0, 2.0, 20), values)
+    with pytest.raises(ValueError, match=r"spans -1\.7e\+308 to 5e\+307, a distance beyond"):
+        step_metrics(traj, 1.0)
+
+
 def test_metrics_of_a_response_that_never_reaches_half_its_final_value():
     # (-5s - 1)/(s + 1) starts at -5 and settles at -1, from below
     traj = step_response(TransferFunction((-5.0, -1.0), (1.0, 1.0)), 10.0, 2001)

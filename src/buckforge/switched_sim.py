@@ -21,15 +21,8 @@ discontinuous-conduction dynamics.
 The closed-loop kernel steps whole periods, one substep at a time in
 Python. It buffers a period's il and vc in two lists and stores each with
 one struct.pack_into; the switch record starts all OFF, and only an ON
-substep writes its entry. The exception is idle runs: after an overshoot
-the switch stays off, the diode blocks, and with u < 0 and the output above
-its target the integrator is frozen at the bottom of the window, so each
-substep only decays vc by one constant factor. A period that starts with
-il == 0 and u < 0, where that decay predicts at least one whole idle,
-frozen period, goes to numpy passes that repeat the per-substep loop's IEEE
-operations in its order, up to the first substep that would leave the
-idle, frozen state; the whole periods before it are committed, bit for bit
-as the per-substep loop gives them, and counted in idle_run_substeps.
+substep writes its entry. Idle runs, in which each substep only decays
+vc, are stepped in numpy passes instead (see simulate_closed_loop).
 """
 
 from __future__ import annotations
@@ -227,23 +220,22 @@ def simulate_open_loop(
     return SwitchedTrajectory(out_t, out_il, out_vc, duty, out_q, spp, dcm)
 
 
-def _idle_run(
-    out_il, out_vc, start, stop, spp, il, vc, integ, kp, vref, H, f12, k_idle
-):
-    """Write the idle substeps from start on that keep the integrator frozen.
+def _idle_run(out_il, out_vc, start, spp, il, vc, integ, kp, vref, H, k_idle):
+    """Write the idle, frozen substeps from start, a period boundary, on;
+    return the substeps of the whole periods among them.
 
-    A substep from il == 0 (+0 or -0) with u = kp*e + integ < 0 (below every
-    sawtooth threshold, so the switch stays off), f12*vc <= 0 (the diode
-    stays blocked) and s = e + e_next < 0 (frozen at the bottom of the
-    window) only decays vc by k_idle and leaves il and integ as they were.
-    Passes of at most IDLE_CHUNK substeps are stepped in numpy with the
-    per-substep loop's IEEE operations in its order: vc by a sequential
-    multiply.accumulate, then e, u and s elementwise. Every substep before
-    the first that fails a check, and before stop, is written to out_il (il
-    as given) and out_vc. Returns the substeps of the whole periods written
-    (start and stop are period boundaries); the per-substep loop overwrites
-    the rest.
+    Passes of at most IDLE_CHUNK substeps repeat the per-substep loop's IEEE
+    operations in its order: vc by a sequential multiply.accumulate, then
+    e, u = kp*e + integ and s = e + e_next elementwise. A substep with
+    u < 0 (switch off) and s < 0 (integrator frozen) leaves il (+0 or -0)
+    and integ as they were. The passes stop at the first substep that fails
+    either check, or at the window's end; the substeps before it are written
+    to out_il and out_vc, and the per-substep loop overwrites those past the
+    last whole period. The diode needs no check: at the hand-over f12 <= 0,
+    0 < k_idle <= 1 and vc > level > 0, so every decayed vc is >= 0 and
+    f12*vc <= 0 holds on every substep.
     """
+    stop = len(out_vc) - 1
     i = start
     while i < stop:
         n = min(IDLE_CHUNK, stop - i)
@@ -254,7 +246,6 @@ def _idle_run(
             np.multiply.accumulate(vcs, out=vcs)
             es = vref - H * vcs
             ok = kp * es[:-1] + integ < 0.0
-            ok &= f12 * vcs[:-1] <= 0.0
             ok &= es[:-1] + es[1:] < 0.0
         m = n if ok.all() else int(ok.argmin())
         out_il[i + 1 : i + m + 1] = il
@@ -277,21 +268,18 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     vs, spp below 2e6), u > threshold decides a saturated u too; saturation
     freezes the integrator while the error would deepen it.
 
-    Idle fast-forward: with f12 <= 0 < k_idle, an idle substep (il == 0,
-    switch off, diode blocked) keeps the integrator frozen at the bottom of
-    the window while vc > level = 2*vref/(H*(1 + k_idle)), and for kp > 0
-    keeps u < 0 while vc > (vref + integ/kp)/H; level is the larger. As vc
-    decays by k_idle per substep, a run lasts log(level/vc)/log(k_idle)
-    substeps, the whole window when k_idle == 1. A period that starts with
-    il == 0 and u < 0, where this predicts at least one whole period, goes
-    to _idle_run, which steps to the end of the period in which the run
-    ends (or of the window) and commits the whole periods whose substeps all
-    stay idle and frozen; the loop steps the next period from their last vc.
-    The prediction only decides whether and how far to hand over: each
-    committed value comes from the per-substep loop's IEEE operations in its
-    order, so the trajectory is bit for bit the same. idle_run_substeps
-    counts the committed substeps, and each period's duty is its ON count
-    over spp.
+    Idle fast-forward: from il == 0 with u < 0, f12 <= 0 < k_idle and
+    vc > 0, a substep keeps the switch off and the diode blocked, and only
+    decays vc by k_idle. It keeps the integrator frozen at the bottom of
+    the window while vc > level: the larger of 2*vref/(H*(1 + k_idle)),
+    below which e + e_next >= 0, and, for kp > 0, (vref + integ/kp)/H,
+    below which u >= 0. A period that starts so, and whose vc stays above
+    level after a whole period of decay, goes to _idle_run; the loop steps
+    the next period from the last vc that it commits. The hand-over decides
+    only speed: each committed value comes from the per-substep loop's IEEE
+    operations in its order, so the trajectory is bit for bit the same.
+    idle_run_substeps counts the committed substeps, and each period's duty
+    is its ON count over spp.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -331,28 +319,21 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     e = vref - H * vc
     lo = 0
     while lo < n_steps:
-        run = 0.0  # predicted idle substeps with the integrator frozen
         if il == 0.0 and kp * e + integ < 0.0 and f12 <= 0.0 < k_idle:
             level = max(frozen_level, (vref + integ / kp) / H) if kp > 0.0 else frozen_level
+            # handed over if a whole period's decay leaves vc above level;
             # level is 0.0 where H*(1 + k_idle) overflows (vref/vo_target near 1e308)
-            if 0.0 < level < vc < math.inf:
-                run = math.inf if k_idle == 1.0 else (
-                    (math.log(level) - math.log(vc)) / math.log(k_idle)
-                )
-        if run >= spp:
-            stop = n_steps if run >= n_steps - lo else lo + (int(run) // spp + 1) * spp
-            n = _idle_run(
-                out_il, out_vc, lo, stop, spp, il, vc, integ, kp, vref, H, f12, k_idle
-            )
-            if n:
-                # every committed substep took the idle branch
-                dcm = True
-                idle_run_substeps += n
-                lo += n
-                if lo == n_steps:
-                    break
-                vc = float(out_vc[lo])
-                e = vref - H * vc
+            if 0.0 < level < vc * k_idle**spp < math.inf:
+                n = _idle_run(out_il, out_vc, lo, spp, il, vc, integ, kp, vref, H, k_idle)
+                if n:
+                    # every committed substep took the idle branch
+                    dcm = True
+                    idle_run_substeps += n
+                    lo += n
+                    if lo == n_steps:
+                        break
+                    vc = float(out_vc[lo])
+                    e = vref - H * vc
         q_period = q_view[lo : lo + spp]
         for k in range(spp):
             u = kp * e + integ

@@ -189,8 +189,8 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     must itself have stopped moving. Threshold crossings are located by
     linear interpolation between bracketing samples. Raises ValueError,
     naming the first such sample, when the response is not finite, and when
-    the tail's mean or spread overflows, and when the distance between two
-    samples does.
+    the tail's mean or spread overflows, when the distance between two
+    samples does, and when the overshoot in percent does.
     """
     times = traj.times
     values = traj.values
@@ -245,6 +245,11 @@ def step_metrics(traj: Trajectory, reference: float) -> StepMetrics:
     if overshoot <= wiggle:
         overshoot = 0.0
     overshoot_pct = 100.0 * overshoot / abs(final) if final != 0.0 else 0.0
+    if not math.isfinite(overshoot_pct):
+        raise ValueError(
+            f"step response's overshoot {overshoot!r} over its final value "
+            f"{final!r} is beyond the float range as a percentage"
+        )
 
     return StepMetrics(
         final_value=final,

@@ -464,10 +464,12 @@ KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_closed_loop_matches_reference_loop(nominal_params, case):
+def test_closed_loop_matches_reference_loop(nominal_params, monkeypatch, case):
     p, cfg = KERNEL_CASES[case](nominal_params)
+    calls = _count_idle_runs(monkeypatch)
     traj = simulate_closed_loop(p, cfg)
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
+    _assert_whole_idle_runs(cfg, traj, calls)
     if case == "dcm_vg500_spp50":
         assert traj.dcm_encountered
     if case == "reconduct_integrator_limit_0":
@@ -697,7 +699,7 @@ IDLE_CASES = {
         _check_integrator_unfreezes,
     ),
     # vref/vo_target = 1e308: H*(1 + k_idle) overflows, the frozen level reads
-    # 0.0, and no run is handed over (its log would be a domain error)
+    # 0.0, and no run is handed over
     "frozen_level_0": (
         lambda p: _idle_start(
             dataclasses.replace(p, vo_target=1e-8, vref=1e300), 2e-8, -1.0,
@@ -714,11 +716,13 @@ IDLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(IDLE_CASES))
-def test_idle_fast_forward_matches_reference_loop(nominal_params, case):
+def test_idle_fast_forward_matches_reference_loop(nominal_params, monkeypatch, case):
     make, check = IDLE_CASES[case]
     p, cfg = make(nominal_params)
+    calls = _count_idle_runs(monkeypatch)
     traj = simulate_closed_loop(p, cfg)
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
+    _assert_whole_idle_runs(cfg, traj, calls)
     check(p, cfg, traj)
 
 
@@ -735,14 +739,20 @@ def _count_idle_runs(monkeypatch):
     return calls
 
 
+def _assert_whole_idle_runs(cfg, traj, calls):
+    """Every hand-over commits at least one whole period, and the runs add up."""
+    assert all(n >= cfg.steps_per_period for n in calls), calls
+    assert sum(calls) == traj.idle_run_substeps
+
+
 @pytest.mark.parametrize("duty_gains, spp", [
     ((0.5, 50.0), 50), ((0.5, 50.0), 200), ((0.23, 1.0), 50),
 ], ids=["stiff-spp50", "stiff-spp200", "default-spp50"])
 def test_idle_limit_cycle_guard(nominal_params, monkeypatch, duty_gains, spp):
     # the 500 V step from the 30 V operating point: one long run, then, at
     # the stiffer gains, a limit cycle at the bottom of the window whose idle
-    # stretches are shorter than a period; the decay law predicts none of
-    # them to last a whole period, so none is handed over
+    # stretches are shorter than a period; a period's decay takes vc below
+    # the level that ends each of them, so none is handed over
     op = solve_duty(nominal_params)
     cfg = SimConfig(
         t_end=0.05, steps_per_period=spp, initial_state=(op.il, op.vc),

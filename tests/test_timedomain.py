@@ -176,6 +176,18 @@ def test_metrics_refuse_a_response_whose_distance_from_its_final_value_overflows
         step_metrics(traj, 1.0)
 
 
+def test_metrics_refuse_an_overshoot_whose_percentage_overflows():
+    # a settled, finite response once gave max_overshoot_pct = inf
+    values = np.ones(40)
+    values[0] = 0.0
+    values[5] = 1.7e308
+    traj = Trajectory(np.linspace(0.0, 1.0, 40), values)
+    with pytest.raises(
+        ValueError, match=r"overshoot 1\.7e\+308 over its final value 1\.0 is beyond"
+    ):
+        step_metrics(traj, 1.0)
+
+
 def test_metrics_of_a_response_that_never_reaches_half_its_final_value():
     # (-5s - 1)/(s + 1) starts at -5 and settles at -1, from below
     traj = step_response(TransferFunction((-5.0, -1.0), (1.0, 1.0)), 10.0, 2001)

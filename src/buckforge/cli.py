@@ -34,6 +34,7 @@ from .pi_design import (
 )
 from .svg import bode_svg, timeseries_svg
 from .switched_sim import (
+    REGULATION_TOLERANCE_PCT,
     SimConfig,
     pwm_equivalent_gains,
     regulation_report,
@@ -386,7 +387,8 @@ def cmd_simulate(args) -> int:
     # counted from the returned arrays, so the kernel pays nothing per substep
     zero_current = traj.il == 0.0
     zero_current_samples = int(zero_current.sum())
-    period_duty = traj.duty_cmd[:-1 : traj.steps_per_period]
+    spp = traj.steps_per_period
+    period_duty = traj.duty_cmd[:-1:spp]
     simulator = {
         "substeps": len(traj.times) - 1,
         "on_substeps": int(traj.switch_state[:-1].sum()),
@@ -399,7 +401,20 @@ def cmd_simulate(args) -> int:
             "all_on": int((period_duty == 1.0).sum()),
         },
         "idle_run_substeps": traj.idle_run_substeps,
+        "off_run_substeps": traj.off_run_substeps,
         "dcm_encountered": traj.dcm_encountered,
+    }
+    # one step of the comparator's duty grid moves the output by vg/spp; the
+    # trailing periods are those that regulation_report's duty_final averages
+    output_step, band = p.vg / spp, REGULATION_TOLERANCE_PCT / 100.0 * p.vo_target
+    trailing = period_duty[-10:]
+    duty_quantum = {
+        "output_step_v": output_step,
+        "band_v": band,
+        "exceeds_band": output_step > band,
+        "trailing_periods": len(trailing),
+        "trailing_all_off": int((trailing == 0.0).sum()),
+        "trailing_all_on": int((trailing == 1.0).sum()),
     }
     # the run's settings that no option holds
     pwm_loop = {
@@ -418,7 +433,7 @@ def cmd_simulate(args) -> int:
     }
     _write_manifest(args, configured, outputs, clock, {
         "pwm_loop": pwm_loop, "csv": emitted, "simulator": simulator,
-        "model_validity": validity,
+        "duty_quantum": duty_quantum, "model_validity": validity,
     })
     return 0 if report.passed else 4
 

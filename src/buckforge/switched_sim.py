@@ -22,7 +22,8 @@ The closed-loop kernel steps whole periods, one substep at a time in
 Python. It buffers a period's il and vc in two lists and stores each with
 one struct.pack_into; the switch record starts all OFF, and only an ON
 substep writes its entry. Idle runs, in which each substep only decays
-vc, are stepped in numpy passes instead (see simulate_closed_loop).
+vc, are stepped in numpy passes instead, and so is the controller over a
+conducting OFF run to a period's end (see simulate_closed_loop).
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from .timedomain import zoh
 REGULATION_TOLERANCE_PCT = 2.0
 # idle substeps per numpy pass of the closed-loop kernel; bounds its temporaries
 IDLE_CHUNK = 4096
+# the shortest OFF run to a period's end that goes to the controller's numpy
+# pass: about its break-even against the per-substep loop
+OFF_RUN_MIN = 96
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,9 @@ class SwitchedTrajectory:
     and a record shorter than one whole period. switch_state[k] and
     duty_cmd[k] describe the substep starting at times[k] (the last entry
     repeats its predecessor); duty_cmd holds each period's effective ON
-    fraction. idle_run_substeps counts the substeps that the closed-loop
-    kernel's idle fast-forward committed (0 in open loop).
+    fraction. idle_run_substeps and off_run_substeps count the substeps
+    that the closed-loop kernel's idle fast-forward and OFF-run pass
+    committed (0 in open loop).
     """
 
     times: np.ndarray
@@ -102,6 +107,7 @@ class SwitchedTrajectory:
     steps_per_period: int
     dcm_encountered: bool = False
     idle_run_substeps: int = 0
+    off_run_substeps: int = 0
 
     def __post_init__(self):
         spp = self.steps_per_period
@@ -241,12 +247,10 @@ def _idle_run(out_il, out_vc, start, spp, il, vc, integ, kp, vref, H, k_idle):
         n = min(IDLE_CHUNK, stop - i)
         vcs = np.full(n + 1, k_idle)
         vcs[0] = vc
-        # a diverged state must run on as silently as Python floats do
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply.accumulate(vcs, out=vcs)
-            es = vref - H * vcs
-            ok = kp * es[:-1] + integ < 0.0
-            ok &= es[:-1] + es[1:] < 0.0
+        np.multiply.accumulate(vcs, out=vcs)
+        es = vref - H * vcs
+        ok = kp * es[:-1] + integ < 0.0
+        ok &= es[:-1] + es[1:] < 0.0
         m = n if ok.all() else int(ok.argmin())
         out_il[i + 1 : i + m + 1] = il
         out_vc[i + 1 : i + m + 1] = vcs[1 : m + 1]
@@ -258,6 +262,43 @@ def _idle_run(out_il, out_vc, start, spp, il, vc, integ, kp, vref, H, k_idle):
     return n - n % spp
 
 
+def _off_run(out_vc, start, thresholds, integ, kp, vref, H, half_ki_dt):
+    """Return how many OFF substeps from start the controller lets stand, and
+    the integrator after them.
+
+    out_vc[start : start + n + 1] holds the plant's vc over n = len(thresholds)
+    switch-off, conducting substeps. The pass repeats the per-substep loop's
+    IEEE operations in its order: e = vref - H*vc and s = e + e_next
+    elementwise, the integrator by a sequential add.accumulate of
+    half_ki_dt*s from integ, then u = kp*e + integ. It stops at the first
+    substep where the loop acts otherwise: the comparator fires
+    (u > threshold, which covers a u above vs), or the integrator freezes
+    (u < 0 and s < 0). Both tests are one: min(threshold - u, max(u, s)) < 0,
+    where fmin skips a NaN threshold - u and maximum keeps a NaN, as the
+    loop's comparisons are false on NaN.
+    """
+    n = len(thresholds)
+    integs = np.empty(n + 1)
+    integs[0] = integ
+    es = vref - H * out_vc[start : start + n + 1]
+    e0 = es[:-1]
+    ss = e0 + es[1:]
+    np.multiply(half_ki_dt, ss, out=integs[1:])
+    np.add.accumulate(integs, out=integs)
+    us = kp * e0
+    us += integs[:-1]
+    np.maximum(us, ss, out=ss)
+    np.subtract(thresholds, us, out=us)
+    stop = np.fmin(us, ss, out=us) < 0.0
+    m = int(stop.argmax())
+    if not stop[m]:
+        m = n
+    return m, float(integs[m])
+
+
+# a diverged state must run on through the numpy passes as silently as
+# Python floats do
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajectory:
     """PI-controlled PWM run per the standard voltage-mode loop.
 
@@ -280,6 +321,18 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     operations in its order, so the trajectory is bit for bit the same.
     idle_run_substeps counts the committed substeps, and each period's duty
     is its ON count over spp.
+
+    OFF-run pass: while the switch stays off and il stays positive, each
+    substep applies the OFF map whatever the controller does. A period's
+    first OFF substep with il != 0, if u >= 0 there and at least
+    OFF_RUN_MIN substeps remain (about the pass's break-even), hands the
+    rest of the period over: a plant-only loop steps the OFF map while the
+    next il is positive, and _off_run runs the controller over those
+    substeps in one numpy pass. The substeps before the first where the
+    comparator fires or the integrator freezes are committed, and the
+    per-substep loop goes on from there; a period makes at most one pass.
+    The same rule of IEEE operations in the loop's order holds, and
+    off_run_substeps counts the committed substeps.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -302,6 +355,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     half_ki_dt = 0.5 * ki * dt
     saw_step = vs / spp
     thresholds = [saw_step * k for k in range(spp)]
+    thresholds_np = np.array(thresholds)
     # one period of il and vc is buffered in lists and stored with one
     # pack_into per state (native "d" is float64's layout), which costs about
     # half of numpy's element-by-element list conversion; each *buf builds one
@@ -313,7 +367,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     # out_q starts all OFF, so only an ON substep writes its switch state
     q_view = memoryview(out_q)
     dcm = False
-    idle_run_substeps = 0
+    idle_run_substeps = off_run_substeps = 0
     # the vc below which an idle substep would move the integrator
     frozen_level = 2.0 * vref / (H * (1.0 + k_idle))
     e = vref - H * vc
@@ -335,34 +389,60 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
                     vc = float(out_vc[lo])
                     e = vref - H * vc
         q_period = q_view[lo : lo + spp]
-        for k in range(spp):
-            u = kp * e + integ
-            if u > thresholds[k]:
-                il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
-                q_period[k] = True
-            elif il == 0.0:
-                nil = f12 * vc
-                if nil <= 0.0:
-                    vc = k_idle * vc
-                    dcm = True
+        # the period's first CCM OFF substep decides on the OFF-run pass; from
+        # k <= k_pass at least OFF_RUN_MIN substeps remain
+        k, k_pass = 0, spp - OFF_RUN_MIN
+        while k < spp:
+            for k in range(k, spp):
+                u = kp * e + integ
+                if u > thresholds[k]:
+                    il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+                    q_period[k] = True
+                elif il == 0.0:
+                    nil = f12 * vc
+                    if nil <= 0.0:
+                        vc = k_idle * vc
+                        dcm = True
+                    else:
+                        vc = f22 * vc
+                        il = nil
                 else:
-                    vc = f22 * vc
+                    if k <= k_pass:
+                        k_pass = -1
+                        # from u < 0 the integrator may freeze at once
+                        if 0.0 <= u:
+                            break
+                    nil = f11 * il + f12 * vc
+                    vc = f21 * il + f22 * vc
+                    if nil < 0.0:
+                        nil = 0.0
+                        dcm = True
                     il = nil
+                # the sensed error after this substep is the next substep's error
+                s = e + (e := vref - H * vc)
+                if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
+                    integ += half_ki_dt * s
+                buf_il[k] = il
+                buf_vc[k] = vc
             else:
-                nil = f11 * il + f12 * vc
-                vc = f21 * il + f22 * vc
-                if nil < 0.0:
-                    nil = 0.0
-                    dcm = True
-                il = nil
-            # the sensed error after this substep is the next substep's error
-            s = e + (e := vref - H * vc)
-            if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
-                integ += half_ki_dt * s
-            buf_il[k] = il
-            buf_vc[k] = vc
-        pack(out_il, 8 * (lo + 1), *buf_il)
-        pack(out_vc, 8 * (lo + 1), *buf_vc)
+                k = spp
+            # the OFF run's plant, from substep k on while il stays positive
+            n = k
+            while n < spp and (nil := f11 * il + f12 * vc) > 0.0:
+                il, vc = nil, f21 * il + f22 * vc
+                buf_il[n] = il
+                buf_vc[n] = vc
+                n += 1
+            pack(out_il, 8 * (lo + 1), *buf_il)
+            pack(out_vc, 8 * (lo + 1), *buf_vc)
+            if k < n:
+                m, integ = _off_run(
+                    out_vc, lo + k, thresholds_np[k:n], integ, kp, vref, H, half_ki_dt
+                )
+                off_run_substeps += m
+                k += m
+                il, vc = float(out_il[lo + k]), float(out_vc[lo + k])
+                e = vref - H * vc
         lo += spp
     out_q[n_steps] = out_q[n_steps - 1]
     # each period's ON fraction, from its switch record
@@ -371,7 +451,8 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     out_duty[:n_steps].reshape(n_periods, spp)[:] = (on_counts / spp)[:, None]
     out_duty[n_steps] = out_duty[n_steps - 1]
     return SwitchedTrajectory(
-        out_t, out_il, out_vc, out_duty, out_q, spp, dcm, idle_run_substeps
+        out_t, out_il, out_vc, out_duty, out_q, spp, dcm, idle_run_substeps,
+        off_run_substeps,
     )
 
 

@@ -16,6 +16,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+# the first file whose collector recorded src_lines
+SRC_LINES_FROM = 36
 
 
 def _load(path):
@@ -48,10 +50,17 @@ def test_a_bench_file_is_committed():
 @pytest.mark.parametrize("path", BENCH_FILES, ids=os.path.basename)
 def test_bench_file_schema(path):
     doc = _load(path)
-    assert set(doc) == {
+    keys = {
         "commits", "command", "seed", "seconds", "host", "unreliable_metrics", "workloads",
         "elapsed_s",
     }
+    number = int(os.path.basename(path)[len("BENCH_"):-len(".json")])
+    if number >= SRC_LINES_FROM or "src_lines" in doc:
+        keys.add("src_lines")
+        lines = doc["src_lines"]
+        assert set(lines) == {"base", "change"}
+        assert all(isinstance(n, int) and n > 0 for n in lines.values()), lines
+    assert set(doc) == keys
     commits = doc["commits"]
     for side in ("base", "change"):
         assert len(commits[side]) == 40 and int(commits[side], 16) >= 0
@@ -98,6 +107,16 @@ def test_bench_file_pairs_and_their_summaries(path):
             assert all(len(pair) == 2 and all(map(_is_number, pair)) for pair in pairs)
             summary = {k: metric[k] for k in ("pairs", "base", "change", "change_better")}
             assert summary == summarize(pairs, metric["better"]), (workload, name)
+
+
+def test_src_lines_counts_python_sources_only(tmp_path):
+    src_lines = _collector().src_lines
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "pkg" / "data.json").write_text("{}\n{}\n")
+    (tmp_path / "tools.py").write_text("w = 4\n")
+    assert src_lines(str(tmp_path)) == 3
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git command")

@@ -745,8 +745,11 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "sim.csv")
     assert header == ["time_s", "il_a", "vc_v", "duty", "switch_state"]
     assert rows[0][4] in ("0", "1")
-    # the held operating point never idles
-    assert read_json(out / "simulate_manifest.json")["simulator"] == {
+    # the held operating point never idles, and the OFF-run pass commits
+    # part of its periods' OFF runs
+    simulator = read_json(out / "simulate_manifest.json")["simulator"]
+    assert 0 < simulator.pop("off_run_substeps") < len(rows) - 1
+    assert simulator == {
         "substeps": len(rows) - 1,
         "on_substeps": sum(row[4] == "1" for row in rows[:-1]),
         "zero_current_samples": 0,
@@ -787,6 +790,31 @@ def test_simulate_manifest_counts_on_substeps_and_zero_current(nominal_config_pa
         "all_on": int((period_duty == 1.0).sum()),
     }
     assert simulator["periods_at_duty_limit"]["all_off"] > 0
+
+
+def test_simulate_manifest_reports_the_duty_quantum(nominal_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run([
+        "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+        "--vg", "500", "--from-operating-point", "--steps-per-period", "50",
+        "--t-end", "0.002",
+    ]) == 4
+    manifest = read_json(out / "simulate_manifest.json")
+    # one duty step of 1/50 moves the output by 500/50 = 10 V, against a
+    # band of 2 % of 15 V
+    quantum = manifest["duty_quantum"]
+    assert quantum["output_step_v"] == 10.0
+    assert quantum["band_v"] == pytest.approx(0.3, rel=1e-12)
+    assert quantum["exceeds_band"] is True
+    # the last 10 periods, which duty_final averages
+    duty, = read_columns(out / "sim.csv", "duty")
+    trailing = duty[:-1:50][-10:]
+    assert read_json(out / "regulation.json")["duty_final"] == pytest.approx(trailing.mean())
+    assert quantum["trailing_periods"] == 10
+    assert quantum["trailing_all_off"] == int((trailing == 0.0).sum()) > 0
+    assert quantum["trailing_all_on"] == int((trailing == 1.0).sum())
+    # spp 50 leaves no OFF run long enough for the OFF-run pass
+    assert manifest["simulator"]["off_run_substeps"] == 0
 
 
 def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):

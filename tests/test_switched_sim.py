@@ -24,7 +24,7 @@ from buckforge import (
     switched_sim,
 )
 from buckforge.lti import MAX_SAMPLES
-from buckforge.switched_sim import IDLE_CHUNK, _periods
+from buckforge.switched_sim import IDLE_CHUNK, OFF_RUN_MIN, _periods
 from buckforge.timedomain import zoh
 from oracles import closed_loop_reference, cycle_means_reference, open_loop_reference
 
@@ -443,12 +443,27 @@ KERNEL_CASES = {
         ),
     ),
     "integrator_init": lambda p: (p, _from_operating_point(p, t_end=0.003)),
+    # 30 V operating point stepped down to 10 V: in 50 of its 120 periods the
+    # first OFF substep would not leave il positive, so no OFF run is stepped
+    "vg10_from_30v_spp200": lambda p: (
+        dataclasses.replace(p, vg=10.0),
+        _from_operating_point(p, t_end=0.002),
+    ),
     # a divider of 0.1 instead of the nominal 2/15, set through vref
     "sensor_gain": lambda p: (
         dataclasses.replace(p, vref=1.5),
         _default_gains(p, t_end=0.003, integrator_init=3.0),
     ),
     "line_sweep_vg500_load125": _line_sweep_case,
+    # the same stiff loop with OFF runs long enough for the kernel's OFF-run
+    # pass, which the comparator and the frozen integrator both cut short
+    "saturation_both_limits_spp200": lambda p: (
+        dataclasses.replace(p, c=30e-6),
+        SimConfig(
+            t_end=0.005, gains=PIGains(500.0, 2000.0), steps_per_period=200,
+            initial_state=(0.0, 20.0),
+        ),
+    ),
     "zero_state_spp20": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=20)),
     "zero_state_spp37": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=37)),
     "zero_state_spp200": lambda p: (p, _default_gains(p, t_end=0.003)),
@@ -467,15 +482,17 @@ KERNEL_CASES = {
 def test_closed_loop_matches_reference_loop(nominal_params, monkeypatch, case):
     p, cfg = KERNEL_CASES[case](nominal_params)
     calls = _count_idle_runs(monkeypatch)
+    off_runs = _count_off_runs(monkeypatch)
     traj = simulate_closed_loop(p, cfg)
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
     _assert_whole_idle_runs(cfg, traj, calls)
+    _assert_off_runs(cfg, traj, off_runs)
     if case == "dcm_vg500_spp50":
         assert traj.dcm_encountered
     if case == "reconduct_integrator_limit_0":
         assert traj.duty_cmd.max() == 0.0
         assert traj.il[1] > 0.0 and not traj.dcm_encountered
-    if case == "saturation_both_limits":
+    if case.startswith("saturation_both_limits"):
         # whole periods OFF and whole periods ON
         duties = set((traj.duty_cmd * cfg.steps_per_period).round().astype(int).tolist())
         assert {0, cfg.steps_per_period} <= duties
@@ -492,7 +509,8 @@ def test_closed_loop_matches_reference_loop(nominal_params, monkeypatch, case):
     r_load=st.floats(1.0, 100.0),
     kp=st.floats(0.01, 200.0),
     ki=st.floats(0.0, 5000.0),
-    spp=st.integers(20, 64),
+    # about half the draws leave OFF runs long enough for the OFF-run pass
+    spp=st.one_of(st.integers(20, 64), st.integers(65, 400)),
     integrator_init=st.floats(-5.0, 15.0),
 )
 def test_closed_loop_matches_reference_property(
@@ -743,6 +761,59 @@ def _assert_whole_idle_runs(cfg, traj, calls):
     """Every hand-over commits at least one whole period, and the runs add up."""
     assert all(n >= cfg.steps_per_period for n in calls), calls
     assert sum(calls) == traj.idle_run_substeps
+
+
+def _count_off_runs(monkeypatch):
+    """(start, OFF run length, committed substeps) of each _off_run call."""
+    run = switched_sim._off_run
+    calls = []
+
+    def counted(out_vc, start, thresholds, *args):
+        m, integ = run(out_vc, start, thresholds, *args)
+        calls.append((start, len(thresholds), m))
+        return m, integ
+
+    monkeypatch.setattr(switched_sim, "_off_run", counted)
+    return calls
+
+
+def _assert_off_runs(cfg, traj, calls):
+    """At most one pass per period, each over a run of at least OFF_RUN_MIN
+    substeps to the period's end, and the commits add up."""
+    spp = cfg.steps_per_period
+    periods = [start // spp for start, _, _ in calls]
+    assert len(set(periods)) == len(periods)
+    assert all(start % spp <= spp - OFF_RUN_MIN for start, _, _ in calls)
+    assert all(0 <= m <= n <= spp - start % spp for start, n, m in calls)
+    assert sum(m for _, _, m in calls) == traj.off_run_substeps
+
+
+def _off_run_ends(traj, calls):
+    """How each pass ended: at the period's end, at a substep that would not
+    leave il > 0, at a comparator re-arm or at a frozen integrator."""
+    ends = []
+    for start, n, m in calls:
+        i = start + m
+        if m == n:
+            ends.append("period_end" if i % traj.steps_per_period == 0 else "il_not_positive")
+        else:
+            ends.append("rearm" if traj.switch_state[i] else "freeze")
+    return ends
+
+
+def test_off_run_pass_ends_every_way(nominal_params, monkeypatch):
+    # line_sweep_vg500_load125 runs to the period's end and meets il <= 0;
+    # saturation_both_limits_spp200 is cut by re-arms and freezes
+    calls = _count_off_runs(monkeypatch)
+    ends = []
+    for case in sorted(KERNEL_CASES):
+        p, cfg = KERNEL_CASES[case](nominal_params)
+        calls.clear()
+        traj = simulate_closed_loop(p, cfg)
+        if cfg.steps_per_period < OFF_RUN_MIN:
+            assert traj.off_run_substeps == 0
+        ends += _off_run_ends(traj, calls)
+    assert set(ends) == {"period_end", "il_not_positive", "rearm", "freeze"}
 
 
 @pytest.mark.parametrize("duty_gains, spp", [

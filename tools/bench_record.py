@@ -16,7 +16,9 @@ as the base and no edit to ``src/``) is refused.
 ``commits.change_src_diff_sha256`` names that diff (`src_diff_sha256`):
 ``src/``'s tracked changes and its untracked files, None when there are
 none. A change measured before it is committed has ``change`` equal to its
-base and is told apart by that hash.
+base and is told apart by that hash. ``src_lines`` counts the lines of
+``src/**/*.py`` in the exported base and in this checkout, so that the size
+of the measured code is recorded with its speed.
 
 The base is exported with ``git archive`` into a temporary directory, which
 is removed at the end; unlike a ``git worktree``, that writes nothing into
@@ -31,6 +33,7 @@ when k is odd.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import importlib.metadata
 import io
@@ -85,6 +88,15 @@ def src_diff_sha256() -> str | None:
         with open(path, "rb") as fh:
             digest.update(path + b"\0" + fh.read())
     return digest.hexdigest()
+
+
+def src_lines(root: str) -> int:
+    """Lines of the Python files under ``src/`` of the tree at `root`."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _export(commit: str, into: str) -> None:
@@ -189,6 +201,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root:
         _export(args.base, base_root)
         roots = {"base": base_root, "change": os.getcwd()}
+        doc["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
         for workload in workloads:
             runs, values = [], {}
             for trace, n_pairs in ((0, PAIRS), (1, TRACED_PAIRS)):

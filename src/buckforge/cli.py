@@ -34,6 +34,7 @@ from .pi_design import (
 )
 from .svg import bode_svg, timeseries_svg
 from .switched_sim import (
+    JUDGED_PERIODS,
     REGULATION_TOLERANCE_PCT,
     SimConfig,
     pwm_equivalent_gains,
@@ -407,7 +408,7 @@ def cmd_simulate(args) -> int:
     # one step of the comparator's duty grid moves the output by vg/spp; the
     # trailing periods are those that regulation_report's duty_final averages
     output_step, band = p.vg / spp, REGULATION_TOLERANCE_PCT / 100.0 * p.vo_target
-    trailing = period_duty[-10:]
+    trailing = period_duty[-JUDGED_PERIODS:]
     duty_quantum = {
         "output_step_v": output_step,
         "band_v": band,

@@ -71,23 +71,20 @@ fixed notation is copied in by slice, the others by index, and one
 ``bytes.translate`` drops the padding.
 
 `format_2f` gives ``"%.2f"`` of each value, the exact binary value
-rounded half to even at two decimals, as Python prints it. Where
-``|x| * 100 < 2**52``:
+rounded half to even at two decimals, as Python prints it, for the values
+an SVG panel's pixels take: finite, with no sign bit, and below 2**52/100.
+It refuses any other value with ValueError. For x in that domain:
 
 - Dekker's two-product with 100, whose Veltkamp halves are 100 and 0,
-  gives p = fl(|x| * 100) and e with p + e = |x| * 100 exactly.
+  gives p = fl(x * 100) and e with p + e = x * 100 exactly.
 - r = rint(p) is exact, and so is p - r (Sterbenz, or r = 0). Below 2**52
   ulp(p) <= 1/2, so a p that is not a half-integer lies at least ulp(p)
   from one, while |e| <= ulp(p)/2: p + e rounds to r. Where p is one,
   p - r = +-0.5, e > 0 moves a tie above r to r + 1 and e < 0 one below r
   to r - 1; e = 0 is a true tie, which rint already rounds to even.
-- The digits of D, the rounded |x| * 100 as an int64, are laid out as
-  sign, integer part without leading zeros, point and two digits, in
-  NUL-padded slots; the sign is there for every x with its sign bit set,
-  so -0.0 and a negative that rounds to 0 print "-0.00", as in C.
-
-Every other value (nan, +-inf, |x| * 100 >= 2**52) is formatted by
-Python's ``"%.2f"``.
+- The digits of D, the rounded x * 100 as an int64, are laid out as the
+  integer part without leading zeros, the point and two digits, in
+  NUL-padded slots.
 """
 
 from __future__ import annotations
@@ -222,12 +219,12 @@ def _python_text(values):
     return np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
 
 
-def _hundredths(ax):
-    """|x| * 100 rounded half to even, as int64, for each |x| with
-    fl(|x| * 100) < 2**52: from rint(p) and the sign of the two-product's
+def _hundredths(x):
+    """x * 100 rounded half to even, as int64, for each x >= 0 with
+    fl(x * 100) < 2**52: from rint(p) and the sign of the two-product's
     error at an exact half."""
-    p = ax * 100.0
-    hi, lo = _split(ax)
+    p = x * 100.0
+    hi, lo = _split(x)
     # e = (hi*100 - p) + lo*100: Dekker's error term with 100's low half 0
     e = np.multiply(hi, 100.0, out=hi)
     e -= p
@@ -242,40 +239,30 @@ def _hundredths(ax):
 
 
 def format_2f(values, separators: bytes) -> bytes:
-    """``"%.2f"`` of each value, each followed by a separator in turn: value i
-    by separators[i % len(separators)]."""
+    """``"%.2f"`` of each value in the domain above, each followed by a
+    separator in turn: value i by separators[i % len(separators)]."""
     x = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        fast = np.abs(x) * 100.0 < 2.0**52
-    rows = slice(None) if fast.all() else np.flatnonzero(fast)
-    slow_rows = np.flatnonzero(~fast)
-    exact = x[rows]
-    whole, hundredths = np.divmod(_hundredths(np.abs(exact)), 100)
-    digits = len(str(int(whole.max()))) if len(exact) else 1
-    slow_text = ["%.2f" % v for v in x[slow_rows].tolist()]
-    width = max(digits + 4, max(map(len, slow_text), default=0))
+        # nan fails the comparison; -0.0, negatives and -inf carry the sign bit
+        inside = (x * 100.0 < 2.0**52) & ~np.signbit(x)
+    if not inside.all():
+        v = float(x[inside.argmin()])
+        raise ValueError(f"format_2f takes finite values below 2**52/100 with no sign bit: {v!r}")
+    whole, hundredths = np.divmod(_hundredths(x), 100)
+    digits = len(str(int(whole.max()))) if len(x) else 1
 
-    out = np.zeros((len(x), width + 1), np.uint8)
+    out = np.zeros((len(x), digits + 4), np.uint8)
     out[:, -1] = np.frombuffer(separators * (len(x) // len(separators) + 1), np.uint8)[: len(x)]
-    # sign, the integer digits right-aligned, the point and two digits; out[rows]
-    # is a view of out where every value is exact, else a copy put back below
-    text = out[rows]
-    text[:, 0] = np.signbit(exact) * np.uint8(_MINUS)
-    for slot in range(digits, 0, -1):
+    # the integer digits right-aligned, the point and two digits
+    for slot in range(digits - 1, -1, -1):
         # a digit left of the units digit is shown only while some remain
-        shown = whole > 0 if slot < digits else True
+        shown = whole > 0 if slot < digits - 1 else True
         whole, digit = np.divmod(whole, 10)
-        text[:, slot] = (digit + _ZERO) * shown
-    text[:, digits + 1] = _POINT
+        out[:, slot] = (digit + _ZERO) * shown
+    out[:, digits] = _POINT
     tens, ones = np.divmod(hundredths, 10)
-    text[:, digits + 2] = tens + _ZERO
-    text[:, digits + 3] = ones + _ZERO
-    if slow_text:
-        out[rows] = text
-        padded = "".join(t.ljust(width) for t in slow_text).encode("ascii")
-        out[slow_rows, :width] = np.frombuffer(padded.translate(_SPACE_TO_NUL), np.uint8).reshape(
-            -1, width
-        )
+    out[:, digits + 1] = tens + _ZERO
+    out[:, digits + 2] = ones + _ZERO
     return out.tobytes().translate(None, b"\0")
 
 

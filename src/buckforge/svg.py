@@ -8,7 +8,10 @@ The panels of one figure share its x column, which is mapped to pixels
 once. A polyline's points are ``"%.2f"`` of those pixels, from
 `csvtext.format_2f`: the same text as Python's formatting, exactly, from
 numpy passes; a pixel's own value is computed as before, by float64
-ufuncs and, on a log axis, libm's log10 per point.
+ufuncs and, on a log axis, libm's log10 per point. Every caller's x column
+rises, so every pixel lies in the panel, inside format_2f's domain; a sample
+whose x leaves the column's first-to-last range may map off it and raise
+ValueError.
 """
 
 from __future__ import annotations

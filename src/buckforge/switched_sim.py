@@ -42,6 +42,8 @@ from .timedomain import zoh
 
 # regulation passes when the final-cycle mean is this close to the target
 REGULATION_TOLERANCE_PCT = 2.0
+# the trailing whole periods whose duties regulation_report's duty_final averages
+JUDGED_PERIODS = 10
 # idle substeps per numpy pass of the closed-loop kernel; bounds its temporaries
 IDLE_CHUNK = 4096
 # the shortest OFF run to a period's end that goes to the controller's numpy
@@ -500,14 +502,14 @@ def regulation_report(traj: SwitchedTrajectory, p: ConverterParams) -> Regulatio
     above full_duty_output, which no steady state can hold (a run from a
     higher source's operating point may still be coasting through the
     band). The means are cycle_average's last row, bit for bit. duty_final
-    averages the trailing 10 complete cycles, since the comparator
+    averages the trailing JUDGED_PERIODS complete cycles, since the comparator
     quantizes each period's duty to 1/steps_per_period and the integrator
     dithers between adjacent levels at steady state.
     """
     spp = traj.steps_per_period
     n = (len(traj.times) - 1) // spp
     lo = (n - 1) * spp
-    trailing = traj.duty_cmd[max(lo - 9 * spp, 0) : lo + 1 : spp].tolist()
+    trailing = traj.duty_cmd[: lo + 1 : spp][-JUDGED_PERIODS:].tolist()
     duty_final = sum(trailing) / len(trailing)
     final_vc_mean = float(_period_means(traj.vc, spp, n - 1, n)[0])
     last = traj.vc[lo : lo + spp + 1]

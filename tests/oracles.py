@@ -724,6 +724,18 @@ def decimate_reference(xs, ys):
     return xs[::step], ys[::step]
 
 
+def linear_x_pixels_reference(xs):
+    """The x pixel of each x on a linear panel over xs[0] to xs[-1]."""
+    lo, hi = float(xs[0]), float(xs[-1])
+    return [_MARGIN_L + (x - lo) / (hi - lo) * _PANEL_W for x in map(float, xs)]
+
+
+def format_2f_takes(x: float) -> bool:
+    """Whether csvtext.format_2f formats x: finite, with no sign bit, and
+    below 2**52/100 (a nan fails the comparison)."""
+    return math.copysign(1.0, x) > 0.0 and x * 100.0 < 2.0**52
+
+
 # The CLI's CSV writer as it was before csvtext formatted blocks with numpy:
 # one "%.17g" per cell, through Python's own float formatting.
 

@@ -24,6 +24,7 @@ from buckforge import (
     load_params,
     stability_margins,
     step_response,
+    switched_sim,
     timedomain,
 )
 from buckforge.cli import main
@@ -817,6 +818,25 @@ def test_simulate_manifest_reports_the_duty_quantum(nominal_config_path, tmp_pat
     assert manifest["simulator"]["off_run_substeps"] == 0
 
 
+def test_simulate_judged_window_follows_its_constant(nominal_config_path, tmp_path, monkeypatch):
+    # duty_final and the manifest's trailing counts take their window from
+    # switched_sim.JUDGED_PERIODS, which cli imports
+    for periods in (switched_sim.JUDGED_PERIODS, 3):
+        monkeypatch.setattr(switched_sim, "JUDGED_PERIODS", periods)
+        monkeypatch.setattr(cli, "JUDGED_PERIODS", periods)
+        out = tmp_path / f"out{periods}"
+        assert run([
+            "simulate", "--config", nominal_config_path, "--out-dir", str(out),
+            "--t-end", "0.0005", "--steps-per-period", "20",
+        ]) in (0, 4)
+        duty, = read_columns(out / "sim.csv", "duty")
+        trailing = duty[:-1:20][-periods:].tolist()
+        assert read_json(out / "regulation.json")["duty_final"] == sum(trailing) / periods
+        quantum = read_json(out / "simulate_manifest.json")["duty_quantum"]
+        assert quantum["trailing_periods"] == periods
+        assert quantum["trailing_all_off"] == trailing.count(0.0)
+
+
 def test_simulate_manifest_counts_few_fallback_cells(nominal_config_path, tmp_path):
     out = tmp_path / "out"
     assert run([
@@ -1151,6 +1171,61 @@ def test_exit_code_contract(nominal_config_path, changes, command):
                 if name.endswith(".json"):
                     with open(os.path.join(out, name)) as fh:
                         assert "NaN" not in fh.read(), name
+
+
+# option values at or beyond the edges of the float range, and integers that
+# count nothing, one or too few
+OPTION_FLOATS = (0.0, -0.0, 5e-324, 1e300, 1.7e308, math.inf, -math.inf, math.nan)
+OPTION_INTS = (0, -1, -10**30, 1, 20)
+# per command: the options every run sets, which keep it below about 1e5
+# rows or substeps, and the options a draw may set, by type; a drawn value
+# follows and so overrides a set one
+OPTION_COMMANDS = {
+    "bode": (
+        ("--kp=0.23", "--ki=1", "--points-per-decade=2", "--svg"),
+        {"--kp": float, "--ki": float, "--omega-min": float, "--omega-max": float,
+         "--points-per-decade": int},
+    ),
+    "tune": (("--target-pm=50",), {"--ki": float, "--target-pm": float}),
+    "step": (
+        ("--kp=0.23", "--ki=1", "--samples=101", "--svg"),
+        {"--kp": float, "--ki": float, "--t-end": float, "--samples": int},
+    ),
+    "simulate": (
+        ("--t-end=0.0005", "--steps-per-period=20", "--svg"),
+        {"--kp": float, "--ki": float, "--vg": float, "--t-end": float,
+         "--steps-per-period": int, "--from-operating-point": bool},
+    ),
+}
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(sorted(OPTION_COMMANDS)), data=st.data())
+def test_exit_code_contract_over_options(nominal_config_path, command, data):
+    fixed, drawn = OPTION_COMMANDS[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(drawn)), min_size=1, max_size=3,
+                               unique=True))
+    argv = [command, "--config", nominal_config_path, *fixed]
+    for name in names:
+        if drawn[name] is bool:
+            argv.append(name)
+        else:
+            pool = OPTION_INTS if drawn[name] is int else OPTION_FLOATS
+            # "--x=-inf", since argparse reads a bare "-inf" as an option
+            argv.append(f"{name}={data.draw(st.sampled_from(pool))!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, "--out-dir", tmp])
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue()
+        for name in os.listdir(tmp):
+            if name.endswith(".json"):
+                with open(os.path.join(tmp, name)) as fh:
+                    assert "NaN" not in fh.read(), (argv, name)
 
 
 @pytest.mark.parametrize("changes,message", [

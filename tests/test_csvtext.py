@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import struct
 import tempfile
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from buckforge import cli, csvtext
 from buckforge.csvtext import format_block
-from oracles import fallback_count, write_csv_reference
+from oracles import fallback_count, format_2f_takes, write_csv_reference
 
 
 def _assert_same(*columns):
@@ -378,8 +379,14 @@ def test_write_csv_fields_narrowed_per_block(tmp_path):
     assert stats == {"rows": rows, "fallback_cells": 0}
 
 
-# "%.2f" of a value with |x| * 100 at or above 2**52 is Python's own text
+# format_2f takes values below this, and refuses it and every value above
 _LIMIT_2F = 2.0**52 / 100
+
+
+def _refused(v: float) -> str:
+    """The start of format_2f's refusal of a block whose first value outside
+    its domain is v, as a regular expression."""
+    return re.escape(f"format_2f takes finite values below 2**52/100 with no sign bit: {v!r}")
 
 
 def _python_2f(values, separators: bytes) -> bytes:
@@ -397,8 +404,9 @@ def _stepped(x: float, steps: int) -> float:
 
 
 # exact ties (odd multiples of 1/8, and k * 0.005 where the product is
-# exact), values next to them, negatives that round to "-0.00", -0.0, and
-# both sides of the 2**52/100 limit
+# exact), values next to them, values that round to "0.00", -0.0, and both
+# sides of the 2**52/100 limit; negatives, nan and +-inf are refused, and
+# their magnitudes are formatted where they lie in the domain
 _2F_CELLS = st.tuples(
     st.one_of(
         st.floats(),
@@ -411,12 +419,23 @@ _2F_CELLS = st.tuples(
 ).map(lambda cell: _stepped(*cell))
 
 
+def _assert_format_2f(values, separators):
+    """format_2f of every magnitude in its domain is Python's text, and
+    values holding one outside it are refused, naming the first."""
+    inside = [abs(v) for v in values if format_2f_takes(abs(v))]
+    got = csvtext.format_2f(np.array(inside, dtype=np.float64), separators)
+    assert got == _python_2f(inside, separators)
+    outside = [v for v in values if not format_2f_takes(v)]
+    if outside:
+        with pytest.raises(ValueError, match=_refused(outside[0])):
+            csvtext.format_2f(np.array(values, dtype=np.float64), separators)
+
+
 @pytest.mark.oracle_property
 @settings(deadline=None)
 @given(st.lists(_2F_CELLS, max_size=60), st.sampled_from([b",", b", ", b"\n"]))
 def test_format_2f_matches_python_text(values, separators):
-    got = csvtext.format_2f(np.array(values, dtype=np.float64), separators)
-    assert got == _python_2f(values, separators)
+    _assert_format_2f(values, separators)
 
 
 def test_format_2f_at_ties_their_neighbours_and_the_limit():
@@ -425,4 +444,9 @@ def test_format_2f_at_ties_their_neighbours_and_the_limit():
     near = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
     limit = [_stepped(sign * _LIMIT_2F, step) for sign in (1.0, -1.0) for step in range(-3, 4)]
     values = np.concatenate([near, limit, [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308]])
-    assert csvtext.format_2f(values, b", ") == _python_2f(values.tolist(), b", ")
+    _assert_format_2f(values.tolist(), b", ")
+    # each kind of value outside the domain is refused after one inside it:
+    # -0.0, negatives, nan, +-inf, and the limit and the values above it
+    for v in [-0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf, 1e308, *limit[3:7]]:
+        with pytest.raises(ValueError, match=_refused(v)):
+            csvtext.format_2f(np.array([1.0, v]), b",")

@@ -18,6 +18,7 @@ from buckforge import (
 from buckforge.pi_design import DESIGN_STEP_SAMPLES, DESIGN_STEP_T_END
 from buckforge.svg import _nice_ticks, bode_svg, timeseries_svg
 from oracles import bode_svg_reference, decimate_reference, timeseries_svg_reference
+from oracles import format_2f_takes, linear_x_pixels_reference
 from oracles import _nice_ticks as nice_ticks_reference
 
 
@@ -186,6 +187,15 @@ def test_timeseries_svg_matches_reference_property(n, seed, order):
     values = _values(rng, n)
     xs, ys = decimate_reference(times, values)
     assume(_oracle_range(xs[0], xs[-1]) and _oracle_range(ys.min(), ys.max()))
+    lo, hi = sorted((xs[0], xs[-1]))
+    if not ((lo <= xs) & (xs <= hi)).all():
+        assert order == "shuffled"
+        # a drawn x outside the first-to-last range may map off the panel,
+        # to a pixel that csvtext.format_2f refuses
+        if not all(map(format_2f_takes, linear_x_pixels_reference(xs))):
+            with pytest.raises(ValueError, match="format_2f takes finite values below"):
+                timeseries_svg(times, values, "t", "y", "random")
+            return
     got = timeseries_svg(times, values, "t", "y", "random")
     assert got == timeseries_svg_reference(xs, ys, "t", "y", "random")
 

@@ -188,6 +188,16 @@ def test_metrics_refuse_an_overshoot_whose_percentage_overflows():
         step_metrics(traj, 1.0)
 
 
+def test_metrics_of_a_response_outside_its_settling_band_at_t_end():
+    # the tail's spread of 1e-13 is below its 1e-12 floor, so the tail counts
+    # as settled; but the last sample lies outside the band around its mean
+    values = np.zeros(101)
+    values[-1] = 1e-13
+    traj = Trajectory(np.linspace(0.0, 1.0, 101), values)
+    with pytest.raises(NotSettledError, match="response still outside the settling band at t_end"):
+        step_metrics(traj, 1.0)
+
+
 def test_metrics_of_a_response_that_never_reaches_half_its_final_value():
     # (-5s - 1)/(s + 1) starts at -5 and settles at -1, from below
     traj = step_response(TransferFunction((-5.0, -1.0), (1.0, 1.0)), 10.0, 2001)

@@ -402,7 +402,7 @@ def cmd_simulate(args) -> int:
             "all_on": int((period_duty == 1.0).sum()),
         },
         "idle_run_substeps": traj.idle_run_substeps,
-        "off_run_substeps": traj.off_run_substeps,
+        "run_ahead_substeps": traj.run_ahead_substeps,
         "dcm_encountered": traj.dcm_encountered,
     }
     # one step of the comparator's duty grid moves the output by vg/spp; the

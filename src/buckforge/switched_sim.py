@@ -22,14 +22,16 @@ The closed-loop kernel steps whole periods, one substep at a time in
 Python. It buffers a period's il and vc in two lists and stores each with
 one struct.pack_into; the switch record starts all OFF, and only an ON
 substep writes its entry. Idle runs, in which each substep only decays
-vc, are stepped in numpy passes instead, and so is the controller over a
-conducting OFF run to a period's end (see simulate_closed_loop).
+vc, are stepped in numpy passes instead, and conducting periods run ahead
+as a plant-only loop whose controller one numpy pass checks (see
+simulate_closed_loop).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +46,15 @@ from .timedomain import zoh
 REGULATION_TOLERANCE_PCT = 2.0
 # the trailing whole periods whose duties regulation_report's duty_final averages
 JUDGED_PERIODS = 10
-# idle substeps per numpy pass of the closed-loop kernel; bounds its temporaries
+# idle substeps per numpy pass of the closed-loop kernel, and the most
+# substeps a run-ahead batch of more than one period packs; bounds their
+# temporaries
 IDLE_CHUNK = 4096
-# the shortest OFF run to a period's end that goes to the controller's numpy
-# pass: about its break-even against the per-substep loop
-OFF_RUN_MIN = 96
+# the fewest substeps per period at which the closed-loop kernel runs ahead:
+# about the break-even of the run-ahead pass against the per-substep loop
+RUN_AHEAD_MIN_SPP = 96
+# the most whole periods one run-ahead batch packs
+RUN_AHEAD_PERIODS = 8
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class SwitchedTrajectory:
     and a record shorter than one whole period. switch_state[k] and
     duty_cmd[k] describe the substep starting at times[k] (the last entry
     repeats its predecessor); duty_cmd holds each period's effective ON
-    fraction. idle_run_substeps and off_run_substeps count the substeps
-    that the closed-loop kernel's idle fast-forward and OFF-run pass
+    fraction. idle_run_substeps and run_ahead_substeps count the substeps
+    that the closed-loop kernel's idle fast-forward and run-ahead batches
     committed (0 in open loop).
     """
 
@@ -109,7 +115,7 @@ class SwitchedTrajectory:
     steps_per_period: int
     dcm_encountered: bool = False
     idle_run_substeps: int = 0
-    off_run_substeps: int = 0
+    run_ahead_substeps: int = 0
 
     def __post_init__(self):
         spp = self.steps_per_period
@@ -264,37 +270,55 @@ def _idle_run(out_il, out_vc, start, spp, il, vc, integ, kp, vref, H, k_idle):
     return n - n % spp
 
 
-def _off_run(out_vc, start, thresholds, integ, kp, vref, H, half_ki_dt):
-    """Return how many OFF substeps from start the controller lets stand, and
-    the integrator after them.
+def _run_ahead(
+    out_il, out_vc, out_q, start, on_counts, thresholds, integ, kp, vref, vs, H, half_ki_dt
+):
+    """Return how many substeps of a run-ahead batch from start the
+    controller lets stand, and the integrator after them; write their switch
+    states to out_q.
 
-    out_vc[start : start + n + 1] holds the plant's vc over n = len(thresholds)
-    switch-off, conducting substeps. The pass repeats the per-substep loop's
-    IEEE operations in its order: e = vref - H*vc and s = e + e_next
-    elementwise, the integrator by a sequential add.accumulate of
-    half_ki_dt*s from integ, then u = kp*e + integ. It stops at the first
-    substep where the loop acts otherwise: the comparator fires
-    (u > threshold, which covers a u above vs), or the integrator freezes
-    (u < 0 and s < 0). Both tests are one: min(threshold - u, max(u, s)) < 0,
-    where fmin skips a NaN threshold - u and maximum keeps a NaN, as the
-    loop's comparisons are false on NaN.
+    out_il and out_vc hold the plant's states over len(on_counts) whole
+    periods from start, a period boundary: period j switched on for its
+    first on_counts[j] substeps, then off. thresholds is one period of the
+    sawtooth. The pass repeats the per-substep loop's IEEE operations in its
+    order: e = vref - H*vc and s = e + e_next elementwise, the integrator by
+    a sequential add.accumulate of half_ki_dt*s from integ, then
+    u = kp*e + integ. It stops at the first substep where the loop acts
+    otherwise: the comparator (u > threshold) disagrees with the predicted
+    switch state, the integrator freezes at the bottom (u < 0 and s < 0, as
+    max(u, s) < 0) or at the top (u > vs and s > 0, as min(u - vs, s) > 0),
+    or a predicted OFF substep leaves il not > 0. numpy's comparisons are
+    false on NaN as the loop's are, and maximum and minimum keep a NaN.
     """
-    n = len(thresholds)
-    integs = np.empty(n + 1)
-    integs[0] = integ
-    es = vref - H * out_vc[start : start + n + 1]
+    spp = len(thresholds)
+    n = len(on_counts) * spp
+    off = (np.arange(spp) >= np.array(on_counts)[:, None]).ravel()
+    es = H * out_vc[start : start + n + 1]
+    np.subtract(vref, es, out=es)
     e0 = es[:-1]
     ss = e0 + es[1:]
+    integs = np.empty(n + 1)
+    integs[0] = integ
     np.multiply(half_ki_dt, ss, out=integs[1:])
     np.add.accumulate(integs, out=integs)
     us = kp * e0
     us += integs[:-1]
-    np.maximum(us, ss, out=ss)
-    np.subtract(thresholds, us, out=us)
-    stop = np.fmin(us, ss, out=us) < 0.0
+    # the comparator against the prediction
+    stop = (us.reshape(-1, spp) > thresholds).ravel()
+    np.equal(stop, off, out=stop)
+    # the integrator freezes only where u leaves [0, vs]; a NaN takes the test
+    if not (0.0 <= us.min() and us.max() <= vs):
+        stop |= np.maximum(us, ss) < 0.0
+        np.subtract(us, vs, out=us)
+        stop |= np.minimum(us, ss, out=us) > 0.0
+    # an OFF substep that the diode would clamp or block
+    ils = out_il[start + 1 : start + n + 1]
+    if not ils.min() > 0.0:
+        stop |= (ils > 0.0) < off
     m = int(stop.argmax())
     if not stop[m]:
         m = n
+    np.logical_not(off[:m], out=out_q[start : start + m])
     return m, float(integs[m])
 
 
@@ -324,17 +348,27 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     idle_run_substeps counts the committed substeps, and each period's duty
     is its ON count over spp.
 
-    OFF-run pass: while the switch stays off and il stays positive, each
-    substep applies the OFF map whatever the controller does. A period's
-    first OFF substep with il != 0, if u >= 0 there and at least
-    OFF_RUN_MIN substeps remain (about the pass's break-even), hands the
-    rest of the period over: a plant-only loop steps the OFF map while the
-    next il is positive, and _off_run runs the controller over those
-    substeps in one numpy pass. The substeps before the first where the
-    comparator fires or the integrator freezes are committed, and the
-    per-substep loop goes on from there; a period makes at most one pass.
-    The same rule of IEEE operations in the loop's order holds, and
-    off_run_substeps counts the committed substeps.
+    Run-ahead batch: at RUN_AHEAD_MIN_SPP substeps per period or more, a
+    period that starts with il != 0 and 0 <= u <= vs starts a batch of up to
+    `batch` whole periods. A plant-only loop steps each period with the
+    loop's own ON and OFF expressions, ON to a predicted edge and OFF from
+    there to the period's end. The edge is first bisect_left(thresholds, u);
+    the comparator, with the integrator held at its value at the period's
+    start, then moves it back while the last ON substep would be OFF, or on
+    while the next would be ON. The first period takes the integrator and u
+    from the exact state; each later one from an estimate over the period
+    before, integ + half_ki_dt*(2*spp*vref - H*(vc0 + 2*sum(vc) + vc_end)),
+    which only sets the prediction. Packing ends after a period whose il
+    is not > 0 at its end or whose estimated next u leaves [0, vs]; a
+    period whose ON run leaves il == 0 (where the loop's diode branch would
+    act) is not packed. _run_ahead then commits the substeps before the
+    first where the loop would act otherwise, and the per-substep loop
+    finishes the period that holds it, so that a period starts at most one
+    batch. `batch` doubles, up to RUN_AHEAD_PERIODS (and IDLE_CHUNK
+    substeps beyond one period), after a batch that commits all the periods
+    it set out to pack, and drops to 1 after any other. The same rule of
+    IEEE operations in the loop's order holds, and run_ahead_substeps
+    counts the committed substeps.
     """
     if cfg.gains is None:
         raise ValueError("closed-loop simulation requires cfg.gains")
@@ -366,85 +400,141 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     pack = struct.Struct(f"{spp}d").pack_into
     buf_il = [0.0] * spp
     buf_vc = [0.0] * spp
+    # a run-ahead batch buffers its periods the same way; one of a single
+    # period shares the loop's lists
+    run_ahead = spp >= RUN_AHEAD_MIN_SPP
+    batch_max = max(1, min(RUN_AHEAD_PERIODS, IDLE_CHUNK // spp))
+    bat_il, bat_vc = (
+        (buf_il, buf_vc) if batch_max == 1
+        else ([0.0] * (batch_max * spp), [0.0] * (batch_max * spp))
+    )
+    batch = 1
+    two_spp_vref = 2.0 * spp * vref
     # out_q starts all OFF, so only an ON substep writes its switch state
     q_view = memoryview(out_q)
     dcm = False
-    idle_run_substeps = off_run_substeps = 0
+    idle_run_substeps = run_ahead_substeps = 0
     # the vc below which an idle substep would move the integrator
     frozen_level = 2.0 * vref / (H * (1.0 + k_idle))
     e = vref - H * vc
     lo = 0
     while lo < n_steps:
-        if il == 0.0 and kp * e + integ < 0.0 and f12 <= 0.0 < k_idle:
-            level = max(frozen_level, (vref + integ / kp) / H) if kp > 0.0 else frozen_level
-            # handed over if a whole period's decay leaves vc above level;
-            # level is 0.0 where H*(1 + k_idle) overflows (vref/vo_target near 1e308)
-            if 0.0 < level < vc * k_idle**spp < math.inf:
-                n = _idle_run(out_il, out_vc, lo, spp, il, vc, integ, kp, vref, H, k_idle)
-                if n:
-                    # every committed substep took the idle branch
-                    dcm = True
-                    idle_run_substeps += n
-                    lo += n
-                    if lo == n_steps:
-                        break
-                    vc = float(out_vc[lo])
-                    e = vref - H * vc
-        q_period = q_view[lo : lo + spp]
-        # the period's first CCM OFF substep decides on the OFF-run pass; from
-        # k <= k_pass at least OFF_RUN_MIN substeps remain
-        k, k_pass = 0, spp - OFF_RUN_MIN
-        while k < spp:
-            for k in range(k, spp):
-                u = kp * e + integ
-                if u > thresholds[k]:
-                    il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
-                    q_period[k] = True
-                elif il == 0.0:
-                    nil = f12 * vc
-                    if nil <= 0.0:
-                        vc = k_idle * vc
+        k = 0
+        u = kp * e + integ
+        if il == 0.0:
+            if u < 0.0 and f12 <= 0.0 < k_idle:
+                level = max(frozen_level, (vref + integ / kp) / H) if kp > 0.0 else frozen_level
+                # handed over if a whole period's decay leaves vc above level;
+                # level is 0.0 where H*(1 + k_idle) overflows (vref/vo_target near 1e308)
+                if 0.0 < level < vc * k_idle**spp < math.inf:
+                    n = _idle_run(out_il, out_vc, lo, spp, il, vc, integ, kp, vref, H, k_idle)
+                    if n:
+                        # every committed substep took the idle branch
                         dcm = True
-                    else:
-                        vc = f22 * vc
-                        il = nil
-                else:
-                    if k <= k_pass:
-                        k_pass = -1
-                        # from u < 0 the integrator may freeze at once
-                        if 0.0 <= u:
+                        idle_run_substeps += n
+                        lo += n
+                        if lo == n_steps:
                             break
-                    nil = f11 * il + f12 * vc
-                    vc = f21 * il + f22 * vc
-                    if nil < 0.0:
-                        nil = 0.0
-                        dcm = True
-                    il = nil
-                # the sensed error after this substep is the next substep's error
-                s = e + (e := vref - H * vc)
-                if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
-                    integ += half_ki_dt * s
-                buf_il[k] = il
-                buf_vc[k] = vc
-            else:
-                k = spp
-            # the OFF run's plant, from substep k on while il stays positive
-            n = k
-            while n < spp and (nil := f11 * il + f12 * vc) > 0.0:
-                il, vc = nil, f21 * il + f22 * vc
-                buf_il[n] = il
-                buf_vc[n] = vc
-                n += 1
-            pack(out_il, 8 * (lo + 1), *buf_il)
-            pack(out_vc, 8 * (lo + 1), *buf_vc)
-            if k < n:
-                m, integ = _off_run(
-                    out_vc, lo + k, thresholds_np[k:n], integ, kp, vref, H, half_ki_dt
+                        vc = float(out_vc[lo])
+                        e = vref - H * vc
+        elif run_ahead and 0.0 <= u <= vs:
+            planned = min(batch, (n_steps - lo) // spp)
+            on_counts = []
+            pil, pvc = il, vc
+            est = integ
+            for i0 in range(0, planned * spp, spp):
+                il0, vc0 = pil, pvc
+                i1 = i0 + bisect_left(thresholds, u)
+                for i in range(i0, i1):
+                    pil, pvc = f11 * pil + f12 * pvc + g1, f21 * pil + f22 * pvc + g2
+                    bat_il[i] = pil
+                    bat_vc[i] = pvc
+                # the comparator at the edge, with the integrator held at est:
+                # back while the last ON substep would be OFF, else on while
+                # the next would be ON
+                i = i1
+                while i > i0 and not (
+                    kp * (vref - H * (bat_vc[i - 2] if i - 1 > i0 else vc0)) + est
+                    > thresholds[i - 1 - i0]
+                ):
+                    i -= 1
+                if i < i1:
+                    i1 = i
+                    pil, pvc = (bat_il[i1 - 1], bat_vc[i1 - 1]) if i1 > i0 else (il0, vc0)
+                else:
+                    while i1 < i0 + spp and kp * (vref - H * pvc) + est > thresholds[i1 - i0]:
+                        pil, pvc = f11 * pil + f12 * pvc + g1, f21 * pil + f22 * pvc + g2
+                        bat_il[i1] = pil
+                        bat_vc[i1] = pvc
+                        i1 += 1
+                # from il == 0 the loop's diode branch would take the OFF substep
+                if pil == 0.0:
+                    break
+                for i in range(i1, i0 + spp):
+                    pil, pvc = f11 * pil + f12 * pvc, f21 * pil + f22 * pvc
+                    bat_il[i] = pil
+                    bat_vc[i] = pvc
+                on_counts.append(i1 - i0)
+                if len(on_counts) == planned or not pil > 0.0:
+                    break
+                est += half_ki_dt * (
+                    two_spp_vref - H * (vc0 + 2.0 * sum(bat_vc[i0 : i0 + spp - 1]) + pvc)
                 )
-                off_run_substeps += m
-                k += m
-                il, vc = float(out_il[lo + k]), float(out_vc[lo + k])
+                u = kp * (vref - H * pvc) + est
+                if not 0.0 <= u <= vs:
+                    break
+            n = len(on_counts) * spp
+            m = 0
+            if n:
+                rows = (bat_il, bat_vc) if n == len(bat_il) else (bat_il[:n], bat_vc[:n])
+                for out, row in zip((out_il, out_vc), rows):
+                    struct.pack_into(f"{n}d", out, 8 * (lo + 1), *row)
+                m, integ = _run_ahead(
+                    out_il, out_vc, out_q, lo, on_counts, thresholds_np, integ, kp, vref,
+                    vs, H, half_ki_dt,
+                )
+                run_ahead_substeps += m
+            whole = m == planned * spp
+            batch = min(2 * batch, batch_max) if whole else 1
+            if m:
+                il, vc = bat_il[m - 1], bat_vc[m - 1]
                 e = vref - H * vc
+                # the per-substep loop finishes the period that holds substep m
+                k = m % spp
+                lo += m - k
+                buf_il[:k] = bat_il[m - k : m]
+                buf_vc[:k] = bat_vc[m - k : m]
+            if whole:
+                continue
+        q_period = q_view[lo : lo + spp]
+        for k in range(k, spp):
+            u = kp * e + integ
+            if u > thresholds[k]:
+                il, vc = f11 * il + f12 * vc + g1, f21 * il + f22 * vc + g2
+                q_period[k] = True
+            elif il == 0.0:
+                nil = f12 * vc
+                if nil <= 0.0:
+                    vc = k_idle * vc
+                    dcm = True
+                else:
+                    vc = f22 * vc
+                    il = nil
+            else:
+                nil = f11 * il + f12 * vc
+                vc = f21 * il + f22 * vc
+                if nil < 0.0:
+                    nil = 0.0
+                    dcm = True
+                il = nil
+            # the sensed error after this substep is the next substep's error
+            s = e + (e := vref - H * vc)
+            if not ((u > vs and s > 0.0) or (u < 0.0 and s < 0.0)):
+                integ += half_ki_dt * s
+            buf_il[k] = il
+            buf_vc[k] = vc
+        pack(out_il, 8 * (lo + 1), *buf_il)
+        pack(out_vc, 8 * (lo + 1), *buf_vc)
         lo += spp
     out_q[n_steps] = out_q[n_steps - 1]
     # each period's ON fraction, from its switch record
@@ -454,7 +544,7 @@ def simulate_closed_loop(p: ConverterParams, cfg: SimConfig) -> SwitchedTrajecto
     out_duty[n_steps] = out_duty[n_steps - 1]
     return SwitchedTrajectory(
         out_t, out_il, out_vc, out_duty, out_q, spp, dcm, idle_run_substeps,
-        off_run_substeps,
+        run_ahead_substeps,
     )
 
 

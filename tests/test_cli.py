@@ -746,10 +746,10 @@ def test_simulate_hold(nominal_config_path, tmp_path):
     header, rows = read_csv(out / "sim.csv")
     assert header == ["time_s", "il_a", "vc_v", "duty", "switch_state"]
     assert rows[0][4] in ("0", "1")
-    # the held operating point never idles, and the OFF-run pass commits
-    # part of its periods' OFF runs
+    # the held operating point never idles, and run-ahead batches commit
+    # every one of its substeps
     simulator = read_json(out / "simulate_manifest.json")["simulator"]
-    assert 0 < simulator.pop("off_run_substeps") < len(rows) - 1
+    assert simulator.pop("run_ahead_substeps") == len(rows) - 1
     assert simulator == {
         "substeps": len(rows) - 1,
         "on_substeps": sum(row[4] == "1" for row in rows[:-1]),
@@ -814,8 +814,8 @@ def test_simulate_manifest_reports_the_duty_quantum(nominal_config_path, tmp_pat
     assert quantum["trailing_periods"] == 10
     assert quantum["trailing_all_off"] == int((trailing == 0.0).sum()) > 0
     assert quantum["trailing_all_on"] == int((trailing == 1.0).sum())
-    # spp 50 leaves no OFF run long enough for the OFF-run pass
-    assert manifest["simulator"]["off_run_substeps"] == 0
+    # at spp 50, below RUN_AHEAD_MIN_SPP, no run-ahead batch starts
+    assert manifest["simulator"]["run_ahead_substeps"] == 0
 
 
 def test_simulate_judged_window_follows_its_constant(nominal_config_path, tmp_path, monkeypatch):

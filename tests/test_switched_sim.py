@@ -24,7 +24,9 @@ from buckforge import (
     switched_sim,
 )
 from buckforge.lti import MAX_SAMPLES
-from buckforge.switched_sim import IDLE_CHUNK, OFF_RUN_MIN, _periods
+from buckforge.switched_sim import (
+    IDLE_CHUNK, RUN_AHEAD_MIN_SPP, RUN_AHEAD_PERIODS, _periods,
+)
 from buckforge.timedomain import zoh
 from oracles import closed_loop_reference, cycle_means_reference, open_loop_reference
 
@@ -421,6 +423,14 @@ def _from_operating_point(p, **kw):
     )
 
 
+def _integrator_above(p):
+    cfg = _from_operating_point(p, t_end=0.003, steps_per_period=100)
+    return p, dataclasses.replace(
+        cfg, gains=pwm_equivalent_gains(PIGains(0.05, 1.0), p),
+        integrator_init=cfg.integrator_init + 1.0,
+    )
+
+
 def _line_sweep_case(p):
     """The line_sweep benchmark's settings at its 500 V, light-load corner."""
     p = dataclasses.replace(p, vg=500.0, r_load=p.r_load * 1.25)
@@ -443,8 +453,8 @@ KERNEL_CASES = {
         ),
     ),
     "integrator_init": lambda p: (p, _from_operating_point(p, t_end=0.003)),
-    # 30 V operating point stepped down to 10 V: in 50 of its 120 periods the
-    # first OFF substep would not leave il positive, so no OFF run is stepped
+    # 30 V operating point stepped down to 10 V: a batch meets il running
+    # down to zero, and the periods that start from il == 0 start none
     "vg10_from_30v_spp200": lambda p: (
         dataclasses.replace(p, vg=10.0),
         _from_operating_point(p, t_end=0.002),
@@ -455,8 +465,8 @@ KERNEL_CASES = {
         _default_gains(p, t_end=0.003, integrator_init=3.0),
     ),
     "line_sweep_vg500_load125": _line_sweep_case,
-    # the same stiff loop with OFF runs long enough for the kernel's OFF-run
-    # pass, which the comparator and the frozen integrator both cut short
+    # the same stiff loop at a spp that runs ahead: the comparator and the
+    # integrator, frozen at either end of the window, cut batches short
     "saturation_both_limits_spp200": lambda p: (
         dataclasses.replace(p, c=30e-6),
         SimConfig(
@@ -467,6 +477,40 @@ KERNEL_CASES = {
     "zero_state_spp20": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=20)),
     "zero_state_spp37": lambda p: (p, _default_gains(p, t_end=0.005, steps_per_period=37)),
     "zero_state_spp200": lambda p: (p, _default_gains(p, t_end=0.003)),
+    # the 500 V step at the stiff duty gains (0.5, 50): a run-ahead batch
+    # meets the integrator freezing at the bottom of the window
+    "stiff_vg500_spp200": lambda p: (
+        dataclasses.replace(p, vg=500.0),
+        dataclasses.replace(
+            _from_operating_point(p, t_end=0.001),
+            gains=pwm_equivalent_gains(PIGains(0.5, 50.0), p),
+        ),
+    ),
+    # a 20 V operating point stepped down to 10 V on a 3 mF capacitor: vc
+    # above vg drives il below zero through whole ON periods, which ends a
+    # batch's packing
+    "vg10_from_20v_c3mf_spp100": lambda p: (
+        dataclasses.replace(p, vg=10.0, c=3e-3),
+        _from_operating_point(
+            dataclasses.replace(p, vg=20.0), t_end=0.003, steps_per_period=100
+        ),
+    ),
+    # the 30 V operating point at the stiff duty gains (0.5, 50) after the
+    # load drops by a fifth on a 3 mF capacitor: the integrator moves u within
+    # a period, and the comparator fires before the predicted edge
+    "stiff_load_drop_c3mf_spp100": lambda p: (
+        dataclasses.replace(p, r_load=1.25 * p.r_load, c=3e-3),
+        dataclasses.replace(
+            _from_operating_point(p, t_end=0.001, steps_per_period=100),
+            gains=pwm_equivalent_gains(PIGains(0.5, 50.0), p),
+        ),
+    ),
+    # a light 500 V load at the soft duty gains (0.05, 1), the integrator
+    # started 1 V above its operating point: u slides out of the bottom of
+    # the window, which a batch's estimate of the next period's u sees first
+    "integrator_above_vg500_light_spp100": lambda p: _integrator_above(
+        dataclasses.replace(p, vg=500.0, r_load=3.0 * p.r_load)
+    ),
     # a deeply negative integrator keeps the switch OFF, and a negative vc
     # makes the diode conduct again from il == 0
     "reconduct_integrator_limit_0": lambda p: (
@@ -482,11 +526,11 @@ KERNEL_CASES = {
 def test_closed_loop_matches_reference_loop(nominal_params, monkeypatch, case):
     p, cfg = KERNEL_CASES[case](nominal_params)
     calls = _count_idle_runs(monkeypatch)
-    off_runs = _count_off_runs(monkeypatch)
+    batches = _count_batches(monkeypatch)
     traj = simulate_closed_loop(p, cfg)
     _assert_same_run(traj, closed_loop_reference(p, cfg, zoh))
     _assert_whole_idle_runs(cfg, traj, calls)
-    _assert_off_runs(cfg, traj, off_runs)
+    _assert_batches(cfg, traj, batches)
     if case == "dcm_vg500_spp50":
         assert traj.dcm_encountered
     if case == "reconduct_integrator_limit_0":
@@ -509,16 +553,18 @@ def test_closed_loop_matches_reference_loop(nominal_params, monkeypatch, case):
     r_load=st.floats(1.0, 100.0),
     kp=st.floats(0.01, 200.0),
     ki=st.floats(0.0, 5000.0),
-    # about half the draws leave OFF runs long enough for the OFF-run pass
-    spp=st.one_of(st.integers(20, 64), st.integers(65, 400)),
+    # about half the draws run ahead (RUN_AHEAD_MIN_SPP); from 15 periods on
+    # (1 + 2 + 4 + 8) a batch of RUN_AHEAD_PERIODS fits
+    spp=st.one_of(st.integers(20, 95), st.integers(96, 400)),
+    periods=st.integers(12, 40),
     integrator_init=st.floats(-5.0, 15.0),
 )
 def test_closed_loop_matches_reference_property(
-    nominal_params, vg, r_load, kp, ki, spp, integrator_init
+    nominal_params, vg, r_load, kp, ki, spp, periods, integrator_init
 ):
     p = dataclasses.replace(nominal_params, vg=vg, r_load=r_load)
     cfg = SimConfig(
-        t_end=12.0 / p.fs, gains=PIGains(kp, ki), steps_per_period=spp,
+        t_end=periods / p.fs, gains=PIGains(kp, ki), steps_per_period=spp,
         initial_state=(0.5, 10.0), integrator_init=integrator_init,
     )
     _assert_same_run(simulate_closed_loop(p, cfg), closed_loop_reference(p, cfg, zoh))
@@ -763,57 +809,105 @@ def _assert_whole_idle_runs(cfg, traj, calls):
     assert sum(calls) == traj.idle_run_substeps
 
 
-def _count_off_runs(monkeypatch):
-    """(start, OFF run length, committed substeps) of each _off_run call."""
-    run = switched_sim._off_run
+def _count_batches(monkeypatch):
+    """(start, predicted ON count of each period, committed substeps) of each
+    _run_ahead call."""
+    run = switched_sim._run_ahead
     calls = []
 
-    def counted(out_vc, start, thresholds, *args):
-        m, integ = run(out_vc, start, thresholds, *args)
-        calls.append((start, len(thresholds), m))
+    def counted(out_il, out_vc, out_q, start, on_counts, *args):
+        m, integ = run(out_il, out_vc, out_q, start, on_counts, *args)
+        calls.append((start, list(on_counts), m))
         return m, integ
 
-    monkeypatch.setattr(switched_sim, "_off_run", counted)
+    monkeypatch.setattr(switched_sim, "_run_ahead", counted)
     return calls
 
 
-def _assert_off_runs(cfg, traj, calls):
-    """At most one pass per period, each over a run of at least OFF_RUN_MIN
-    substeps to the period's end, and the commits add up."""
+def _assert_batches(cfg, traj, calls):
+    """Batches start only at RUN_AHEAD_MIN_SPP substeps per period or more,
+    each at its own period boundary and after the last one's commits; each
+    packs at least one and at most `batch` periods, where `batch` doubles up
+    to its cap after a batch that commits all it set out to pack and drops
+    to 1 after any other; and the commits add up. Returns each batch's
+    (start, periods set out, periods packed, committed substeps, cap then)."""
     spp = cfg.steps_per_period
-    periods = [start // spp for start, _, _ in calls]
-    assert len(set(periods)) == len(periods)
-    assert all(start % spp <= spp - OFF_RUN_MIN for start, _, _ in calls)
-    assert all(0 <= m <= n <= spp - start % spp for start, n, m in calls)
-    assert sum(m for _, _, m in calls) == traj.off_run_substeps
+    n_steps = len(traj.times) - 1
+    if spp < RUN_AHEAD_MIN_SPP:
+        assert calls == []
+    cap = max(1, min(RUN_AHEAD_PERIODS, IDLE_CHUNK // spp))
+    batch, end, batches = 1, 0, []
+    for start, on_counts, m in calls:
+        assert start % spp == 0 and start >= end
+        planned = min(batch, (n_steps - start) // spp)
+        assert 1 <= len(on_counts) <= planned
+        assert all(0 <= n_on <= spp for n_on in on_counts)
+        assert 0 <= m <= len(on_counts) * spp
+        batches.append((start, planned, len(on_counts), m, batch))
+        batch = min(2 * batch, cap) if m == planned * spp else 1
+        # after a shortfall the loop finishes the period that holds the stop
+        end = start + m if m == planned * spp else start + (m // spp + 1) * spp
+    assert sum(m for *_, m in calls) == traj.run_ahead_substeps
+    return batches
 
 
-def _off_run_ends(traj, calls):
-    """How each pass ended: at the period's end, at a substep that would not
-    leave il > 0, at a comparator re-arm or at a frozen integrator."""
+def _batch_ends(p, traj, calls, batches):
+    """How each batch ended: whole, cut by the window's end, short of its
+    planned periods (the plant loop stopped packing after a period that ends
+    with il not > 0, or whose estimated next u leaves [0, vs]), or at the
+    first substep where the loop acts otherwise: the comparator fires early (the
+    switch turns off inside a predicted ON run) or late (it stays on into a
+    predicted OFF run), a predicted OFF substep leaves il not > 0, or the
+    integrator freezes at the bottom or the top."""
+    spp = traj.steps_per_period
+    H = p.vref / p.vo_target
     ends = []
-    for start, n, m in calls:
+    for (start, on_counts, m), (_, planned, packed, _, batch) in zip(calls, batches):
+        if m == planned * spp:
+            ends.append("window_end" if planned < batch else "whole")
+            continue
+        if m == packed * spp:
+            ends.append("u_leaves_window" if traj.il[start + m] > 0.0 else "period_end_il")
+            continue
         i = start + m
-        if m == n:
-            ends.append("period_end" if i % traj.steps_per_period == 0 else "il_not_positive")
+        on = m % spp < on_counts[m // spp]
+        s = (p.vref - H * traj.vc[i]) + (p.vref - H * traj.vc[i + 1])
+        if on != traj.switch_state[i]:
+            ends.append("fires_early" if on else "fires_late")
+        elif not on and not traj.il[i + 1] > 0.0:
+            ends.append("il_not_positive")
+        elif on:
+            assert s > 0.0
+            ends.append("top_freeze")
         else:
-            ends.append("rearm" if traj.switch_state[i] else "freeze")
+            assert s < 0.0
+            ends.append("bottom_freeze")
     return ends
 
 
-def test_off_run_pass_ends_every_way(nominal_params, monkeypatch):
-    # line_sweep_vg500_load125 runs to the period's end and meets il <= 0;
-    # saturation_both_limits_spp200 is cut by re-arms and freezes
-    calls = _count_off_runs(monkeypatch)
-    ends = []
+def test_run_ahead_batch_ends_every_way(nominal_params, monkeypatch):
+    # integrator_init reaches whole batches of the cap and the window's end;
+    # stiff_load_drop_c3mf_spp100 an early comparator;
+    # saturation_both_limits_spp200 a late one and both freezes;
+    # line_sweep_vg500_load125 il not positive; vg10_from_20v_c3mf_spp100 a
+    # period that ends with il below zero; integrator_above_vg500_light_spp100
+    # an estimate below 0
+    calls = _count_batches(monkeypatch)
+    ends, packed = [], set()
     for case in sorted(KERNEL_CASES):
         p, cfg = KERNEL_CASES[case](nominal_params)
         calls.clear()
         traj = simulate_closed_loop(p, cfg)
-        if cfg.steps_per_period < OFF_RUN_MIN:
-            assert traj.off_run_substeps == 0
-        ends += _off_run_ends(traj, calls)
-    assert set(ends) == {"period_end", "il_not_positive", "rearm", "freeze"}
+        if cfg.steps_per_period < RUN_AHEAD_MIN_SPP:
+            assert traj.run_ahead_substeps == 0
+        batches = _assert_batches(cfg, traj, calls)
+        packed |= {periods for _, _, periods, _, _ in batches}
+        ends += _batch_ends(p, traj, calls, batches)
+    assert {1, 2, 4, RUN_AHEAD_PERIODS} <= packed
+    assert set(ends) == {
+        "whole", "window_end", "period_end_il", "u_leaves_window", "fires_early",
+        "fires_late", "il_not_positive", "bottom_freeze", "top_freeze",
+    }
 
 
 @pytest.mark.parametrize("duty_gains, spp", [
